@@ -100,7 +100,8 @@ pub fn compute_cache_sim(
 pub struct ComputeCacheSim<'a> {
     index: &'a SessionIndex,
     buffers: usize,
-    caches: BTreeMap<u16, LruCache>,
+    /// One cache per compute node, indexed by node number.
+    caches: Vec<LruCache>,
     /// The accumulated result.
     pub result: ComputeCacheResult,
 }
@@ -111,7 +112,7 @@ impl<'a> ComputeCacheSim<'a> {
         ComputeCacheSim {
             index,
             buffers,
-            caches: BTreeMap::new(),
+            caches: Vec::new(),
             result: ComputeCacheResult::default(),
         }
     }
@@ -138,11 +139,12 @@ impl<'a> ComputeCacheSim<'a> {
         if bytes == 0 {
             return;
         }
-        let buffers = self.buffers;
-        let cache = self
-            .caches
-            .entry(e.node)
-            .or_insert_with(|| LruCache::new(buffers));
+        let node = usize::from(e.node);
+        if node >= self.caches.len() {
+            let buffers = self.buffers;
+            self.caches.resize_with(node + 1, || LruCache::new(buffers));
+        }
+        let cache = &mut self.caches[node];
         let first = offset / BLOCK;
         let last = (offset + u64::from(bytes) - 1) / BLOCK;
         // "Fully satisfied": every touched block must be resident.
@@ -169,10 +171,9 @@ impl<'a> ComputeCacheSim<'a> {
                 let bend = bstart + BLOCK;
                 let touched = offset.max(bstart)..(offset + u64::from(bytes)).min(bend);
                 let touched = (touched.end - touched.start) as u32;
-                if !cache.contains((facts.file, b)) {
+                if !cache.access((facts.file, b), touched) {
                     missing.push((b, touched));
                 }
-                cache.access((facts.file, b), touched);
             }
             forward(facts.file, &missing);
         }

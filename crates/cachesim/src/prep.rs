@@ -7,8 +7,6 @@
 //! seen, so the simulators make one indexing pass first — the same
 //! two-pass structure a trace-driven simulator of the real data would use.
 
-use std::collections::BTreeMap;
-
 use charisma_trace::record::EventBody;
 use charisma_trace::OrderedEvent;
 
@@ -23,58 +21,75 @@ pub struct SessionFacts {
     pub read_only: bool,
 }
 
-/// Index of all sessions in a trace.
+/// Index of all sessions in a trace: facts sorted by session id, looked up
+/// by binary search. Session ids are shard-namespaced (the shard sits in
+/// the high bits), so they are too sparse for a dense vector.
 #[derive(Clone, Debug, Default)]
 pub struct SessionIndex {
-    map: BTreeMap<u32, SessionFacts>,
+    sessions: Vec<(u32, SessionFacts)>,
 }
 
 impl SessionIndex {
-    /// Build the index (the first pass).
+    /// Build the index (the first pass): collect each session's first
+    /// `Open`, then mark which sessions read and which wrote.
     pub fn build(events: &[OrderedEvent]) -> SessionIndex {
-        let mut map: BTreeMap<u32, SessionFacts> = BTreeMap::new();
-        let mut wrote: BTreeMap<u32, bool> = BTreeMap::new();
-        let mut read: BTreeMap<u32, bool> = BTreeMap::new();
-        for e in events {
-            match e.body {
+        let mut sessions: Vec<(u32, SessionFacts)> = events
+            .iter()
+            .filter_map(|e| match e.body {
                 EventBody::Open {
                     job, file, session, ..
-                } => {
-                    map.entry(session).or_insert(SessionFacts {
+                } => Some((
+                    session,
+                    SessionFacts {
                         job,
                         file,
                         read_only: false,
-                    });
-                }
-                EventBody::Read { session, .. } => {
-                    read.insert(session, true);
-                }
-                EventBody::Write { session, .. } => {
-                    wrote.insert(session, true);
-                }
-                _ => {}
+                    },
+                )),
+                _ => None,
+            })
+            .collect();
+        // Stable, so the first `Open` of a session survives the dedup.
+        sessions.sort_by_key(|&(session, _)| session);
+        sessions.dedup_by_key(|&mut (session, _)| session);
+        let mut index = SessionIndex { sessions };
+        // Per session: bit 1 once it read, bit 2 once it wrote.
+        let mut seen = vec![0u8; index.sessions.len()];
+        for e in events {
+            let (session, bit) = match e.body {
+                EventBody::Read { session, .. } => (session, 1),
+                EventBody::Write { session, .. } => (session, 2),
+                _ => continue,
+            };
+            if let Some(i) = index.position(session) {
+                seen[i] |= bit;
             }
         }
-        for (session, facts) in map.iter_mut() {
-            facts.read_only = read.get(session).copied().unwrap_or(false)
-                && !wrote.get(session).copied().unwrap_or(false);
+        for ((_, facts), seen) in index.sessions.iter_mut().zip(seen) {
+            facts.read_only = seen == 1;
         }
-        SessionIndex { map }
+        index
+    }
+
+    fn position(&self, session: u32) -> Option<usize> {
+        self.sessions
+            .binary_search_by_key(&session, |&(s, _)| s)
+            .ok()
     }
 
     /// Look up a session.
     pub fn get(&self, session: u32) -> Option<&SessionFacts> {
-        self.map.get(&session)
+        self.position(session).map(|i| &self.sessions[i].1)
     }
 
     /// Number of indexed sessions.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.sessions.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.sessions.is_empty()
     }
 }
 
@@ -143,5 +158,36 @@ mod tests {
         assert_eq!(idx.get(1).unwrap().job, 1);
         assert_eq!(idx.get(2).unwrap().file, 11);
         assert!(idx.get(9).is_none());
+    }
+
+    #[test]
+    fn sparse_ids_first_open_wins_and_order_does_not_matter() {
+        let open = |job, session| {
+            ev(EventBody::Open {
+                job,
+                file: job + 100,
+                session,
+                mode: 0,
+                access: AccessKind::Read,
+                created: false,
+            })
+        };
+        let read = |session| {
+            ev(EventBody::Read {
+                session,
+                offset: 0,
+                bytes: 1,
+            })
+        };
+        // Shard-namespaced ids, out of order; a read seen before its
+        // session's open still counts, and a repeated open keeps the
+        // first one's facts.
+        let (a, b) = ((3 << 24) | 7, (1 << 24) | 9);
+        let events = vec![read(a), open(1, a), open(2, b), open(3, a), read(b)];
+        let idx = SessionIndex::build(&events);
+        assert_eq!(idx.len(), 2);
+        assert_eq!(idx.get(a).map(|f| (f.job, f.read_only)), Some((1, true)));
+        assert_eq!(idx.get(b).map(|f| (f.job, f.read_only)), Some((2, true)));
+        assert!(idx.get(7).is_none() && idx.get(u32::MAX).is_none());
     }
 }

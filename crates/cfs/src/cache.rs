@@ -9,10 +9,140 @@
 //! All caches share the [`BlockCache`] interface: `access` returns whether
 //! the block was resident (a hit) and makes it resident, evicting if full.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Identity of a cached block: the file's path id and the block index.
 pub type BlockKey = (u32, u64);
+
+// ---------------------------------------------------------------------------
+// Block table
+// ---------------------------------------------------------------------------
+
+/// The caches' index from a resident block to its per-policy value (a slab
+/// slot, a fetch stamp, a coverage count).
+///
+/// Open addressing with linear probing over a power-of-two slot array, and
+/// backward-shift deletion, so a removal leaves no tombstone behind and a
+/// probe always stops at the first empty slot. The hash is a fixed
+/// multiplicative (Fibonacci) hash of `(file, block)` — no per-process
+/// random state — and the table has no iteration API, so nothing
+/// observable can depend on slot order. The table starts at
+/// [`BlockTable::MIN_SLOTS`] and doubles when an insert would push the
+/// load past ½, so its memory follows the resident blocks, not the
+/// cache's capacity.
+#[derive(Debug)]
+struct BlockTable<V> {
+    slots: Vec<Option<(BlockKey, V)>>,
+    len: usize,
+    /// `64 - log2(slots.len())`: the hash's top bits pick the home slot.
+    shift: u32,
+}
+
+impl<V: Copy> BlockTable<V> {
+    const MIN_SLOTS: usize = 8;
+
+    fn new() -> Self {
+        BlockTable {
+            slots: vec![None; Self::MIN_SLOTS],
+            len: 0,
+            shift: 64 - Self::MIN_SLOTS.trailing_zeros(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    fn home(&self, (file, block): BlockKey) -> usize {
+        let h = (block ^ u64::from(file).wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h >> self.shift) as usize
+    }
+
+    /// `Ok(slot)` holding `key`, or `Err(slot)`: the empty slot that ends
+    /// its probe sequence. The load stays ≤ ½, so an empty slot exists.
+    fn find(&self, key: BlockKey) -> Result<usize, usize> {
+        let mask = self.mask();
+        let mut i = self.home(key);
+        loop {
+            match self.slots[i] {
+                None => return Err(i),
+                Some((k, _)) if k == key => return Ok(i),
+                Some(_) => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn get(&self, key: BlockKey) -> Option<V> {
+        let i = self.find(key).ok()?;
+        self.slots[i].map(|(_, v)| v)
+    }
+
+    fn contains(&self, key: BlockKey) -> bool {
+        self.find(key).is_ok()
+    }
+
+    /// Insert or overwrite `key`.
+    fn insert(&mut self, key: BlockKey, value: V) {
+        let i = match self.find(key) {
+            Ok(i) => {
+                self.slots[i] = Some((key, value));
+                return;
+            }
+            Err(i) if 2 * (self.len + 1) <= self.slots.len() => i,
+            Err(_) => {
+                self.grow();
+                let (Ok(i) | Err(i)) = self.find(key);
+                i
+            }
+        };
+        self.slots[i] = Some((key, value));
+        self.len += 1;
+    }
+
+    /// Double the slot array and rehash every entry into it.
+    fn grow(&mut self) {
+        let doubled = vec![None; 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        self.shift -= 1;
+        for (key, value) in old.into_iter().flatten() {
+            let (Ok(i) | Err(i)) = self.find(key);
+            self.slots[i] = Some((key, value));
+        }
+    }
+
+    /// Remove `key`, then shift back each later entry of the probe run
+    /// whose home slot lies at or before the hole, so every remaining key
+    /// stays reachable from its home without tombstones.
+    fn remove(&mut self, key: BlockKey) -> Option<V> {
+        let mut hole = self.find(key).ok()?;
+        let (_, value) = self.slots[hole].take()?;
+        self.len -= 1;
+        let mask = self.mask();
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let Some((k, _)) = self.slots[j] else {
+                break;
+            };
+            // `k` may fill the hole when the hole is no further from j than
+            // k's home is (cyclically), i.e. the hole lies on k's probe path.
+            if (j.wrapping_sub(self.home(k)) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.slots[hole] = self.slots[j].take();
+                hole = j;
+            }
+        }
+        Some(value)
+    }
+}
 
 /// Common interface of the replacement policies.
 pub trait BlockCache {
@@ -48,7 +178,7 @@ pub trait BlockCache {
 #[derive(Debug)]
 pub struct LruCache {
     capacity: usize,
-    map: BTreeMap<BlockKey, usize>,
+    map: BlockTable<usize>,
     slab: Vec<LruEntry>,
     head: usize, // most recent
     tail: usize, // least recent
@@ -69,7 +199,7 @@ impl LruCache {
     pub fn new(capacity: usize) -> Self {
         LruCache {
             capacity,
-            map: BTreeMap::new(),
+            map: BlockTable::new(),
             slab: Vec::with_capacity(capacity.min(1 << 20)),
             head: NIL,
             tail: NIL,
@@ -114,7 +244,7 @@ impl BlockCache for LruCache {
         if self.capacity == 0 {
             return false;
         }
-        if let Some(&i) = self.map.get(&key) {
+        if let Some(i) = self.map.get(key) {
             self.unlink(i);
             self.push_front(i);
             return true;
@@ -122,7 +252,7 @@ impl BlockCache for LruCache {
         if self.map.len() >= self.capacity {
             let victim = self.tail;
             self.unlink(victim);
-            self.map.remove(&self.slab[victim].key);
+            self.map.remove(self.slab[victim].key);
             self.free.push(victim);
         }
         let i = self.free.pop().unwrap_or_else(|| {
@@ -154,7 +284,7 @@ impl BlockCache for LruCache {
     }
 
     fn contains(&self, key: BlockKey) -> bool {
-        self.map.contains_key(&key)
+        self.map.contains(key)
     }
 
     fn len(&self) -> usize {
@@ -166,7 +296,7 @@ impl BlockCache for LruCache {
     }
 
     fn invalidate(&mut self, key: BlockKey) {
-        if let Some(i) = self.map.remove(&key) {
+        if let Some(i) = self.map.remove(key) {
             self.unlink(i);
             self.free.push(i);
         }
@@ -183,7 +313,7 @@ impl BlockCache for LruCache {
 #[derive(Debug)]
 pub struct FifoCache {
     capacity: usize,
-    map: BTreeMap<BlockKey, u64>,
+    map: BlockTable<u64>,
     queue: VecDeque<(BlockKey, u64)>,
     stamp: u64,
 }
@@ -193,7 +323,7 @@ impl FifoCache {
     pub fn new(capacity: usize) -> Self {
         FifoCache {
             capacity,
-            map: BTreeMap::new(),
+            map: BlockTable::new(),
             queue: VecDeque::with_capacity(capacity.min(1 << 20)),
             stamp: 0,
         }
@@ -205,7 +335,7 @@ impl BlockCache for FifoCache {
         if self.capacity == 0 {
             return false;
         }
-        if self.map.contains_key(&key) {
+        if self.map.contains(key) {
             return true;
         }
         while self.map.len() >= self.capacity {
@@ -214,8 +344,8 @@ impl BlockCache for FifoCache {
             let Some((victim, stamp)) = self.queue.pop_front() else {
                 break; // unreachable: the queue always covers the map
             };
-            if self.map.get(&victim) == Some(&stamp) {
-                self.map.remove(&victim);
+            if self.map.get(victim) == Some(stamp) {
+                self.map.remove(victim);
             }
         }
         self.stamp += 1;
@@ -235,7 +365,7 @@ impl BlockCache for FifoCache {
     }
 
     fn contains(&self, key: BlockKey) -> bool {
-        self.map.contains_key(&key)
+        self.map.contains(key)
     }
 
     fn len(&self) -> usize {
@@ -247,7 +377,7 @@ impl BlockCache for FifoCache {
     }
 
     fn invalidate(&mut self, key: BlockKey) {
-        self.map.remove(&key);
+        self.map.remove(key);
     }
 }
 
@@ -268,7 +398,7 @@ impl BlockCache for FifoCache {
 #[derive(Debug)]
 pub struct IplCache {
     lru: LruCache,
-    coverage: BTreeMap<BlockKey, u64>,
+    coverage: BlockTable<u64>,
     exhausted: Vec<BlockKey>,
     block_bytes: u64,
 }
@@ -278,7 +408,7 @@ impl IplCache {
     pub fn new(capacity: usize, block_bytes: u64) -> Self {
         IplCache {
             lru: LruCache::new(capacity),
-            coverage: BTreeMap::new(),
+            coverage: BlockTable::new(),
             exhausted: Vec::new(),
             block_bytes,
         }
@@ -290,35 +420,35 @@ impl BlockCache for IplCache {
         if self.lru.capacity() == 0 {
             return false;
         }
-        let hit = self.lru.contains(key);
-        if !hit && self.lru.len() >= self.lru.capacity() {
+        // The coverage table's keys are the resident set: a miss is known
+        // here without probing the LRU a second time.
+        let before = self.coverage.get(key);
+        if before.is_none() && self.lru.len() >= self.lru.capacity() {
             // Prefer evicting an exhausted block over the LRU victim.
             let mut evicted = false;
             while let Some(victim) = self.exhausted.pop() {
                 if victim != key && self.lru.contains(victim) {
                     self.lru.invalidate(victim);
-                    self.coverage.remove(&victim);
+                    self.coverage.remove(victim);
                     evicted = true;
                     break;
                 }
             }
             if !evicted {
                 // LruCache::access below will evict its LRU victim; drop
-                // our coverage record for it so the map cannot leak.
+                // our coverage record for it so the table cannot leak.
                 if let Some(victim) = self.lru.lru_key() {
-                    self.coverage.remove(&victim);
+                    self.coverage.remove(victim);
                 }
             }
         }
-        self.lru.access(key, touched_bytes);
-        let cov = self.coverage.entry(key).or_insert(0);
-        if !hit {
-            // Fresh fetch restarts coverage accounting.
-            *cov = 0;
-        }
-        let before = *cov;
-        *cov += u64::from(touched_bytes);
-        if before < self.block_bytes && *cov >= self.block_bytes {
+        let hit = self.lru.access(key, touched_bytes);
+        charisma_ipsc::invariant!(hit == before.is_some(), "IPL coverage and LRU disagree");
+        // A fresh fetch restarts coverage accounting.
+        let before = before.unwrap_or(0);
+        let after = before + u64::from(touched_bytes);
+        self.coverage.insert(key, after);
+        if before < self.block_bytes && after >= self.block_bytes {
             // Push only on the crossing so a hot block cannot flood the
             // exhausted list with duplicates.
             self.exhausted.push(key);
@@ -340,7 +470,7 @@ impl BlockCache for IplCache {
 
     fn invalidate(&mut self, key: BlockKey) {
         self.lru.invalidate(key);
-        self.coverage.remove(&key);
+        self.coverage.remove(key);
     }
 }
 
@@ -350,6 +480,103 @@ mod tests {
 
     fn k(b: u64) -> BlockKey {
         (1, b)
+    }
+
+    /// Keys whose home slot is `slot` in a fresh (minimum-size) table.
+    fn homed_at(slot: usize, n: usize) -> Vec<BlockKey> {
+        let table = BlockTable::<u64>::new();
+        (0..)
+            .map(k)
+            .filter(|&key| table.home(key) == slot)
+            .take(n)
+            .collect()
+    }
+
+    fn permutations(items: &[BlockKey]) -> Vec<Vec<BlockKey>> {
+        if items.len() <= 1 {
+            return vec![items.to_vec()];
+        }
+        let mut out = Vec::new();
+        for i in 0..items.len() {
+            let mut rest = items.to_vec();
+            let first = rest.remove(i);
+            for mut tail in permutations(&rest) {
+                tail.insert(0, first);
+                out.push(tail);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn block_table_deletes_across_the_wrap_in_every_order() {
+        // Three keys share the last slot as home and spill over the end of
+        // the array into slots 0 and 1; a fourth key is homed at slot 0 and
+        // must be displaced past them. Every insertion order × every
+        // deletion order keeps the survivors reachable.
+        let last = BlockTable::<u64>::MIN_SLOTS - 1;
+        let mut keys = homed_at(last, 3);
+        keys.extend(homed_at(0, 1));
+        for inserted in permutations(&keys) {
+            for deleted in permutations(&keys) {
+                let mut t = BlockTable::new();
+                for (v, &key) in inserted.iter().enumerate() {
+                    t.insert(key, v as u64);
+                }
+                assert_eq!(t.slots.len(), BlockTable::<u64>::MIN_SLOTS, "no growth");
+                for (n, &gone) in deleted.iter().enumerate() {
+                    let v = inserted.iter().position(|&key| key == gone);
+                    assert_eq!(t.remove(gone), v.map(|v| v as u64));
+                    assert_eq!(t.remove(gone), None, "removed twice");
+                    assert_eq!(t.len(), keys.len() - n - 1);
+                    for (v, &key) in inserted.iter().enumerate() {
+                        let live = !deleted[..=n].contains(&key);
+                        assert_eq!(t.get(key), live.then_some(v as u64));
+                    }
+                }
+                assert!(t.slots.iter().all(Option::is_none), "no tombstones");
+            }
+        }
+    }
+
+    #[test]
+    fn block_table_matches_an_ordered_map() {
+        use std::collections::BTreeMap;
+        let mut table = BlockTable::new();
+        let mut model = BTreeMap::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for step in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let key = ((x >> 40) as u32 % 5, x % 300);
+            if x.is_multiple_of(3) {
+                assert_eq!(table.remove(key), model.remove(&key));
+            } else {
+                table.insert(key, step);
+                model.insert(key, step);
+            }
+            assert_eq!(table.len(), model.len());
+            assert_eq!(table.get(key), model.get(&key).copied());
+            assert!(2 * table.len() <= table.slots.len(), "load above one half");
+        }
+        for (&key, &v) in &model {
+            assert_eq!(table.get(key), Some(v));
+        }
+    }
+
+    #[test]
+    fn block_table_grows_with_residents_not_capacity() {
+        let mut c = LruCache::new(1 << 20);
+        assert_eq!(c.map.slots.len(), BlockTable::<usize>::MIN_SLOTS);
+        for b in 0..100 {
+            c.access(k(b), 1);
+        }
+        assert_eq!(
+            c.map.slots.len(),
+            256,
+            "smallest power of two at load <= 1/2"
+        );
     }
 
     #[test]

@@ -32,28 +32,83 @@ impl RefLru {
     }
 }
 
+/// A naive reference FIFO: a Vec ordered by fetch, oldest first. A hit
+/// leaves the order alone; an invalidation drops the block outright.
+struct RefFifo {
+    cap: usize,
+    items: Vec<(u32, u64)>,
+}
+
+impl RefFifo {
+    fn access(&mut self, key: (u32, u64)) -> bool {
+        if self.cap == 0 {
+            return false;
+        }
+        if self.items.contains(&key) {
+            return true;
+        }
+        if self.items.len() >= self.cap {
+            self.items.remove(0);
+        }
+        self.items.push(key);
+        false
+    }
+}
+
+/// One step of a differential cache trace: a block of one of a few files,
+/// and whether to invalidate it instead of accessing it. Blocks span a
+/// wide range so the caches' block tables see growth, collisions and
+/// wrap-around, not a few dense keys.
+fn cache_ops() -> impl Strategy<Value = Vec<(u32, u64, bool)>> {
+    proptest::collection::vec(
+        (0u32..4, prop_oneof![0u64..96, 0u64..1 << 40], any::<bool>()),
+        1..600,
+    )
+}
+
 proptest! {
     /// The O(1) LRU agrees with the naive reference on every access of
     /// arbitrary traces, including interleaved invalidations.
     #[test]
-    fn lru_matches_reference_model(
-        cap in 1usize..9,
-        ops in proptest::collection::vec((0u64..24, any::<bool>()), 1..400),
-    ) {
+    fn lru_matches_reference_model(cap in 1usize..65, ops in cache_ops()) {
         let mut fast = LruCache::new(cap);
         let mut slow = RefLru { cap, items: Vec::new() };
-        for (block, invalidate) in ops {
-            let key = (1u32, block);
+        for (file, block, invalidate) in ops {
+            let key = (file, block);
             if invalidate {
                 fast.invalidate(key);
                 slow.items.retain(|&k| k != key);
             } else {
                 let a = fast.access(key, 1);
                 let b = slow.access(key);
-                prop_assert_eq!(a, b, "divergence on block {}", block);
+                prop_assert_eq!(a, b, "divergence on {:?}", key);
             }
             prop_assert_eq!(fast.len(), slow.items.len());
             prop_assert!(fast.len() <= cap);
+            prop_assert_eq!(fast.lru_key(), slow.items.last().copied());
+        }
+    }
+
+    /// FIFO agrees with the naive reference too, across invalidations that
+    /// leave stale entries in its fetch queue.
+    #[test]
+    fn fifo_matches_reference_model(cap in 1usize..65, ops in cache_ops()) {
+        let mut fast = FifoCache::new(cap);
+        let mut slow = RefFifo { cap, items: Vec::new() };
+        for (file, block, invalidate) in ops {
+            let key = (file, block);
+            if invalidate {
+                fast.invalidate(key);
+                slow.items.retain(|&k| k != key);
+            } else {
+                let a = fast.access(key, 1);
+                let b = slow.access(key);
+                prop_assert_eq!(a, b, "divergence on {:?}", key);
+            }
+            prop_assert_eq!(fast.len(), slow.items.len());
+            for &k in &slow.items {
+                prop_assert!(fast.contains(k), "{:?} should be resident", k);
+            }
         }
     }
 
