@@ -2,15 +2,15 @@
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────┐
-//! │ magic "CHSTOR01"  version  seed  scale-bits              │  header
+//! │ magic "CHSTOR01"  version (2)  seed  scale-bits          │  header
 //! ├──────────────────────────────────────────────────────────┤
-//! │ segment 0 (columnar blob + fnv1a checksum)               │
+//! │ segment 0 (columnar blob + 8-byte word checksum)         │
 //! │ segment 1                                                │
 //! │ ...                                                      │
 //! ├──────────────────────────────────────────────────────────┤
 //! │ zone-map directory (one fixed-width entry per segment)   │  footer
 //! │ total row count                                          │
-//! │ file checksum (fnv1a over every byte before it)          │
+//! │ file checksum (word checksum over every byte before it)  │
 //! ├──────────────────────────────────────────────────────────┤
 //! │ footer length (u64)   magic "CHSTOR01"                   │  tail
 //! └──────────────────────────────────────────────────────────┘
@@ -20,14 +20,14 @@
 //! directory without scanning segments, and repeats the magic so
 //! truncation is detected before any parsing.
 //!
-//! **Integrity.** Every segment blob ends with an FNV-1a checksum over
-//! its frames (see [`crate::integrity`]), and the footer ends with a file
-//! checksum over every byte before it — header, segments, and directory
-//! alike. Corruption therefore classifies deterministically: a valid
-//! header with a destroyed *tail* is a torn write (crash mid-seal),
-//! surfaced as [`StoreError::TornTail`] with the count of whole,
-//! checksum-verified segments still recoverable from the sealed prefix;
-//! a valid tail with inconsistent *interior* bytes is
+//! **Integrity.** Every segment blob ends with a word-at-a-time
+//! checksum over its frames (see [`crate::integrity`]), and the footer
+//! ends with a file checksum over every byte before it — header,
+//! segments, and directory alike. Corruption therefore classifies
+//! deterministically: a valid header with a destroyed *tail* is a torn
+//! write (crash mid-seal), surfaced as [`StoreError::TornTail`] with the
+//! count of whole, checksum-verified segments still recoverable from the
+//! sealed prefix; a valid tail with inconsistent *interior* bytes is
 //! [`StoreError::Corrupt`]. [`Archive::recover_from_bytes`] turns a torn
 //! file back into an archive holding exactly that sealed prefix.
 //!
@@ -43,7 +43,7 @@ use bytes::{Buf, BufMut, Bytes};
 use charisma_ipsc::SimTime;
 use charisma_trace::OrderedEvent;
 
-use crate::integrity::{fnv1a, verify_blob, CHECKSUM_LEN};
+use crate::integrity::{checksum, verify_blob, CHECKSUM_LEN};
 use crate::metrics::StoreMetrics;
 use crate::query::{Query, Scan};
 use crate::scan::decode_segment;
@@ -55,8 +55,11 @@ use crate::StoreError;
 /// (the header's own `version` field versions the column schema).
 pub const MAGIC: &[u8; 8] = b"CHSTOR01";
 
-/// Current column-schema version.
-pub const VERSION: u32 = 1;
+/// Current format version. Version 2 replaced version 1's byte-serial
+/// FNV-1a checksums with the word-at-a-time [`crate::integrity`] checksum,
+/// so a version-1 file is refused as [`StoreError::BadVersion`] rather
+/// than misreported as a checksum mismatch or a torn tail.
+pub const VERSION: u32 = 2;
 
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 const TAIL_LEN: usize = 8 + 8;
@@ -137,7 +140,7 @@ impl ArchiveWriter {
             zone.encode(&mut self.buf);
         }
         self.buf.put_u64_le(self.rows);
-        let sum = fnv1a(&self.buf);
+        let sum = checksum(&self.buf);
         self.buf.put_u64_le(sum);
         let footer_len = (self.buf.len() - footer_start) as u64;
         self.buf.put_u64_le(footer_len);
@@ -329,7 +332,7 @@ fn parse_layout(bytes: &[u8]) -> Result<Layout, StoreError> {
     }
     // The file checksum covers every byte before its own encoding: the
     // header, all segment blobs, and the footer up to the checksum field.
-    if fnv1a(&bytes[..footer_end - CHECKSUM_LEN]) != file_sum {
+    if checksum(&bytes[..footer_end - CHECKSUM_LEN]) != file_sum {
         return Err(StoreError::Corrupt("file checksum mismatch"));
     }
     Ok(Layout { meta, zones })
@@ -522,7 +525,7 @@ impl ArchiveReader {
             zone.encode(&mut buf);
         }
         buf.put_u64_le(self.rows());
-        let sum = fnv1a(&buf);
+        let sum = checksum(&buf);
         buf.put_u64_le(sum);
         let footer_len = (buf.len() - footer_start) as u64;
         buf.put_u64_le(footer_len);
@@ -772,5 +775,32 @@ mod tests {
             Archive::open(dir.join("missing.chst")),
             Err(StoreError::Io(_))
         ));
+    }
+
+    #[test]
+    fn version_1_archives_are_refused_by_version() {
+        // Version 1 carried byte-serial FNV-1a checksums. Its files must
+        // fail on the header's version field, before any checksum or
+        // torn-tail classification could misreport them as damage; a
+        // torn version-1 file is refused the same way.
+        let mut v1 = write_archive(&stream(5000), META);
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            Archive::from_bytes(v1.clone()),
+            Err(StoreError::BadVersion(1))
+        ));
+        let dir = std::env::temp_dir().join("charisma-store-test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        for (name, bytes) in [("v1.chst", &v1[..]), ("v1-torn.chst", &v1[..v1.len() / 2])] {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).expect("write");
+            assert!(
+                matches!(
+                    Archive::open_recovering(&path),
+                    Err(StoreError::BadVersion(1))
+                ),
+                "{name}"
+            );
+        }
     }
 }

@@ -378,15 +378,13 @@ impl ReplicaSet {
         let mut report = ScrubReport::default();
         for (seg_idx, seg) in self.segments.iter_mut().enumerate() {
             report.segments_checked += 1;
-            let mut source: Option<Vec<u8>> = None;
-            for copy in &seg.copies {
+            let mut source = None;
+            for (idx, copy) in seg.copies.iter().enumerate() {
                 match copy {
                     None => report.missing_replicas += 1,
                     Some(bytes) if !verify_blob(bytes) => report.corrupt_replicas += 1,
-                    Some(bytes) => {
-                        if source.is_none() {
-                            source = Some(bytes.clone());
-                        }
+                    Some(_) => {
+                        source.get_or_insert(idx);
                     }
                 }
             }
@@ -394,10 +392,11 @@ impl ReplicaSet {
                 report.unrecoverable.push(seg_idx as u64);
                 continue;
             };
-            for copy in &mut seg.copies {
-                let healthy = copy.as_ref().is_some_and(|c| *c == source);
-                if !healthy {
-                    *copy = Some(source.clone());
+            // Compare in place against the source copy (which is `Some`);
+            // bytes are cloned only to repair.
+            for idx in 0..seg.copies.len() {
+                if idx != source && seg.copies[idx] != seg.copies[source] {
+                    seg.copies[idx] = seg.copies[source].clone();
                     report.repaired += 1;
                 }
             }

@@ -67,11 +67,7 @@ impl<'a> SegmentColumns<'a> {
         // `ChecksumMismatch`, never as a misdecoded value. Verification
         // reads bytes, not column values, so it is not charged to
         // `values_decoded`.
-        let (payload, sum) = crate::integrity::split_checksum(blob)?;
-        if crate::integrity::fnv1a(payload) != sum {
-            return Err(StoreError::ChecksumMismatch);
-        }
-        let mut buf = payload;
+        let mut buf = crate::integrity::verified_payload(blob)?;
         let n = buf
             .try_get_varint_u64()
             .ok_or(StoreError::Corrupt("truncated row count"))?;

@@ -340,7 +340,7 @@ impl SegmentBuilder {
     /// returning its zone map (`offset`/`len` relative to `out`'s state on
     /// entry, i.e. as absolute positions within the growing archive).
     ///
-    /// The blob ends with an FNV-1a checksum over the row count and all
+    /// The blob ends with an integrity checksum over the row count and all
     /// ten column frames, so `zone.len` covers the checksum and any byte
     /// flip inside the blob is detectable without decoding a value.
     pub(crate) fn finish(self, out: &mut Vec<u8>) -> ZoneMap {
@@ -377,7 +377,7 @@ impl SegmentBuilder {
         encode_column(out, |col| {
             encode_delta_column(&collect(&self.rows, |r| r.size), col)
         });
-        let sum = crate::integrity::fnv1a(&out[start..]);
+        let sum = crate::integrity::checksum(&out[start..]);
         out.put_u64_le(sum);
         ZoneMap {
             offset: start as u64,
