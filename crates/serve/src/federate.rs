@@ -3,15 +3,17 @@
 //!
 //! The fan-out reuses the store's sanctioned pattern — worker threads
 //! under [`std::thread::scope`] claim snapshots from an atomic cursor —
-//! and each claimed snapshot runs an ordinary pruned [`Scan`]. The merge
-//! is a k-way minimum over `(time, node, tenant)`: because every tenant
-//! stream is internally ordered by `(time, node)`, the merged output is
-//! exactly a stable sort of the tenant-ordered concatenation by
-//! `(time, node)` — the federation analog of the trace layer's canonical
-//! `(time, node, shard, seq)` merge key, with the tenant index standing
-//! in for the shard and per-tenant row order for the sequence number.
-//! The property suite pins that equivalence for arbitrary queries and
-//! worker counts.
+//! and each claimed snapshot runs an ordinary pruned one-worker [`Scan`].
+//! One fan-out worker runs the same claiming loop inline on the calling
+//! thread, and so does each one-worker scan, so a one-worker federated
+//! query spawns no thread at all. The merge is a k-way minimum over
+//! `(time, node, tenant)`: because every tenant stream is internally
+//! ordered by `(time, node)`, the merged output is exactly a stable sort
+//! of the tenant-ordered concatenation by `(time, node)` — the federation
+//! analog of the trace layer's canonical `(time, node, shard, seq)` merge
+//! key, with the tenant index standing in for the shard and per-tenant
+//! row order for the sequence number. The property suite pins that
+//! equivalence for arbitrary queries and worker counts.
 //!
 //! [`Scan`]: charisma_store::Scan
 
@@ -113,27 +115,34 @@ pub(crate) fn federated_events(
     let cursor = AtomicUsize::new(0);
     let results: Mutex<Vec<(usize, Vec<OrderedEvent>)>> = Mutex::new(Vec::new());
     let first_error: Mutex<Option<(usize, StoreError)>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let claim = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(snap) = snapshots.get(claim) else {
-                    break;
-                };
-                match snap.reader().query(query.clone()).events() {
-                    Ok(events) => lock(&results).push((claim, events)),
-                    Err(e) => {
-                        let mut slot = lock(&first_error);
-                        // Keep the lowest-tenant error: deterministic
-                        // regardless of which worker saw one first.
-                        if slot.as_ref().is_none_or(|(s, _)| claim < *s) {
-                            *slot = Some((claim, e));
-                        }
-                    }
+    // One worker body: run inline when it is the only worker, on scoped
+    // threads otherwise.
+    let work = || loop {
+        let claim = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(snap) = snapshots.get(claim) else {
+            break;
+        };
+        match snap.reader().query(query.clone()).events() {
+            Ok(events) => lock(&results).push((claim, events)),
+            Err(e) => {
+                let mut slot = lock(&first_error);
+                // Keep the lowest-tenant error: deterministic
+                // regardless of which worker saw one first.
+                if slot.as_ref().is_none_or(|(s, _)| claim < *s) {
+                    *slot = Some((claim, e));
                 }
-            });
+            }
         }
-    });
+    };
+    if workers == 1 {
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(work);
+            }
+        });
+    }
     if let Some((_, e)) = lock(&first_error).take() {
         return Err(ServeError::Store(e));
     }
@@ -254,20 +263,35 @@ mod tests {
     #[test]
     fn federated_metrics_account_for_pruning_and_rows() {
         let feeds = feeds(2, 10_000);
-        let mut service = Service::new(ServiceConfig {
-            tenants: 2,
-            ..ServiceConfig::default()
-        });
-        let registry = charisma_obs::MetricsRegistry::new();
-        service.attach_metrics(crate::ServeMetrics::register(&registry));
-        service.run_ingest(&feeds, 2, 1).expect("ingests");
-        let q = Query::all().time_window(SimTime::ZERO, SimTime::from_micros(100));
-        let got = service.federated(q).workers(2).events().expect("federates");
-        let snap = registry.snapshot();
-        assert_eq!(snap.counters["serve.federated_queries"], 1);
-        assert!(snap.counters["serve.federated_segments_pruned"] > 0);
-        assert!(snap.counters["serve.federated_segments_scanned"] > 0);
-        assert_eq!(snap.counters["serve.federated_rows"], got.len() as u64);
+        let federated_counters = |workers: usize| {
+            let mut service = Service::new(ServiceConfig {
+                tenants: 2,
+                ..ServiceConfig::default()
+            });
+            let registry = charisma_obs::MetricsRegistry::new();
+            service.attach_metrics(crate::ServeMetrics::register(&registry));
+            service.run_ingest(&feeds, 2, 1).expect("ingests");
+            let q = Query::all().time_window(SimTime::ZERO, SimTime::from_micros(100));
+            let got = service
+                .federated(q)
+                .workers(workers)
+                .events()
+                .expect("federates");
+            let mut counters = registry.snapshot().counters;
+            counters.retain(|name, _| name.starts_with("serve.federated_"));
+            (got, counters)
+        };
+        let (got, counters) = federated_counters(1);
+        assert_eq!(counters["serve.federated_queries"], 1);
+        assert!(counters["serve.federated_segments_pruned"] > 0);
+        assert!(counters["serve.federated_segments_scanned"] > 0);
+        assert_eq!(counters["serve.federated_rows"], got.len() as u64);
+        // The inline one-worker fan-out and the threaded ones count alike.
+        for workers in [2, 4] {
+            let (got_n, counters_n) = federated_counters(workers);
+            assert_eq!(got_n, got, "workers={workers}");
+            assert_eq!(counters_n, counters, "workers={workers}");
+        }
     }
 
     #[test]
@@ -297,11 +321,48 @@ mod tests {
         assert!(failovers > 0, "damage must actually be routed around");
         snapshots[1] = Snapshot::from_reader(1, reader);
 
-        for workers in [1, 3] {
+        for workers in [1, 2, 4] {
             let got = service
                 .federated_over(&snapshots, &q, workers)
                 .expect("degraded federation answers");
             assert_eq!(got, want, "workers={workers}");
+        }
+
+        // Beyond repair: tenants 1 and 2 lose every copy of their first
+        // segment, and recovery supplies the verifying bytes of a segment
+        // with a different row count, so their scans fail. Inline and
+        // threaded fan-outs return the same error: tenant 1's.
+        let mut broken = service.snapshot_all();
+        for tenant in [1, 2] {
+            let pinned = &broken[tenant];
+            let segments = pinned.reader().segments();
+            let wrong = segments
+                .iter()
+                .find(|s| s.rows() != segments[0].rows())
+                .expect("a segment of another size")
+                .bytes()
+                .to_vec();
+            let mut set = ReplicaSet::place(pinned.reader(), ReplicaConfig::default(), 77);
+            for replica in 0..set.live_replicas(0) {
+                assert!(set.lose_replica(0, replica));
+            }
+            let (reader, report) = set
+                .failover_reader_with(|seg| (seg == 0).then(|| wrong.clone()))
+                .expect("the recovered bytes verify");
+            assert_eq!(report.reconstructed, 1);
+            broken[tenant] = Snapshot::from_reader(tenant, reader);
+        }
+        let own = ServeError::Store(
+            broken[1]
+                .query(q.clone())
+                .events()
+                .expect_err("tenant 1 alone fails"),
+        );
+        for workers in [1, 2, 4] {
+            let err = service
+                .federated_over(&broken, &q, workers)
+                .expect_err("a broken tenant fails the federation");
+            assert_eq!(format!("{err:?}"), format!("{own:?}"), "workers={workers}");
         }
     }
 

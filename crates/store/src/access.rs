@@ -17,7 +17,7 @@
 //! a pure function of the query history.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError}; // charisma-verify: allow(CH007, interior-mutable ledger cell; all writes are commutative and the feed site sits after the scan's thread::scope join)
+use std::sync::{Arc, Mutex, PoisonError}; // charisma-verify: allow(CH007, interior-mutable ledger cell; all writes are commutative and the feed site runs once every scan worker is done, after the thread::scope join or the inline one-worker run)
 
 /// One segment's accumulated access history.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

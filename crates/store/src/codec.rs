@@ -24,14 +24,35 @@
 //! The decoders come in two shapes: the original `decode_*_column`
 //! functions allocate and return a vector, and the `decode_*_column_into`
 //! variants append into a caller-owned buffer. Both run the same batched
-//! core: varints are probed a u64 window (eight bytes) at a time — when no
-//! byte in the window carries a continuation bit, all eight are complete
-//! one-byte varints and are emitted without per-value branching, which is
-//! the common case for identifier columns and for the tiny zigzag deltas
-//! of sorted time/offset columns. Delta columns decode their zigzag
-//! varints first, then rebuild absolute values with a chunked wrapping
-//! prefix sum over the decoded buffer. The predicate-first segment scan
-//! (`scan` module) and the full decode share these exact loops.
+//! core, which reads varints a little-endian u64 window (eight bytes) at a
+//! time:
+//!
+//! * when no byte in the window carries a continuation bit, all eight are
+//!   complete one-byte varints and are emitted without per-value
+//!   branching — the common case for identifier columns and for the tiny
+//!   zigzag deltas of sorted time/offset columns;
+//! * otherwise the lowest clear continuation bit of the same window gives
+//!   the length of the next varint, and a value of two to eight bytes is
+//!   assembled from the window by masking off the continuation bits and
+//!   closing the gaps between the 7-bit groups in three mask-and-shift
+//!   steps (pairs, quads, then the two halves). Session ids carry their
+//!   shard in bits 24 and up, so nearly every session value takes this
+//!   path as a four-byte varint; time, offset and size deltas mostly take
+//!   two or three.
+//!
+//! Only a varint of nine or more bytes, or one starting in the last seven
+//! bytes of the buffer, goes through the per-byte decoder. Every
+//! two-to-eight-byte varint is well formed (it carries at most 56 value
+//! bits), so the word path can never be the one to report an error: any
+//! corrupt input errs on the per-byte path exactly where it always did.
+//!
+//! Delta columns decode their zigzag varints first, then rebuild absolute
+//! values with a chunked wrapping prefix sum over the decoded buffer.
+//! Dictionary columns check the largest index once against the dictionary
+//! length, then map the whole run through a 256-entry table with no
+//! per-row branch. The predicate-first
+//! segment scan (`scan` module) and the full decode share these exact
+//! loops.
 
 use bytes::{Buf, BufMut};
 
@@ -39,6 +60,9 @@ use crate::StoreError;
 
 /// Continuation-bit mask over an eight-byte varint probe window.
 const VARINT_PROBE_MASK: u64 = 0x8080_8080_8080_8080;
+
+/// Value-bit mask over an eight-byte varint probe window.
+const VARINT_VALUE_MASK: u64 = 0x7f7f_7f7f_7f7f_7f7f;
 
 /// Map a signed delta onto an unsigned varint-friendly value: small
 /// magnitudes of either sign get small codes (0 → 0, -1 → 1, 1 → 2, ...).
@@ -70,12 +94,14 @@ pub fn decode_varint_column(buf: &mut &[u8], n: usize) -> Result<Vec<u64>, Store
 /// Append `n` varints from `buf` onto `out` — the batched core shared by
 /// every varint-shaped decode.
 ///
-/// The hot loop probes eight input bytes as one u64: if no byte in the
-/// window has its continuation bit set, the window is eight complete
-/// one-byte varints, emitted in one branch-light burst. Windows holding a
-/// multi-byte varint fall back to the per-byte decoder for one value and
-/// re-probe. Identifier columns and sorted-column deltas are dominated by
-/// one-byte codes, so most of a segment decodes eight values per probe.
+/// The hot loop loads eight input bytes as one little-endian u64. If no
+/// byte in the window has its continuation bit set, the window is eight
+/// complete one-byte varints, emitted in one branch-light burst.
+/// Otherwise the first clear continuation bit ends the next varint: one
+/// of up to eight bytes is assembled from the window by
+/// [`varint_from_window`], and only a longer one falls back to the
+/// per-byte decoder. Fewer than eight bytes left means the per-byte
+/// decoder for the rest, so every read stays inside `buf`.
 pub fn decode_varint_column_into(
     buf: &mut &[u8],
     n: usize,
@@ -83,21 +109,29 @@ pub fn decode_varint_column_into(
 ) -> Result<(), StoreError> {
     out.reserve(n);
     let mut remaining = n;
-    while remaining >= 8 && buf.len() >= 8 {
+    while remaining > 0 && buf.len() >= 8 {
         let window = [
             buf[0], buf[1], buf[2], buf[3], buf[4], buf[5], buf[6], buf[7],
         ];
-        if u64::from_le_bytes(window) & VARINT_PROBE_MASK == 0 {
+        let word = u64::from_le_bytes(window);
+        // One set bit per byte that ends a varint.
+        let ends = !word & VARINT_PROBE_MASK;
+        if ends == VARINT_PROBE_MASK && remaining >= 8 {
             for b in window {
                 out.push(u64::from(b));
             }
             *buf = &buf[8..];
             remaining -= 8;
-        } else {
+        } else if ends == 0 {
             out.push(
                 buf.try_get_varint_u64()
                     .ok_or(StoreError::Corrupt("truncated varint column"))?,
             );
+            remaining -= 1;
+        } else {
+            let (value, len) = varint_from_window(word, ends);
+            out.push(value);
+            *buf = &buf[len..];
             remaining -= 1;
         }
     }
@@ -108,6 +142,22 @@ pub fn decode_varint_column_into(
         );
     }
     Ok(())
+}
+
+/// The varint at the start of the little-endian `word`, and its length
+/// in bytes (1..=8), given `ends` — the word's terminator bits, which
+/// must not be zero. The bytes up to and including the first terminator
+/// keep their low seven bits; three mask-and-shift steps then pack the
+/// groups together: byte pairs into 14-bit lanes, pairs of those into
+/// 28-bit lanes, and the two halves into the final 56-bit value.
+#[inline]
+fn varint_from_window(word: u64, ends: u64) -> (u64, usize) {
+    let last_bit = ends.trailing_zeros();
+    let mut v = word & VARINT_VALUE_MASK & (u64::MAX >> (63 - last_bit));
+    v = (v & 0x007f_007f_007f_007f) | ((v & 0x7f00_7f00_7f00_7f00) >> 1);
+    v = (v & 0x0000_3fff_0000_3fff) | ((v & 0x3fff_0000_3fff_0000) >> 2);
+    v = (v & 0x0000_0000_0fff_ffff) | ((v & 0x0fff_ffff_0000_0000) >> 4);
+    (v, last_bit as usize / 8 + 1)
 }
 
 /// Append `values` as zigzag varints of the wrapping delta from the
@@ -130,7 +180,7 @@ pub fn decode_delta_column(buf: &mut &[u8], n: usize) -> Result<Vec<u64>, StoreE
 /// Append `n` values written by [`encode_delta_column`] onto `out`.
 ///
 /// Two batched passes over the same buffer region: the raw zigzag varints
-/// decode through [`decode_varint_column_into`]'s u64-probe loop, then a
+/// decode through [`decode_varint_column_into`]'s u64-window loop, then a
 /// chunked wrapping prefix sum rewrites them in place into absolute
 /// values — eight values per chunk with the running value kept in a
 /// register, so the transform never re-reads what it just wrote.
@@ -182,6 +232,11 @@ pub fn encode_dict_column(values: &[u8], out: &mut Vec<u8>) {
 }
 
 /// Decode `n` values written by [`encode_dict_column`].
+///
+/// The dictionary is read into a 256-entry table. The largest of the
+/// index bytes present is checked once against the dictionary length,
+/// then a short run is reported as truncated; otherwise the run maps
+/// through the table in one pass.
 pub fn decode_dict_column(buf: &mut &[u8], n: usize) -> Result<Vec<u8>, StoreError> {
     let dict_len = buf
         .try_get_varint_u64()
@@ -190,25 +245,24 @@ pub fn decode_dict_column(buf: &mut &[u8], n: usize) -> Result<Vec<u8>, StoreErr
         return Err(StoreError::Corrupt("dictionary larger than a byte index"));
     }
     let dict_len = dict_len as usize;
-    let mut dict = vec![0u8; dict_len];
-    buf.try_copy_to_slice(&mut dict)
+    let mut table = [0u8; 256];
+    buf.try_copy_to_slice(&mut table[..dict_len])
         .ok_or(StoreError::Corrupt("truncated dictionary"))?;
     match dict_len {
         0 if n == 0 => Ok(Vec::new()),
         0 => Err(StoreError::Corrupt("empty dictionary for non-empty column")),
-        1 => Ok(vec![dict[0]; n]),
+        1 => Ok(vec![table[0]; n]),
         _ => {
-            let mut values = Vec::with_capacity(n);
-            for _ in 0..n {
-                let idx = buf
-                    .try_get_u8()
-                    .ok_or(StoreError::Corrupt("truncated dictionary indices"))?;
-                let v = dict
-                    .get(idx as usize)
-                    .ok_or(StoreError::Corrupt("dictionary index out of range"))?;
-                values.push(*v);
+            let (indices, rest) = buf.split_at(n.min(buf.len()));
+            let top = indices.iter().fold(0, |top, &idx| top.max(idx));
+            if usize::from(top) >= dict_len {
+                return Err(StoreError::Corrupt("dictionary index out of range"));
             }
-            Ok(values)
+            if indices.len() < n {
+                return Err(StoreError::Corrupt("truncated dictionary indices"));
+            }
+            *buf = rest;
+            Ok(indices.iter().map(|&idx| table[usize::from(idx)]).collect())
         }
     }
 }
@@ -238,6 +292,74 @@ mod tests {
             values
         );
         assert!(buf.is_empty());
+    }
+
+    /// The smallest value whose varint takes exactly `len` bytes.
+    fn smallest_of_len(len: u32) -> u64 {
+        if len == 1 {
+            0
+        } else {
+            1 << (7 * (len - 1))
+        }
+    }
+
+    #[test]
+    fn varints_of_every_length_decode_from_the_window_and_the_tail() {
+        // The window path ends at 56 value bits: 2^56 - 1 is the largest
+        // eight-byte varint, 2^56 the smallest nine-byte one.
+        assert_eq!(smallest_of_len(9) - 1, (1 << 56) - 1);
+        assert_eq!(smallest_of_len(9), 1 << 56);
+        for len in 1..=10u32 {
+            let lo = smallest_of_len(len);
+            let hi = if len == 10 {
+                u64::MAX
+            } else {
+                smallest_of_len(len + 1) - 1
+            };
+            for v in [lo, hi, lo | 0x55, hi & !0x3c] {
+                let mut one = Vec::new();
+                encode_varint_column(&[v], &mut one);
+                assert_eq!(one.len(), len as usize, "value {v:#x}");
+                // Alone (the per-byte tail), then followed by eight bytes
+                // of padding (the window path for every length up to 8).
+                for pad in [0usize, 8] {
+                    let mut enc = one.clone();
+                    enc.resize(one.len() + pad, 0x7f);
+                    let mut buf = enc.as_slice();
+                    let got = decode_varint_column(&mut buf, 1).expect("well formed");
+                    assert_eq!(got, [v], "len {len} pad {pad}");
+                    assert_eq!(buf.len(), pad, "len {len} pad {pad}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_varint_straddling_the_last_eight_bytes_decodes_exactly() {
+        // One-byte values, a four-byte one, then 0..6 more one-byte
+        // values: the four-byte varint starts four to nine bytes before
+        // the end of the buffer, so it is read from the window when eight
+        // or more bytes remain and per byte otherwise.
+        let big = 0x0abc_def0_u64; // four varint bytes
+        for lead in 0..12usize {
+            for trail in 0..6usize {
+                let mut values = vec![5u64; lead];
+                values.push(big);
+                values.extend(std::iter::repeat_n(9u64, trail));
+                let mut enc = Vec::new();
+                encode_varint_column(&values, &mut enc);
+                let mut buf = enc.as_slice();
+                let mut out = vec![1];
+                decode_varint_column_into(&mut buf, values.len(), &mut out).unwrap();
+                assert_eq!(out[1..], values, "lead {lead} trail {trail}");
+                assert!(buf.is_empty());
+                // One value short: the cursor stops right before the last.
+                let mut buf = enc.as_slice();
+                let got = decode_varint_column(&mut buf, values.len() - 1).unwrap();
+                assert_eq!(got, values[..values.len() - 1]);
+                assert_eq!(buf.len(), if trail == 0 { 4 } else { 1 });
+            }
+        }
     }
 
     #[test]

@@ -16,12 +16,14 @@
 //!
 //! The scan parallelizes the way the generator does: `workers` threads
 //! under [`std::thread::scope`] claim segment indices from an atomic
-//! cursor. Matches are collected per segment and reassembled in segment
-//! order, so the output — and anything computed from it — is byte-identical
-//! for every worker count. [`Scan::report`] streams the matches into the
-//! push-based [`charisma_core::Analyzer`]/`RequestSizes`, yielding the
-//! paper's full characterization for any archive subset without
-//! re-running the generator; [`Scan::session_index`] does the same for
+//! cursor. One worker runs the same claiming loop inline on the calling
+//! thread, with no thread spawned or joined. Matches are collected per
+//! segment and reassembled in segment order, so the output — and anything
+//! computed from it — is byte-identical for every worker count.
+//! [`Scan::report`] streams the matches into the push-based
+//! [`charisma_core::Analyzer`]/`RequestSizes`, yielding the paper's full
+//! characterization for any archive subset without re-running the
+//! generator; [`Scan::session_index`] does the same for
 //! the cache simulators' indexing pass.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -358,65 +360,72 @@ impl<'a> Scan<'a> {
         let results: Mutex<Vec<(usize, Vec<OrderedEvent>)>> = Mutex::new(Vec::new());
         let first_error: Mutex<Option<(usize, StoreError)>> = Mutex::new(None);
 
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, Vec<OrderedEvent>)> = Vec::new();
-                    let mut rows_scanned = 0u64;
-                    let mut rows_matched = 0u64;
-                    let mut cols_decoded = 0u64;
-                    let mut rows_skipped = 0u64;
-                    let mut verified = 0u64;
-                    let mut failures = 0u64;
-                    loop {
-                        let claim = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&seg) = admitted.get(claim) else {
-                            break;
-                        };
-                        match segments[seg].select_events(&self.query) {
-                            Ok(scan) => {
-                                verified += 1;
-                                rows_scanned += u64::from(segments[seg].rows());
-                                rows_matched += scan.events.len() as u64;
-                                cols_decoded += scan.values_decoded;
-                                rows_skipped += scan.rows_skipped;
-                                local.push((seg, scan.events));
-                            }
-                            Err(e) => {
-                                // A checksum mismatch surfaced here knows
-                                // which segment it was: name it (replica 0
-                                // — a plain reader holds the only copy).
-                                let e = match e {
-                                    StoreError::ChecksumMismatch => {
-                                        failures += 1;
-                                        StoreError::CorruptSegment {
-                                            segment: seg as u64,
-                                            replica: 0,
-                                        }
-                                    }
-                                    other => other,
-                                };
-                                let mut slot = lock(&first_error);
-                                // Keep the lowest-index error: deterministic
-                                // regardless of which worker saw one first.
-                                if slot.as_ref().is_none_or(|(s, _)| seg < *s) {
-                                    *slot = Some((seg, e));
+        // One worker body: run inline when it is the only worker (no
+        // thread to spawn and join), on scoped threads otherwise.
+        let work = || {
+            let mut local: Vec<(usize, Vec<OrderedEvent>)> = Vec::new();
+            let mut rows_scanned = 0u64;
+            let mut rows_matched = 0u64;
+            let mut cols_decoded = 0u64;
+            let mut rows_skipped = 0u64;
+            let mut verified = 0u64;
+            let mut failures = 0u64;
+            loop {
+                let claim = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&seg) = admitted.get(claim) else {
+                    break;
+                };
+                match segments[seg].select_events(&self.query) {
+                    Ok(scan) => {
+                        verified += 1;
+                        rows_scanned += u64::from(segments[seg].rows());
+                        rows_matched += scan.events.len() as u64;
+                        cols_decoded += scan.values_decoded;
+                        rows_skipped += scan.rows_skipped;
+                        local.push((seg, scan.events));
+                    }
+                    Err(e) => {
+                        // A checksum mismatch surfaced here knows
+                        // which segment it was: name it (replica 0
+                        // — a plain reader holds the only copy).
+                        let e = match e {
+                            StoreError::ChecksumMismatch => {
+                                failures += 1;
+                                StoreError::CorruptSegment {
+                                    segment: seg as u64,
+                                    replica: 0,
                                 }
                             }
+                            other => other,
+                        };
+                        let mut slot = lock(&first_error);
+                        // Keep the lowest-index error: deterministic
+                        // regardless of which worker saw one first.
+                        if slot.as_ref().is_none_or(|(s, _)| seg < *s) {
+                            *slot = Some((seg, e));
                         }
                     }
-                    if let Some(m) = &self.metrics {
-                        m.rows_scanned.add(rows_scanned);
-                        m.rows_matched.add(rows_matched);
-                        m.cols_decoded.add(cols_decoded);
-                        m.rows_skipped_late.add(rows_skipped);
-                        m.segments_verified.add(verified);
-                        m.checksum_failures.add(failures);
-                    }
-                    lock(&results).append(&mut local);
-                });
+                }
             }
-        });
+            if let Some(m) = &self.metrics {
+                m.rows_scanned.add(rows_scanned);
+                m.rows_matched.add(rows_matched);
+                m.cols_decoded.add(cols_decoded);
+                m.rows_skipped_late.add(rows_skipped);
+                m.segments_verified.add(verified);
+                m.checksum_failures.add(failures);
+            }
+            lock(&results).append(&mut local);
+        };
+        if workers == 1 {
+            work();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(work);
+                }
+            });
+        }
 
         if let Some((_, e)) = lock(&first_error).take() {
             return Err(e);
@@ -425,7 +434,8 @@ impl<'a> Scan<'a> {
             out[seg] = matched;
         }
         if let Some(m) = &self.metrics {
-            // Feed the access ledger after the join, from the reassembled
+            // Feed the access ledger once every worker is done (after the
+            // join, or after the inline run), from the reassembled
             // per-segment results: one commutative record per committed
             // scan, so ledger contents never depend on worker count or
             // claim order.
@@ -441,9 +451,10 @@ impl<'a> Scan<'a> {
         Ok(out)
     }
 
-    /// Every matching record, in merged stream order.
+    /// Every matching record, in merged stream order, concatenated into
+    /// one vector sized to the total.
     pub fn events(&self) -> Result<Vec<OrderedEvent>, StoreError> {
-        Ok(self.scan_segments()?.into_iter().flatten().collect())
+        Ok(self.scan_segments()?.concat())
     }
 
     /// The paper's full §4 characterization of the matching subset,
@@ -659,13 +670,12 @@ mod tests {
             u64::MAX,
             "an unrestricted scan ORs all bits"
         );
+        // The inline one-worker scan and the threaded ones leave the same
+        // ledger and the same value in every store counter.
         for workers in [2, 4] {
             let (ledger_n, counters_n) = snapshot_for(workers);
             assert_eq!(ledger_n, ledger1, "workers={workers}");
-            assert_eq!(
-                counters_n.counters["store.access.segments"],
-                counters1.counters["store.access.segments"]
-            );
+            assert_eq!(counters_n.counters, counters1.counters, "workers={workers}");
         }
     }
 
@@ -684,23 +694,34 @@ mod tests {
             segments[target] = SealedSegment::from_parts(Bytes::from(blob), zone);
         }
         let reader = ArchiveReader::new(a.meta(), segments);
-        let registry = MetricsRegistry::new();
-        let err = reader
-            .query(Query::all())
-            .workers(4)
-            .attach_metrics(StoreMetrics::register(&registry))
-            .events()
-            .expect_err("corruption detected");
-        assert!(matches!(
-            err,
-            StoreError::CorruptSegment {
-                segment: 1,
-                replica: 0
-            }
-        ));
-        let snap = registry.snapshot();
-        assert_eq!(snap.counters["store.segments_verified"], 1);
-        assert_eq!(snap.counters["store.checksum_failures"], 2);
+        // Inline (one worker) and threaded scans name the same segment,
+        // count the same verifications and failures, and feed the access
+        // ledger nothing: a failed scan is not a committed one.
+        for workers in [1, 2, 4] {
+            let registry = MetricsRegistry::new();
+            let metrics = StoreMetrics::register(&registry);
+            let err = reader
+                .query(Query::all())
+                .workers(workers)
+                .attach_metrics(metrics.clone())
+                .events()
+                .expect_err("corruption detected");
+            assert!(
+                matches!(
+                    err,
+                    StoreError::CorruptSegment {
+                        segment: 1,
+                        replica: 0
+                    }
+                ),
+                "workers={workers}: {err:?}"
+            );
+            let snap = registry.snapshot();
+            assert_eq!(snap.counters["store.segments_verified"], 1);
+            assert_eq!(snap.counters["store.checksum_failures"], 2);
+            assert_eq!(snap.counters["store.access.scans"], 0);
+            assert!(metrics.access.snapshot().is_empty());
+        }
     }
 
     #[test]

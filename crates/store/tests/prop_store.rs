@@ -1,7 +1,9 @@
 //! Property tests for the columnar archive.
 //!
 //! Three layers, three promises:
-//! * every column codec is a bijection on arbitrary value sequences;
+//! * every column codec is a bijection on arbitrary value sequences, and
+//!   the batched decoders agree with a per-byte reference decoder on
+//!   arbitrary (hostile) bytes;
 //! * the archive round-trips arbitrary record streams exactly (and the
 //!   bytes are canonical — re-encoding yields the same bytes);
 //! * zone-map pruning is *conservative*: for an arbitrary query over an
@@ -145,6 +147,135 @@ fn arb_query() -> impl Strategy<Value = Query> {
         })
 }
 
+/// One piece of a hostile varint column: a well-formed varint of any
+/// width, an overlong one (redundant zero groups, past ten bytes at the
+/// extreme), an overflowing ten-or-more-byte one, or a single raw byte
+/// that carries a continuation bit three times in four.
+fn arb_varint_piece() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        (any::<u64>(), 0u32..64).prop_map(|(v, shift)| {
+            let mut out = Vec::new();
+            encode_varint_column(&[v >> shift], &mut out);
+            out
+        }),
+        (0u64..1 << 21, 1usize..10).prop_map(|(v, extra)| {
+            let mut out = Vec::new();
+            encode_varint_column(&[v], &mut out);
+            if let Some(last) = out.last_mut() {
+                *last |= 0x80;
+            }
+            out.extend(std::iter::repeat_n(0x80, extra - 1));
+            out.push(0);
+            out
+        }),
+        (0usize..3, 2u8..0x80).prop_map(|(more, tenth)| {
+            let mut out = vec![0xff; 9 + more];
+            out.push(tenth);
+            out
+        }),
+        (0u8..4, any::<u8>()).prop_map(|(pick, b)| vec![if pick < 3 { b | 0x80 } else { b }]),
+    ]
+}
+
+/// Concatenated hostile pieces with up to seven bytes cut off the end,
+/// so the last varint is often truncated.
+fn arb_hostile_bytes() -> impl Strategy<Value = Vec<u8>> {
+    (
+        proptest::collection::vec(arb_varint_piece(), 0..24),
+        0usize..8,
+    )
+        .prop_map(|(pieces, cut)| {
+            let mut bytes = pieces.concat();
+            bytes.truncate(bytes.len().saturating_sub(cut));
+            bytes
+        })
+}
+
+/// A dictionary column that is well formed up to its damage: a
+/// dictionary length (sometimes past a byte index), at times one
+/// dictionary byte fewer than it claims, indices that sometimes leave the
+/// dictionary, and a cut tail.
+fn arb_hostile_dict() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        (
+            prop_oneof![0u64..8, 250u64..260],
+            proptest::collection::vec(any::<u8>(), 1..8),
+            0usize..2,
+            proptest::collection::vec(0u8..9, 0..40),
+            0usize..4,
+        )
+            .prop_map(|(dict_len, dict, short, indices, cut)| {
+                let mut bytes = Vec::new();
+                encode_varint_column(&[dict_len], &mut bytes);
+                let fill = usize::try_from(dict_len).unwrap_or(0).min(256);
+                bytes.extend(
+                    dict.iter()
+                        .copied()
+                        .cycle()
+                        .take(fill.saturating_sub(short)),
+                );
+                bytes.extend(indices);
+                bytes.truncate(bytes.len().saturating_sub(cut));
+                bytes
+            }),
+        arb_hostile_bytes(),
+    ]
+}
+
+/// The reference: one LEB128 varint read a byte at a time, with the
+/// format's truncation and overflow rules (at most 64 value bits).
+fn ref_varint(buf: &mut &[u8]) -> Option<u64> {
+    let mut value = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let (&byte, rest) = buf.split_first()?;
+        *buf = rest;
+        let low = u64::from(byte & 0x7f);
+        if shift >= 64 || (shift == 63 && low > 1) {
+            return None;
+        }
+        value |= low << shift;
+        if byte & 0x80 == 0 {
+            return Some(value);
+        }
+        shift += 7;
+    }
+}
+
+/// `n` reference varints: the values and the bytes left, or the bytes
+/// left where the first bad varint stopped the read.
+fn ref_varints(mut buf: &[u8], n: usize) -> Result<(Vec<u64>, usize), usize> {
+    let mut values = Vec::new();
+    for _ in 0..n {
+        values.push(ref_varint(&mut buf).ok_or(buf.len())?);
+    }
+    Ok((values, buf.len()))
+}
+
+/// `n` reference dictionary values, index by index.
+fn ref_dict(mut buf: &[u8], n: usize) -> Option<(Vec<u8>, usize)> {
+    let dict_len = usize::try_from(ref_varint(&mut buf)?).ok()?;
+    if dict_len > 256 || buf.len() < dict_len {
+        return None;
+    }
+    let (dict, mut buf) = buf.split_at(dict_len);
+    let values = match dict_len {
+        0 if n == 0 => Vec::new(),
+        0 => return None,
+        1 => vec![dict[0]; n],
+        _ => {
+            let mut values = Vec::new();
+            for _ in 0..n {
+                let (&idx, rest) = buf.split_first()?;
+                buf = rest;
+                values.push(*dict.get(usize::from(idx))?);
+            }
+            values
+        }
+    };
+    Some((values, buf.len()))
+}
+
 const META: ArchiveMeta = ArchiveMeta {
     seed: 4994,
     scale: 0.05,
@@ -236,6 +367,74 @@ proptest! {
         decode_delta_column_into(&mut buf, values.len(), &mut out).unwrap();
         prop_assert!(buf.is_empty());
         prop_assert_eq!(&out[prefix.len()..], values.as_slice());
+    }
+
+    /// On arbitrary bytes, every varint-shaped decoder agrees with the
+    /// per-byte reference for every row count: the same values and bytes
+    /// left on success, and on failure an error exactly when the
+    /// reference errs, with the cursor where the reference stopped.
+    #[test]
+    fn varint_decoders_match_a_per_byte_reference_on_hostile_bytes(
+        bytes in arb_hostile_bytes(),
+    ) {
+        for n in 0..=bytes.len() + 1 {
+            let mut buf = bytes.as_slice();
+            let mut out = vec![7];
+            let got = decode_varint_column_into(&mut buf, n, &mut out);
+            match ref_varints(&bytes, n) {
+                Ok((values, left)) => {
+                    prop_assert!(got.is_ok(), "n={n} bytes={bytes:02x?}");
+                    prop_assert_eq!(&out[1..], values.as_slice(), "n={n} bytes={bytes:02x?}");
+                    prop_assert_eq!(buf.len(), left);
+                }
+                Err(left) => {
+                    prop_assert!(got.is_err(), "n={n} bytes={bytes:02x?}");
+                    prop_assert_eq!(buf.len(), left, "n={n} bytes={bytes:02x?}");
+                }
+            }
+
+            let mut buf = bytes.as_slice();
+            let got = decode_delta_column(&mut buf, n);
+            match ref_varints(&bytes, n) {
+                Ok((zigzags, left)) => {
+                    let mut prev = 0u64;
+                    let values: Vec<u64> = zigzags
+                        .iter()
+                        .map(|&z| {
+                            prev = prev.wrapping_add(unzigzag(z) as u64);
+                            prev
+                        })
+                        .collect();
+                    prop_assert_eq!(got.ok(), Some(values), "n={n} bytes={bytes:02x?}");
+                    prop_assert_eq!(buf.len(), left);
+                }
+                Err(left) => {
+                    prop_assert!(got.is_err(), "n={n} bytes={bytes:02x?}");
+                    prop_assert_eq!(buf.len(), left);
+                }
+            }
+        }
+    }
+
+    /// On arbitrary dictionary columns — short dictionaries, indices out
+    /// of range, index runs shorter than the row count — the table decode
+    /// matches the index-by-index reference: the same values and bytes
+    /// left on success, an error exactly when the reference errs.
+    #[test]
+    fn dict_decode_matches_a_per_index_reference_on_hostile_bytes(
+        bytes in arb_hostile_dict(),
+    ) {
+        for n in 0..=bytes.len() + 1 {
+            let mut buf = bytes.as_slice();
+            let got = decode_dict_column(&mut buf, n);
+            match ref_dict(&bytes, n) {
+                Some((values, left)) => {
+                    prop_assert_eq!(got.ok(), Some(values), "n={n} bytes={bytes:02x?}");
+                    prop_assert_eq!(buf.len(), left);
+                }
+                None => prop_assert!(got.is_err(), "n={n} bytes={bytes:02x?}"),
+            }
+        }
     }
 
     /// The late-materialized scan is exactly a filter for arbitrary
