@@ -10,11 +10,12 @@
 //! only its misses — plus all non-read-only traffic — reach the I/O-node
 //! caches.
 
+use charisma_cfs::LruCache;
 use charisma_trace::record::EventBody;
 use charisma_trace::OrderedEvent;
 
 use crate::compute::ComputeCacheSim;
-use crate::ionode::{access_request, IoCacheBank, Policy};
+use crate::ionode::IoCacheBank;
 use crate::prep::SessionIndex;
 
 /// Result of the combined simulation, with the I/O-only baseline.
@@ -65,10 +66,10 @@ pub fn combined_simulation(
     buffers_per_io_node: usize,
 ) -> CombinedResult {
     // Baseline: everything reaches the I/O nodes.
-    let mut baseline = IoCacheBank::new(io_nodes, io_nodes * buffers_per_io_node, Policy::Lru);
+    let mut baseline = IoCacheBank::new(io_nodes, io_nodes * buffers_per_io_node, LruCache::new);
     // Combined: compute sim forwards read-only misses; other traffic is
     // fed directly.
-    let mut combined = IoCacheBank::new(io_nodes, io_nodes * buffers_per_io_node, Policy::Lru);
+    let mut combined = IoCacheBank::new(io_nodes, io_nodes * buffers_per_io_node, LruCache::new);
     let mut compute = ComputeCacheSim::new(index, compute_buffers);
 
     for e in events {
@@ -88,13 +89,13 @@ pub fn combined_simulation(
         let Some(facts) = index.get(session) else {
             continue;
         };
-        access_request(&mut baseline, facts.file, offset, bytes, !is_read);
+        baseline.access_request(facts.file, offset, bytes, !is_read);
         if is_read && facts.read_only {
             compute.observe(e, |file, missing| {
                 combined.access_blocks(file, missing);
             });
         } else {
-            access_request(&mut combined, facts.file, offset, bytes, !is_read);
+            combined.access_request(facts.file, offset, bytes, !is_read);
         }
     }
     CombinedResult {

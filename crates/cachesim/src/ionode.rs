@@ -28,16 +28,6 @@ pub enum Policy {
     Ipl,
 }
 
-impl Policy {
-    fn make(self, capacity: usize) -> Box<dyn BlockCache> {
-        match self {
-            Policy::Lru => Box::new(LruCache::new(capacity)),
-            Policy::Fifo => Box::new(FifoCache::new(capacity)),
-            Policy::Ipl => Box::new(IplCache::new(capacity, BLOCK)),
-        }
-    }
-}
-
 /// Result of one I/O-node cache run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IoCacheResult {
@@ -88,38 +78,28 @@ impl IoCacheResult {
 /// Hit accounting is per *request*, consistent with the paper's Figure 8
 /// definition ("fully satisfied from the buffer"): a request counts as a
 /// hit only when every block it touches is resident. Block-level counters
-/// are kept alongside.
-pub struct IoCacheBank {
-    caches: Vec<Box<dyn BlockCache>>,
+/// are kept alongside. The bank is generic over its cache type, so every
+/// block access is a direct call into one policy.
+pub struct IoCacheBank<C> {
+    caches: Vec<C>,
     hits: u64,
     accesses: u64,
     block_hits: u64,
     block_accesses: u64,
 }
 
-impl IoCacheBank {
-    /// `total_buffers` spread evenly over `io_nodes` caches.
-    pub fn new(io_nodes: usize, total_buffers: usize, policy: Policy) -> Self {
+impl<C: BlockCache> IoCacheBank<C> {
+    /// `total_buffers` spread evenly over `io_nodes` caches, each built by
+    /// `make` from its per-node capacity.
+    pub fn new(io_nodes: usize, total_buffers: usize, make: impl Fn(usize) -> C) -> Self {
         assert!(io_nodes > 0);
         let per = total_buffers / io_nodes;
         IoCacheBank {
-            caches: (0..io_nodes).map(|_| policy.make(per)).collect(),
+            caches: (0..io_nodes).map(|_| make(per)).collect(),
             hits: 0,
             accesses: 0,
             block_hits: 0,
             block_accesses: 0,
-        }
-    }
-
-    /// Access one block of one file, touching `touched` bytes of it, as a
-    /// single-block request.
-    pub fn access(&mut self, file: u32, block: u64, touched: u32) {
-        let io = (block % self.caches.len() as u64) as usize;
-        self.accesses += 1;
-        self.block_accesses += 1;
-        if self.caches[io].access((file, block), touched) {
-            self.hits += 1;
-            self.block_hits += 1;
         }
     }
 
@@ -132,21 +112,28 @@ impl IoCacheBank {
         if bytes == 0 {
             return;
         }
+        let end = offset + u64::from(bytes);
         let first = offset / BLOCK;
-        let last = (offset + u64::from(bytes) - 1) / BLOCK;
+        let last = (end - 1) / BLOCK;
         self.accesses += 1;
+        self.block_accesses += last - first + 1;
+        // Striping is round-robin, so consecutive blocks live on
+        // consecutive I/O nodes: only the run's first block is placed by
+        // division.
+        let nodes = self.caches.len();
+        let mut io = (first % nodes as u64) as usize;
         let mut all = true;
         for b in first..=last {
-            let bstart = b * BLOCK;
-            let bend = bstart + BLOCK;
-            let touched = ((offset + u64::from(bytes)).min(bend) - offset.max(bstart)) as u32;
-            let io = (b % self.caches.len() as u64) as usize;
-            self.block_accesses += 1;
+            let touched = (end.min((b + 1) * BLOCK) - offset.max(b * BLOCK)) as u32;
             let resident = self.caches[io].access((file, b), touched);
             if resident || (is_write && touched == BLOCK as u32) {
                 self.block_hits += 1;
             } else {
                 all = false;
+            }
+            io += 1;
+            if io == nodes {
+                io = 0;
             }
         }
         if all {
@@ -193,13 +180,8 @@ impl IoCacheBank {
     }
 }
 
-/// Expand a request against the bank (free-function form used by the
-/// combined experiment).
-pub fn access_request(bank: &mut IoCacheBank, file: u32, offset: u64, bytes: u32, is_write: bool) {
-    bank.access_request(file, offset, bytes, is_write);
-}
-
-/// Run one full-trace I/O-node cache simulation.
+/// Run one full-trace I/O-node cache simulation. The policy is chosen once
+/// here; the replay runs against a bank of that one cache type.
 pub fn io_cache_sim(
     events: &[OrderedEvent],
     session_file: &crate::prep::SessionIndex,
@@ -207,7 +189,41 @@ pub fn io_cache_sim(
     total_buffers: usize,
     policy: Policy,
 ) -> IoCacheResult {
-    let mut bank = IoCacheBank::new(io_nodes, total_buffers, policy);
+    let ((hits, accesses), (block_hits, block_accesses)) = match policy {
+        Policy::Lru => replay(
+            events,
+            session_file,
+            IoCacheBank::new(io_nodes, total_buffers, LruCache::new),
+        ),
+        Policy::Fifo => replay(
+            events,
+            session_file,
+            IoCacheBank::new(io_nodes, total_buffers, FifoCache::new),
+        ),
+        Policy::Ipl => replay(
+            events,
+            session_file,
+            IoCacheBank::new(io_nodes, total_buffers, |per| IplCache::new(per, BLOCK)),
+        ),
+    };
+    IoCacheResult {
+        io_nodes,
+        total_buffers,
+        policy,
+        hits,
+        accesses,
+        block_hits,
+        block_accesses,
+    }
+}
+
+/// Feed every read and write of a known session to `bank`; returns its
+/// request-level and block-level `(hits, accesses)`.
+fn replay<C: BlockCache>(
+    events: &[OrderedEvent],
+    session_file: &crate::prep::SessionIndex,
+    mut bank: IoCacheBank<C>,
+) -> ((u64, u64), (u64, u64)) {
     for e in events {
         let (session, offset, bytes, is_write) = match e.body {
             EventBody::Read {
@@ -227,17 +243,7 @@ pub fn io_cache_sim(
         };
         bank.access_request(facts.file, offset, bytes, is_write);
     }
-    let (hits, accesses) = bank.counters();
-    let (block_hits, block_accesses) = bank.block_counters();
-    IoCacheResult {
-        io_nodes,
-        total_buffers,
-        policy,
-        hits,
-        accesses,
-        block_hits,
-        block_accesses,
-    }
+    (bank.counters(), bank.block_counters())
 }
 
 /// The Figure 9 sweep: hit rate for every `(io_nodes, buffers, policy)`

@@ -28,7 +28,7 @@ pub type BlockKey = (u32, u64);
 /// random state — and the table has no iteration API, so nothing
 /// observable can depend on slot order. The table starts at
 /// [`BlockTable::MIN_SLOTS`] and doubles when an insert would push the
-/// load past ½, so its memory follows the resident blocks, not the
+/// load past ¼, so its memory follows the resident blocks, not the
 /// cache's capacity.
 #[derive(Debug)]
 struct BlockTable<V> {
@@ -39,7 +39,7 @@ struct BlockTable<V> {
 }
 
 impl<V: Copy> BlockTable<V> {
-    const MIN_SLOTS: usize = 8;
+    const MIN_SLOTS: usize = 16;
 
     fn new() -> Self {
         BlockTable {
@@ -67,23 +67,22 @@ impl<V: Copy> BlockTable<V> {
         (h >> self.shift) as usize
     }
 
-    /// `Ok(slot)` holding `key`, or `Err(slot)`: the empty slot that ends
-    /// its probe sequence. The load stays ≤ ½, so an empty slot exists.
-    fn find(&self, key: BlockKey) -> Result<usize, usize> {
+    /// `Ok((slot, value))` for `key`, or `Err(slot)`: the empty slot that
+    /// ends its probe sequence. The load stays ≤ ¼, so an empty slot exists.
+    fn find(&self, key: BlockKey) -> Result<(usize, V), usize> {
         let mask = self.mask();
         let mut i = self.home(key);
         loop {
             match self.slots[i] {
                 None => return Err(i),
-                Some((k, _)) if k == key => return Ok(i),
+                Some((k, v)) if k == key => return Ok((i, v)),
                 Some(_) => i = (i + 1) & mask,
             }
         }
     }
 
     fn get(&self, key: BlockKey) -> Option<V> {
-        let i = self.find(key).ok()?;
-        self.slots[i].map(|(_, v)| v)
+        self.find(key).ok().map(|(_, v)| v)
     }
 
     fn contains(&self, key: BlockKey) -> bool {
@@ -92,17 +91,22 @@ impl<V: Copy> BlockTable<V> {
 
     /// Insert or overwrite `key`.
     fn insert(&mut self, key: BlockKey, value: V) {
-        let i = match self.find(key) {
-            Ok(i) => {
-                self.slots[i] = Some((key, value));
-                return;
-            }
-            Err(i) if 2 * (self.len + 1) <= self.slots.len() => i,
-            Err(_) => {
-                self.grow();
-                let (Ok(i) | Err(i)) = self.find(key);
-                i
-            }
+        match self.find(key) {
+            Ok((i, _)) => self.slots[i] = Some((key, value)),
+            Err(vacant) => self.fill(vacant, key, value),
+        }
+    }
+
+    /// Insert the absent `key` into `vacant`, the empty slot its
+    /// [`Self::find`] ended on, with no table change in between. Only a
+    /// growth probes again.
+    fn fill(&mut self, vacant: usize, key: BlockKey, value: V) {
+        let i = if 4 * (self.len + 1) <= self.slots.len() {
+            vacant
+        } else {
+            self.grow();
+            let (Ok((i, _)) | Err(i)) = self.find(key);
+            i
         };
         self.slots[i] = Some((key, value));
         self.len += 1;
@@ -114,19 +118,28 @@ impl<V: Copy> BlockTable<V> {
         let old = std::mem::replace(&mut self.slots, doubled);
         self.shift -= 1;
         for (key, value) in old.into_iter().flatten() {
-            let (Ok(i) | Err(i)) = self.find(key);
+            let (Ok((i, _)) | Err(i)) = self.find(key);
             self.slots[i] = Some((key, value));
         }
     }
 
-    /// Remove `key`, then shift back each later entry of the probe run
+    /// Remove `key`, if present.
+    fn remove(&mut self, key: BlockKey) -> Option<V> {
+        let (slot, value) = self.find(key).ok()?;
+        self.remove_at(slot);
+        Some(value)
+    }
+
+    /// Empty `slot`, then shift back each later entry of the probe run
     /// whose home slot lies at or before the hole, so every remaining key
     /// stays reachable from its home without tombstones.
-    fn remove(&mut self, key: BlockKey) -> Option<V> {
-        let mut hole = self.find(key).ok()?;
-        let (_, value) = self.slots[hole].take()?;
+    fn remove_at(&mut self, slot: usize) {
+        if self.slots[slot].take().is_none() {
+            return;
+        }
         self.len -= 1;
         let mask = self.mask();
+        let mut hole = slot;
         let mut j = hole;
         loop {
             j = (j + 1) & mask;
@@ -140,7 +153,6 @@ impl<V: Copy> BlockTable<V> {
                 hole = j;
             }
         }
-        Some(value)
     }
 }
 
@@ -240,32 +252,44 @@ impl LruCache {
 }
 
 impl BlockCache for LruCache {
+    /// One probe finds `key`. A miss fills the empty slot that probe ended
+    /// on before the victim leaves: removing the victim first could shift
+    /// another entry into that slot. The victim's slab entry is reused in
+    /// place for the new block.
+    #[inline]
     fn access(&mut self, key: BlockKey, _touched_bytes: u32) -> bool {
         if self.capacity == 0 {
             return false;
         }
-        if let Some(i) = self.map.get(key) {
-            self.unlink(i);
-            self.push_front(i);
-            return true;
-        }
-        if self.map.len() >= self.capacity {
+        let vacant = match self.map.find(key) {
+            Ok((_, i)) => {
+                self.unlink(i);
+                self.push_front(i);
+                return true;
+            }
+            Err(vacant) => vacant,
+        };
+        let i = if self.map.len() >= self.capacity {
             let victim = self.tail;
+            let gone = self.slab[victim].key;
+            self.map.fill(vacant, key, victim);
+            self.map.remove(gone);
             self.unlink(victim);
-            self.map.remove(self.slab[victim].key);
-            self.free.push(victim);
-        }
-        let i = self.free.pop().unwrap_or_else(|| {
-            self.slab.push(LruEntry {
-                key,
-                prev: NIL,
-                next: NIL,
+            victim
+        } else {
+            let i = self.free.pop().unwrap_or_else(|| {
+                self.slab.push(LruEntry {
+                    key,
+                    prev: NIL,
+                    next: NIL,
+                });
+                self.slab.len() - 1
             });
-            self.slab.len() - 1
-        });
+            self.map.fill(vacant, key, i);
+            i
+        };
         self.slab[i].key = key;
         self.push_front(i);
-        self.map.insert(key, i);
         charisma_ipsc::invariant!(
             self.map.len() <= self.capacity,
             "LRU holds {} blocks over capacity {}",
@@ -331,25 +355,33 @@ impl FifoCache {
 }
 
 impl BlockCache for FifoCache {
+    /// One probe finds `key`; a miss fills the slot it ended on, then
+    /// evicts. Each queue entry popped costs one probe, which both checks
+    /// its stamp and names the slot to empty.
+    #[inline]
     fn access(&mut self, key: BlockKey, _touched_bytes: u32) -> bool {
         if self.capacity == 0 {
             return false;
         }
-        if self.map.contains(key) {
-            return true;
-        }
-        while self.map.len() >= self.capacity {
+        let vacant = match self.map.find(key) {
+            Ok(_) => return true,
+            Err(vacant) => vacant,
+        };
+        self.stamp += 1;
+        self.map.fill(vacant, key, self.stamp);
+        while self.map.len() > self.capacity {
             // Pop queue entries until one is still current (invalidation
-            // leaves stale queue entries behind).
+            // leaves stale queue entries behind). The new block is not
+            // queued yet, and a stale entry for it carries an older stamp.
             let Some((victim, stamp)) = self.queue.pop_front() else {
-                break; // unreachable: the queue always covers the map
+                break; // unreachable: the queue covers the old residents
             };
-            if self.map.get(victim) == Some(stamp) {
-                self.map.remove(victim);
+            if let Ok((slot, current)) = self.map.find(victim) {
+                if current == stamp {
+                    self.map.remove_at(slot);
+                }
             }
         }
-        self.stamp += 1;
-        self.map.insert(key, self.stamp);
         self.queue.push_back((key, self.stamp));
         charisma_ipsc::invariant!(
             self.map.len() <= self.capacity,
@@ -540,6 +572,41 @@ mod tests {
     }
 
     #[test]
+    fn miss_fills_its_slot_then_evicts_across_the_wrap_in_every_order() {
+        // Three residents share the last slot as home and spill over the
+        // end of the array; a fourth key homed at slot 0 arrives as a miss
+        // at capacity. Its probe ends past the wrapped run, and the victim
+        // leaves from inside that run afterwards. Every arrival order,
+        // under both policies, keeps every survivor reachable.
+        let last = BlockTable::<u64>::MIN_SLOTS - 1;
+        let mut keys = homed_at(last, 3);
+        keys.extend(homed_at(0, 1));
+        for order in permutations(&keys) {
+            let (residents, newcomer) = order.split_at(3);
+            let newcomer = newcomer[0];
+            let mut lru = LruCache::new(3);
+            let mut fifo = FifoCache::new(3);
+            for &key in residents {
+                assert!(!lru.access(key, 1) && !fifo.access(key, 1));
+            }
+            assert!(!lru.access(newcomer, 1) && !fifo.access(newcomer, 1));
+            assert_eq!(lru.map.slots.len(), BlockTable::<usize>::MIN_SLOTS);
+            assert_eq!(fifo.map.slots.len(), BlockTable::<u64>::MIN_SLOTS);
+            // The oldest resident is both policies' victim.
+            let victim = residents[0];
+            for cache in [&mut lru as &mut dyn BlockCache, &mut fifo] {
+                assert_eq!(cache.len(), 3);
+                assert!(!cache.contains(victim), "{order:?}");
+                for &key in &order[1..] {
+                    assert!(cache.contains(key), "{key:?} lost in {order:?}");
+                    assert!(cache.access(key, 1), "{key:?} missed in {order:?}");
+                }
+            }
+            assert_eq!(lru.lru_key(), Some(order[1]));
+        }
+    }
+
+    #[test]
     fn block_table_matches_an_ordered_map() {
         use std::collections::BTreeMap;
         let mut table = BlockTable::new();
@@ -558,7 +625,10 @@ mod tests {
             }
             assert_eq!(table.len(), model.len());
             assert_eq!(table.get(key), model.get(&key).copied());
-            assert!(2 * table.len() <= table.slots.len(), "load above one half");
+            assert!(
+                4 * table.len() <= table.slots.len(),
+                "load above one quarter"
+            );
         }
         for (&key, &v) in &model {
             assert_eq!(table.get(key), Some(v));
@@ -574,8 +644,8 @@ mod tests {
         }
         assert_eq!(
             c.map.slots.len(),
-            256,
-            "smallest power of two at load <= 1/2"
+            512,
+            "smallest power of two at load <= 1/4"
         );
     }
 

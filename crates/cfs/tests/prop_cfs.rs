@@ -68,9 +68,10 @@ fn cache_ops() -> impl Strategy<Value = Vec<(u32, u64, bool)>> {
 
 proptest! {
     /// The O(1) LRU agrees with the naive reference on every access of
-    /// arbitrary traces, including interleaved invalidations.
+    /// arbitrary traces, including interleaved invalidations, at every
+    /// capacity from 0 up.
     #[test]
-    fn lru_matches_reference_model(cap in 1usize..65, ops in cache_ops()) {
+    fn lru_matches_reference_model(cap in 0usize..65, ops in cache_ops()) {
         let mut fast = LruCache::new(cap);
         let mut slow = RefLru { cap, items: Vec::new() };
         for (file, block, invalidate) in ops {
@@ -90,9 +91,9 @@ proptest! {
     }
 
     /// FIFO agrees with the naive reference too, across invalidations that
-    /// leave stale entries in its fetch queue.
+    /// leave stale entries in its fetch queue, at every capacity from 0 up.
     #[test]
-    fn fifo_matches_reference_model(cap in 1usize..65, ops in cache_ops()) {
+    fn fifo_matches_reference_model(cap in 0usize..65, ops in cache_ops()) {
         let mut fast = FifoCache::new(cap);
         let mut slow = RefFifo { cap, items: Vec::new() };
         for (file, block, invalidate) in ops {
@@ -108,6 +109,31 @@ proptest! {
             prop_assert_eq!(fast.len(), slow.items.len());
             for &k in &slow.items {
                 prop_assert!(fast.contains(k), "{:?} should be resident", k);
+            }
+        }
+    }
+
+    /// While no block is exhausted (each access touches one byte, and no
+    /// trace is long enough to cover a block), the IPL policy has nothing
+    /// to prefer and agrees with LRU on every hit, eviction and
+    /// invalidation.
+    #[test]
+    fn ipl_matches_lru_while_nothing_is_exhausted(cap in 0usize..65, ops in cache_ops()) {
+        let mut ipl = IplCache::new(cap, BLOCK_BYTES);
+        let mut lru = LruCache::new(cap);
+        let mut seen = Vec::new();
+        for (file, block, invalidate) in ops {
+            let key = (file, block);
+            seen.push(key);
+            if invalidate {
+                ipl.invalidate(key);
+                lru.invalidate(key);
+            } else {
+                prop_assert_eq!(ipl.access(key, 1), lru.access(key, 1), "divergence on {:?}", key);
+            }
+            prop_assert_eq!(ipl.len(), lru.len());
+            for &k in &seen {
+                prop_assert_eq!(ipl.contains(k), lru.contains(k), "residency of {:?}", k);
             }
         }
     }

@@ -4,12 +4,20 @@
 //! this module accumulates its CDFs in its own streaming pass — cheap, and
 //! it keeps the per-session state small.
 
+use std::collections::BTreeMap;
+
 use charisma_trace::record::EventBody;
 use charisma_trace::OrderedEvent;
 
 use crate::cdf::Cdf;
 
 /// Figure 4's four curves plus the paper's headline percentages.
+///
+/// Requests take few distinct sizes (48 in a seed-4994 trace of 365k
+/// requests), so the stream is tallied as `size → count` per direction
+/// and the curves are built once, when the stream is sealed. The tally is
+/// ordered, so a trace of all-distinct sizes still costs O(log n) per
+/// request.
 #[derive(Clone, Debug)]
 pub struct RequestSizes {
     /// CDF of read request sizes, weighted by count.
@@ -20,6 +28,22 @@ pub struct RequestSizes {
     pub writes_by_count: Cdf,
     /// CDF of write request sizes, weighted by bytes moved.
     pub writes_by_bytes: Cdf,
+    /// Read requests per size, until sealed.
+    reads: BTreeMap<u32, u64>,
+    /// Write requests per size, until sealed.
+    writes: BTreeMap<u32, u64>,
+}
+
+/// Move a size tally into its two curves: weight `n` by count and
+/// `size·n` by bytes. Integer weights below 2^53 sum exactly in `f64`,
+/// so the curves equal one sample per request bit for bit.
+fn fill(counts: BTreeMap<u32, u64>, by_count: &mut Cdf, by_bytes: &mut Cdf) {
+    for (size, n) in counts {
+        by_count.add_weighted(u64::from(size), n as f64);
+        by_bytes.add_weighted(u64::from(size), f64::from(size) * n as f64);
+    }
+    by_count.seal();
+    by_bytes.seal();
 }
 
 impl RequestSizes {
@@ -30,32 +54,32 @@ impl RequestSizes {
             reads_by_bytes: Cdf::new(),
             writes_by_count: Cdf::new(),
             writes_by_bytes: Cdf::new(),
+            reads: BTreeMap::new(),
+            writes: BTreeMap::new(),
         }
     }
 
     /// Account one event (reads and writes; everything else is ignored).
     pub fn push(&mut self, e: &OrderedEvent) {
         match e.body {
-            EventBody::Read { bytes, .. } => {
-                self.reads_by_count.add(u64::from(bytes));
-                self.reads_by_bytes
-                    .add_weighted(u64::from(bytes), f64::from(bytes));
-            }
-            EventBody::Write { bytes, .. } => {
-                self.writes_by_count.add(u64::from(bytes));
-                self.writes_by_bytes
-                    .add_weighted(u64::from(bytes), f64::from(bytes));
-            }
+            EventBody::Read { bytes, .. } => *self.reads.entry(bytes).or_insert(0) += 1,
+            EventBody::Write { bytes, .. } => *self.writes.entry(bytes).or_insert(0) += 1,
             _ => {}
         }
     }
 
     /// Seal the curves once the stream ends; fractions are valid after.
     pub fn seal(&mut self) {
-        self.reads_by_count.seal();
-        self.reads_by_bytes.seal();
-        self.writes_by_count.seal();
-        self.writes_by_bytes.seal();
+        fill(
+            std::mem::take(&mut self.reads),
+            &mut self.reads_by_count,
+            &mut self.reads_by_bytes,
+        );
+        fill(
+            std::mem::take(&mut self.writes),
+            &mut self.writes_by_count,
+            &mut self.writes_by_bytes,
+        );
     }
 
     /// Fraction of reads smaller than 4000 bytes (paper: 96.1 %).
@@ -145,6 +169,50 @@ mod tests {
         assert_eq!(rs.writes_by_count.total() as u64, 1);
         assert!(rs.small_read_fraction() > 0.99);
         assert!(rs.small_write_fraction() < 0.01);
+    }
+
+    #[test]
+    fn tallied_curves_equal_one_sample_per_request() {
+        let sizes = [
+            512u32,
+            4096,
+            0,
+            512,
+            1 << 20,
+            3999,
+            4000,
+            512,
+            u32::MAX,
+            4096,
+        ];
+        let events: Vec<_> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| if i % 3 == 0 { write(b) } else { read(b) })
+            .collect();
+        let rs = request_sizes(&events);
+        let mut want = [Cdf::new(), Cdf::new(), Cdf::new(), Cdf::new()];
+        for e in &events {
+            let (bytes, curves) = match e.body {
+                EventBody::Read { bytes, .. } => (bytes, 0),
+                EventBody::Write { bytes, .. } => (bytes, 2),
+                _ => unreachable!(),
+            };
+            want[curves].add(u64::from(bytes));
+            want[curves + 1].add_weighted(u64::from(bytes), f64::from(bytes));
+        }
+        let got = [
+            &rs.reads_by_count,
+            &rs.reads_by_bytes,
+            &rs.writes_by_count,
+            &rs.writes_by_bytes,
+        ];
+        for (got, want) in got.into_iter().zip(&mut want) {
+            want.seal();
+            let bits = |c: &Cdf| c.curve().map(|(v, f)| (v, f.to_bits())).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(want));
+            assert_eq!(got.total().to_bits(), want.total().to_bits());
+        }
     }
 
     #[test]

@@ -225,6 +225,9 @@ fn probe_segment(buf: &[u8]) -> Option<(usize, u32)> {
     if n == 0 {
         return None;
     }
+    if n > SEGMENT_ROWS as u64 {
+        return None;
+    }
     let rows = u32::try_from(n).ok()?;
     for _ in 0..COLUMN_COUNT {
         let len = usize::try_from(b.try_get_varint_u64()?).ok()?;
@@ -684,6 +687,46 @@ mod tests {
                 matches!(Archive::from_bytes(bad), Err(StoreError::Corrupt(_))),
                 "flip at {at} not Corrupt"
             );
+        }
+    }
+
+    #[test]
+    fn oversized_row_counts_are_refused_before_decode() {
+        // One read row: its dictionary columns have one-entry
+        // dictionaries, so a decoder trusting the row count would allocate
+        // that many values before finding the columns short.
+        let mut builder = SegmentBuilder::default();
+        builder.push(&stream(1)[0]);
+        let sealed = builder.seal();
+        let payload = &sealed.bytes()[..sealed.bytes().len() - CHECKSUM_LEN];
+        assert_eq!(payload[0], 1, "a one-byte varint row count");
+        for rows in [SEGMENT_ROWS as u32 + 1, 4_000_000_000] {
+            // Patch the segment's count and the zone map's, and re-seal
+            // both the segment and the file checksum around them.
+            let mut blob = Vec::new();
+            blob.put_varint_u64(u64::from(rows));
+            blob.put_slice(&payload[1..]);
+            let sum = checksum(&blob);
+            blob.put_u64_le(sum);
+            let zone = ZoneMap {
+                rows,
+                ..*sealed.zone()
+            };
+            let segment = SealedSegment::from_parts(Bytes::from(blob.clone()), zone);
+            let bytes = ArchiveReader::new(META, vec![segment]).to_bytes();
+            assert!(
+                matches!(
+                    Archive::from_bytes(bytes.clone()),
+                    Err(StoreError::Corrupt(
+                        "segment row count exceeds SEGMENT_ROWS"
+                    ))
+                ),
+                "{rows} rows"
+            );
+            // Torn after the segment, the file recovers no segment from it.
+            let torn = bytes[..HEADER_LEN + blob.len()].to_vec();
+            let recovery = Archive::recover_from_bytes(torn).expect("torn tail recovers");
+            assert_eq!((recovery.was_torn, recovery.recovered_segments), (true, 0));
         }
     }
 

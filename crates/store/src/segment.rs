@@ -120,6 +120,13 @@ impl ZoneMap {
         let offset = buf.try_get_u64_le().ok_or_else(truncated)?;
         let len = buf.try_get_u64_le().ok_or_else(truncated)?;
         let rows = buf.try_get_u32_le().ok_or_else(truncated)?;
+        // Decoders size their output by the row count: refuse one no
+        // writer produces before anything allocates for it.
+        if u64::from(rows) > SEGMENT_ROWS as u64 {
+            return Err(StoreError::Corrupt(
+                "segment row count exceeds SEGMENT_ROWS",
+            ));
+        }
         let time_min = buf.try_get_u64_le().ok_or_else(truncated)?;
         let time_max = buf.try_get_u64_le().ok_or_else(truncated)?;
         let node_min = buf.try_get_u16_le().ok_or_else(truncated)?;
