@@ -221,6 +221,94 @@ pub struct Cfs {
     stats: CfsStats,
     metrics: Option<CfsMetrics>,
     faults: Option<CfsFaults>,
+    scratch: RequestScratch,
+}
+
+/// Buffers reused by every request instead of allocated per request.
+#[derive(Default)]
+struct RequestScratch {
+    /// A plain request's `(block, touched_bytes)` list.
+    touches: Vec<(u64, u32)>,
+    /// The I/O node of each touch.
+    node_of: Vec<u32>,
+    /// Touch indices grouped by I/O node, each group in request order.
+    order: Vec<u32>,
+    /// `ends[io]` is where I/O node `io`'s group in `order` ends; it
+    /// starts where group `io - 1` ends.
+    ends: Vec<u32>,
+}
+
+impl RequestScratch {
+    /// Group `touches` by I/O node with one stable counting sort.
+    fn bucket(&mut self, striping: Striping, touches: &[(u64, u32)]) {
+        self.ends.clear();
+        self.ends.resize(striping.io_nodes, 0);
+        self.node_of.clear();
+        for &(b, _) in touches {
+            let io = striping.io_node_of(b);
+            self.node_of.push(io as u32);
+            self.ends[io] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut self.ends {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        self.order.clear();
+        self.order.resize(touches.len(), 0);
+        for (i, &io) in self.node_of.iter().enumerate() {
+            let slot = &mut self.ends[io as usize];
+            self.order[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+    }
+
+    /// The touch indices I/O node `io` serves, in request order.
+    fn group(&self, io: usize) -> &[u32] {
+        let start = if io == 0 { 0 } else { self.ends[io - 1] };
+        &self.order[start as usize..self.ends[io] as usize]
+    }
+}
+
+/// Samples for one histogram, recorded with one `record_n` per run of
+/// consecutive equal values. Dropping it records the pending run, so
+/// every return path flushes.
+struct SampleRun<'a> {
+    histogram: Option<&'a Histogram>,
+    value: u64,
+    count: u64,
+}
+
+impl<'a> SampleRun<'a> {
+    fn new(histogram: Option<&'a Histogram>) -> Self {
+        SampleRun {
+            histogram,
+            value: 0,
+            count: 0,
+        }
+    }
+
+    fn record(&mut self, value: u64) {
+        if value != self.value {
+            self.flush();
+            self.value = value;
+        }
+        self.count += 1;
+    }
+
+    fn flush(&mut self) {
+        if let Some(h) = self.histogram {
+            h.record_n(self.value, self.count);
+        }
+        self.count = 0;
+    }
+}
+
+impl Drop for SampleRun<'_> {
+    fn drop(&mut self) {
+        self.flush();
+    }
 }
 
 impl Cfs {
@@ -244,6 +332,7 @@ impl Cfs {
             stats: CfsStats::default(),
             metrics: None,
             faults: None,
+            scratch: RequestScratch::default(),
         }
     }
 
@@ -513,14 +602,8 @@ impl Cfs {
             .filter(|f| f.exists)
             .ok_or(CfsError::NoSuchFile)?;
         meta.exists = false;
-        let size = meta.size;
-        meta.size = 0;
-        let blocks = size.div_ceil(BLOCK_BYTES);
-        self.used_bytes -= blocks * BLOCK_BYTES;
-        for b in 0..blocks {
-            let io = self.striping.io_node_of(b);
-            self.caches[io].invalidate((file, b));
-        }
+        let size = std::mem::take(&mut meta.size);
+        self.release(file, size);
         Ok(())
     }
 
@@ -628,9 +711,15 @@ impl Cfs {
         let Some(meta) = self.files.get_mut(file as usize) else {
             return;
         };
-        let blocks = meta.size.div_ceil(BLOCK_BYTES);
+        let size = std::mem::take(&mut meta.size);
+        self.release(file, size);
+    }
+
+    /// Free the disk space of `file`'s first `size` bytes and drop their
+    /// blocks from the I/O-node caches, in block order.
+    fn release(&mut self, file: u32, size: u64) {
+        let blocks = size.div_ceil(BLOCK_BYTES);
         self.used_bytes -= blocks * BLOCK_BYTES;
-        meta.size = 0;
         for b in 0..blocks {
             let io = self.striping.io_node_of(b);
             self.caches[io].invalidate((file, b));
@@ -680,14 +769,23 @@ impl Cfs {
             self.stats.messages += 2;
             return Ok((now + rtt, 2, 0, 0));
         }
-        let touches: Vec<(u64, u32)> = range.map(|b| (b, block_overlap(offset, len, b))).collect();
-        self.serve_block_list(machine, node, file, &touches, now, is_write)
+        let mut touches = std::mem::take(&mut self.scratch.touches);
+        touches.clear();
+        touches.extend(range.map(|b| (b, block_overlap(offset, len, b))));
+        let out = self.serve_block_list(machine, node, file, &touches, now, is_write);
+        self.scratch.touches = touches;
+        out
     }
 
     /// Serve an explicit `(block, touched_bytes)` list for one compute
     /// node: one request/reply message pair per engaged I/O node, cache
     /// lookups, and serial disk chains. Shared by plain, strided, and
     /// collective requests.
+    ///
+    /// The touches are grouped by I/O node once; the nodes are then served
+    /// in index order, each group's blocks in request order. That order is
+    /// observable — a down node's group shares its failover target's cache
+    /// and disk — so it is part of the contract.
     ///
     /// With faults attached, this is also where recovery happens: a
     /// stripe whose I/O node is down fails over wholesale to the next
@@ -707,22 +805,37 @@ impl Cfs {
         now: SimTime,
         is_write: bool,
     ) -> Result<(SimTime, u64, u64, u64), CfsError> {
-        let metrics = self.metrics.clone();
-        let faults = self.faults.clone();
+        let Cfs {
+            config,
+            striping,
+            disks,
+            caches,
+            stats,
+            metrics,
+            faults,
+            scratch,
+            ..
+        } = self;
+        let metrics = metrics.as_ref();
+        let faults = faults.as_ref();
+        scratch.bucket(*striping, touches);
+        let mut disk_service = SampleRun::new(metrics.map(|m| &m.disk_service_us));
         let now_us = now.as_micros();
-        let degrade_ppm = faults.as_ref().map_or(0, |f| f.degrade_ppm());
-        let cache_op = Duration::from_micros(self.config.cache_op_us);
+        let degrade_ppm = faults.map_or(0, |f| f.degrade_ppm());
+        let cache_op = Duration::from_micros(config.cache_op_us);
         let mut completion = now;
         let mut messages = 0u64;
         let mut blocks = 0u64;
         let mut hits = 0u64;
         let mut fanout = 0u64;
-        let io_count = self.config.io_nodes;
+        let io_count = config.io_nodes;
         for io in 0..io_count {
             // Stripe failover: a down I/O node's whole block group is
             // redirected to the next live node (cache and disk included).
+            // Every node is checked, engaged or not, so a request with no
+            // live node left reports the first node, 0.
             let mut serve_io = io;
-            if let Some(f) = &faults {
+            if let Some(f) = faults {
                 if f.io_down(io, now_us) {
                     match f.next_live(io, io_count, now_us) {
                         Some(alt) => serve_io = alt,
@@ -730,120 +843,106 @@ impl Cfs {
                     }
                 }
             }
+            let group = scratch.group(io);
+            let Some(&first) = group.first() else {
+                continue;
+            };
+            fanout += 1;
+            // Request message reaches the (possibly failover) I/O node.
+            let mut io_done = now + machine.io_message_latency(node as usize, serve_io, 64);
+            messages += 1;
+            if let Some(f) = faults {
+                if serve_io != io {
+                    f.note_degraded();
+                }
+                let b = touches[first as usize].0;
+                if let Some(stall) = f.stall_us(serve_io as u64, file, b) {
+                    io_done += Duration::from_micros(stall);
+                }
+            }
             let mut io_bytes = 0u64;
-            let mut io_done = SimTime::ZERO;
-            let mut engaged = false;
-            for &(b, touched) in touches {
-                if self.striping.io_node_of(b) != io {
-                    continue;
-                }
-                if !engaged {
-                    engaged = true;
-                    fanout += 1;
-                    // Request message reaches the (possibly failover) I/O
-                    // node.
-                    io_done = now + machine.io_message_latency(node as usize, serve_io, 64);
-                    messages += 1;
-                    if let Some(f) = &faults {
-                        if serve_io != io {
-                            f.note_degraded();
-                        }
-                        if let Some(stall) = f.stall_us(serve_io as u64, file, b) {
-                            io_done += Duration::from_micros(stall);
-                        }
-                    }
-                }
+            for &i in group {
+                let (b, touched) = touches[i as usize];
                 blocks += 1;
                 io_bytes += u64::from(touched);
-                if self.caches[serve_io].access((file, b), touched) {
+                if caches[serve_io].access((file, b), touched) {
                     hits += 1;
-                    self.stats.cache_hits += 1;
+                    stats.cache_hits += 1;
                     io_done += cache_op;
+                    continue;
+                }
+                stats.cache_misses += 1;
+                if is_write {
+                    // Write-behind: the client pays only the cache
+                    // insertion; the disk absorbs the block later.
+                    io_done += cache_op;
+                    let disk = &mut disks[serve_io];
+                    let busy_before = disk.busy_us;
+                    disk.serve_degraded(
+                        &config.disk,
+                        file,
+                        b,
+                        BLOCK_BYTES,
+                        io_done,
+                        true,
+                        degrade_ppm,
+                    );
+                    disk_service.record(disk.busy_us - busy_before);
                 } else {
-                    self.stats.cache_misses += 1;
-                    if is_write {
-                        // Write-behind: the client pays only the cache
-                        // insertion; the disk absorbs the block later.
-                        io_done += cache_op;
-                        let busy_before = self.disks[serve_io].busy_us;
-                        self.disks[serve_io].serve_degraded(
-                            &self.config.disk,
-                            file,
-                            b,
-                            BLOCK_BYTES,
-                            io_done,
-                            true,
-                            degrade_ppm,
-                        );
-                        if let Some(m) = &metrics {
-                            m.disk_service_us
-                                .record(self.disks[serve_io].busy_us - busy_before);
-                        }
-                    } else {
-                        // A flaky block read retries with backoff; past
-                        // the budget it is read around from the next
-                        // live node.
-                        let mut disk_io = serve_io;
-                        if let Some(f) = &faults {
-                            if let Some(fails) = f.transient_failures(serve_io as u64, file, b) {
-                                let budget = u64::from(f.retry().max_retries);
-                                for attempt in 0..fails.min(budget) {
-                                    io_done += Duration::from_micros(f.backoff_us(
-                                        file,
-                                        b,
-                                        attempt as u32,
-                                    ));
-                                }
-                                if fails > budget {
-                                    match f.next_live(disk_io, io_count, now_us) {
-                                        Some(alt) => {
-                                            f.note_degraded();
-                                            disk_io = alt;
-                                        }
-                                        None => {
-                                            return Err(CfsError::Degraded {
-                                                io_node: disk_io as u32,
-                                            })
-                                        }
+                    // A flaky block read retries with backoff; past the
+                    // budget it is read around from the next live node.
+                    let mut disk_io = serve_io;
+                    if let Some(f) = faults {
+                        if let Some(fails) = f.transient_failures(serve_io as u64, file, b) {
+                            let budget = u64::from(f.retry().max_retries);
+                            for attempt in 0..fails.min(budget) {
+                                io_done +=
+                                    Duration::from_micros(f.backoff_us(file, b, attempt as u32));
+                            }
+                            if fails > budget {
+                                match f.next_live(disk_io, io_count, now_us) {
+                                    Some(alt) => {
+                                        f.note_degraded();
+                                        disk_io = alt;
+                                    }
+                                    None => {
+                                        return Err(CfsError::Degraded {
+                                            io_node: disk_io as u32,
+                                        })
                                     }
                                 }
                             }
                         }
-                        let busy_before = self.disks[disk_io].busy_us;
-                        io_done = self.disks[disk_io].serve_degraded(
-                            &self.config.disk,
-                            file,
-                            b,
-                            BLOCK_BYTES,
-                            io_done,
-                            false,
-                            degrade_ppm,
-                        );
-                        if let Some(m) = &metrics {
-                            m.disk_service_us
-                                .record(self.disks[disk_io].busy_us - busy_before);
-                        }
                     }
+                    let disk = &mut disks[disk_io];
+                    let busy_before = disk.busy_us;
+                    io_done = disk.serve_degraded(
+                        &config.disk,
+                        file,
+                        b,
+                        BLOCK_BYTES,
+                        io_done,
+                        false,
+                        degrade_ppm,
+                    );
+                    disk_service.record(disk.busy_us - busy_before);
                 }
             }
-            if engaged {
-                // Reply message carries the data (reads) or the ack (writes).
-                let reply_bytes = if is_write { 32 } else { io_bytes.max(32) };
-                let done =
-                    io_done + machine.io_message_latency(node as usize, serve_io, reply_bytes);
-                messages += 1;
-                completion = completion.max(done);
-            }
+            // Reply message carries the data (reads) or the ack (writes).
+            let reply_bytes = if is_write { 32 } else { io_bytes.max(32) };
+            let done = io_done + machine.io_message_latency(node as usize, serve_io, reply_bytes);
+            messages += 1;
+            completion = completion.max(done);
         }
-        self.stats.messages += messages;
-        if let Some(m) = &metrics {
+        stats.messages += messages;
+        if let Some(m) = metrics {
             m.cache_hits.add(hits);
             m.cache_misses.add(blocks - hits);
             m.stripe_fanout.record(fanout);
         }
         // Per-request timeout: a request that exceeds the budget pays one
         // extra client-side backoff (the caller's reissue) and is counted.
-        if let Some(f) = &faults {
+        if let Some(f) = faults {
             let timeout = f.retry().timeout_us;
             if timeout > 0 && completion.since(now).as_micros() > timeout {
                 f.note_timeout();
@@ -1362,6 +1461,352 @@ mod tests {
             .unwrap();
         assert!(!o2.created, "truncate is not creation");
         assert_eq!(fs.file_size(o2.file), Some(0));
+    }
+
+    /// The request path before grouping: one full rescan of the touch
+    /// list per I/O node. The one-pass [`Cfs::serve_block_list`] must
+    /// match it in every observable effect.
+    impl Cfs {
+        fn serve_block_list_rescan(
+            &mut self,
+            machine: &Machine,
+            node: u16,
+            file: u32,
+            touches: &[(u64, u32)],
+            now: SimTime,
+            is_write: bool,
+        ) -> Result<(SimTime, u64, u64, u64), CfsError> {
+            let metrics = self.metrics.clone();
+            let faults = self.faults.clone();
+            let now_us = now.as_micros();
+            let degrade_ppm = faults.as_ref().map_or(0, |f| f.degrade_ppm());
+            let cache_op = Duration::from_micros(self.config.cache_op_us);
+            let mut completion = now;
+            let mut messages = 0u64;
+            let mut blocks = 0u64;
+            let mut hits = 0u64;
+            let mut fanout = 0u64;
+            let io_count = self.config.io_nodes;
+            for io in 0..io_count {
+                // Stripe failover: a down I/O node's whole block group is
+                // redirected to the next live node (cache and disk included).
+                let mut serve_io = io;
+                if let Some(f) = &faults {
+                    if f.io_down(io, now_us) {
+                        match f.next_live(io, io_count, now_us) {
+                            Some(alt) => serve_io = alt,
+                            None => return Err(CfsError::Degraded { io_node: io as u32 }),
+                        }
+                    }
+                }
+                let mut io_bytes = 0u64;
+                let mut io_done = SimTime::ZERO;
+                let mut engaged = false;
+                for &(b, touched) in touches {
+                    if self.striping.io_node_of(b) != io {
+                        continue;
+                    }
+                    if !engaged {
+                        engaged = true;
+                        fanout += 1;
+                        // Request message reaches the (possibly failover) I/O
+                        // node.
+                        io_done = now + machine.io_message_latency(node as usize, serve_io, 64);
+                        messages += 1;
+                        if let Some(f) = &faults {
+                            if serve_io != io {
+                                f.note_degraded();
+                            }
+                            if let Some(stall) = f.stall_us(serve_io as u64, file, b) {
+                                io_done += Duration::from_micros(stall);
+                            }
+                        }
+                    }
+                    blocks += 1;
+                    io_bytes += u64::from(touched);
+                    if self.caches[serve_io].access((file, b), touched) {
+                        hits += 1;
+                        self.stats.cache_hits += 1;
+                        io_done += cache_op;
+                    } else {
+                        self.stats.cache_misses += 1;
+                        if is_write {
+                            // Write-behind: the client pays only the cache
+                            // insertion; the disk absorbs the block later.
+                            io_done += cache_op;
+                            let busy_before = self.disks[serve_io].busy_us;
+                            self.disks[serve_io].serve_degraded(
+                                &self.config.disk,
+                                file,
+                                b,
+                                BLOCK_BYTES,
+                                io_done,
+                                true,
+                                degrade_ppm,
+                            );
+                            if let Some(m) = &metrics {
+                                m.disk_service_us
+                                    .record(self.disks[serve_io].busy_us - busy_before);
+                            }
+                        } else {
+                            // A flaky block read retries with backoff; past
+                            // the budget it is read around from the next
+                            // live node.
+                            let mut disk_io = serve_io;
+                            if let Some(f) = &faults {
+                                if let Some(fails) = f.transient_failures(serve_io as u64, file, b)
+                                {
+                                    let budget = u64::from(f.retry().max_retries);
+                                    for attempt in 0..fails.min(budget) {
+                                        io_done += Duration::from_micros(f.backoff_us(
+                                            file,
+                                            b,
+                                            attempt as u32,
+                                        ));
+                                    }
+                                    if fails > budget {
+                                        match f.next_live(disk_io, io_count, now_us) {
+                                            Some(alt) => {
+                                                f.note_degraded();
+                                                disk_io = alt;
+                                            }
+                                            None => {
+                                                return Err(CfsError::Degraded {
+                                                    io_node: disk_io as u32,
+                                                })
+                                            }
+                                        }
+                                    }
+                                }
+                            }
+                            let busy_before = self.disks[disk_io].busy_us;
+                            io_done = self.disks[disk_io].serve_degraded(
+                                &self.config.disk,
+                                file,
+                                b,
+                                BLOCK_BYTES,
+                                io_done,
+                                false,
+                                degrade_ppm,
+                            );
+                            if let Some(m) = &metrics {
+                                m.disk_service_us
+                                    .record(self.disks[disk_io].busy_us - busy_before);
+                            }
+                        }
+                    }
+                }
+                if engaged {
+                    // Reply message carries the data (reads) or the ack (writes).
+                    let reply_bytes = if is_write { 32 } else { io_bytes.max(32) };
+                    let done =
+                        io_done + machine.io_message_latency(node as usize, serve_io, reply_bytes);
+                    messages += 1;
+                    completion = completion.max(done);
+                }
+            }
+            self.stats.messages += messages;
+            if let Some(m) = &metrics {
+                m.cache_hits.add(hits);
+                m.cache_misses.add(blocks - hits);
+                m.stripe_fanout.record(fanout);
+            }
+            // Per-request timeout: a request that exceeds the budget pays one
+            // extra client-side backoff (the caller's reissue) and is counted.
+            if let Some(f) = &faults {
+                let timeout = f.retry().timeout_us;
+                if timeout > 0 && completion.since(now).as_micros() > timeout {
+                    f.note_timeout();
+                    completion += Duration::from_micros(f.retry().base_backoff_us);
+                }
+            }
+            Ok((completion, messages, blocks, hits))
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Faults {
+        None,
+        Chaos,
+        AllDown,
+    }
+
+    /// A NAS-geometry CFS with small caches (so requests evict) and
+    /// metrics attached, under one fault setting.
+    fn nas_under(faults: Faults) -> (Cfs, MetricsRegistry) {
+        use charisma_ipsc::faults::{FaultMetrics, FaultPlan, IoNodeDown};
+        let registry = MetricsRegistry::new();
+        let mut fs = Cfs::new(CfsConfig {
+            cache_blocks_per_io_node: 24,
+            ..CfsConfig::nas()
+        });
+        fs.attach_metrics(CfsMetrics::register(&registry));
+        let plan = match faults {
+            Faults::None => return (fs, registry),
+            Faults::Chaos => FaultPlan::chaos_fixture(),
+            Faults::AllDown => {
+                let mut plan = FaultPlan::none();
+                for io_node in 0..10 {
+                    plan.io_node_down.push(IoNodeDown { io_node, at_us: 0 });
+                }
+                plan
+            }
+        };
+        let fm = FaultMetrics::register(&registry);
+        fs.attach_faults(CfsFaults::new(&plan, 42, Some(fm)));
+        (fs, registry)
+    }
+
+    /// A random touch list: contiguous (`kind` 0), strided (1), or
+    /// collective-merged shares with blocks repeated after the merge (2).
+    fn touch_list(rng: &mut rand::rngs::StdRng, kind: usize) -> Vec<(u64, u32)> {
+        use rand::Rng;
+        let push = |touches: &mut Vec<(u64, u32)>, offset: u64, len: u64| {
+            for b in Striping::cfs(10).blocks_of_request(offset, len) {
+                touches.push((b, block_overlap(offset, len, b)));
+            }
+        };
+        let mut touches = Vec::new();
+        match kind {
+            0 => push(
+                &mut touches,
+                rng.gen_range(0..400 * BLOCK_BYTES),
+                rng.gen_range(1..64 * BLOCK_BYTES),
+            ),
+            1 => {
+                let record = rng.gen_range(1..6_000u64);
+                let stride = record + rng.gen_range(0..20_000u64);
+                let mut offset = rng.gen_range(0..100 * BLOCK_BYTES);
+                for _ in 0..rng.gen_range(1..40) {
+                    let mut segment = Vec::new();
+                    push(&mut segment, offset, record);
+                    for (b, t) in segment {
+                        match touches.last_mut() {
+                            Some((lb, lt)) if *lb == b => *lt += t,
+                            _ => touches.push((b, t)),
+                        }
+                    }
+                    offset += stride;
+                }
+            }
+            _ => {
+                let base = rng.gen_range(0..200 * BLOCK_BYTES);
+                for _ in 0..rng.gen_range(2..9) {
+                    let offset = base + rng.gen_range(0..60 * BLOCK_BYTES);
+                    push(&mut touches, offset, rng.gen_range(1..20_000));
+                }
+                touches.sort_by_key(|&(b, _)| b);
+                let mut merged: Vec<(u64, u32)> = Vec::new();
+                for (b, t) in touches {
+                    match merged.last_mut() {
+                        Some((lb, lt)) if *lb == b => *lt += t,
+                        _ => merged.push((b, t)),
+                    }
+                }
+                for _ in 0..rng.gen_range(0..5) {
+                    let again = merged[rng.gen_range(0..merged.len())];
+                    merged.push(again);
+                }
+                touches = merged;
+            }
+        }
+        touches
+    }
+
+    #[test]
+    fn one_pass_request_path_matches_the_per_node_rescan() {
+        use rand::{Rng, SeedableRng};
+        let machine = Machine::boot_synchronized(MachineConfig::nas_ipsc860());
+        for faults in [Faults::None, Faults::Chaos, Faults::AllDown] {
+            for kind in 0..3 {
+                let (mut fast, fast_metrics) = nas_under(faults);
+                let (mut slow, slow_metrics) = nas_under(faults);
+                let mut rng = rand::rngs::StdRng::seed_from_u64(kind as u64 + 17);
+                let mut seen = std::collections::BTreeSet::new();
+                for request in 0..300 {
+                    let touches = touch_list(&mut rng, kind);
+                    let file = rng.gen_range(0..4u32);
+                    let node = rng.gen_range(0..128u16);
+                    let is_write = rng.gen_range(0..3) == 0;
+                    // Straddles the chaos fixture's node-7 failure at 3 600 s.
+                    let now = SimTime::from_micros(rng.gen_range(3_500..3_700u64) * 1_000_000);
+                    seen.extend(touches.iter().map(|&(b, _)| (file, b)));
+                    let got = fast.serve_block_list(&machine, node, file, &touches, now, is_write);
+                    let want =
+                        slow.serve_block_list_rescan(&machine, node, file, &touches, now, is_write);
+                    assert_eq!(got, want, "{faults:?} kind {kind} request {request}");
+                }
+                let ctx = format!("{faults:?} kind {kind}");
+                assert_eq!(fast.stats(), slow.stats(), "{ctx}");
+                for io in 0..10 {
+                    assert_eq!(
+                        format!("{:?}", fast.disk(io)),
+                        format!("{:?}", slow.disk(io)),
+                        "{ctx} disk {io}"
+                    );
+                    for &key in &seen {
+                        assert_eq!(
+                            fast.caches[io].contains(key),
+                            slow.caches[io].contains(key),
+                            "{ctx} cache {io} block {key:?}"
+                        );
+                    }
+                }
+                assert_eq!(fast_metrics.snapshot(), slow_metrics.snapshot(), "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn all_nodes_down_reports_node_zero_even_when_it_is_untouched() {
+        let machine = Machine::boot_synchronized(MachineConfig::nas_ipsc860());
+        let (mut fs, _) = nas_under(Faults::AllDown);
+        let node3_only = [(3, 4096), (13, 4096), (23, 100)];
+        for is_write in [false, true] {
+            let err = fs
+                .serve_block_list(&machine, 0, 1, &node3_only, t0(), is_write)
+                .unwrap_err();
+            assert_eq!(err, CfsError::Degraded { io_node: 0 });
+        }
+    }
+
+    #[test]
+    fn disk_samples_before_a_mid_request_degraded_read_are_kept() {
+        use charisma_ipsc::faults::{FaultPlan, IoNodeDown};
+        // Node 1 is down, so node 0 serves both groups; with no retries, a
+        // flaky block has nowhere to be read around and fails the request.
+        let mut plan = FaultPlan::none();
+        plan.io_node_down.push(IoNodeDown {
+            io_node: 1,
+            at_us: 0,
+        });
+        plan.disk_transient_ppm = 500_000;
+        plan.retry.max_retries = 0;
+        let faults = CfsFaults::new(&plan, 3, None);
+        let touches: Vec<(u64, u32)> = (0..32).map(|b| (b, 4096)).collect();
+        // Group order: node 0's even blocks, then node 1's odd blocks.
+        let group_order = (0..32).step_by(2).chain((1..32).step_by(2));
+        let clean_before_flaky = |file: u32| {
+            group_order
+                .clone()
+                .take_while(|&b| faults.transient_failures(0, file, b).is_none())
+                .count() as u64
+        };
+        let file = (0..64)
+            .find(|&f| (1..32).contains(&clean_before_flaky(f)))
+            .expect("some file has a clean block before its first flaky one");
+
+        let (m, mut fs) = setup();
+        let registry = MetricsRegistry::new();
+        fs.attach_metrics(CfsMetrics::register(&registry));
+        fs.attach_faults(faults.clone());
+        let err = fs
+            .serve_block_list(&m, 0, file, &touches, t0(), false)
+            .unwrap_err();
+        assert_eq!(err, CfsError::Degraded { io_node: 0 });
+        let service = &registry.snapshot().histograms["cfs.disk_service_us"];
+        assert_eq!(service.count, clean_before_flaky(file));
+        assert!(service.sum > 0);
     }
 
     #[test]

@@ -109,11 +109,12 @@ pub(crate) fn generate_with_mix(
 
 // ---------------------------------------------------------------------------
 
+/// Simulation events; jobs are addressed by their index in the plan.
 #[derive(Debug)]
 enum Ev {
     Arrival(usize),
-    NodeStep { job: u32, local: usize },
-    UntracedEnd { job: u32 },
+    NodeStep { idx: usize, local: usize },
+    UntracedEnd { idx: usize },
     Archive { files: Vec<u32> },
 }
 
@@ -126,7 +127,6 @@ struct SlotState {
 }
 
 struct RunningJob {
-    plan_idx: usize,
     subcube: Subcube,
     programs: Vec<Program>,
     pc: Vec<usize>,
@@ -163,7 +163,8 @@ struct Generator {
     trace: Option<TraceBuilder>,
     queue: EventQueue<Ev>,
     mix: Mix,
-    running: HashMap<u32, RunningJob>,
+    /// Running jobs by plan index.
+    running: Vec<Option<RunningJob>>,
     waiting: Vec<usize>,
     datasets: Vec<Dataset>,
     next_dataset: usize,
@@ -240,6 +241,9 @@ impl Generator {
             .collect();
         let trace = TraceBuilder::new(header, clocks, *machine.service_clock(), latencies);
         let mut queue = EventQueue::with_capacity(mix.jobs.len() + 1);
+        let running = std::iter::repeat_with(|| None)
+            .take(mix.jobs.len())
+            .collect();
         queue.attach_metrics(QueueMetrics::register(&metrics));
         Generator {
             seed,
@@ -249,7 +253,7 @@ impl Generator {
             trace: Some(trace),
             queue,
             mix,
-            running: HashMap::new(),
+            running,
             waiting: Vec::new(),
             datasets: Vec::new(),
             next_dataset: 0,
@@ -268,8 +272,8 @@ impl Generator {
             end = end.max(t);
             match ev {
                 Ev::Arrival(i) => self.try_start(i, t),
-                Ev::NodeStep { job, local } => self.step_node(job, local, t),
-                Ev::UntracedEnd { job } => self.finish_job(job, t),
+                Ev::NodeStep { idx, local } => self.step_node(idx, local, t),
+                Ev::UntracedEnd { idx } => self.finish_job(idx, t),
                 Ev::Archive { files } => {
                     for f in files {
                         // Temporaries may already be gone.
@@ -363,20 +367,16 @@ impl Generator {
         );
         if !traced {
             let end = t + self.mix.jobs[plan_idx].untraced_duration;
-            self.running.insert(
-                job,
-                RunningJob {
-                    plan_idx,
-                    subcube,
-                    programs: Vec::new(),
-                    pc: Vec::new(),
-                    slots: Vec::new(),
-                    barriers: HashMap::new(),
-                    active_nodes: 0,
-                    cleanup: Vec::new(),
-                },
-            );
-            self.queue.push(end, Ev::UntracedEnd { job });
+            self.running[plan_idx] = Some(RunningJob {
+                subcube,
+                programs: Vec::new(),
+                pc: Vec::new(),
+                slots: Vec::new(),
+                barriers: HashMap::new(),
+                active_nodes: 0,
+                cleanup: Vec::new(),
+            });
+            self.queue.push(end, Ev::UntracedEnd { idx: plan_idx });
             return;
         }
 
@@ -393,23 +393,22 @@ impl Generator {
         }
         let programs = apps::build_programs(&plan, &sizes);
         let pc = vec![0; programs.len()];
-        self.running.insert(
-            job,
-            RunningJob {
-                plan_idx,
-                subcube,
-                programs,
-                pc,
-                slots,
-                barriers: HashMap::new(),
-                active_nodes: nodes,
-                cleanup,
-            },
-        );
+        self.running[plan_idx] = Some(RunningJob {
+            subcube,
+            programs,
+            pc,
+            slots,
+            barriers: HashMap::new(),
+            active_nodes: nodes,
+            cleanup,
+        });
         for local in 0..nodes {
             self.queue.push(
                 t + Duration::from_micros(local as u64),
-                Ev::NodeStep { job, local },
+                Ev::NodeStep {
+                    idx: plan_idx,
+                    local,
+                },
             );
         }
     }
@@ -489,19 +488,20 @@ impl Generator {
         }
     }
 
-    /// Execute ops for (job, local) until one blocks; schedule the next
-    /// step.
-    fn step_node(&mut self, job: u32, local: usize, t: SimTime) {
+    /// Execute ops for node `local` of the job at plan index `idx` until
+    /// one blocks; schedule the next step.
+    fn step_node(&mut self, idx: usize, local: usize, t: SimTime) {
+        let job = self.mix.jobs[idx].id;
         loop {
             // Fetch the next op, releasing the borrow before acting on it.
             let (op, node) = {
-                let Some(run) = self.running.get_mut(&job) else {
+                let Some(run) = &mut self.running[idx] else {
                     return;
                 };
                 if run.pc[local] >= run.programs[local].ops.len() {
                     run.active_nodes -= 1;
                     if run.active_nodes == 0 {
-                        self.finish_job(job, t);
+                        self.finish_job(idx, t);
                     }
                     return;
                 }
@@ -511,7 +511,7 @@ impl Generator {
             };
             match op {
                 Op::Compute(d) => {
-                    self.queue.push(t + d, Ev::NodeStep { job, local });
+                    self.queue.push(t + d, Ev::NodeStep { idx, local });
                     return;
                 }
                 Op::Open {
@@ -520,12 +520,12 @@ impl Generator {
                     mode,
                     truncate,
                 } => {
-                    let path = self.running[&job].slots[slot as usize].path.clone();
+                    let path = self.run_mut(idx).slots[slot as usize].path.clone();
                     let open = self
                         .cfs
                         .open(job, &path, access, mode, node as u16, truncate)
                         .expect("template opens are well-formed");
-                    let run = self.running.get_mut(&job).expect("running");
+                    let run = self.run_mut(idx);
                     let s = &mut run.slots[slot as usize];
                     s.session = Some(open.session);
                     let is_dataset = s.dataset.is_some();
@@ -554,18 +554,18 @@ impl Generator {
                     );
                     // Opens cost a round trip to the I/O subsystem.
                     let cost = Duration::from_millis(3);
-                    self.queue.push(t + cost, Ev::NodeStep { job, local });
+                    self.queue.push(t + cost, Ev::NodeStep { idx, local });
                     return;
                 }
                 Op::Seek { slot, offset } => {
-                    let session = self.slot_session(job, slot);
+                    let session = self.slot_session(idx, slot);
                     self.cfs
                         .seek(session, node as u16, offset)
                         .expect("seek is valid");
                     // Seeks are client-local: free, keep executing.
                 }
                 Op::Read { slot, bytes } => {
-                    let session = self.slot_session(job, slot);
+                    let session = self.slot_session(idx, slot);
                     match self.cfs.read(&self.machine, session, node as u16, bytes, t) {
                         Ok(out) => {
                             self.stats.requests += 1;
@@ -578,7 +578,7 @@ impl Generator {
                                     bytes: out.bytes,
                                 },
                             );
-                            self.queue.push(out.completion, Ev::NodeStep { job, local });
+                            self.queue.push(out.completion, Ev::NodeStep { idx, local });
                             return;
                         }
                         Err(CfsError::Degraded { .. }) => {
@@ -591,7 +591,7 @@ impl Generator {
                     }
                 }
                 Op::Write { slot, bytes } => {
-                    let session = self.slot_session(job, slot);
+                    let session = self.slot_session(idx, slot);
                     match self
                         .cfs
                         .write(&self.machine, session, node as u16, bytes, t)
@@ -607,7 +607,7 @@ impl Generator {
                                     bytes: out.bytes,
                                 },
                             );
-                            self.queue.push(out.completion, Ev::NodeStep { job, local });
+                            self.queue.push(out.completion, Ev::NodeStep { idx, local });
                             return;
                         }
                         Err(CfsError::NoSpace { .. }) | Err(CfsError::Degraded { .. }) => {
@@ -621,19 +621,19 @@ impl Generator {
                     }
                 }
                 Op::Close { slot } => {
-                    let session = self.slot_session(job, slot);
+                    let session = self.slot_session(idx, slot);
                     let size = self.cfs.close(session, node as u16).expect("close valid");
                     self.log_node(node, t, EventBody::Close { session, size });
                 }
                 Op::Delete { slot } => {
-                    let file = self.running[&job].slots[slot as usize]
+                    let file = self.run_mut(idx).slots[slot as usize]
                         .file
                         .expect("delete after open");
                     self.cfs.delete(file).expect("delete valid");
                     self.log_node(node, t, EventBody::Delete { job, file });
                 }
                 Op::Barrier(id) => {
-                    let run = self.running.get_mut(&job).expect("running");
+                    let run = self.run_mut(idx);
                     let total = run.programs.len();
                     let arrived = run.barriers.entry(id).or_default();
                     arrived.push(local);
@@ -643,7 +643,7 @@ impl Generator {
                         for (k, l) in locals.into_iter().enumerate() {
                             self.queue.push(
                                 t + Duration::from_micros(k as u64),
-                                Ev::NodeStep { job, local: l },
+                                Ev::NodeStep { idx, local: l },
                             );
                         }
                     }
@@ -657,16 +657,22 @@ impl Generator {
         }
     }
 
-    fn slot_session(&self, job: u32, slot: u16) -> u32 {
-        self.running[&job].slots[slot as usize]
+    /// The running job at plan index `idx`.
+    fn run_mut(&mut self, idx: usize) -> &mut RunningJob {
+        self.running[idx].as_mut().expect("running")
+    }
+
+    fn slot_session(&mut self, idx: usize, slot: u16) -> u32 {
+        self.run_mut(idx).slots[slot as usize]
             .session
             .expect("request after open")
     }
 
-    fn finish_job(&mut self, job: u32, t: SimTime) {
-        let Some(run) = self.running.remove(&job) else {
+    fn finish_job(&mut self, idx: usize, t: SimTime) {
+        let Some(run) = self.running[idx].take() else {
             return;
         };
+        let job = self.mix.jobs[idx].id;
         self.log_service(t, EventBody::JobEnd { job });
         self.machine.allocator_mut().release(run.subcube);
         for slot in &run.slots {
@@ -685,7 +691,6 @@ impl Generator {
         for idx in waiting {
             self.try_start(idx, t);
         }
-        let _ = run.plan_idx;
     }
 
     fn log_node(&mut self, node: usize, t: SimTime, body: EventBody) {
