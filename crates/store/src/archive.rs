@@ -509,29 +509,32 @@ impl ArchiveReader {
     /// This is the publication path of the serve layer: because sealed
     /// segments are immutable and the layout below is a pure function of
     /// the catalog, two readers over equal catalogs serialize to
-    /// bit-identical bytes.
+    /// bit-identical bytes. The footer directory is encoded first, so the
+    /// output is allocated once at its exact length.
     pub fn to_bytes(&self) -> Vec<u8> {
         let meta = self.meta();
-        let mut buf = Vec::new();
+        let mut directory = Vec::new();
+        directory.put_varint_u64(self.segment_count() as u64);
+        let mut body_end = HEADER_LEN;
+        for seg in self.segments() {
+            seg.zone_at(body_end as u64).encode(&mut directory);
+            body_end += seg.size_bytes();
+        }
+        directory.put_u64_le(self.rows());
+        // The footer is the directory plus the 8-byte file checksum.
+        let footer_len = directory.len() + 8;
+        let mut buf = Vec::with_capacity(body_end + footer_len + TAIL_LEN);
         buf.put_slice(MAGIC);
         buf.put_u32_le(VERSION);
         buf.put_u64_le(meta.seed);
         buf.put_u64_le(meta.scale.to_bits());
-        let mut zones: Vec<ZoneMap> = Vec::with_capacity(self.segment_count());
         for seg in self.segments() {
-            zones.push(seg.zone_at(buf.len() as u64));
             buf.put_slice(seg.bytes());
         }
-        let footer_start = buf.len();
-        buf.put_varint_u64(zones.len() as u64);
-        for zone in &zones {
-            zone.encode(&mut buf);
-        }
-        buf.put_u64_le(self.rows());
+        buf.put_slice(&directory);
         let sum = checksum(&buf);
         buf.put_u64_le(sum);
-        let footer_len = (buf.len() - footer_start) as u64;
-        buf.put_u64_le(footer_len);
+        buf.put_u64_le(footer_len as u64);
         buf.put_slice(MAGIC);
         buf
     }
@@ -566,7 +569,10 @@ mod tests {
         for n in [0u64, 1, 4095, 4096, 4097, 10_000] {
             let events = stream(n);
             let bytes = write_archive(&events, META);
-            let archive = Archive::from_bytes(bytes).expect("parses");
+            let archive = Archive::from_bytes(bytes.clone()).expect("parses");
+            let serialized = archive.reader().to_bytes();
+            assert_eq!(serialized, bytes, "n = {n}");
+            assert_eq!(serialized.capacity(), serialized.len(), "exact length");
             assert_eq!(archive.rows(), n);
             assert_eq!(
                 archive.segments(),

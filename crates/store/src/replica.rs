@@ -19,6 +19,10 @@
 //!   segment — a degraded set still serves every query bit-identically
 //!   to a clean one while at least one good copy of each segment lives.
 //!
+//! Replicas share the reader's immutable segment [`Bytes`]; growth,
+//! repair and failover share a verified copy's buffer. Only damage makes
+//! a copy (copy-on-write), so siblings and the reader never see a flip.
+//!
 //! Everything here is deterministic: same seed, same catalog, same plan
 //! rates ⇒ same placements, same injected damage, same scrub report, same
 //! failover choices, on any machine.
@@ -67,12 +71,23 @@ impl Default for ReplicaConfig {
 
 /// One segment's replicated state: the zone map it was sealed with, the
 /// I/O node of each copy, and the copies themselves (`None` = lost with
-/// its node).
+/// its node). Copies share buffers; damage gives a slot its own.
 #[derive(Clone, Debug)]
 struct SegmentReplicas {
     zone: ZoneMap,
     nodes: Vec<u32>,
-    copies: Vec<Option<Vec<u8>>>,
+    copies: Vec<Option<Bytes>>,
+}
+
+impl SegmentReplicas {
+    /// The lowest-index live verifying copy: the scrub, growth and read
+    /// source.
+    fn source(&self) -> Option<&Bytes> {
+        self.copies
+            .iter()
+            .flatten()
+            .find(|bytes| verify_blob(bytes))
+    }
 }
 
 /// What [`ReplicaSet::inject_faults`] did.
@@ -120,10 +135,12 @@ pub struct FailoverReport {
 
 /// A sealed catalog spread over simulated I/O nodes.
 ///
-/// Construction copies each segment's canonical bytes once per replica:
-/// replicas must be independently damageable, so they cannot share the
-/// reader's allocation. All mutation is through the fault-injection and
-/// scrub verbs; query access goes through [`ReplicaSet::failover_reader`].
+/// Construction shares each segment's canonical bytes with the reader:
+/// every replica is a reference-counted handle, not a copy. Replicas stay
+/// independently damageable because damage is copy-on-write — only the
+/// corrupted slot gets its own buffer. All mutation is through the
+/// fault-injection and scrub verbs; query access goes through
+/// [`ReplicaSet::failover_reader`].
 #[derive(Clone, Debug)]
 pub struct ReplicaSet {
     meta: ArchiveMeta,
@@ -157,9 +174,7 @@ impl ReplicaSet {
                 SegmentReplicas {
                     zone: *seg.zone(),
                     nodes: (0..factor).map(nodes_of).collect(),
-                    copies: (0..factor)
-                        .map(|_| Some(seg.bytes().as_ref().to_vec()))
-                        .collect(),
+                    copies: vec![Some(seg.bytes().clone()); factor as usize],
                 }
             })
             .collect();
@@ -219,8 +234,8 @@ impl ReplicaSet {
     /// segment's placement-hash home, so the layout after any sequence of
     /// factor changes is a function of seed + the final factor alone.
     ///
-    /// Growing clones the new slots from the lowest-index live verifying
-    /// copy (the scrub source rule); shrinking drops the highest slots.
+    /// Growing shares the lowest-index live verifying copy into the new
+    /// slots (the scrub source rule); shrinking drops the highest slots.
     /// Returns `false` — and changes nothing — when `segment` is out of
     /// range or growth finds no verifying copy to clone from.
     pub fn set_replica_factor(&mut self, segment: usize, factor: u32) -> bool {
@@ -238,40 +253,30 @@ impl ReplicaSet {
             seg.nodes.truncate(factor);
             return true;
         }
-        let Some(source) = seg
-            .copies
-            .iter()
-            .flatten()
-            .find(|bytes| verify_blob(bytes))
-            .cloned()
-        else {
+        let Some(source) = seg.source().cloned() else {
             return false;
         };
         let home = u64::from(seg.nodes.first().copied().unwrap_or(0));
-        for r in current..factor {
-            // Same consecutive-from-home rule as `place`; the modulo keeps
-            // the value below `nodes: u32`, so try_from keeps it checked.
-            let node = u32::try_from((home + r as u64) % u64::from(nodes)).unwrap_or(0);
-            seg.nodes.push(node);
-            seg.copies.push(Some(source.clone()));
-        }
+        // Same consecutive-from-home rule as `place`; the modulo keeps the
+        // value below `nodes: u32`, so try_from keeps it checked.
+        let node_of = |r: usize| u32::try_from((home + r as u64) % u64::from(nodes)).unwrap_or(0);
+        seg.nodes.extend((current..factor).map(node_of));
+        seg.copies.resize(factor, Some(source));
         true
     }
 
     /// The first live, verifying copy of segment `segment` — the same
     /// copy a failover read would serve — or `None` if no copy verifies.
     pub fn segment_bytes(&self, segment: usize) -> Option<&[u8]> {
-        self.segments.get(segment).and_then(|s| {
-            s.copies
-                .iter()
-                .flatten()
-                .map(Vec::as_slice)
-                .find(|bytes| verify_blob(bytes))
-        })
+        self.segments
+            .get(segment)
+            .and_then(SegmentReplicas::source)
+            .map(Bytes::as_ref)
     }
 
     /// Overwrite every copy of segment `segment` with `bytes` — the heal
-    /// path for an externally reconstructed segment (parity rebuild).
+    /// path for an externally reconstructed segment (parity rebuild). The
+    /// bytes are copied once and shared by every slot.
     /// Refuses (`false`, untouched) when the segment is out of range or
     /// `bytes` fails trailing-checksum verification: a bad rebuild must
     /// never become the canonical copy.
@@ -282,15 +287,16 @@ impl ReplicaSet {
         let Some(seg) = self.segments.get_mut(segment) else {
             return false;
         };
-        for copy in &mut seg.copies {
-            *copy = Some(bytes.to_vec());
-        }
+        let shared = Bytes::copy_from_slice(bytes);
+        seg.copies.fill(Some(shared));
         true
     }
 
-    /// XOR `mask` into byte `offset` of one replica's copy. Returns
-    /// `false` (and does nothing) for a zero mask, a lost replica, or an
-    /// out-of-range target — so proptests can aim anywhere safely.
+    /// XOR `mask` into byte `offset` of one replica's copy. Copy-on-write:
+    /// the damaged slot gets a private buffer, so the reader and every
+    /// sibling copy keep their bytes. Returns `false` (and does nothing)
+    /// for a zero mask, a lost replica, or an out-of-range target — so
+    /// proptests can aim anywhere safely.
     pub fn corrupt_byte(
         &mut self,
         segment: usize,
@@ -298,21 +304,18 @@ impl ReplicaSet {
         offset: usize,
         mask: u8,
     ) -> bool {
-        if mask == 0 {
-            return false;
-        }
         let Some(copy) = self
             .segments
             .get_mut(segment)
             .and_then(|s| s.copies.get_mut(replica))
             .and_then(Option::as_mut)
+            .filter(|copy| mask != 0 && offset < copy.len())
         else {
             return false;
         };
-        let Some(byte) = copy.get_mut(offset) else {
-            return false;
-        };
-        *byte ^= mask;
+        let mut damaged = copy.to_vec();
+        damaged[offset] ^= mask;
+        *copy = Bytes::from(damaged);
         true
     }
 
@@ -349,8 +352,7 @@ impl ReplicaSet {
                 } else if rng.chance(corrupt_ppm, domain::ARCHIVE_CORRUPT, &ids) {
                     let len = self.segments[seg].copies[rep]
                         .as_ref()
-                        .map(Vec::len)
-                        .unwrap_or(0);
+                        .map_or(0, Bytes::len);
                     if len > 0 {
                         let offset = rng.bounded(
                             len as u64 - 1,
@@ -392,8 +394,8 @@ impl ReplicaSet {
                 report.unrecoverable.push(seg_idx as u64);
                 continue;
             };
-            // Compare in place against the source copy (which is `Some`);
-            // bytes are cloned only to repair.
+            // Compare against the source copy (which is `Some`): O(1) for
+            // a copy sharing its buffer; repair shares the source's buffer.
             for idx in 0..seg.copies.len() {
                 if idx != source && seg.copies[idx] != seg.copies[source] {
                     seg.copies[idx] = seg.copies[source].clone();
@@ -433,14 +435,14 @@ impl ReplicaSet {
     ) -> Result<(ArchiveReader, FailoverReport), StoreError> {
         let mut segments = Vec::with_capacity(self.segments.len());
         let mut report = FailoverReport::default();
-        let mut verified = 0u64;
         let mut failures = 0u64;
+        let mut dead = None;
         for (seg_idx, seg) in self.segments.iter().enumerate() {
             let mut chosen = None;
             for copy in &seg.copies {
                 match copy {
                     Some(bytes) if verify_blob(bytes) => {
-                        chosen = Some(Bytes::copy_from_slice(bytes));
+                        chosen = Some(bytes.clone());
                         break;
                     }
                     Some(_) => {
@@ -451,31 +453,28 @@ impl ReplicaSet {
                 }
             }
             if chosen.is_none() {
-                if let Some(bytes) = recover(seg_idx as u64) {
-                    if verify_blob(&bytes) {
-                        report.reconstructed += 1;
-                        chosen = Some(Bytes::from(bytes));
-                    }
-                }
+                chosen = recover(seg_idx as u64)
+                    .filter(|bytes| verify_blob(bytes))
+                    .map(Bytes::from);
+                report.reconstructed += u64::from(chosen.is_some());
             }
             let Some(bytes) = chosen else {
-                if let Some(m) = &self.metrics {
-                    m.segments_verified.add(verified);
-                    m.checksum_failures.add(failures);
-                }
-                return Err(StoreError::CorruptSegment {
+                dead = Some(StoreError::CorruptSegment {
                     segment: seg_idx as u64,
                     replica: u32::try_from(seg.copies.len().saturating_sub(1)).unwrap_or(u32::MAX),
                 });
+                break;
             };
-            verified += 1;
             segments.push(SealedSegment::from_parts(bytes, seg.zone));
         }
         if let Some(m) = &self.metrics {
-            m.segments_verified.add(verified);
+            m.segments_verified.add(segments.len() as u64);
             m.checksum_failures.add(failures);
         }
-        Ok((ArchiveReader::new(self.meta, segments), report))
+        match dead {
+            Some(err) => Err(err),
+            None => Ok((ArchiveReader::new(self.meta, segments), report)),
+        }
     }
 }
 

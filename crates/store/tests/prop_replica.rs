@@ -14,6 +14,9 @@
 //! * **Degraded ≡ clean** — while at least one good replica of every
 //!   segment is live, a failover reader answers every query with exactly
 //!   the bytes and events a clean reader produces.
+//! * **Damage is copy-on-write** — replicas share the reader's bytes, yet
+//!   damaging one copy never reaches the reader, a sibling copy, or
+//!   another set placed from the same reader.
 
 use charisma_ipsc::SimTime;
 use charisma_store::{
@@ -106,7 +109,115 @@ fn place(events: &[OrderedEvent], seed: u64) -> (ReplicaSet, Vec<u8>) {
     (set, bytes)
 }
 
+/// Multi-segment stream for `rows` rows: `arb_stream` fits one segment,
+/// and copy-on-write must hold across segments as well as within one.
+fn fixed_stream(rows: u64) -> Vec<OrderedEvent> {
+    (0..rows)
+        .map(|i| OrderedEvent {
+            time: SimTime::from_micros(i * 3),
+            node: (i % 8) as u16,
+            body: EventBody::Read {
+                session: (i % 40) as u32,
+                offset: i * 512,
+                bytes: 512,
+            },
+        })
+        .collect()
+}
+
+/// The bytes copy `rep` of segment `seg` serves on its own: every other
+/// copy is lost on a clone of the set, so only that copy can answer.
+/// `None` when it is lost or fails verification.
+fn served_alone(set: &ReplicaSet, seg: usize, rep: usize) -> Option<Vec<u8>> {
+    let mut alone = set.clone();
+    for other in (0..set.replica_factor(seg)).filter(|&r| r != rep) {
+        alone.lose_replica(seg, other);
+    }
+    alone.segment_bytes(seg).map(<[u8]>::to_vec)
+}
+
 proptest! {
+    /// (e): two sets placed from one reader share its bytes, yet damage
+    /// to one set's copies — placed ones, ones added by factor growth, and
+    /// ones written by `restore_segment` — stays in the damaged slot. The
+    /// reader, the other set and every undamaged sibling stay canonical,
+    /// and a flipped copy differs from canonical in exactly that byte:
+    /// flipping it back (on a clone) makes it serve the canonical bytes.
+    #[test]
+    fn damage_is_copy_on_write_and_never_reaches_a_sibling(
+        rows in 4097u64..12_000,
+        seed in any::<u64>(),
+        grow in (0usize..64, 4u32..=8),
+        restore_pick in 0usize..64,
+        damage in proptest::collection::vec(
+            proptest::option::of((any::<u64>(), 0u8..=255)),
+            24
+        ),
+    ) {
+        let bytes = write_archive(&fixed_stream(rows), META);
+        let archive = Archive::from_bytes(bytes.clone()).expect("parses");
+        let reader = archive.reader();
+        let canon = |s: usize| reader.segments()[s].bytes().to_vec();
+        let mut a = ReplicaSet::place(reader, ReplicaConfig::default(), seed);
+        let b = ReplicaSet::place(reader, ReplicaConfig::default(), seed);
+        let segs = a.segment_count();
+        prop_assert!(a.set_replica_factor(grow.0 % segs, grow.1));
+        let restored = restore_pick % segs;
+        prop_assert!(a.restore_segment(restored, &canon(restored)));
+
+        // Damage each slot at most once, in catalog order: `None` leaves
+        // it alone, a zero mask loses it, any other mask flips one byte.
+        let slots: Vec<(usize, usize)> = (0..segs)
+            .flat_map(|s| (0..a.replica_factor(s)).map(move |r| (s, r)))
+            .collect();
+        let mut flips = Vec::new();
+        let mut lost = Vec::new();
+        for (&(s, r), hit) in slots.iter().zip(&damage) {
+            match *hit {
+                None => {}
+                Some((_, 0)) => {
+                    prop_assert!(a.lose_replica(s, r));
+                    lost.push((s, r));
+                }
+                Some((off_pick, mask)) => {
+                    let off = (off_pick % canon(s).len() as u64) as usize;
+                    prop_assert!(a.corrupt_byte(s, r, off, mask));
+                    flips.push((s, r, off, mask));
+                }
+            }
+        }
+
+        prop_assert_eq!(reader.to_bytes(), bytes.clone(), "reader untouched");
+        let (other, failovers) = b.failover_reader().expect("other set is clean");
+        prop_assert_eq!(failovers, 0);
+        prop_assert_eq!(other.to_bytes(), bytes.clone(), "other set untouched");
+        for s in 0..segs {
+            for r in 0..b.replica_factor(s) {
+                prop_assert_eq!(served_alone(&b, s, r), Some(canon(s)));
+            }
+        }
+        for &(s, r) in &slots {
+            let flip = flips.iter().find(|f| (f.0, f.1) == (s, r));
+            if lost.contains(&(s, r)) {
+                prop_assert_eq!(served_alone(&a, s, r), None);
+            } else if let Some(&(_, _, off, mask)) = flip {
+                prop_assert_eq!(served_alone(&a, s, r), None, "flip must not verify");
+                let mut unflipped = a.clone();
+                prop_assert!(unflipped.corrupt_byte(s, r, off, mask));
+                prop_assert_eq!(served_alone(&unflipped, s, r), Some(canon(s)));
+            } else {
+                prop_assert_eq!(served_alone(&a, s, r), Some(canon(s)), "sibling {} of {}", r, s);
+            }
+        }
+
+        // The probes above damaged only clones: scrub sees exactly the
+        // injected damage, and the reader is still canonical.
+        let report = a.scrub();
+        prop_assert_eq!(report.corrupt_replicas, flips.len() as u64);
+        prop_assert_eq!(report.missing_replicas, lost.len() as u64);
+        prop_assert_eq!(reader.to_bytes(), bytes);
+    }
+
     /// (a) + (b): an arbitrary single-byte flip in an arbitrary replica
     /// is always detected by scrub — never silent — and repair restores
     /// the canonical bytes exactly, proven by the healed failover reader

@@ -120,8 +120,13 @@ impl std::fmt::Debug for Bytes {
 }
 
 impl PartialEq for Bytes {
+    /// O(1) for two views of the same range of one allocation (clones of
+    /// one handle); otherwise a content comparison.
     fn eq(&self, other: &Self) -> bool {
-        self[..] == other[..]
+        let same_view = Arc::ptr_eq(&self.data, &other.data)
+            && self.start == other.start
+            && self.end == other.end;
+        same_view || self[..] == other[..]
     }
 }
 
@@ -309,6 +314,26 @@ mod tests {
         let empty = b.slice(6..6);
         assert!(empty.is_empty());
         assert_eq!(Bytes::new().len(), 0);
+    }
+
+    #[test]
+    fn bytes_equality_compares_contents_across_allocations() {
+        let a = Bytes::from(vec![9u8, 8, 7]);
+        let b = Bytes::copy_from_slice(&[9, 8, 7]);
+        assert!(!std::ptr::eq(a.as_ref().as_ptr(), b.as_ref().as_ptr()));
+        assert_eq!(a, b, "equal contents, distinct allocations");
+        assert_eq!(a, a.clone(), "a shared clone");
+        let c = Bytes::from(vec![1u8, 2, 1, 3]);
+        assert_ne!(
+            c.slice(0..2),
+            c.slice(2..4),
+            "one allocation, ranges differ"
+        );
+        assert_eq!(
+            c.slice(0..1),
+            c.slice(2..3),
+            "one allocation, equal contents"
+        );
     }
 
     #[test]
