@@ -14,9 +14,7 @@
 //!
 //! plus [`prep`], which indexes sessions by class so the compute-node
 //! simulation can restrict itself to read-only files, exactly as the
-//! paper did, and [`skew`], which quantifies the paper's access-skew
-//! finding over any per-segment census and prices what a tiering policy
-//! buys in that regime (see the `tiered_archive` example).
+//! paper did.
 //!
 //! None of these results is calibrated: the workload generator never saw a
 //! hit rate. Whatever comes out is a *prediction* from the synthetic
@@ -27,7 +25,6 @@ pub mod compute;
 pub mod ionode;
 pub mod prefetch;
 pub mod prep;
-pub mod skew;
 pub mod stackdist;
 pub mod writeback;
 
@@ -36,6 +33,5 @@ pub use compute::{compute_cache_sim, ComputeCacheResult};
 pub use ionode::{io_cache_sim, sweep, IoCacheResult, Policy};
 pub use prefetch::{prefetch_sim, PrefetchResult, Prefetcher};
 pub use prep::SessionIndex;
-pub use skew::{ReplicationPayoff, SkewProfile};
 pub use stackdist::{lru_profile, StackDistanceProfile, StackDistances};
 pub use writeback::{writeback_sim, FlushPolicy, WritebackResult};

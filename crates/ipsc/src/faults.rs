@@ -214,7 +214,7 @@ impl FaultPlan {
 
     /// The canonical chaos fixture: every fault class enabled at rates
     /// that exercise retry, failover, and timeout paths without drowning
-    /// the workload. `charisma-verify chaos` pins this plan (and its
+    /// the workload. `charisma-verify gates chaos` pins this plan (and its
     /// metrics) as checked-in fixtures.
     pub fn chaos_fixture() -> Self {
         FaultPlan {
@@ -234,8 +234,8 @@ impl FaultPlan {
             clock_jump_ppm: 150_000,
             clock_jump_max_us: 2_000_000,
             // Archive faults stay off in the base fixture: the pinned
-            // chaos metrics predate them. `charisma-verify chaos` layers
-            // them on via its dedicated archive-fault plan fixture.
+            // chaos metrics predate them. `charisma-verify gates chaos`
+            // layers them on via its dedicated archive-fault plan fixture.
             archive_corrupt_ppm: 0,
             replica_loss_ppm: 0,
             retry: RetryPolicy {

@@ -15,7 +15,7 @@
 //!    disk service times in simulated microseconds). Their values are a
 //!    pure function of the seed, so a [`MetricsSnapshot`]'s core can be
 //!    diffed byte-for-byte against a committed fixture — that is the
-//!    `charisma-verify metrics` gate.
+//!    `charisma-verify gates metrics` gate.
 //! 2. **Segregated nondeterminism.** Span timings measure *wall-clock*
 //!    phases ([`MetricsRegistry::span`], the [`span!`] macro). They are
 //!    useful for profiling but vary run to run, so the JSON export

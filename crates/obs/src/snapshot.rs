@@ -122,7 +122,7 @@ impl MetricsSnapshot {
 
     /// The deterministic core as pretty JSON: counters, gauges,
     /// histograms — byte-identical for byte-identical simulations, which
-    /// is what the `charisma-verify metrics` fixture diff relies on.
+    /// is what the `charisma-verify gates metrics` fixture diff relies on.
     pub fn to_core_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.open_object();

@@ -58,7 +58,7 @@ impl Service {
     /// snapshot for one rebuilt via [`Snapshot::from_reader`] from a
     /// replica set's failover reader, and the federation answers with the
     /// exact stream a fully healthy service would produce — the
-    /// `charisma-verify chaos` gate holds it to that.
+    /// `charisma-verify gates chaos` gate holds it to that.
     pub fn federated_over(
         &self,
         snapshots: &[Snapshot],

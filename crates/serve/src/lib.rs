@@ -24,7 +24,7 @@
 //!
 //! Published catalog bytes are a pure function of `(service seed, scale,
 //! per-tenant batch sequences)`. Worker counts, ingest interleavings, and
-//! backpressure timing are execution details — `charisma-verify serve`
+//! backpressure timing are execution details — `charisma-verify gates serve`
 //! pins bit-identical catalogs across all of them, and the property suite
 //! pins federated scans to a concat-and-stable-sort oracle and snapshots
 //! to serial prefix replays.

@@ -4,7 +4,7 @@
 //! All handles are plain [`Counter`]s. Every count is a pure function of
 //! the admitted per-tenant streams and the queries asked — worker counts
 //! and ingest interleavings never change them — so they live in the
-//! deterministic metrics core and are pinned by the `charisma-verify
+//! deterministic metrics core and are pinned by the `charisma-verify gates
 //! metrics` fixture alongside the `store.*` counters.
 
 use charisma_obs::{Counter, MetricsRegistry};

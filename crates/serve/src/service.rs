@@ -12,7 +12,7 @@
 //! seals. Nothing about *when* the work happened (worker count, claim
 //! interleaving, queue-pressure timing) reaches the bytes, so
 //! [`Service::run_ingest`] publishes bit-identical catalogs for every
-//! worker count and interleave seed, and `charisma-verify serve` holds
+//! worker count and interleave seed, and `charisma-verify gates serve` holds
 //! the crate to that.
 //!
 //! # Snapshot isolation
@@ -23,7 +23,7 @@
 //! snapshot pins a *prefix* of the tenant's admitted stream: concurrent
 //! ingest appends behind it but can never mutate what the snapshot sees.
 //! Reading a snapshot mid-ingest therefore equals a serial replay of its
-//! pinned prefix — the second half of the `charisma-verify serve` gate.
+//! pinned prefix — the second half of the `charisma-verify gates serve` gate.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -13,7 +13,7 @@
 //!
 //! Time is a *logical* tick (one per committed scan), never a wall
 //! clock: the ledger lives inside the deterministic metrics core and is
-//! exercised by the `charisma-verify tier` gate, so its contents must be
+//! exercised by the `charisma-verify gates tier` gate, so its contents must be
 //! a pure function of the query history.
 
 use std::collections::BTreeMap;

@@ -36,7 +36,7 @@
 //! sequence, and the header carries only provenance (seed, scale) — no
 //! timestamps, hostnames, or worker counts. Same seed and scale therefore
 //! produce a byte-identical archive on any machine and any `shards(n)`,
-//! which is what lets `charisma-verify archive` pin the whole file to one
+//! which is what lets `charisma-verify gates archive` pin the whole file to one
 //! fixture hash.
 
 use bytes::{Buf, BufMut, Bytes};

@@ -37,7 +37,7 @@
 //! declared [`ArchiveMeta`]. The same seed and scale produce a
 //! byte-identical archive regardless of how many generator shards or
 //! scan workers ran — no timestamps, hostnames, worker counts, or map
-//! iteration orders leak into the format. `charisma-verify archive`
+//! iteration orders leak into the format. `charisma-verify gates archive`
 //! holds the project to this with a checked-in archive hash fixture.
 //!
 //! [`OrderedEvent`]: charisma_trace::OrderedEvent

@@ -3,7 +3,7 @@
 //!
 //! All handles are plain [`Counter`]s — pure functions of the archived
 //! stream and the query, so they live in the deterministic metrics core
-//! and are pinned by the `charisma-verify metrics` fixture. The write-side
+//! and are pinned by the `charisma-verify gates metrics` fixture. The write-side
 //! counters are a function of the merged stream alone; the scan-side
 //! counters (`segments_pruned` in particular) are the query engine's proof
 //! of work: a predicate-pushdown query that prunes nothing is just an

@@ -17,7 +17,7 @@
 //! depends only on its own demand, the segment count, and the demand
 //! *sum* — a symmetric function — so classification is invariant under
 //! any permutation of the ledger and under the scan order that produced
-//! it. The `charisma-verify tier` gate and the property suite pin both.
+//! it. The `charisma-verify gates tier` gate and the property suite pin both.
 
 use charisma_store::SegmentAccess;
 

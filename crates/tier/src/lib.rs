@@ -26,7 +26,7 @@
 //! Everything is deterministic and auditable: [`TierPlan`] /
 //! [`TierReport`] round-trip through the same plain-text codec as the
 //! chaos layer's fault plans, `tier.*` counters land in the pinned
-//! metrics fixture, and the `charisma-verify tier` gate holds
+//! metrics fixture, and the `charisma-verify gates tier` gate holds
 //! classification to worker-count- and scan-order-invariance and parity
 //! to byte-exact single-loss reconstruction. Tiering is layout, not
 //! format: no plan changes the canonical archive bytes.

@@ -3,7 +3,7 @@
 //!
 //! All handles are plain [`Counter`]s — pure functions of the plan and
 //! the access ledger, so they live in the deterministic metrics core and
-//! are pinned by the `charisma-verify metrics` fixture alongside the
+//! are pinned by the `charisma-verify gates metrics` fixture alongside the
 //! `store.*` family.
 
 use charisma_obs::{Counter, MetricsRegistry};

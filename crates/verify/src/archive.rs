@@ -22,197 +22,124 @@ use charisma::prelude::*;
 use charisma::store::StoreMetrics;
 
 use crate::determinism::fnv1a_hash;
+use crate::gates::{pin, Config, Runs, WORKERS};
 
-/// Outcome of the archive gate: the canonical fixture line the run
-/// produced, plus every complaint (empty means the gate passed).
-#[derive(Clone, Debug)]
-pub struct ArchiveGateReport {
-    /// The fixture line for this seed/scale (hash, size, shape).
-    pub fixture_line: String,
-    /// Human-readable violations, empty on success.
-    pub complaints: Vec<String>,
-}
-
-/// Render the archive-hash fixture line for one serial pipeline run.
-///
-/// One line, fully self-describing:
-/// `seed=… scale=… fnv1a=0x… bytes=… rows=… segments=…`
-pub fn archive_fixture_line(seed: u64, scale: f64) -> Result<String, charisma::Error> {
-    let bytes = archive_bytes(seed, scale, 1)?;
-    let archive = Archive::from_bytes(bytes.clone())?;
-    Ok(format!(
+/// The archive-hash fixture line for one archive: fully self-describing,
+/// `seed=… scale=… fnv1a=0x… bytes=… rows=… segments=…`.
+fn fixture_line(seed: u64, scale: f64, bytes: &[u8], archive: &Archive) -> String {
+    format!(
         "seed={} scale={} fnv1a={:#018x} bytes={} rows={} segments={}\n",
         seed,
         scale,
-        fnv1a_hash(&bytes),
+        fnv1a_hash(bytes),
         bytes.len(),
         archive.rows(),
         archive.segments(),
-    ))
+    )
 }
 
-/// The archive bytes of one pipeline run on `workers` threads.
-fn archive_bytes(seed: u64, scale: f64, workers: usize) -> Result<Vec<u8>, charisma::Error> {
-    let out = Pipeline::new()
-        .seed(seed)
-        .scale(scale)
-        .shards(workers)
-        .sink(charisma::ArchiveSink::Memory)
-        .run()?;
-    out.archive
-        .ok_or(charisma::Error::Store(StoreError::Corrupt(
-            "pipeline produced no archive despite an in-memory sink",
-        )))
-}
-
-/// Run the full archive gate at `seed`/`scale`, scanning with `workers`
-/// threads where the scan is parallel.
-pub fn check_archive_gate(
-    seed: u64,
-    scale: f64,
-    workers: usize,
-) -> Result<ArchiveGateReport, charisma::Error> {
+/// The `archive` gate: canonical bytes across every worker count, the
+/// hash fixture, exact round trip and conservative pruning at every scan
+/// worker count in [`WORKERS`].
+pub(crate) fn check(runs: &mut Runs, write: bool) -> Result<Vec<String>, charisma::Error> {
     let mut complaints = Vec::new();
 
     // One serial run supplies the reference stream, report, and bytes.
-    let out = Pipeline::new()
-        .seed(seed)
-        .scale(scale)
-        .sink(charisma::ArchiveSink::Memory)
-        .run()?;
-    let bytes = out
-        .archive
-        .clone()
-        .ok_or(charisma::Error::Store(StoreError::Corrupt(
-            "pipeline produced no archive despite an in-memory sink",
-        )))?;
+    let out = runs.get(Config::Clean, 1)?;
+    let bytes = out.archive.clone().unwrap_or_default();
 
     // 1. Canonical bytes: worker count must not leak into the format.
-    for n in [2, workers.max(2)] {
-        let other = archive_bytes(seed, scale, n)?;
+    for &n in &WORKERS[1..] {
+        let other = runs.get(Config::Clean, n)?;
+        let other = other.archive.as_deref().unwrap_or_default();
         if other != bytes {
             complaints.push(format!(
                 "archive bytes from a {n}-worker run differ from the serial run \
                  ({} vs {} bytes, fnv1a {:#018x} vs {:#018x})",
                 other.len(),
                 bytes.len(),
-                fnv1a_hash(&other),
+                fnv1a_hash(other),
                 fnv1a_hash(&bytes),
             ));
         }
     }
 
-    let archive = Archive::from_bytes(bytes)?;
+    let archive = Archive::from_bytes(bytes.clone())?;
+    let Some((t0, t1)) = archive.time_span() else {
+        complaints.push("archive is empty at gate scale — nothing to scan".to_owned());
+        return Ok(complaints);
+    };
+    let span = t1.as_micros() - t0.as_micros();
+    let window = Query::all().time_window(
+        SimTime::from_micros(t0.as_micros() + span / 3),
+        SimTime::from_micros(t0.as_micros() + 2 * span / 3),
+    );
+    let want: Vec<OrderedEvent> = out
+        .events
+        .iter()
+        .filter(|e| window.matches(e))
+        .copied()
+        .collect();
 
-    // 2a. Round trip: the all-pass scan reproduces the merged stream.
-    let reread = archive.query(Query::all()).workers(workers).events()?;
-    if reread != out.events {
-        let first_diff = reread
-            .iter()
-            .zip(&out.events)
-            .position(|(a, b)| a != b)
-            .unwrap_or(reread.len().min(out.events.len()));
-        complaints.push(format!(
-            "archive round trip diverges from the in-memory stream at record \
-             {first_diff} ({} archived vs {} generated)",
-            reread.len(),
-            out.events.len(),
-        ));
-    }
+    for &workers in &WORKERS {
+        // 2a. Round trip: the all-pass scan reproduces the merged stream.
+        let reread = archive.query(Query::all()).workers(workers).events()?;
+        if reread != out.events {
+            let first_diff = reread
+                .iter()
+                .zip(&out.events)
+                .position(|(a, b)| a != b)
+                .unwrap_or(reread.len().min(out.events.len()));
+            complaints.push(format!(
+                "{workers}-worker archive round trip diverges from the in-memory \
+                 stream at record {first_diff} ({} archived vs {} generated)",
+                reread.len(),
+                out.events.len(),
+            ));
+        }
 
-    // 2b. The report computed from the archive renders identically to the
-    // report the pipeline computed in the same pass that fed the writer.
-    let archived_report = archive.query(Query::all()).workers(workers).report()?;
-    if archived_report.render() != out.report.render() {
-        complaints.push(
-            "report from the all-pass archive query renders differently from \
-             the pipeline's in-memory report"
-                .to_owned(),
-        );
-    }
+        // 2b. The report computed from the archive renders identically to
+        // the report the pipeline computed in the pass that fed the writer.
+        let archived_report = archive.query(Query::all()).workers(workers).report()?;
+        if archived_report.render() != out.report.render() {
+            complaints.push(format!(
+                "report from the {workers}-worker all-pass archive query renders \
+                 differently from the pipeline's in-memory report"
+            ));
+        }
 
-    // 3. Predicate pushdown: a middle-third time window must prune
-    // segments yet agree exactly with a plain filter of the full stream.
-    if let Some((t0, t1)) = archive.time_span() {
-        let span = t1.as_micros() - t0.as_micros();
-        let window = Query::all().time_window(
-            SimTime::from_micros(t0.as_micros() + span / 3),
-            SimTime::from_micros(t0.as_micros() + 2 * span / 3),
-        );
+        // 3. Predicate pushdown: a middle-third time window must prune
+        // segments yet agree exactly with a plain filter of the stream.
         let registry = MetricsRegistry::new();
         let pruned = archive
             .query(window.clone())
             .workers(workers)
             .attach_metrics(StoreMetrics::register(&registry))
             .events()?;
-        let want: Vec<OrderedEvent> = out
-            .events
-            .iter()
-            .filter(|e| window.matches(e))
-            .copied()
-            .collect();
         if pruned != want {
             complaints.push(format!(
-                "time-window query returned {} records; a plain filter of the \
-                 stream returns {}",
+                "{workers}-worker time-window query returned {} records; a plain \
+                 filter of the stream returns {}",
                 pruned.len(),
                 want.len(),
             ));
         }
         let snap = registry.snapshot();
-        let pruned_segments = snap.counters.get("store.segments_pruned").copied();
-        if pruned_segments.unwrap_or(0) == 0 {
+        if snap
+            .counters
+            .get("store.segments_pruned")
+            .copied()
+            .unwrap_or(0)
+            == 0
+        {
             complaints.push(format!(
                 "middle-third time window pruned no segments (archive has {}) — \
                  zone-map pushdown is not engaging",
                 archive.segments(),
             ));
         }
-        // Serial scan of the same query must agree with the parallel one.
-        let serial = archive.query(window).events()?;
-        if serial != pruned {
-            complaints.push(format!(
-                "serial scan and {workers}-worker scan of the same query \
-                 disagree ({} vs {} records)",
-                serial.len(),
-                pruned.len(),
-            ));
-        }
-    } else {
-        complaints.push("archive is empty at gate scale — nothing to prune".to_owned());
     }
-
-    Ok(ArchiveGateReport {
-        fixture_line: archive_fixture_line(seed, scale)?,
-        complaints,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixture_line_is_stable_and_self_describing() {
-        let a = archive_fixture_line(4994, 0.01).expect("runs");
-        let b = archive_fixture_line(4994, 0.01).expect("runs");
-        assert_eq!(a, b);
-        assert!(a.starts_with("seed=4994 scale=0.01 fnv1a=0x"));
-        assert!(a.contains(" rows=") && a.contains(" segments="));
-        assert!(a.ends_with('\n'));
-    }
-
-    #[test]
-    fn gate_passes_at_test_scale() {
-        let report = check_archive_gate(4994, 0.01, 4).expect("runs");
-        assert!(
-            report.complaints.is_empty(),
-            "unexpected complaints: {:?}",
-            report.complaints
-        );
-        assert_eq!(
-            report.fixture_line,
-            archive_fixture_line(4994, 0.01).expect("runs")
-        );
-    }
+    let line = fixture_line(runs.seed, runs.scale, &bytes, &archive);
+    complaints.extend(pin("archive_hash.txt", &line, "archive", write));
+    Ok(complaints)
 }

@@ -4,41 +4,41 @@
 //! determinism: every fault decision is a pure hash of the plan seed and
 //! stable event identities (never of evaluation order or thread timing),
 //! so a chaos run must be exactly as repeatable and worker-count-invariant
-//! as a clean one. `charisma-verify chaos` turns that into a gate:
+//! as a clean one. The `chaos` gate turns that into checks:
 //!
-//! 1. **Plan fixture** — the canonical chaos plan
+//! 1. **Plan fixtures** — the canonical chaos plan
 //!    ([`FaultPlan::chaos_fixture`]) is checked in as
-//!    `crates/verify/fixtures/fault_plan_chaos.txt`. The gate parses the
-//!    fixture and compares it field-for-field against the builtin, so any
-//!    drift in either the plan or its text codec is visible in review.
-//! 2. **Repeatability** — the sharded pipeline runs twice under the plan
-//!    on `N` workers; the record streams must be byte-identical.
-//! 3. **Worker-count invariance** — the `N`-worker chaos stream must be
-//!    byte-identical to the serial one.
-//! 4. **Fault-metrics snapshot** — the chaos run's deterministic metrics
-//!    core (which now includes the `faults.*` counters) is diffed against
+//!    `crates/verify/fixtures/fault_plan_chaos.txt` and the archive-fault
+//!    plan as `fault_plan_archive.txt`. Each fixture must equal the
+//!    builtin's encoding and parse back to the builtin, so any drift in
+//!    either the plan or its text codec is visible in review.
+//! 2. **Repeatability and worker-count invariance** — the chaos pipeline
+//!    is held to `check_runs_agree`: every worker count reproduces the
+//!    serial run, and the widest count reproduces itself.
+//! 3. **Fault-metrics snapshot** — the serial chaos run's deterministic
+//!    metrics core (which includes the `faults.*` counters) must show the
+//!    machinery engaged and is diffed against
 //!    `crates/verify/fixtures/metrics_snapshot_chaos.json`, pinning the
 //!    exact number of injected faults, retries, timeouts, and degraded
 //!    serves at the gate's seed and scale.
-//! 5. **Archive-fault drill** — everything again under
-//!    [`archive_fault_plan`] (the chaos plan plus replica corruption and
-//!    loss, pinned as `fault_plan_archive.txt`): the faulted run must stay
-//!    repeatable and worker-count invariant while the pipeline's
-//!    self-healing drill fails over and scrubs, and
-//!    [`check_archive_chaos`] additionally proves byte-identical repair,
-//!    torn-tail recovery of the sealed prefix, and degraded-tenant
-//!    federation equal to the healthy one.
+//! 4. **Archive-fault drill** — `check_archive_chaos`: everything
+//!    again under [`archive_fault_plan`], with [`archive_fault_drill`]
+//!    placing, damaging, failing over and scrubbing a replica set over
+//!    each run's archive, plus torn-tail recovery and degraded-tenant
+//!    federation.
 //!
 //! Run the binary with `--features invariants` (CI does) and every
 //! `invariant!` assertion in the simulation crates is live while the
 //! faults fire.
 
+use charisma::ipsc::FaultMetrics;
+use charisma::obs::{MetricsRegistry, MetricsSnapshot};
 use charisma::serve::{Service, ServiceConfig, Snapshot, TenantFeed};
-use charisma::store::{Archive, Query, ReplicaConfig, ReplicaSet, StoreError};
-use charisma::{ArchiveSink, Pipeline};
+use charisma::store::{Archive, Query, ReplicaConfig, ReplicaSet, StoreError, StoreMetrics};
 use charisma_ipsc::FaultPlan;
 
-use crate::determinism::{check_determinism, sharded_record_stream_with_faults, DeterminismReport};
+use crate::determinism::check_runs_agree;
+use crate::gates::{pin, Config, Runs};
 
 /// The canonical chaos plan the gate runs under — a moderately hostile
 /// environment: disk transients, one I/O node lost an hour in, service
@@ -47,72 +47,74 @@ pub fn chaos_plan() -> FaultPlan {
     FaultPlan::chaos_fixture()
 }
 
-/// Run the sharded pipeline twice under the chaos plan on `workers`
-/// threads and diff the record streams.
-pub fn check_chaos_determinism(seed: u64, scale: f64, workers: usize) -> DeterminismReport {
-    check_determinism(
-        sharded_record_stream_with_faults(seed, scale, workers, chaos_plan()),
-        sharded_record_stream_with_faults(seed, scale, workers, chaos_plan()),
-    )
+/// The `chaos` gate: plan fixtures, repeatability and worker-count
+/// invariance under the chaos plan, fault activity, the chaos metrics
+/// fixture, and the archive-fault drill.
+pub(crate) fn check(runs: &mut Runs, write: bool) -> Result<Vec<String>, charisma::Error> {
+    let mut complaints = pin_plan("fault_plan_chaos.txt", &chaos_plan(), write);
+    complaints.extend(pin_plan(
+        "fault_plan_archive.txt",
+        &archive_fault_plan(),
+        write,
+    ));
+    complaints.extend(check_runs_agree(runs, Config::Chaos)?);
+    let metrics = &runs.get(Config::Chaos, 1)?.metrics;
+    complaints.extend(require_engaged(metrics, &CHAOS_ENGAGED));
+    let core = metrics.to_core_json();
+    complaints.extend(pin("metrics_snapshot_chaos.json", &core, "chaos", write));
+    complaints.extend(check_archive_chaos(runs)?);
+    Ok(complaints)
 }
 
-/// Diff the serial chaos run against a `workers`-thread chaos run: fault
-/// injection must not make worker count observable.
-pub fn check_chaos_shard_equivalence(seed: u64, scale: f64, workers: usize) -> DeterminismReport {
-    check_determinism(
-        sharded_record_stream_with_faults(seed, scale, 1, chaos_plan()),
-        sharded_record_stream_with_faults(seed, scale, workers, chaos_plan()),
-    )
-}
-
-/// Render the deterministic metrics core of a chaos-plan pipeline run.
-pub fn chaos_metrics_json(
-    seed: u64,
-    scale: f64,
-    workers: usize,
-) -> Result<String, charisma::Error> {
-    let out = Pipeline::new()
-        .seed(seed)
-        .scale(scale)
-        .shards(workers)
-        .faults(chaos_plan())
-        .run()?;
-    Ok(out.metrics.to_core_json())
-}
-
-/// Sanity-check a chaos run's metrics core: problems with the fault
-/// counters that no fixture diff would name clearly.
-///
-/// Returns human-readable complaints; empty means the chaos layer was
-/// demonstrably active and the recovery machinery demonstrably engaged.
-pub fn check_fault_activity(core_json: &str) -> Vec<String> {
-    let mut complaints = Vec::new();
-    let mut require = |key: &str| {
-        let value = counter_value(core_json, key);
-        match value {
-            None => complaints.push(format!("`{key}` missing from the chaos metrics core")),
-            Some(0) => complaints.push(format!(
-                "`{key}` is zero: the chaos fixture must exercise it"
-            )),
-            Some(_) => {}
-        }
-    };
-    require("faults.injected");
-    require("faults.disk_transient");
-    require("faults.retried");
-    require("faults.degraded");
-    require("faults.msg_delayed");
-    require("faults.clock_jumps");
+/// Pin `plan`'s encoding as the fixture `file`, and require that
+/// encoding to parse back to `plan` — together, the fixture text parses
+/// to the builtin.
+fn pin_plan(file: &str, plan: &FaultPlan, write: bool) -> Vec<String> {
+    let encoded = plan.encode();
+    let mut complaints = pin(file, &encoded, "chaos", write);
+    match FaultPlan::parse(&encoded) {
+        Ok(parsed) if parsed == *plan => {}
+        Ok(parsed) => complaints.push(format!(
+            "{file}: the text codec does not round-trip the builtin plan\n  \
+             parsed:  {parsed:?}\n  builtin: {plan:?}"
+        )),
+        Err(e) => complaints.push(format!(
+            "{file}: the builtin plan's encoding does not parse: {e}"
+        )),
+    }
     complaints
 }
 
-/// Extract a `"key": value` counter from the canonical core JSON.
-fn counter_value(core_json: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let at = core_json.find(&needle)?;
-    let rest = &core_json[at + needle.len()..];
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
+/// Counters the chaos plan must drive above zero: injection, retry,
+/// degraded service, message delay and clock jumps.
+const CHAOS_ENGAGED: [&str; 6] = [
+    "faults.injected",
+    "faults.disk_transient",
+    "faults.retried",
+    "faults.degraded",
+    "faults.msg_delayed",
+    "faults.clock_jumps",
+];
+
+/// Counters the archive-fault drill must drive above zero.
+const ARCHIVE_ENGAGED: [&str; 4] = [
+    "faults.archive.corrupt",
+    "faults.archive.replica_lost",
+    "store.scrub.segments_checked",
+    "store.scrub.repaired",
+];
+
+/// A complaint for each of `keys` that `metrics` lacks or counts as
+/// zero: a fault or recovery path the plan must exercise but did not —
+/// a problem no fixture diff would name clearly.
+fn require_engaged(metrics: &MetricsSnapshot, keys: &[&str]) -> Vec<String> {
+    keys.iter()
+        .filter_map(|&key| match metrics.counters.get(key) {
+            None => Some(format!("`{key}` missing from the faulted run's metrics")),
+            Some(0) => Some(format!("`{key}` is zero: the fault plan must exercise it")),
+            Some(_) => None,
+        })
+        .collect()
 }
 
 /// The archive-fault plan: the canonical chaos environment with the
@@ -129,137 +131,86 @@ pub fn archive_fault_plan() -> FaultPlan {
     plan
 }
 
-/// Compare a parsed archive-fault plan fixture against the builtin.
-pub fn diff_archive_plan(fixture: &FaultPlan) -> Option<String> {
-    let builtin = archive_fault_plan();
-    if *fixture == builtin {
-        return None;
+/// The self-healing drill over one archive: place its segments on
+/// replicated I/O nodes, inject `plan`'s deterministic replica damage
+/// (`archive_corrupt_ppm` / `replica_loss_ppm`), and require the healing
+/// loop to close — degraded reads fail over to the canonical bytes, scrub
+/// repairs every damaged replica, and the healed set reads clean with no
+/// failovers left.
+///
+/// Returns the drill's metrics — `faults.archive.*` injections and
+/// `store.scrub.*` activity — for the caller to merge into the run's.
+pub fn archive_fault_drill(bytes: &[u8], plan: &FaultPlan) -> Result<MetricsSnapshot, StoreError> {
+    let archive = Archive::from_bytes(bytes.to_vec())?;
+    let registry = MetricsRegistry::new();
+    let mut set = ReplicaSet::place(archive.reader(), ReplicaConfig::default(), plan.seed);
+    set.attach_metrics(StoreMetrics::register(&registry));
+    let injected = set.inject_faults(plan.archive_corrupt_ppm, plan.replica_loss_ppm);
+    let fm = FaultMetrics::register(&registry);
+    fm.archive_corrupt.add(injected.corrupted);
+    fm.replica_lost.add(injected.lost);
+    // Degraded reads must already serve the canonical container.
+    let (degraded, _failovers) = set.failover_reader()?;
+    if degraded.to_bytes() != bytes {
+        return Err(StoreError::Corrupt(
+            "degraded read diverged from canonical bytes",
+        ));
     }
-    Some(format!(
-        "fixture plan != builtin archive-fault plan\n  fixture: {fixture:?}\n  builtin: {builtin:?}"
-    ))
+    // Scrub must repair every damaged replica in place…
+    let report = set.scrub();
+    if !report.healthy() {
+        return Err(StoreError::CorruptSegment {
+            segment: report.unrecoverable[0],
+            replica: 0,
+        });
+    }
+    // …after which the set reads clean, with no failovers left.
+    let (healed, failovers) = set.failover_reader()?;
+    if failovers != 0 || healed.to_bytes() != bytes {
+        return Err(StoreError::Corrupt("scrub left a replica diverging"));
+    }
+    Ok(registry.snapshot())
 }
 
-/// The archive-fault gate: run the pipeline under [`archive_fault_plan`]
-/// (which makes `Pipeline::run` place, damage, fail over, and scrub a
-/// replica set over the run's archive) and hold the self-healing layer to
-/// its contracts:
+/// The archive-fault half of the chaos gate. Every
+/// [`Config::ArchiveFaults`] run has already passed
+/// [`archive_fault_drill`] (failover and scrub byte-exact) with its
+/// metrics merged in; this holds the self-healing layer to its remaining
+/// contracts:
 ///
-/// 1. **Repeatability** — two faulted runs publish identical archive
-///    bytes and identical deterministic metric cores.
-/// 2. **Worker-count invariance** — the `shards`-worker faulted run
-///    equals the serial one, bytes and core.
-/// 3. **Fault activity** — the archive fault counters and scrub counters
-///    are live: damage was injected and repaired, not skipped.
-/// 4. **Scrub restores canonical bytes** — an explicit replica drill at
-///    the plan's rates repairs every damaged copy byte-identically.
-/// 5. **Torn-tail recovery** — truncating the archive mid-final-segment
+/// 1. **Repeatability and worker-count invariance** —
+///    [`check_runs_agree`]: archive bytes and metric cores included.
+/// 2. **Fault activity** — the archive fault counters and scrub counters
+///    are live, and scrub repaired exactly the copies that were damaged.
+/// 3. **Torn-tail recovery** — truncating the archive mid-final-segment
 ///    is classified `TornTail`, and recovery yields exactly the sealed
 ///    prefix of the merged stream.
-/// 6. **Degraded federation** — a federated query in which one tenant's
+/// 4. **Degraded federation** — a federated query in which one tenant's
 ///    snapshot is rebuilt through replica failover answers exactly like
 ///    the healthy federation.
 ///
-/// Returns human-readable complaints; empty means the gate passed.
-pub fn check_archive_chaos(
-    seed: u64,
-    scale: f64,
-    shards: usize,
-) -> Result<Vec<String>, charisma::Error> {
-    let mut complaints = Vec::new();
+/// Returns human-readable complaints; empty means the checks passed.
+fn check_archive_chaos(runs: &mut Runs) -> Result<Vec<String>, charisma::Error> {
+    let mut complaints = check_runs_agree(runs, Config::ArchiveFaults)?;
     let plan = archive_fault_plan();
-    let run = |workers: usize| {
-        Pipeline::new()
-            .seed(seed)
-            .scale(scale)
-            .shards(workers)
-            .faults(archive_fault_plan())
-            .sink(ArchiveSink::Memory)
-            .run()
-    };
-
-    // The drill inside `Pipeline::run` already fails the whole run if
-    // failover or scrub leaves anything diverging; reaching here means
-    // the healing loop closed.
-    let out = run(shards)?;
+    let (seed, scale) = (runs.seed, runs.scale);
+    let out = runs.get(Config::ArchiveFaults, 1)?;
     let bytes = out.archive.clone().unwrap_or_default();
-    let core = out.metrics.to_core_json();
-    if bytes.is_empty() {
-        complaints.push("faulted pipeline produced no archive bytes".to_owned());
-        return Ok(complaints);
-    }
 
-    // 1. Repeatability.
-    let again = run(shards)?;
-    if again.archive.as_deref() != Some(bytes.as_slice()) {
-        complaints.push("two identical faulted runs published different archive bytes".to_owned());
-    }
-    if again.metrics.to_core_json() != core {
-        complaints.push("two identical faulted runs produced different metric cores".to_owned());
-    }
-
-    // 2. Worker-count invariance.
-    if shards > 1 {
-        let serial = run(1)?;
-        if serial.archive.as_deref() != Some(bytes.as_slice()) {
-            complaints.push(format!(
-                "serial archive bytes differ from the {shards}-worker run"
-            ));
-        }
-        if serial.metrics.to_core_json() != core {
-            complaints.push(format!(
-                "serial metric core differs from the {shards}-worker run"
-            ));
-        }
-    }
-
-    // 3. The archive fault machinery demonstrably engaged.
-    for key in [
-        "faults.archive.corrupt",
-        "faults.archive.replica_lost",
-        "store.scrub.segments_checked",
-        "store.scrub.repaired",
-    ] {
-        match counter_value(&core, key) {
-            None => complaints.push(format!("`{key}` missing from the faulted metrics core")),
-            Some(0) => complaints.push(format!(
-                "`{key}` is zero: the archive-fault plan must exercise it"
-            )),
-            Some(_) => {}
-        }
-    }
-
-    // 4. Scrub restores canonical bytes, explicitly and byte-checked.
-    let archive = Archive::from_bytes(bytes.clone())?;
-    let mut set = ReplicaSet::place(archive.reader(), ReplicaConfig::default(), plan.seed);
-    let injected = set.inject_faults(plan.archive_corrupt_ppm, plan.replica_loss_ppm);
-    if injected.corrupted + injected.lost == 0 {
-        complaints.push("the archive-fault plan injected no replica damage".to_owned());
-    }
-    let report = set.scrub();
-    if !report.healthy() {
+    // 2. The archive fault machinery demonstrably engaged, and scrub
+    // repaired exactly the copies that were damaged.
+    complaints.extend(require_engaged(&out.metrics, &ARCHIVE_ENGAGED));
+    let count = |key: &str| out.metrics.counters.get(key).copied().unwrap_or(0);
+    let damaged = count("faults.archive.corrupt") + count("faults.archive.replica_lost");
+    let repaired = count("store.scrub.repaired");
+    if repaired != damaged {
         complaints.push(format!(
-            "scrub declared segment(s) {:?} unrecoverable at the plan's rates",
-            report.unrecoverable
+            "scrub repaired {repaired} copies but {damaged} were damaged"
         ));
-    } else {
-        if report.repaired != injected.corrupted + injected.lost {
-            complaints.push(format!(
-                "scrub repaired {} copies but {} were damaged",
-                report.repaired,
-                injected.corrupted + injected.lost
-            ));
-        }
-        match set.failover_reader() {
-            Ok((healed, 0)) if healed.to_bytes() == bytes => {}
-            Ok((_, failovers)) => complaints.push(format!(
-                "healed replica set still diverges ({failovers} failovers)"
-            )),
-            Err(e) => complaints.push(format!("healed replica set failed to read: {e}")),
-        }
     }
 
-    // 5. Torn-tail recovery: cut mid-final-segment, recover the prefix.
+    // 3. Torn-tail recovery: cut mid-final-segment, recover the prefix.
+    let archive = Archive::from_bytes(bytes.clone())?;
     let whole_segments = archive.segments() as u64;
     let last_len = archive
         .reader()
@@ -293,7 +244,7 @@ pub fn check_archive_chaos(
         ));
     }
 
-    // 6. Degraded federation ≡ healthy federation.
+    // 4. Degraded federation ≡ healthy federation.
     let service = Service::new(ServiceConfig {
         seed,
         scale,
@@ -335,65 +286,41 @@ pub fn check_archive_chaos(
     Ok(complaints)
 }
 
-/// Compare a parsed plan fixture against the builtin chaos plan.
-///
-/// Returns `None` on match, or a description of the first field-level
-/// divergence (via the plans' `Debug` forms, which name every field).
-pub fn diff_plan(fixture: &FaultPlan) -> Option<String> {
-    let builtin = chaos_plan();
-    if *fixture == builtin {
-        return None;
-    }
-    Some(format!(
-        "fixture plan != builtin chaos plan\n  fixture: {fixture:?}\n  builtin: {builtin:?}"
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn plan_round_trips_through_the_text_codec() {
-        let encoded = chaos_plan().encode();
-        let parsed = FaultPlan::parse(&encoded).expect("canonical plan parses");
-        assert_eq!(diff_plan(&parsed), None);
+    fn plans_round_trip_through_the_text_codec() {
+        for plan in [chaos_plan(), archive_fault_plan()] {
+            let parsed = FaultPlan::parse(&plan.encode()).expect("canonical plan parses");
+            assert_eq!(parsed, plan);
+        }
     }
 
     #[test]
-    fn archive_plan_round_trips_and_differs_only_in_archive_rates() {
-        let encoded = archive_fault_plan().encode();
-        let parsed = FaultPlan::parse(&encoded).expect("archive plan parses");
-        assert_eq!(diff_archive_plan(&parsed), None);
-        // It is the chaos plan plus the archive rates — nothing else.
+    fn archive_plan_differs_from_the_chaos_plan_only_in_archive_rates() {
+        let archive = archive_fault_plan();
         let mut base = chaos_plan();
-        base.archive_corrupt_ppm = parsed.archive_corrupt_ppm;
-        base.replica_loss_ppm = parsed.replica_loss_ppm;
-        assert_eq!(base, parsed);
-        assert!(parsed.archive_corrupt_ppm > 0 && parsed.replica_loss_ppm > 0);
-        // And the chaos fixture itself keeps them off.
-        let complaint = diff_archive_plan(&chaos_plan()).expect("plans differ");
-        assert!(complaint.contains("archive"), "{complaint}");
+        assert_eq!((base.archive_corrupt_ppm, base.replica_loss_ppm), (0, 0));
+        base.archive_corrupt_ppm = archive.archive_corrupt_ppm;
+        base.replica_loss_ppm = archive.replica_loss_ppm;
+        assert_eq!(base, archive);
+        assert!(archive.archive_corrupt_ppm > 0 && archive.replica_loss_ppm > 0);
     }
 
     #[test]
-    fn diff_plan_names_a_divergence() {
-        let mut tweaked = chaos_plan();
-        tweaked.disk_transient_ppm += 1;
-        let complaint = diff_plan(&tweaked).expect("divergence detected");
-        assert!(complaint.contains("disk_transient_ppm"), "{complaint}");
-    }
-
-    #[test]
-    fn counter_extraction_reads_canonical_json() {
-        let json = "{\n  \"counters\": {\n    \"faults.injected\": 42,\n    \"x\": 0\n  }\n}";
-        assert_eq!(counter_value(json, "faults.injected"), Some(42));
-        assert_eq!(counter_value(json, "x"), Some(0));
-        assert_eq!(counter_value(json, "missing"), None);
-        let complaints = check_fault_activity(json);
-        assert!(
-            complaints.iter().any(|c| c.contains("faults.retried")),
-            "missing counters are named: {complaints:?}"
-        );
+    fn idle_or_missing_counters_are_named() {
+        let mut metrics = MetricsSnapshot::default();
+        for key in CHAOS_ENGAGED {
+            metrics.counters.insert(key.to_owned(), 1);
+        }
+        assert!(require_engaged(&metrics, &CHAOS_ENGAGED).is_empty());
+        metrics.counters.insert("faults.retried".to_owned(), 0);
+        metrics.counters.remove("faults.clock_jumps");
+        let complaints = require_engaged(&metrics, &CHAOS_ENGAGED);
+        assert_eq!(complaints.len(), 2, "{complaints:?}");
+        assert!(complaints[0].contains("faults.retried") && complaints[0].contains("zero"));
+        assert!(complaints[1].contains("faults.clock_jumps") && complaints[1].contains("missing"));
     }
 }

@@ -1,8 +1,9 @@
 //! Cross-artifact consistency: code-side metric registrations vs the
 //! checked-in snapshot fixtures.
 //!
-//! The metrics-snapshot gate (`charisma-verify metrics`) catches drift by
-//! *running* the pipeline; this module catches the same drift statically.
+//! The metrics-snapshot gate (`charisma-verify gates metrics`) catches
+//! drift by *running* the pipeline; this module catches the same drift
+//! statically.
 //! Every `registry.counter("…")` / `.gauge` / `.histogram` /
 //! `.set_counter` call in the simulation and workload crates is extracted
 //! from the token stream, dynamic names built with `format!` become glob
@@ -11,8 +12,8 @@
 //! `metrics_snapshot.json` and `metrics_snapshot_chaos.json`:
 //!
 //! * a registered name no fixture pins → `CH010` at the registration site
-//!   (the fixture is stale; regenerate with `charisma-verify metrics
-//!   --write` / `chaos --write`);
+//!   (the fixture is stale; regenerate with `charisma-verify gates
+//!   metrics --write` / `gates chaos --write`);
 //! * a fixture name no registration produces → `CH010` at the fixture
 //!   line (dead weight in the pinned namespace);
 //! * a registration whose name the lexer cannot resolve to a string
@@ -234,8 +235,8 @@ pub fn check_metric_consistency(
                 snippet: format!("registers `{}`", reg.pattern),
                 message: format!(
                     "metric `{}` is registered in code but pinned by no snapshot \
-                     fixture; regenerate with `charisma-verify metrics --write` \
-                     (or `chaos --write` for faults.*)",
+                     fixture; regenerate with `charisma-verify gates metrics --write` \
+                     (or `gates chaos --write` for faults.*)",
                     reg.pattern
                 ),
             });

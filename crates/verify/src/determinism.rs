@@ -1,25 +1,28 @@
 //! End-to-end determinism harness.
 //!
-//! `charisma-verify determinism` runs the full workload→simulate→trace
-//! pipeline twice with the same seed and compares a streaming hash of every
-//! emitted record — the raw per-node trace stream *and* the postprocessed
-//! (clock-rectified, globally ordered) stream. Any divergence is localized
-//! to the first differing record, which is usually enough to name the
-//! offending `HashMap` iteration or unseeded RNG.
+//! The `determinism` gate runs the full workload→simulate→trace pipeline
+//! more than once with the same seed and compares a streaming hash of
+//! every emitted record — the raw per-node trace stream *and* the
+//! postprocessed (clock-rectified, globally ordered) stream. Any
+//! divergence is localized to the first differing record, which is
+//! usually enough to name the offending `HashMap` iteration or unseeded
+//! RNG.
 //!
 //! The harness is deliberately two-layer:
 //! - [`check_determinism`] compares any two record streams — the generic
 //!   engine, used by the tests to prove the harness *fails* on injected
 //!   nondeterminism;
-//! - [`check_pipeline_determinism`] instantiates it on the real pipeline.
+//! - [`check_pipeline_determinism`] and `check` instantiate it on the
+//!   unsharded generator and on the sharded [`charisma::Pipeline`].
 
+use charisma::PipelineOutput;
 use charisma_core::report::Report;
-use charisma_ipsc::FaultPlan;
 use charisma_trace::codec;
 use charisma_trace::postprocess::postprocess;
-use charisma_trace::OrderedEvent;
-use charisma_workload::shard::generate_sharded;
+use charisma_trace::{OrderedEvent, Trace};
 use charisma_workload::{generate, GeneratorConfig};
+
+use crate::gates::{Config, Runs, WORKERS};
 
 /// Where in the pipeline the record streams first disagreed.
 #[derive(Clone, Debug)]
@@ -47,6 +50,28 @@ impl DeterminismReport {
     /// Did the two runs produce byte-identical streams?
     pub fn is_deterministic(&self) -> bool {
         self.divergence.is_none()
+    }
+
+    /// A one-line complaint naming the first divergent record, or `None`
+    /// when the streams agreed.
+    pub(crate) fn complaint(&self, label: &str) -> Option<String> {
+        let d = self.divergence.as_ref()?;
+        Some(format!(
+            "{label}: DIVERGENCE at record {} after {} agreeing records \
+             (run 1: {}, run 2: {})",
+            d.index,
+            self.records_checked,
+            truncated(&d.first),
+            truncated(&d.second)
+        ))
+    }
+}
+
+fn truncated(hex: &str) -> &str {
+    if hex.is_empty() {
+        "<stream ended>"
+    } else {
+        &hex[..hex.len().min(128)]
     }
 }
 
@@ -121,25 +146,22 @@ where
     }
 }
 
-/// Append one raw trace's records — header, per-node block heads, events —
-/// onto `records`.
-fn push_trace_records(records: &mut Vec<Vec<u8>>, trace: &charisma_trace::Trace) {
-    let mut buf = Vec::new();
-    codec::encode_header(&trace.header, &mut buf);
-    records.push(buf);
-
-    for block in &trace.blocks {
+/// One raw trace's records — header, then each per-node block head
+/// followed by its events.
+fn trace_records(trace: &Trace) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let mut header = Vec::new();
+    codec::encode_header(&trace.header, &mut header);
+    std::iter::once(header).chain(trace.blocks.iter().flat_map(|block| {
         let mut head = Vec::with_capacity(18);
         head.extend_from_slice(&block.node.to_le_bytes());
         head.extend_from_slice(&block.send_local.as_micros().to_le_bytes());
         head.extend_from_slice(&block.recv_service.as_micros().to_le_bytes());
-        records.push(head);
-        for event in &block.events {
+        std::iter::once(head).chain(block.events.iter().map(|event| {
             let mut rec = Vec::with_capacity(codec::encoded_len(event));
             codec::encode_event(event, &mut rec);
-            records.push(rec);
-        }
-    }
+            rec
+        }))
+    }))
 }
 
 /// Encode one rectified, globally ordered event as a record.
@@ -154,87 +176,48 @@ fn ordered_record(ordered: &OrderedEvent) -> Vec<u8> {
     rec
 }
 
-/// Every record the pipeline emits for `seed` at `scale`, encoded.
+/// Every record the unsharded generator emits for `seed` at `scale`,
+/// encoded.
 ///
-/// The stream interleaves four layers so a divergence pinpoints the stage
-/// that broke: the trace header, each raw per-node record (with its block's
-/// node and timestamps), each postprocessed ordered record, and finally the
-/// rendered analysis report — so a nondeterministic *analysis* (e.g.
-/// hash-ordered iteration inside a figure) is caught even when the event
-/// streams agree.
+/// The stream interleaves layers so a divergence pinpoints the stage
+/// that broke: the raw trace (header, block heads, events), each
+/// postprocessed ordered record, and finally the rendered analysis
+/// report — so a nondeterministic *analysis* (e.g. hash-ordered
+/// iteration inside a figure) is caught even when the event streams
+/// agree.
 pub fn pipeline_record_stream(seed: u64, scale: f64) -> Vec<Vec<u8>> {
     let workload = generate(GeneratorConfig {
         scale,
         seed,
         ..Default::default()
     });
-    let trace = &workload.trace;
-
-    let mut records = Vec::with_capacity(trace.event_count() * 2 + 2);
-    push_trace_records(&mut records, trace);
-
-    let events = postprocess(trace);
-    for ordered in &events {
-        records.push(ordered_record(ordered));
-    }
-
-    let report = Report::from_stream(events);
-    records.push(report.render().into_bytes());
-
-    records
+    let events = postprocess(&workload.trace);
+    let report = Report::from_stream(events.iter().copied());
+    trace_records(&workload.trace)
+        .chain(events.iter().map(ordered_record))
+        .chain(std::iter::once(report.render().into_bytes()))
+        .collect()
 }
 
-/// Every record the *sharded* pipeline emits for `seed` at `scale` on
-/// `workers` threads, encoded.
+/// Every record of one [`charisma::Pipeline`] run, lazily encoded: each
+/// shard's raw trace in shard order, then the merged ordered stream, then
+/// the rendered report.
 ///
-/// Layers, in order: each shard's raw trace (header + blocks + events, in
-/// shard order), then the deterministically merged ordered stream, then the
-/// rendered analysis report. The workload is always partitioned into
+/// The workload is always partitioned into
 /// [`charisma_workload::shard::LOGICAL_SHARDS`] logical shards regardless
-/// of `workers`, so this stream must be byte-identical for every worker
-/// count — [`check_shard_equivalence`] is that claim as a check.
-pub fn sharded_record_stream(seed: u64, scale: f64, workers: usize) -> Vec<Vec<u8>> {
-    sharded_record_stream_with_faults(seed, scale, workers, FaultPlan::none())
+/// of the worker count, so this stream must be byte-identical for every
+/// worker count.
+pub fn run_records(out: &PipelineOutput) -> impl Iterator<Item = Vec<u8>> + '_ {
+    out.workload
+        .shards
+        .iter()
+        .flat_map(|shard| trace_records(&shard.trace))
+        .chain(out.events.iter().map(ordered_record))
+        .chain(std::iter::once_with(|| out.report.render().into_bytes()))
 }
 
-/// [`sharded_record_stream`] under a fault-injection plan.
-///
-/// The chaos harness ([`crate::chaos`]) instantiates the same
-/// worker-count-invariance checks on a faulted run: fault decisions are
-/// pure hashes of stable identities, so the stream must stay
-/// byte-identical for every worker count even while faults fire.
-pub fn sharded_record_stream_with_faults(
-    seed: u64,
-    scale: f64,
-    workers: usize,
-    faults: FaultPlan,
-) -> Vec<Vec<u8>> {
-    let sharded = generate_sharded(
-        &GeneratorConfig {
-            scale,
-            seed,
-            faults,
-            ..Default::default()
-        },
-        workers,
-    );
-
-    let mut records = Vec::with_capacity(sharded.event_count() * 2 + 2);
-    for shard in &sharded.shards {
-        push_trace_records(&mut records, &shard.trace);
-    }
-
-    let report = Report::from_stream(
-        sharded
-            .merged_events()
-            .inspect(|e| records.push(ordered_record(e))),
-    );
-    records.push(report.render().into_bytes());
-
-    records
-}
-
-/// Run the pipeline twice with the same seed and diff the record streams.
+/// Run the unsharded generator twice with the same seed and diff the
+/// record streams.
 pub fn check_pipeline_determinism(seed: u64, scale: f64) -> DeterminismReport {
     check_determinism(
         pipeline_record_stream(seed, scale),
@@ -242,24 +225,59 @@ pub fn check_pipeline_determinism(seed: u64, scale: f64) -> DeterminismReport {
     )
 }
 
-/// Run the sharded pipeline twice on `workers` threads and diff the
-/// record streams — catches racy merge state or cross-thread ordering
-/// leaks that a single run can't see.
-pub fn check_sharded_determinism(seed: u64, scale: f64, workers: usize) -> DeterminismReport {
-    check_determinism(
-        sharded_record_stream(seed, scale, workers),
-        sharded_record_stream(seed, scale, workers),
-    )
+/// Hold one pipeline configuration to the determinism contract: every
+/// worker count in [`WORKERS`] reproduces the serial run, and the widest
+/// count run twice reproduces itself.
+///
+/// Two runs agree when their record streams ([`run_records`]), archive
+/// bytes and deterministic metrics cores are identical. Worker count is
+/// an execution detail, not an input: any divergence means the
+/// partition, the per-shard RNG derivation, the merge, or a metric
+/// depends on scheduling.
+pub(crate) fn check_runs_agree(
+    runs: &mut Runs,
+    config: Config,
+) -> Result<Vec<String>, charisma::Error> {
+    let mut complaints = Vec::new();
+    let serial = runs.get(config, 1)?;
+    let widest = WORKERS[WORKERS.len() - 1];
+    let again = runs.fresh(config, widest)?;
+    for &workers in &WORKERS[1..] {
+        let other = runs.get(config, workers)?;
+        let label = format!("{config:?} serial vs {workers}-worker run");
+        complaints.extend(divergence(&label, &serial, &other));
+    }
+    let label = format!("{config:?} {widest}-worker run repeated");
+    complaints.extend(divergence(&label, &*runs.get(config, widest)?, &again));
+    Ok(complaints)
 }
 
-/// Diff the serial (1-worker) sharded run against a `workers`-thread run.
-///
-/// This is the pipeline's central guarantee: worker count is an execution
-/// detail, not an input. Any divergence means the partition, the per-shard
-/// RNG derivation, or the merge depends on scheduling.
-pub fn check_shard_equivalence(seed: u64, scale: f64, workers: usize) -> DeterminismReport {
-    check_determinism(
-        sharded_record_stream(seed, scale, 1),
-        sharded_record_stream(seed, scale, workers),
-    )
+/// Where two pipeline runs differ: record stream, archive bytes, or
+/// metrics core.
+fn divergence(label: &str, a: &PipelineOutput, b: &PipelineOutput) -> Vec<String> {
+    let mut complaints = Vec::new();
+    let streams = check_determinism(run_records(a), run_records(b));
+    complaints.extend(streams.complaint(label));
+    if a.archive != b.archive {
+        complaints.push(format!(
+            "{label}: archive bytes differ ({:?} vs {:?} bytes)",
+            a.archive.as_ref().map(Vec::len),
+            b.archive.as_ref().map(Vec::len)
+        ));
+    }
+    if a.metrics.to_core_json() != b.metrics.to_core_json() {
+        complaints.push(format!("{label}: deterministic metrics cores differ"));
+    }
+    complaints
+}
+
+/// The `determinism` gate: the unsharded generator run twice, and the
+/// clean sharded pipeline held to [`check_runs_agree`].
+pub(crate) fn check(runs: &mut Runs, _write: bool) -> Result<Vec<String>, charisma::Error> {
+    let mut complaints: Vec<String> = check_pipeline_determinism(runs.seed, runs.scale)
+        .complaint("unsharded generator run twice")
+        .into_iter()
+        .collect();
+    complaints.extend(check_runs_agree(runs, Config::Clean)?);
+    Ok(complaints)
 }

@@ -15,46 +15,46 @@
 //!   [`consistency`] cross-artifact check; the walk is parallel with
 //!   deterministic, sorted findings, and `lint --json` emits them
 //!   machine-readably for CI annotation.
-//! - [`determinism`] — an end-to-end harness that runs the
-//!   workload→simulate→trace pipeline twice with the same seed and diffs a
-//!   streaming hash of the trace records, reporting the first divergent
-//!   record on failure.
-//! - [`metrics`] — the metrics-snapshot gate: the observability layer's
-//!   deterministic core (counters/gauges/histograms) is diffed against a
-//!   checked-in fixture, and an `N`-worker run must merge to the same core
-//!   as the serial run.
-//! - [`chaos`] — the same repeatability and worker-count-invariance
-//!   checks, run *under the canonical fault-injection plan*, plus a
-//!   fault-metrics snapshot gate — the proof that the chaos layer is
-//!   deterministic and the recovery machinery actually engages.
-//! - [`archive`] — the trace-archive gate: the columnar archive's bytes
-//!   are canonical (worker-count invariant and pinned by a hash fixture),
-//!   the archive round-trips the merged stream exactly, and zone-map
-//!   pruning skips segments without changing any query result.
-//! - [`serve`] — the archive-service gate: every `(ingest workers,
-//!   interleave seed)` schedule publishes byte-identical per-tenant
-//!   catalogs, mid-ingest snapshots replay exactly their pinned prefix,
-//!   federated scans match the concat-and-stable-sort oracle, and the
-//!   pipeline's serve sink matches its memory sink byte for byte.
-//! - [`tier`] — the segment-tiering gate: the pinned skewed scan
-//!   schedule classifies and places identically under every scan worker
-//!   count and in reverse order, every single cold-segment loss is
-//!   rebuilt byte-exactly from XOR parity, and a federated query over a
-//!   tiered, damaged tenant equals the healthy baseline.
-//!
+//! - [`gates`] — the gate table behind `charisma-verify gates [NAME ...]
+//!   [--write]`: six named checks over one shared set of pipeline runs at
+//!   the pinned seed, scale and worker counts. Each check lives in its own
+//!   module:
+//!   - [`determinism`] — the pipeline run repeatedly with the same seed
+//!     and at every worker count must emit byte-identical record streams
+//!     (raw traces, merged stream, report), archives and metric cores; a
+//!     divergence is localized to the first differing record.
+//!   - [`metrics`] — the observability layer's deterministic core
+//!     (counters/gauges/histograms) is diffed against a checked-in
+//!     fixture, and every worker count must merge to the serial core.
+//!   - [`chaos`] — the same contracts *under the canonical fault-injection
+//!     plan*, plus a fault-metrics fixture, and the self-healing archive
+//!     drill ([`chaos::archive_fault_drill`]) under the archive-fault plan.
+//!   - [`archive`] — the columnar archive's bytes are canonical (worker
+//!     invariant and pinned by a hash fixture), it round-trips the merged
+//!     stream exactly, and zone-map pruning never changes a result.
+//!   - [`serve`] — every ingest schedule publishes byte-identical tenant
+//!     catalogs, mid-ingest snapshots replay exactly their pinned prefix,
+//!     federated scans match the concat-and-stable-sort oracle, and the
+//!     pipeline's serve sink matches its memory sink byte for byte.
+//!   - [`tier`] — the pinned skewed scan schedule classifies and places
+//!     identically under every scan worker count and in reverse, every
+//!     cold-segment loss rebuilds byte-exactly from XOR parity, and a
+//!     tiered, damaged tenant federates like a healthy one. The tiering
+//!     drill ([`tier::tier_drill`]) whose counters the metrics fixture
+//!     pins lives here too.
 //! - [`bench`] — the perf-trajectory record: one run of the pinned
 //!   pipeline, wall-clock timed, rendered as the `BENCH_N.json` breadcrumb
 //!   the bench-smoke CI job leaves per PR.
 //!
-//! The binary
-//! (`charisma-verify lint|determinism|metrics|chaos|archive|serve|tier|bench`)
-//! is the gate CI and all future perf/scaling PRs run behind.
+//! The binary (`charisma-verify lint|gates|bench`) is the gate CI and all
+//! future perf PRs run behind.
 
 pub mod archive;
 pub mod bench;
 pub mod chaos;
 pub mod consistency;
 pub mod determinism;
+pub mod gates;
 pub mod lex;
 pub mod lint;
 pub mod metrics;
@@ -62,24 +62,13 @@ pub mod serve;
 pub mod tier;
 
 /// Whether this build of the verifier carries the workspace's runtime
-/// `invariant!` assertions. The CI chaos job builds with
-/// `--features invariants` so the fault machinery is exercised with every
-/// internal consistency check live.
+/// `invariant!` assertions. The CI gates job builds with
+/// `--features invariants` so every check runs with each internal
+/// consistency check live.
 pub const INVARIANTS_ENABLED: bool = cfg!(feature = "invariants");
 
-pub use archive::{archive_fixture_line, check_archive_gate, ArchiveGateReport};
 pub use bench::{compare as compare_bench, run_bench, BenchComparison, BenchRecord};
-pub use chaos::{
-    archive_fault_plan, chaos_metrics_json, chaos_plan, check_archive_chaos,
-    check_chaos_determinism, check_chaos_shard_equivalence, check_fault_activity,
-    diff_archive_plan, diff_plan,
-};
 pub use consistency::{check_metric_consistency, fixture_metric_names, MetricReg};
-pub use determinism::{
-    check_pipeline_determinism, check_shard_equivalence, check_sharded_determinism, fnv1a_hash,
-    DeterminismReport, Divergence,
-};
+pub use determinism::{fnv1a_hash, DeterminismReport, Divergence};
 pub use lint::{findings_to_json, lint_workspace, Finding, LintConfig, Rule};
-pub use metrics::{check_metrics_shard_equivalence, core_metrics_json, diff_json, JsonDiff};
-pub use serve::{check_serve_gate, ServeGateReport};
-pub use tier::{check_tier_gate, TierGateReport};
+pub use metrics::{diff_json, JsonDiff};

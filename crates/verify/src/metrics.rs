@@ -3,28 +3,31 @@
 //! The observability layer (`charisma-obs`) claims its counters, gauges,
 //! and histograms are a **pure function of the configuration and seed** —
 //! wall-clock artifacts are quarantined in the snapshot's nondeterministic
-//! section and never reach [`MetricsSnapshot::to_core_json`]. This module
-//! turns that claim into a CI gate with two checks:
+//! section and never reach [`MetricsSnapshot::to_core_json`]. The
+//! `metrics` gate turns that claim into two checks:
 //!
-//! 1. **Snapshot diff** — run the pipeline, render the deterministic core
-//!    as canonical JSON, and diff it line-by-line against the checked-in
+//! 1. **Snapshot diff** — render the serial run's deterministic core as
+//!    canonical JSON and diff it line-by-line against the checked-in
 //!    fixture (`crates/verify/fixtures/metrics_snapshot.json`). Any new,
 //!    removed, or changed metric fails the gate until the fixture is
-//!    regenerated with `--write` — which forces metric changes to be
-//!    visible in review.
-//! 2. **Shard equivalence** — the metrics of an `N`-worker run must merge
-//!    to byte-identical core JSON as the serial run. This is the
-//!    observability companion to `charisma-verify determinism`: worker
-//!    count is an execution detail, and the merge algebra (saturating
-//!    counter sums, gauge maxima, bucket-wise histogram sums) must keep it
-//!    that way.
+//!    regenerated with `charisma-verify gates metrics --write` — which
+//!    forces metric changes to be visible in review.
+//! 2. **Shard equivalence** — every worker count's core must be
+//!    byte-identical to the serial one: worker count is an execution
+//!    detail, and the merge algebra (saturating counter sums, gauge
+//!    maxima, bucket-wise histogram sums) must keep it that way.
 //!
 //! [`MetricsSnapshot::to_core_json`]: charisma::obs::MetricsSnapshot::to_core_json
 
-use charisma::obs::MetricsRegistry;
+use charisma::obs::{MetricsRegistry, MetricsSnapshot};
 use charisma::serve::{ServeMetrics, Service, ServiceConfig, TenantFeed};
 use charisma::store::Query;
-use charisma::Pipeline;
+use charisma::tier::TierPlan;
+use charisma::trace::OrderedEvent;
+use charisma::PipelineOutput;
+
+use crate::gates::{pin, Config, Runs, WORKERS};
+use crate::tier::tier_drill;
 
 /// One line-level disagreement between fixture and observed core JSON.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,39 +53,40 @@ impl std::fmt::Display for JsonDiff {
     }
 }
 
-/// Render the deterministic metrics core for one pipeline run.
+/// Render the deterministic metrics core the fixture pins for one
+/// pipeline run with an in-memory archive sink.
 ///
-/// `workers` is the thread count handed to [`Pipeline::shards`]; the
-/// workload is always partitioned into the same logical shards, so the
-/// core must not depend on it.
+/// The core merges three sources, all pure functions of `(seed, scale)`:
 ///
-/// The run writes its archive to an in-memory sink so the `store.*`
-/// counters (segments/rows/bytes written, plus the zero-valued scan-side
-/// counters) are part of the pinned namespace — an encoding change that
-/// moves `store.bytes_written` fails this gate, not just the archive one.
-///
-/// The run also attaches the default [`TierPlan`], so the tiering
-/// drill's `tier.*` counters and the scan-fed `store.access.*` ledger
-/// counters are pinned alongside — the drill replays a fixed scan
-/// schedule over the sealed container, so its counts are as much a pure
-/// function of `(seed, scale)` as the rest of the core.
-///
-/// The merged stream is then pushed through a small `charisma-serve`
-/// exercise (two tenants, one federated scan) so the `serve.*` counters
-/// are pinned too. Serve counters are per-tenant deterministic sums, so
-/// the exercise — like everything else in the core — is a pure function
-/// of `(seed, scale)` and independent of `workers`.
-///
-/// [`TierPlan`]: charisma::tier::TierPlan
-pub fn core_metrics_json(seed: u64, scale: f64, workers: usize) -> Result<String, charisma::Error> {
-    let out = Pipeline::new()
-        .seed(seed)
-        .scale(scale)
-        .shards(workers)
-        .sink(charisma::ArchiveSink::Memory)
-        .tier(charisma::tier::TierPlan::default())
-        .run()?;
+/// - the run's own metrics, including the `store.*` writer counters (an
+///   encoding change that moves `store.bytes_written` fails this gate,
+///   not just the archive one);
+/// - [`tier_drill`] under the default [`TierPlan`] over the run's
+///   archive, pinning the `tier.*` counters and the scan-fed
+///   `store.access.*` ledger counters;
+/// - [`serve_exercise`] over the run's merged stream, pinning the
+///   `serve.*` counters.
+pub(crate) fn core_json(
+    out: &PipelineOutput,
+    seed: u64,
+    scale: f64,
+) -> Result<String, charisma::Error> {
+    let mut metrics = out.metrics.clone();
+    let bytes = out.archive.as_deref().unwrap_or_default();
+    metrics.merge(&tier_drill(bytes, &TierPlan::default())?);
+    metrics.merge(&serve_exercise(&out.events, seed, scale)?);
+    Ok(metrics.to_core_json())
+}
 
+/// A small `charisma-serve` exercise — two tenants fed round-robin, one
+/// federated scan — returning the `serve.*` metrics it recorded. Serve
+/// counters are per-tenant deterministic sums, so the snapshot depends
+/// only on `events`.
+fn serve_exercise(
+    events: &[OrderedEvent],
+    seed: u64,
+    scale: f64,
+) -> Result<MetricsSnapshot, charisma::Error> {
     let registry = MetricsRegistry::new();
     let mut service = Service::new(ServiceConfig {
         seed,
@@ -92,7 +96,7 @@ pub fn core_metrics_json(seed: u64, scale: f64, workers: usize) -> Result<String
     });
     service.attach_metrics(ServeMetrics::register(&registry));
     let mut streams = vec![Vec::new(); 2];
-    for (i, e) in out.events.iter().enumerate() {
+    for (i, e) in events.iter().enumerate() {
         streams[i % 2].push(*e);
     }
     let feeds: Vec<TenantFeed> = streams
@@ -105,10 +109,27 @@ pub fn core_metrics_json(seed: u64, scale: f64, workers: usize) -> Result<String
         .collect();
     service.run_ingest(&feeds, 2, 0)?;
     service.federated(Query::all()).workers(2).events()?;
+    Ok(registry.snapshot())
+}
 
-    let mut metrics = out.metrics;
-    metrics.merge(&registry.snapshot());
-    Ok(metrics.to_core_json())
+/// The `metrics` gate: the serial clean run's core against
+/// `metrics_snapshot.json`, and every other worker count's core against
+/// the serial one.
+pub(crate) fn check(runs: &mut Runs, write: bool) -> Result<Vec<String>, charisma::Error> {
+    let (seed, scale) = (runs.seed, runs.scale);
+    let serial = core_json(&*runs.get(Config::Clean, 1)?, seed, scale)?;
+    let mut complaints = pin("metrics_snapshot.json", &serial, "metrics", write);
+    for &workers in &WORKERS[1..] {
+        let core = core_json(&*runs.get(Config::Clean, workers)?, seed, scale)?;
+        let diffs = diff_json(&serial, &core);
+        complaints.extend(
+            diffs
+                .iter()
+                .take(20)
+                .map(|d| format!("serial vs {workers}-worker core: {d}")),
+        );
+    }
+    Ok(complaints)
 }
 
 /// Line-by-line diff of two JSON documents, fixture first.
@@ -132,20 +153,6 @@ pub fn diff_json(expected: &str, actual: &str) -> Vec<JsonDiff> {
         }
     }
     diffs
-}
-
-/// Check that an `N`-worker run's merged metrics equal the serial run's.
-///
-/// Returns the line diffs between the serial core JSON and the `workers`-
-/// thread core JSON — empty means the merge algebra held.
-pub fn check_metrics_shard_equivalence(
-    seed: u64,
-    scale: f64,
-    workers: usize,
-) -> Result<Vec<JsonDiff>, charisma::Error> {
-    let serial = core_metrics_json(seed, scale, 1)?;
-    let sharded = core_metrics_json(seed, scale, workers)?;
-    Ok(diff_json(&serial, &sharded))
 }
 
 #[cfg(test)]
@@ -172,10 +179,20 @@ mod tests {
 
     #[test]
     fn core_json_is_stable_across_runs_and_workers() {
-        let a = core_metrics_json(4994, 0.01, 1).expect("runs");
-        let b = core_metrics_json(4994, 0.01, 1).expect("runs");
-        assert_eq!(a, b, "same seed, same core");
-        let diffs = check_metrics_shard_equivalence(4994, 0.01, 3).expect("runs");
+        let run = |workers: usize| {
+            let out = charisma::Pipeline::new()
+                .scale(0.01)
+                .shards(workers)
+                .sink(charisma::ArchiveSink::Memory)
+                .run()
+                .expect("runs");
+            core_json(&out, 4994, 0.01).expect("drills")
+        };
+        let serial = run(1);
+        assert_eq!(serial, run(1), "same seed, same core");
+        let diffs = diff_json(&serial, &run(3));
         assert!(diffs.is_empty(), "first diff: {}", diffs[0]);
+        assert!(serial.contains("\"tier.segments_classified\""));
+        assert!(serial.contains("\"serve.federated_queries\""));
     }
 }

@@ -4,9 +4,9 @@
 //! The serve layer claims each tenant's published catalog is a **pure
 //! function of its admitted batch sequence** — ingest worker counts,
 //! claim interleavings, and queue-pressure timing are execution details.
-//! This gate turns the claim into four checks over one pinned workload
-//! (the pipeline's merged stream, round-robin partitioned into tenant
-//! feeds):
+//! The `serve` gate turns the claim into four checks over one pinned
+//! workload (the serial clean run's merged stream, round-robin
+//! partitioned into four tenant feeds):
 //!
 //! 1. **Schedule invariance** — every `(workers, interleave seed)` cell
 //!    of the matrix must publish byte-identical catalogs for all tenants.
@@ -22,12 +22,18 @@
 //!    `ArchiveSink::Memory` container (the build/serve split cannot leak
 //!    into the format).
 
+use std::sync::Arc;
+
 use charisma::serve::{Service, ServiceConfig, TenantFeed};
 use charisma::store::Query;
 use charisma::trace::OrderedEvent;
 use charisma::{ArchiveSink, Pipeline, ServeSink};
 
 use crate::determinism::fnv1a_hash;
+use crate::gates::{Config, Runs};
+
+/// Tenants the gate's service hosts.
+const GATE_TENANTS: usize = 4;
 
 /// Rows per submitted batch in the gate's feeds: deliberately off the
 /// segment size so sealing happens mid-batch.
@@ -40,32 +46,18 @@ const GATE_WORKERS: &[usize] = &[1, 2, 4];
 /// seed-0 baseline).
 const GATE_INTERLEAVES: &[u64] = &[1, 2];
 
-/// What one serve-gate run observed.
-#[derive(Clone, Debug)]
-pub struct ServeGateReport {
-    /// Human-readable violations; empty means the gate passed.
-    pub complaints: Vec<String>,
-    /// Tenants the service hosted.
-    pub tenants: usize,
-    /// Total rows across all tenant feeds.
-    pub rows: u64,
-    /// FNV-1a hash of each tenant's published catalog bytes (baseline
-    /// schedule), for the log line.
-    pub catalog_hashes: Vec<u64>,
-}
-
 /// Round-robin partition of the merged stream into `tenants` feeds.
 /// Subsequences of a `(time, node)`-ordered stream stay ordered, so each
 /// feed is a valid archive input.
-fn partition(events: &[OrderedEvent], tenants: usize) -> Vec<Vec<OrderedEvent>> {
-    let mut streams = vec![Vec::new(); tenants.max(1)];
+pub(crate) fn partition(events: &[OrderedEvent], tenants: usize) -> Vec<Vec<OrderedEvent>> {
+    let mut streams = vec![Vec::new(); tenants];
     for (i, e) in events.iter().enumerate() {
-        streams[i % tenants.max(1)].push(*e);
+        streams[i % tenants].push(*e);
     }
     streams
 }
 
-fn feeds_from(streams: &[Vec<OrderedEvent>]) -> Vec<TenantFeed> {
+pub(crate) fn feeds_from(streams: &[Vec<OrderedEvent>]) -> Vec<TenantFeed> {
     streams
         .iter()
         .enumerate()
@@ -93,17 +85,13 @@ fn publish(
         .collect())
 }
 
-/// Run the full serve gate at `seed`/`scale` with `tenants` tenants.
-pub fn check_serve_gate(
-    seed: u64,
-    scale: f64,
-    tenants: usize,
-) -> Result<ServeGateReport, charisma::Error> {
+/// The `serve` gate: schedule invariance, snapshot isolation, the
+/// federated oracle, and sink parity.
+pub(crate) fn check(runs: &mut Runs, _write: bool) -> Result<Vec<String>, charisma::Error> {
     let mut complaints = Vec::new();
-    let tenants = tenants.max(1);
-
-    // One pipeline run supplies the pinned workload.
-    let out = Pipeline::new().seed(seed).scale(scale).run()?;
+    let tenants = GATE_TENANTS;
+    let (seed, scale) = (runs.seed, runs.scale);
+    let out = runs.get(Config::Clean, 1)?;
     let streams = partition(&out.events, tenants);
     let feeds = feeds_from(&streams);
     let config = ServiceConfig {
@@ -198,12 +186,7 @@ pub fn check_serve_gate(
 
     // 4. Sink parity: a serve-sink pipeline run publishes the same bytes
     // as the memory-sink container.
-    let mem = Pipeline::new()
-        .seed(seed)
-        .scale(scale)
-        .sink(ArchiveSink::Memory)
-        .run()?;
-    let sink_service = std::sync::Arc::new(Service::new(ServiceConfig {
+    let sink_service = Arc::new(Service::new(ServiceConfig {
         seed,
         scale,
         tenants: 1,
@@ -214,25 +197,19 @@ pub fn check_serve_gate(
         .scale(scale)
         .shards(2)
         .sink(ArchiveSink::Serve(ServeSink::new(
-            std::sync::Arc::clone(&sink_service),
+            Arc::clone(&sink_service),
             0,
         )))
         .run()?;
-    if served.archive != mem.archive {
+    if served.archive != out.archive {
         complaints.push(format!(
             "serve-sink pipeline bytes ({:?}) differ from the memory-sink \
              container ({:?})",
             served.archive.as_ref().map(Vec::len),
-            mem.archive.as_ref().map(Vec::len),
+            out.archive.as_ref().map(Vec::len),
         ));
     }
-
-    Ok(ServeGateReport {
-        complaints,
-        tenants,
-        rows: out.events.len() as u64,
-        catalog_hashes: baseline.iter().map(|b| fnv1a_hash(b)).collect(),
-    })
+    Ok(complaints)
 }
 
 /// A time-window query over the middle third of the trace: wide enough to
@@ -252,19 +229,6 @@ fn pruning_query(events: &[OrderedEvent]) -> Query {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn serve_gate_passes_at_small_scale() {
-        let report = check_serve_gate(4994, 0.01, 3).expect("gate runs");
-        assert!(
-            report.complaints.is_empty(),
-            "first complaint: {}",
-            report.complaints[0]
-        );
-        assert_eq!(report.tenants, 3);
-        assert!(report.rows > 1000);
-        assert_eq!(report.catalog_hashes.len(), 3);
-    }
 
     #[test]
     fn partition_preserves_per_stream_order() {

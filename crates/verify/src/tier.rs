@@ -23,24 +23,26 @@
 use std::collections::BTreeMap;
 
 use charisma::ipsc::SimTime;
-use charisma::obs::MetricsRegistry;
-use charisma::serve::{Service, ServiceConfig, Snapshot, TenantFeed};
-use charisma::store::{Archive, Query, SegmentAccess, StoreMetrics};
-use charisma::tier::{Tier, TierPlan, TieredSet};
-use charisma::trace::OrderedEvent;
-use charisma::{ArchiveSink, Pipeline};
+use charisma::obs::{MetricsRegistry, MetricsSnapshot};
+use charisma::serve::{Service, ServiceConfig, Snapshot};
+use charisma::store::{Archive, Query, SegmentAccess, StoreError, StoreMetrics};
+use charisma::tier::{Tier, TierMetrics, TierPlan, TieredSet};
 
-use crate::determinism::fnv1a_hash;
+use crate::gates::{Config, Runs};
+use crate::serve::{feeds_from, partition};
 
 /// Scan worker counts the invariance matrix covers.
 const GATE_WORKERS: &[usize] = &[1, 2, 4];
 
-/// The pinned skewed scan schedule, as `(from_ppm, to_ppm, nodes)`
-/// windows over the archive's own time span: the head of the trace is
+/// A scan schedule: `(from_ppm, to_ppm, nodes)` time windows over the
+/// archive's own time span, optionally restricted to a node set.
+type Schedule = [(u64, u64, Option<&'static [u16]>)];
+
+/// The pinned skewed scan schedule of the gate: the head of the trace is
 /// scanned repeatedly by every reader class, the first half by narrow
 /// node sets, the tail never — the paper's access skew, replayed as
 /// queries.
-const GATE_SCHEDULE: &[(u64, u64, Option<&[u16]>)] = &[
+const GATE_SCHEDULE: &Schedule = &[
     (0, 120_000, None),
     (0, 120_000, None),
     (0, 120_000, None),
@@ -49,48 +51,36 @@ const GATE_SCHEDULE: &[(u64, u64, Option<&[u16]>)] = &[
     (200_000, 450_000, Some(&[2])),
 ];
 
-/// What one tier-gate run observed.
-#[derive(Clone, Debug)]
-pub struct TierGateReport {
-    /// Human-readable violations; empty means the gate passed.
-    pub complaints: Vec<String>,
-    /// Segments the baseline policy classified.
-    pub segments: u64,
-    /// Baseline hot / warm / cold census.
-    pub hot: u64,
-    /// Warm count.
-    pub warm: u64,
-    /// Cold count.
-    pub cold: u64,
-    /// Parity groups protecting the cold population.
-    pub parity_groups: u64,
-    /// Cold segments whose single-copy loss was rebuilt byte-exactly.
-    pub cold_losses_rebuilt: u64,
-    /// FNV-1a hash of the baseline `TierReport` encoding, for the log
-    /// line.
-    pub report_hash: u64,
-}
+/// The schedule [`tier_drill`] replays: the head tenth four times by
+/// every reader class, the first half once by nodes 1–3.
+const DRILL_SCHEDULE: &Schedule = &[
+    (0, 100_000, None),
+    (0, 100_000, None),
+    (0, 100_000, None),
+    (0, 100_000, None),
+    (0, 500_000, Some(&[1, 2, 3])),
+];
 
-/// Replay the pinned schedule against `archive` with `workers` scan
-/// threads (optionally in reverse order) and return the ledger snapshot.
-fn ledger_for(
+/// Replay `schedule` against `archive` with `workers` scan threads
+/// (optionally in reverse order), feeding every scan's access into
+/// `metrics`.
+fn replay(
     archive: &Archive,
+    schedule: &Schedule,
     workers: usize,
     reversed: bool,
-) -> Result<BTreeMap<u64, SegmentAccess>, charisma::Error> {
-    let registry = MetricsRegistry::new();
-    let metrics = StoreMetrics::register(&registry);
+    metrics: &StoreMetrics,
+) -> Result<(), StoreError> {
     let Some((start, end)) = archive.time_span() else {
-        return Ok(BTreeMap::new());
+        return Ok(());
     };
     let span = end.as_micros().saturating_sub(start.as_micros()).max(1);
     let at = |ppm: u64| SimTime::from_micros(start.as_micros() + span * ppm / 1_000_000);
-    let mut order: Vec<usize> = (0..GATE_SCHEDULE.len()).collect();
+    let mut order: Vec<_> = schedule.iter().collect();
     if reversed {
         order.reverse();
     }
-    for &i in &order {
-        let (from, to, nodes) = GATE_SCHEDULE[i];
+    for &(from, to, nodes) in order {
         let mut query = Query::all().time_window(at(from), at(to));
         if let Some(nodes) = nodes {
             query = query.nodes(nodes);
@@ -101,7 +91,64 @@ fn ledger_for(
             .workers(workers)
             .events()?;
     }
+    Ok(())
+}
+
+/// The ledger [`GATE_SCHEDULE`] leaves on `archive` when replayed with
+/// `workers` scan threads, optionally in reverse order.
+fn ledger_for(
+    archive: &Archive,
+    workers: usize,
+    reversed: bool,
+) -> Result<BTreeMap<u64, SegmentAccess>, StoreError> {
+    let metrics = StoreMetrics::register(&MetricsRegistry::new());
+    replay(archive, GATE_SCHEDULE, workers, reversed, &metrics)?;
     Ok(metrics.access.snapshot())
+}
+
+/// The tiering drill over one archive: replay `DRILL_SCHEDULE` to
+/// build an access ledger, classify every segment under `plan` and apply
+/// the replication policy, then hold the layout to the
+/// lossless-degradation bar — drop a cold segment's only copy, read the
+/// canonical bytes back through parity, and heal scrub-clean.
+///
+/// Returns the drill's metrics — the scan-fed `store.*` and
+/// `store.access.*` counters and the `tier.*` census — for the caller to
+/// merge into the run's. Tiering never changes the archive bytes.
+pub fn tier_drill(bytes: &[u8], plan: &TierPlan) -> Result<MetricsSnapshot, StoreError> {
+    let archive = Archive::from_bytes(bytes.to_vec())?;
+    let registry = MetricsRegistry::new();
+    let store_metrics = StoreMetrics::register(&registry);
+    replay(&archive, DRILL_SCHEDULE, 1, false, &store_metrics)?;
+    let mut tiered = TieredSet::build_with_metrics(
+        archive.reader(),
+        &store_metrics.access.snapshot(),
+        plan,
+        TierMetrics::register(&registry),
+    );
+    // Cold side of the lossless-degradation bar: losing a cold
+    // segment's single copy must not cost a byte.
+    if let Some(cold) = tiered.assignments().iter().position(|&t| t == Tier::Cold) {
+        tiered.replica_set_mut().lose_replica(cold, 0);
+    }
+    let (degraded, _report) = tiered.degraded_reader()?;
+    if degraded.to_bytes() != bytes {
+        return Err(StoreError::Corrupt(
+            "tiered degraded read diverged from canonical bytes",
+        ));
+    }
+    let heal = tiered.heal();
+    if !heal.healthy() {
+        return Err(StoreError::CorruptSegment {
+            segment: heal.scrub.unrecoverable[0],
+            replica: 0,
+        });
+    }
+    let (healed, failovers) = tiered.replica_set().failover_reader()?;
+    if failovers != 0 || healed.to_bytes() != bytes {
+        return Err(StoreError::Corrupt("tier heal left a replica diverging"));
+    }
+    Ok(registry.snapshot())
 }
 
 /// Per-segment replica placements — the layout fingerprint the
@@ -113,26 +160,12 @@ fn placements(tiered: &TieredSet) -> Vec<Vec<u32>> {
         .collect()
 }
 
-/// Round-robin partition of the merged stream into `tenants` feeds.
-fn partition(events: &[OrderedEvent], tenants: usize) -> Vec<Vec<OrderedEvent>> {
-    let mut streams = vec![Vec::new(); tenants.max(1)];
-    for (i, e) in events.iter().enumerate() {
-        streams[i % tenants.max(1)].push(*e);
-    }
-    streams
-}
-
-/// Run the full tier gate at `seed`/`scale`.
-pub fn check_tier_gate(seed: u64, scale: f64) -> Result<TierGateReport, charisma::Error> {
+/// The `tier` gate: worker and scan-order invariance, parity
+/// exactness for every cold segment, and degraded federation.
+pub(crate) fn check(runs: &mut Runs, _write: bool) -> Result<Vec<String>, charisma::Error> {
     let mut complaints = Vec::new();
     let plan = TierPlan::default();
-
-    // One pipeline run supplies the pinned container.
-    let out = Pipeline::new()
-        .seed(seed)
-        .scale(scale)
-        .sink(ArchiveSink::Memory)
-        .run()?;
+    let out = runs.get(Config::Clean, 1)?;
     let bytes = out.archive.clone().unwrap_or_default();
     let archive = Archive::from_bytes(bytes.clone())?;
 
@@ -187,7 +220,14 @@ pub fn check_tier_gate(seed: u64, scale: f64) -> Result<TierGateReport, charisma
         .filter(|&(_, &t)| t == Tier::Cold)
         .map(|(s, _)| s)
         .collect();
-    let mut cold_losses_rebuilt = 0u64;
+    let census = baseline.report();
+    if census.hot == 0 || census.cold == 0 || census.parity_groups == 0 {
+        complaints.push(format!(
+            "the pinned skewed schedule must leave hot, cold and parity-protected \
+             segments (hot {}, cold {}, parity groups {})",
+            census.hot, census.cold, census.parity_groups
+        ));
+    }
     for &s in &cold_segments {
         let mut damaged = baseline.clone();
         damaged.replica_set_mut().lose_replica(s, 0);
@@ -200,8 +240,6 @@ pub fn check_tier_gate(seed: u64, scale: f64) -> Result<TierGateReport, charisma
             complaints.push(format!(
                 "parity reconstruction of cold segment {s} diverged from the canonical bytes"
             ));
-        } else {
-            cold_losses_rebuilt += 1;
         }
         let heal = damaged.heal();
         if !heal.healthy() {
@@ -214,18 +252,10 @@ pub fn check_tier_gate(seed: u64, scale: f64) -> Result<TierGateReport, charisma
     // 4. Degraded federation: a tiered, damaged tenant must federate
     // identically to the healthy baseline.
     let tenants = 2usize;
-    let streams = partition(&out.events, tenants);
-    let feeds: Vec<TenantFeed> = streams
-        .iter()
-        .enumerate()
-        .map(|(tenant, events)| TenantFeed {
-            tenant,
-            batches: events.chunks(700).map(<[_]>::to_vec).collect(),
-        })
-        .collect();
+    let feeds = feeds_from(&partition(&out.events, tenants));
     let service = Service::new(ServiceConfig {
-        seed,
-        scale,
+        seed: runs.seed,
+        scale: runs.scale,
         tenants,
         ..ServiceConfig::default()
     });
@@ -264,34 +294,5 @@ pub fn check_tier_gate(seed: u64, scale: f64) -> Result<TierGateReport, charisma
         }
     }
 
-    let report = baseline.report();
-    Ok(TierGateReport {
-        complaints,
-        segments: report.segments,
-        hot: report.hot,
-        warm: report.warm,
-        cold: report.cold,
-        parity_groups: report.parity_groups,
-        cold_losses_rebuilt,
-        report_hash: fnv1a_hash(base_encoding.as_bytes()),
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tier_gate_passes_at_small_scale() {
-        let report = check_tier_gate(4994, 0.01).expect("gate runs");
-        assert!(
-            report.complaints.is_empty(),
-            "first complaint: {}",
-            report.complaints[0]
-        );
-        assert!(report.segments > 0);
-        assert_eq!(report.hot + report.warm + report.cold, report.segments);
-        assert!(report.cold > 0, "the pinned schedule leaves a cold tail");
-        assert_eq!(report.cold_losses_rebuilt, report.cold);
-    }
+    Ok(complaints)
 }

@@ -22,7 +22,7 @@
 //!
 //! Because the plan, the per-shard simulations, and the merge are each
 //! deterministic, the merged stream is **bit-identical** for every worker
-//! count — `charisma-verify determinism --shards N` proves it.
+//! count — `charisma-verify gates determinism` proves it.
 //!
 //! The trade-off: shards do not contend for one 128-node allocator, so
 //! machine-level concurrency (Figure 1) reflects the union of

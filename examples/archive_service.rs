@@ -154,7 +154,7 @@ fn main() -> Result<(), charisma::Error> {
         "\nEvery byte above is a pure function of the service seed and the\n\
          per-site batch sequences: worker counts, interleavings, and\n\
          backpressure timing cannot change a published catalog\n\
-         (`charisma-verify serve` is the gate that proves it)."
+         (`charisma-verify gates serve` is the gate that proves it)."
     );
     Ok(())
 }

@@ -23,7 +23,6 @@
 use charisma::prelude::*;
 use charisma::store::StoreMetrics;
 use charisma::tier::TierMetrics;
-use charisma_cachesim::SkewProfile;
 
 fn main() -> Result<(), charisma::Error> {
     // 1. Seal the workload's trace into an in-memory archive.
@@ -65,24 +64,6 @@ fn main() -> Result<(), charisma::Error> {
     }
     let ledger = metrics.access.snapshot();
 
-    // Paper-adjacent skew summary: per-segment scan counts, including
-    // the untouched tail as zeros.
-    let counts: Vec<u64> = (0..segments as u64)
-        .map(|s| ledger.get(&s).map_or(0, |a| a.scans))
-        .collect();
-    let skew = SkewProfile::from_counts(&counts);
-    println!("\nscan skew (the paper's access-concentration axis):");
-    println!(
-        "  top 10% of segments take {:.1}% of scans",
-        skew.share_of_top(segments as u64 / 10) as f64 / 10_000.0
-    );
-    println!(
-        "  90% of scans fit in {} of {} segments",
-        skew.segments_for_share(900_000),
-        segments
-    );
-    println!("  never scanned: {} segments", skew.untouched_segments());
-
     // 3. Classify and re-balance. The policy is a pure function of the
     // plan seed and the ledger: same workload, same placements.
     let plan = TierPlan::default();
@@ -101,17 +82,6 @@ fn main() -> Result<(), charisma::Error> {
     println!(
         "  replicas: +{} for hot, -{} from cold; {} parity groups ({} bytes)",
         report.replicas_added, report.replicas_dropped, report.parity_groups, report.parity_bytes
-    );
-    let payoff = skew.replication_payoff(
-        report.hot,
-        report.cold,
-        u64::from(plan.base_factor),
-        u64::from(plan.hot_factor),
-    );
-    println!(
-        "  payoff: {:.1}% of scan traffic lands on the promoted copies, net {:+} copies stored",
-        payoff.hot_access_share_ppm as f64 / 10_000.0,
-        payoff.net_copies()
     );
 
     // 4. Lose a cold segment's only copy and read through the damage.

@@ -6,7 +6,7 @@
 //! portable, and plenty good statistically for workload synthesis. It does
 //! **not** produce the same streams as upstream `rand` — nothing in the
 //! workspace depends on upstream's exact values, only on determinism, which
-//! `charisma-verify determinism` enforces end to end.
+//! `charisma-verify gates determinism` enforces end to end.
 //!
 //! Deliberately absent: `thread_rng` and `from_entropy`. Every generator in
 //! the simulation must be seeded explicitly (lint rule `CH004`), so the shim

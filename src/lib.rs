@@ -63,8 +63,8 @@
 //! * [`tier`] — hot/warm/cold segment tiering over the store's replica
 //!   substrate: scan-fed access ledgers, deterministic weighted
 //!   classification, dynamic replication for hot segments, XOR
-//!   parity-protected single copies for cold ones (`.tier(TierPlan)` on
-//!   the pipeline runs the policy and its degradation drill);
+//!   parity-protected single copies for cold ones ([`tier::TieredSet::build`]
+//!   over a sealed archive and its access ledger);
 //! * [`obs`] — the deterministic observability layer: counters, gauges,
 //!   log2 histograms, span timings, and profiling probes, surfaced as
 //!   [`PipelineOutput::metrics`].

@@ -6,8 +6,8 @@
 //! is where sharded parallel generation lives: `.shards(n)` runs the
 //! simulation on `n` worker threads with a merged event stream that is
 //! **bit-identical** to the serial run (see
-//! [`charisma_workload::shard`] for how, and `charisma-verify
-//! determinism --shards N` for the proof harness).
+//! [`charisma_workload::shard`] for how, and `charisma-verify gates
+//! determinism` for the proof harness).
 //!
 //! ```
 //! use charisma::prelude::*;
@@ -24,13 +24,10 @@ use std::time::Instant;
 
 use charisma_cfs::CfsConfig;
 use charisma_core::report::Report;
-use charisma_ipsc::{FaultMetrics, FaultPlan, MachineConfig, SimTime};
+use charisma_ipsc::{FaultPlan, MachineConfig};
 use charisma_obs::{MetricsRegistry, MetricsSnapshot, Probe};
 use charisma_serve::{ServeError, Service};
-use charisma_store::{
-    Archive, ArchiveMeta, ArchiveWriter, Query, ReplicaConfig, ReplicaSet, StoreError, StoreMetrics,
-};
-use charisma_tier::{Tier, TierMetrics, TierPlan, TierReport, TieredSet};
+use charisma_store::{ArchiveMeta, ArchiveWriter, StoreError, StoreMetrics};
 use charisma_trace::{MergeMetrics, OrderedEvent};
 use charisma_workload::shard::try_generate_sharded;
 use charisma_workload::{GeneratorConfig, ShardedWorkload};
@@ -129,7 +126,6 @@ pub struct Pipeline {
     faults: FaultPlan,
     probe: Option<Arc<dyn Probe>>,
     archive: Option<ArchiveSink>,
-    tier: Option<TierPlan>,
 }
 
 impl std::fmt::Debug for Pipeline {
@@ -143,7 +139,6 @@ impl std::fmt::Debug for Pipeline {
             .field("faults", &self.faults)
             .field("probe", &self.probe.as_ref().map(|_| "dyn Probe"))
             .field("archive", &self.archive)
-            .field("tier", &self.tier)
             .finish()
     }
 }
@@ -166,7 +161,6 @@ impl Pipeline {
             faults: FaultPlan::none(),
             probe: None,
             archive: None,
-            tier: None,
         }
     }
 
@@ -239,31 +233,12 @@ impl Pipeline {
     /// archive to `sink` — a file path, in-memory bytes, or a tenant of a
     /// shared [`charisma_serve::Service`]. The archive is fed from the
     /// same single merge pass as the analysis and is byte-identical for
-    /// every `shards(n)` worker count (the `charisma-verify archive` gate
+    /// every `shards(n)` worker count (`charisma-verify gates archive`
     /// pins this). The bytes are also kept in
     /// [`PipelineOutput::archive`].
     #[must_use]
     pub fn sink(mut self, sink: ArchiveSink) -> Self {
         self.archive = Some(sink);
-        self
-    }
-
-    /// Also run the segment-tiering drill over the archived container:
-    /// replay a deterministic skewed scan schedule against the sealed
-    /// bytes to build an access ledger, classify every segment hot /
-    /// warm / cold under `plan`, apply the replication policy (hot
-    /// segments gain replicas, cold segments collapse to one
-    /// parity-protected copy), and hold the tiered layout to the
-    /// lossless-degradation bar — a cold-segment loss must read back
-    /// byte-identically through parity and heal scrub-clean.
-    ///
-    /// Requires an archive sink; without one the drill is skipped. The
-    /// resulting [`TierReport`] lands in [`PipelineOutput::tier`] and
-    /// `tier.*` counters in [`PipelineOutput::metrics`]. Like the fault
-    /// drill, tiering never changes the archive bytes.
-    #[must_use]
-    pub fn tier(mut self, plan: TierPlan) -> Self {
-        self.tier = Some(plan);
         self
     }
 
@@ -355,27 +330,6 @@ impl Pipeline {
             }
             _ => None,
         };
-        // Self-healing drill: when the plan injects archive faults and the
-        // run produced a container, replicate the sealed bytes across
-        // simulated I/O nodes, damage them per the plan's deterministic
-        // draws, and require the healing loop to hold — degraded reads
-        // fail over to the canonical bytes, scrub repairs every damaged
-        // replica, and the healed set reads clean. With both ppms zero
-        // (every pre-existing plan) none of this runs, so the output is
-        // byte-identical to a pipeline without the drill.
-        if self.faults.archive_corrupt_ppm != 0 || self.faults.replica_loss_ppm != 0 {
-            if let Some(bytes) = &archive {
-                self.archive_fault_drill(bytes, &registry)?;
-            }
-        }
-        // Tiering drill: when a plan is attached and the run produced a
-        // container, replay a skewed scan schedule, classify, re-replicate,
-        // and prove the tiered (and parity-degraded) catalog still serves
-        // the canonical bytes. Without a plan nothing runs.
-        let tier = match (&self.tier, &archive) {
-            (Some(plan), Some(bytes)) => Some(self.tier_drill(plan, bytes, &registry)?),
-            _ => None,
-        };
         // The deterministic core (counters/gauges/histograms) comes from
         // the simulation and the merge; the facade's own wall-clock
         // artifacts (span timings, throughput) live in the snapshot's
@@ -394,119 +348,7 @@ impl Pipeline {
             report,
             metrics,
             archive,
-            tier,
         })
-    }
-
-    /// Chaos exercise for the self-healing archive layer, run when the
-    /// fault plan's `archive_corrupt_ppm` / `replica_loss_ppm` are set:
-    /// place the container's segments on replicated I/O nodes, inject the
-    /// plan's deterministic damage, and verify failover → scrub → healed
-    /// reads all reproduce the canonical bytes. Injection and scrub
-    /// activity surfaces in the run's metrics under `faults.archive.*`
-    /// and `store.scrub.*`.
-    fn archive_fault_drill(
-        &self,
-        bytes: &[u8],
-        registry: &MetricsRegistry,
-    ) -> Result<(), StoreError> {
-        let parsed = Archive::from_bytes(bytes.to_vec())?;
-        let mut set =
-            ReplicaSet::place(parsed.reader(), ReplicaConfig::default(), self.faults.seed);
-        set.attach_metrics(StoreMetrics::register(registry));
-        let injected = set.inject_faults(
-            self.faults.archive_corrupt_ppm,
-            self.faults.replica_loss_ppm,
-        );
-        let fm = FaultMetrics::register(registry);
-        fm.archive_corrupt.add(injected.corrupted);
-        fm.replica_lost.add(injected.lost);
-        // Degraded reads must already serve the canonical container.
-        let (degraded, _failovers) = set.failover_reader()?;
-        if degraded.to_bytes() != bytes {
-            return Err(StoreError::Corrupt(
-                "degraded read diverged from canonical bytes",
-            ));
-        }
-        // Scrub must repair every damaged replica in place…
-        let report = set.scrub();
-        if !report.healthy() {
-            return Err(StoreError::CorruptSegment {
-                segment: report.unrecoverable[0],
-                replica: 0,
-            });
-        }
-        // …after which the set reads clean, with no failovers left.
-        let (healed, failovers) = set.failover_reader()?;
-        if failovers != 0 || healed.to_bytes() != bytes {
-            return Err(StoreError::Corrupt("scrub left a replica diverging"));
-        }
-        Ok(())
-    }
-
-    /// The tiering drill behind [`Pipeline::tier`]: replay a
-    /// deterministic skewed scan schedule over the sealed container (the
-    /// head of the trace is scanned repeatedly by every reader class, the
-    /// first half once by a narrow node set, the tail never — the paper's
-    /// access skew, replayed as queries), classify from the resulting
-    /// ledger, apply the replication policy, then hold the layout to the
-    /// lossless-degradation bar: drop a cold segment's only copy, read
-    /// the canonical bytes back through parity, and heal scrub-clean.
-    fn tier_drill(
-        &self,
-        plan: &TierPlan,
-        bytes: &[u8],
-        registry: &MetricsRegistry,
-    ) -> Result<TierReport, StoreError> {
-        let parsed = Archive::from_bytes(bytes.to_vec())?;
-        let store_metrics = StoreMetrics::register(registry);
-        if let Some((start, end)) = parsed.time_span() {
-            let span = end.as_micros().saturating_sub(start.as_micros()).max(1);
-            let at = |ppm: u64| SimTime::from_micros(start.as_micros() + span * ppm / 1_000_000);
-            for _ in 0..4 {
-                parsed
-                    .query(Query::all().time_window(at(0), at(100_000)))
-                    .attach_metrics(store_metrics.clone())
-                    .events()?;
-            }
-            parsed
-                .query(
-                    Query::all()
-                        .time_window(at(0), at(500_000))
-                        .nodes(&[1, 2, 3]),
-                )
-                .attach_metrics(store_metrics.clone())
-                .events()?;
-        }
-        let mut tiered = TieredSet::build_with_metrics(
-            parsed.reader(),
-            &store_metrics.access.snapshot(),
-            plan,
-            TierMetrics::register(registry),
-        );
-        // Cold side of the lossless-degradation bar: losing a cold
-        // segment's single copy must not cost a byte.
-        if let Some(cold) = tiered.assignments().iter().position(|&t| t == Tier::Cold) {
-            tiered.replica_set_mut().lose_replica(cold, 0);
-        }
-        let (degraded, _report) = tiered.degraded_reader()?;
-        if degraded.to_bytes() != bytes {
-            return Err(StoreError::Corrupt(
-                "tiered degraded read diverged from canonical bytes",
-            ));
-        }
-        let heal = tiered.heal();
-        if !heal.healthy() {
-            return Err(StoreError::CorruptSegment {
-                segment: heal.scrub.unrecoverable[0],
-                replica: 0,
-            });
-        }
-        let (healed, failovers) = tiered.replica_set().failover_reader()?;
-        if failovers != 0 || healed.to_bytes() != bytes {
-            return Err(StoreError::Corrupt("tier heal left a replica diverging"));
-        }
-        Ok(tiered.report().clone())
     }
 }
 
@@ -531,13 +373,6 @@ pub struct PipelineOutput {
     /// [`charisma_store::Archive::from_bytes`] (or `Archive::open` for a
     /// path sink) and query any subset.
     pub archive: Option<Vec<u8>>,
-    /// What the segment-tiering drill decided, when a [`TierPlan`] was
-    /// attached via [`Pipeline::tier`] and an archive sink produced a
-    /// container: the hot/warm/cold census, replica-set deltas, parity
-    /// layout, and the per-segment assignment vector. A pure function of
-    /// the run's configuration and seed — identical for every
-    /// `shards(n)` worker count.
-    pub tier: Option<TierReport>,
 }
 
 impl PipelineOutput {
@@ -634,7 +469,7 @@ mod tests {
 
     #[test]
     fn archive_sink_round_trips_and_surfaces_store_metrics() {
-        use charisma_store::{Archive, Query};
+        use charisma_store::Archive;
 
         let out = Pipeline::new()
             .scale(0.01)
@@ -646,7 +481,7 @@ mod tests {
         let archive = Archive::from_bytes(bytes.to_vec()).expect("parses");
         assert_eq!(archive.rows(), out.events.len() as u64);
         assert_eq!(archive.meta().seed, 4994);
-        let reread = archive.query(Query::all()).events().expect("scans");
+        let reread = archive.events().expect("scans");
         assert_eq!(reread, out.events);
 
         assert_eq!(
@@ -666,49 +501,6 @@ mod tests {
         let plain = Pipeline::new().scale(0.01).run().expect("runs");
         assert!(plain.archive.is_none());
         assert!(!plain.metrics.counters.contains_key("store.rows_written"));
-    }
-
-    #[test]
-    fn archive_fault_plan_drills_the_healing_loop() {
-        use charisma_ipsc::FaultPlan;
-
-        let mut plan = FaultPlan::chaos_fixture();
-        plan.archive_corrupt_ppm = 120_000;
-        plan.replica_loss_ppm = 80_000;
-        let out = Pipeline::new()
-            .scale(0.01)
-            .shards(2)
-            .faults(plan.clone())
-            .sink(ArchiveSink::Memory)
-            .run()
-            .expect("drilled run heals and completes");
-        // The drill injected deterministic damage and scrub repaired it.
-        let injected = out.metrics.counters["faults.archive.corrupt"]
-            + out.metrics.counters["faults.archive.replica_lost"];
-        assert!(injected > 0, "ppms this high must damage something");
-        assert_eq!(out.metrics.counters["store.scrub.repaired"], injected);
-        assert!(out.metrics.counters["store.scrub.segments_checked"] > 0);
-        // Archive bytes are untouched by the drill: identical to the same
-        // run without archive faults.
-        let mut quiet = plan;
-        quiet.archive_corrupt_ppm = 0;
-        quiet.replica_loss_ppm = 0;
-        let clean = Pipeline::new()
-            .scale(0.01)
-            .shards(2)
-            .faults(quiet)
-            .sink(ArchiveSink::Memory)
-            .run()
-            .expect("runs");
-        assert_eq!(out.archive, clean.archive);
-        assert!(
-            !clean
-                .metrics
-                .counters
-                .contains_key("faults.archive.corrupt")
-                || clean.metrics.counters["faults.archive.corrupt"] == 0
-        );
-        assert_eq!(clean.metrics.counters["store.scrub.repaired"], 0);
     }
 
     #[test]
@@ -773,74 +565,6 @@ mod tests {
             .sink(ArchiveSink::Serve(ServeSink::new(service, 3)))
             .run();
         assert!(matches!(err, Err(Error::Serve(_))));
-    }
-
-    #[test]
-    fn tier_plan_drills_classification_replication_and_parity() {
-        let out = Pipeline::new()
-            .scale(0.01)
-            .shards(2)
-            .tier(TierPlan::default())
-            .sink(ArchiveSink::Memory)
-            .run()
-            .expect("tiered run completes");
-        let report = out.tier.as_ref().expect("tier report present");
-        assert!(report.segments > 0);
-        assert_eq!(report.hot + report.warm + report.cold, report.segments);
-        // The skewed scan schedule makes the head hot and the tail cold.
-        assert!(report.hot > 0, "repeated head scans must promote");
-        assert!(report.cold > 0, "the unscanned tail must demote");
-        assert!(report.parity_groups > 0);
-        assert_eq!(
-            out.metrics.counters["tier.segments_classified"],
-            report.segments
-        );
-        assert!(out.metrics.counters["store.access.scans"] > 0);
-        // The degraded-read probe exercised at least one parity rebuild.
-        assert!(out.metrics.counters["tier.parity_rebuilds"] > 0);
-
-        // No plan → no report, no tier.* metrics.
-        let plain = Pipeline::new()
-            .scale(0.01)
-            .sink(ArchiveSink::Memory)
-            .run()
-            .expect("runs");
-        assert!(plain.tier.is_none());
-        assert!(!plain
-            .metrics
-            .counters
-            .contains_key("tier.segments_classified"));
-    }
-
-    #[test]
-    fn tier_report_and_archive_are_worker_invariant() {
-        let run = |shards: usize| {
-            Pipeline::new()
-                .scale(0.01)
-                .shards(shards)
-                .tier(TierPlan::default())
-                .sink(ArchiveSink::Memory)
-                .run()
-                .expect("tiered run completes")
-        };
-        let serial = run(1);
-        let report = serial.tier.as_ref().expect("tier report present");
-        for shards in [2, 4] {
-            let sharded = run(shards);
-            assert_eq!(
-                sharded.tier.as_ref().expect("report").encode(),
-                report.encode()
-            );
-            // Tiering is layout, not format: archive bytes are identical
-            // to each other and to an untiered run.
-            assert_eq!(sharded.archive, serial.archive);
-        }
-        let untiered = Pipeline::new()
-            .scale(0.01)
-            .sink(ArchiveSink::Memory)
-            .run()
-            .expect("runs");
-        assert_eq!(untiered.archive, serial.archive);
     }
 
     #[test]
