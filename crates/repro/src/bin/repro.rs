@@ -9,7 +9,7 @@
 //! `--exp` selects sections: fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9
 //! table1 table2 table3 census modes combined strided (default: all).
 
-use charisma_bench::{ablation, figures, run_pipeline};
+use charisma_repro::{ablation, figures, run_pipeline};
 
 fn main() {
     let mut scale = 0.25f64;

@@ -5,8 +5,8 @@
 //! The `repro` binary drives this end to end:
 //!
 //! ```text
-//! cargo run -p charisma-bench --release --bin repro -- --scale 0.25
-//! cargo run -p charisma-bench --release --bin repro -- --exp fig9
+//! cargo run -p charisma-repro --release --bin repro -- --scale 0.25
+//! cargo run -p charisma-repro --release --bin repro -- --exp fig9
 //! ```
 
 use charisma_cachesim::{combined_simulation, compute_cache_sim, sweep, Policy, SessionIndex};

@@ -2,19 +2,26 @@
 //! (`BENCH_N.json`) capturing generate and scan throughput plus archive
 //! density, emitted by `charisma-verify bench`.
 //!
-//! This is deliberately not a statistics harness — criterion-style
-//! benchmarking lives in `crates/bench`. The record exists so the CI
-//! bench-smoke job leaves a comparable breadcrumb per PR: same seed, same
-//! scale, wall-clock timed once. The *deterministic* fields (records,
-//! rows, bytes per record, columns decoded per row) double as a sanity
-//! check that the measured run matched the pinned workload; the
-//! throughput fields are machine-relative and only meaningful as a
-//! trajectory on comparable runners.
+//! The command runs [`run_bench`] once as a discarded warm-up and then
+//! [`RUNS`] more times at the gates' [`SEED`] and [`SCALE`] and with
+//! [`WORKERS`] workers;
+//! [`summarize`] reduces the repeats to one [`BenchSummary`]. Each
+//! wall-clock rate is written under its key as the median of the
+//! repeats, with `<key>_min` and `<key>_max` beside it, so a later
+//! record can tell noise from a shift. The *deterministic* fields
+//! (records, archive bytes, bytes per record, rows matched, columns
+//! decoded per row) must agree across the repeats: runner speed cannot
+//! move them, so a disagreement means the runs were not the pinned
+//! workload. The rates are machine-relative and only meaningful as a
+//! trajectory on comparable runners; the benchmark of record, timed
+//! layer by layer, is the standalone `benchmark/` package.
 //!
 //! [`compare`] turns the trajectory into a CI gate: diff a fresh record
 //! against the committed predecessor, fail on >25% regression in the
 //! deterministic counters (which no runner noise can excuse), and warn —
-//! only warn — on wall-clock deltas.
+//! only warn — on wall-clock deltas. A predecessor written before the
+//! repeats carries one sample per rate under the same key, so it still
+//! compares.
 
 use std::time::Instant;
 
@@ -25,10 +32,48 @@ use charisma::store::{Archive, OpSet, Query, ReplicaConfig, ReplicaSet, StoreMet
 use charisma::tier::{TierPlan, TieredSet};
 use charisma::Pipeline;
 
+use crate::gates::{SCALE, SEED};
+
 /// Tenants the federated-scan timing spreads the workload across.
 const BENCH_TENANTS: usize = 4;
 
-/// One perf record, rendered to `BENCH_N.json`.
+/// Timed repeats behind each record, after one discarded warm-up run.
+/// Odd, so the median is one of the samples.
+pub const RUNS: usize = 5;
+
+/// Worker threads for generation shards and every scan.
+pub const WORKERS: usize = 4;
+
+/// The wall-clock rates of a record, in `BENCH_N.json` order. Each
+/// counts work per wall-clock second, so larger is better.
+pub const RATES: [&str; 8] = [
+    // Pipeline records generated.
+    "generate_records_per_sec",
+    // Archive rows returned by an all-pass scan.
+    "scan_rows_per_sec",
+    // Rows returned by a federated all-pass scan over a 4-tenant
+    // archive service holding the same workload.
+    "federated_scan_rows_per_sec",
+    // Archive rows processed (pruned, skipped or matched) by a
+    // middle-third time window over request records: a two-predicate
+    // query through the predicate-first decode path, directly
+    // comparable to `scan_rows_per_sec`.
+    "pruned_scan_rows_per_sec",
+    // Archive rows covered by a full checksum-verification walk: the
+    // integrity overhead a read pays per segment it touches.
+    "checksum_verify_rows_per_sec",
+    // Archive rows covered by a clean scrub pass over a default
+    // three-replica set (each row checked once per replica).
+    "scrub_rows_per_sec",
+    // Segments classified by a full tiering policy run, replica-factor
+    // changes and parity-group construction included.
+    "tier_classify_segments_per_sec",
+    // Archive rows rebuilt from XOR parity, every segment of an all-cold
+    // tiered set once.
+    "parity_rebuild_rows_per_sec",
+];
+
+/// One timed run of the pinned workload.
 #[derive(Clone, Debug)]
 pub struct BenchRecord {
     /// Seed the pipeline ran with.
@@ -43,72 +88,100 @@ pub struct BenchRecord {
     pub archive_bytes: u64,
     /// Bytes per archived record (deterministic).
     pub bytes_per_record: f64,
-    /// Pipeline records generated per wall-clock second.
-    pub generate_records_per_sec: f64,
-    /// Archive rows scanned per wall-clock second (all-pass query).
-    pub scan_rows_per_sec: f64,
-    /// Rows returned per wall-clock second by a federated all-pass scan
-    /// over a 4-tenant archive service holding the same workload.
-    pub federated_scan_rows_per_sec: f64,
-    /// Archive rows processed per wall-clock second by the pruned scan:
-    /// a middle-third time window over request records, i.e. a
-    /// two-predicate-column query through the predicate-first decode
-    /// path. "Processed" counts every archive row — pruned, skipped, and
-    /// matched — so this is directly comparable to `scan_rows_per_sec`.
-    pub pruned_scan_rows_per_sec: f64,
     /// Rows the pruned scan matched (deterministic).
     pub pruned_rows_matched: u64,
     /// Column values decoded per row scanned during the pruned scan
     /// (deterministic; a full-decode engine scores 10.0).
     pub cols_decoded_per_row: f64,
-    /// Archive rows covered per wall-clock second by a full
-    /// checksum-verification walk (`ArchiveReader::verify`) — the
-    /// integrity overhead a read pays per segment it touches.
-    pub checksum_verify_rows_per_sec: f64,
-    /// Archive rows covered per wall-clock second by a clean scrub pass
-    /// over a default three-replica set — each row is integrity-checked
-    /// once per replica, so this prices the background healing walk.
-    pub scrub_rows_per_sec: f64,
-    /// Segments classified per wall-clock second by a full tiering
-    /// policy run (ledger-driven classification, replica-factor changes,
-    /// and parity-group construction included).
-    pub tier_classify_segments_per_sec: f64,
-    /// Archive rows reconstructed per wall-clock second by XOR parity:
-    /// every segment of an all-cold tiered set rebuilt once from its
-    /// group's survivors.
-    pub parity_rebuild_rows_per_sec: f64,
+    /// Wall-clock rates, in [`RATES`] order.
+    pub rates: [f64; RATES.len()],
 }
 
 impl BenchRecord {
-    /// Render as a small stable-keyed JSON document.
-    pub fn to_json(&self, pr: u64) -> String {
-        format!(
-            "{{\n  \"pr\": {pr},\n  \"seed\": {},\n  \"scale\": {},\n  \"workers\": {},\n  \
-             \"records\": {},\n  \"archive_bytes\": {},\n  \"bytes_per_record\": {:.2},\n  \
-             \"generate_records_per_sec\": {:.0},\n  \"scan_rows_per_sec\": {:.0},\n  \
-             \"federated_scan_rows_per_sec\": {:.0},\n  \"pruned_scan_rows_per_sec\": {:.0},\n  \
-             \"pruned_rows_matched\": {},\n  \"cols_decoded_per_row\": {:.2},\n  \
-             \"checksum_verify_rows_per_sec\": {:.0},\n  \"scrub_rows_per_sec\": {:.0},\n  \
-             \"tier_classify_segments_per_sec\": {:.0},\n  \
-             \"parity_rebuild_rows_per_sec\": {:.0}\n}}\n",
-            self.seed,
-            self.scale,
-            self.workers,
-            self.records,
-            self.archive_bytes,
-            self.bytes_per_record,
-            self.generate_records_per_sec,
-            self.scan_rows_per_sec,
-            self.federated_scan_rows_per_sec,
-            self.pruned_scan_rows_per_sec,
-            self.pruned_rows_matched,
-            self.cols_decoded_per_row,
-            self.checksum_verify_rows_per_sec,
-            self.scrub_rows_per_sec,
-            self.tier_classify_segments_per_sec,
-            self.parity_rebuild_rows_per_sec,
-        )
+    /// The deterministic fields as `(key, value, decimals rendered)`.
+    fn deterministic(&self) -> [(&'static str, f64, usize); 5] {
+        [
+            ("records", self.records as f64, 0),
+            ("archive_bytes", self.archive_bytes as f64, 0),
+            ("bytes_per_record", self.bytes_per_record, 2),
+            ("pruned_rows_matched", self.pruned_rows_matched as f64, 0),
+            ("cols_decoded_per_row", self.cols_decoded_per_row, 2),
+        ]
     }
+}
+
+/// Repeated runs reduced to one record, rendered to `BENCH_N.json`.
+#[derive(Clone, Debug)]
+pub struct BenchSummary {
+    /// Number of timed runs reduced.
+    pub runs: usize,
+    /// The runs' shared deterministic fields, with each rate the median
+    /// of the runs.
+    pub median: BenchRecord,
+    /// Each rate's `(min, max)` over the runs, in [`RATES`] order.
+    pub spread: [(f64, f64); RATES.len()],
+}
+
+/// Reduce timed runs to their medians and spreads. Errs, naming the
+/// field, if the runs disagree on any deterministic field.
+pub fn summarize(runs: &[BenchRecord]) -> Result<BenchSummary, String> {
+    let first = runs.first().ok_or("no timed runs to summarize")?;
+    for (i, run) in runs.iter().enumerate().skip(1) {
+        for ((key, want, _), (_, got, _)) in
+            first.deterministic().into_iter().zip(run.deterministic())
+        {
+            if got != want {
+                return Err(format!(
+                    "deterministic field {key} differs between repeats: {want} in run 1, {got} in run {}",
+                    i + 1
+                ));
+            }
+        }
+    }
+    let mut median = first.clone();
+    let mut spread = [(0.0, 0.0); RATES.len()];
+    for (i, (m, s)) in median.rates.iter_mut().zip(&mut spread).enumerate() {
+        let mut samples: Vec<f64> = runs.iter().map(|r| r.rates[i]).collect();
+        samples.sort_by(f64::total_cmp);
+        *m = samples[samples.len() / 2];
+        *s = (samples[0], samples[samples.len() - 1]);
+    }
+    Ok(BenchSummary {
+        runs: runs.len(),
+        median,
+        spread,
+    })
+}
+
+impl BenchSummary {
+    /// Render as a small stable-keyed JSON document, one `"key": value`
+    /// pair per line.
+    pub fn to_json(&self, pr: u64) -> String {
+        let r = &self.median;
+        let mut lines = vec![
+            format!("\"pr\": {pr}"),
+            format!("\"seed\": {}", r.seed),
+            format!("\"scale\": {}", r.scale),
+            format!("\"workers\": {}", r.workers),
+            format!("\"runs\": {}", self.runs),
+        ];
+        for (key, value, decimals) in r.deterministic() {
+            lines.push(format!("\"{key}\": {value:.decimals$}"));
+        }
+        for ((key, median), (min, max)) in RATES.iter().zip(r.rates).zip(self.spread) {
+            lines.push(format!("\"{key}\": {median:.0}"));
+            lines.push(format!("\"{key}_min\": {min:.0}"));
+            lines.push(format!("\"{key}_max\": {max:.0}"));
+        }
+        format!("{{\n  {}\n}}\n", lines.join(",\n  "))
+    }
+}
+
+/// Run the pinned workload once as a discarded warm-up, then [`RUNS`]
+/// timed times.
+pub fn timed_runs() -> Result<Vec<BenchRecord>, String> {
+    run_bench(SEED, SCALE, WORKERS)?;
+    (0..RUNS).map(|_| run_bench(SEED, SCALE, WORKERS)).collect()
 }
 
 /// Outcome of diffing a fresh [`BenchRecord`] against a committed
@@ -129,8 +202,10 @@ pub struct BenchComparison {
 const REGRESSION_BUDGET: f64 = 0.25;
 
 /// Extract a numeric field from a `BENCH_N.json` document. The records
-/// are emitted by [`BenchRecord::to_json`] with one `"key": value` pair
-/// per line, so a line-wise scan is a complete parser for them.
+/// are emitted by [`BenchSummary::to_json`] with one `"key": value` pair
+/// per line, so a line-wise scan is a complete parser for them. The
+/// pattern includes both quotes, so `"scan_rows_per_sec"` matches neither
+/// `"scan_rows_per_sec_min"` nor `"pruned_scan_rows_per_sec"`.
 fn json_number(doc: &str, key: &str) -> Option<f64> {
     let pat = format!("\"{key}\":");
     let rest = &doc[doc.find(&pat)? + pat.len()..];
@@ -138,7 +213,8 @@ fn json_number(doc: &str, key: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
-/// Diff `current` against the JSON text of a predecessor record.
+/// Diff `current` (a [`BenchSummary::median`]) against the JSON text of
+/// a predecessor record.
 ///
 /// Deterministic counters gate hard: `records` and `pruned_rows_matched`
 /// must not shrink by more than the budget, `bytes_per_record` and
@@ -158,28 +234,6 @@ pub fn compare(current: &BenchRecord, prev_json: &str) -> BenchComparison {
         ),
         ("cols_decoded_per_row", current.cols_decoded_per_row, false),
     ];
-    let wall_clock = [
-        ("generate_records_per_sec", current.generate_records_per_sec),
-        ("scan_rows_per_sec", current.scan_rows_per_sec),
-        (
-            "federated_scan_rows_per_sec",
-            current.federated_scan_rows_per_sec,
-        ),
-        ("pruned_scan_rows_per_sec", current.pruned_scan_rows_per_sec),
-        (
-            "checksum_verify_rows_per_sec",
-            current.checksum_verify_rows_per_sec,
-        ),
-        ("scrub_rows_per_sec", current.scrub_rows_per_sec),
-        (
-            "tier_classify_segments_per_sec",
-            current.tier_classify_segments_per_sec,
-        ),
-        (
-            "parity_rebuild_rows_per_sec",
-            current.parity_rebuild_rows_per_sec,
-        ),
-    ];
     for (key, now, larger_is_better) in deterministic {
         let Some(prev) = json_number(prev_json, key) else {
             cmp.skipped
@@ -197,7 +251,7 @@ pub fn compare(current: &BenchRecord, prev_json: &str) -> BenchComparison {
             ));
         }
     }
-    for (key, now) in wall_clock {
+    for (&key, now) in RATES.iter().zip(current.rates) {
         let Some(prev) = json_number(prev_json, key) else {
             cmp.skipped
                 .push(format!("{key}: not in predecessor record"));
@@ -374,16 +428,18 @@ pub fn run_bench(seed: u64, scale: f64, workers: usize) -> Result<BenchRecord, S
         records,
         archive_bytes,
         bytes_per_record: archive_bytes as f64 / (records.max(1)) as f64,
-        generate_records_per_sec: records as f64 / gen_secs,
-        scan_rows_per_sec: rows as f64 / scan_secs,
-        federated_scan_rows_per_sec: records as f64 / fed_secs,
-        pruned_scan_rows_per_sec: records as f64 / pruned_secs,
         pruned_rows_matched: matched.len() as u64,
         cols_decoded_per_row: cols_decoded as f64 / rows_scanned.max(1) as f64,
-        checksum_verify_rows_per_sec: records as f64 / verify_secs,
-        scrub_rows_per_sec: records as f64 / scrub_secs,
-        tier_classify_segments_per_sec: segments as f64 / classify_secs,
-        parity_rebuild_rows_per_sec: records as f64 / rebuild_secs,
+        rates: [
+            records as f64 / gen_secs,
+            rows as f64 / scan_secs,
+            records as f64 / fed_secs,
+            records as f64 / pruned_secs,
+            records as f64 / verify_secs,
+            records as f64 / scrub_secs,
+            segments as f64 / classify_secs,
+            records as f64 / rebuild_secs,
+        ],
     })
 }
 
@@ -391,14 +447,26 @@ pub fn run_bench(seed: u64, scale: f64, workers: usize) -> Result<BenchRecord, S
 mod tests {
     use super::*;
 
+    fn summary_json(runs: &[BenchRecord]) -> String {
+        summarize(runs).expect("runs agree").to_json(7)
+    }
+
+    /// A record as written before the repeats: one sample per rate, no
+    /// `runs`, `_min` or `_max` keys.
+    fn single_value_json(rec: &BenchRecord) -> String {
+        summary_json(std::slice::from_ref(rec))
+            .lines()
+            .filter(|l| !l.contains("_min\"") && !l.contains("_max\"") && !l.contains("\"runs\""))
+            .map(|l| format!("{l}\n"))
+            .collect()
+    }
+
     #[test]
     fn bench_record_round_trips_the_pinned_workload() {
         let rec = run_bench(4994, 0.01, 2).expect("bench runs");
         assert!(rec.records > 0);
         assert!(rec.archive_bytes > 0);
         assert!(rec.bytes_per_record > 0.0);
-        assert!(rec.federated_scan_rows_per_sec > 0.0);
-        assert!(rec.pruned_scan_rows_per_sec > 0.0);
         assert!(rec.pruned_rows_matched > 0);
         // The whole point of the predicate-first scan: the pruned query
         // touches far fewer than the schema's ten cells per row.
@@ -407,20 +475,20 @@ mod tests {
             "pruned scan decoded {:.2} cols/row",
             rec.cols_decoded_per_row
         );
-        assert!(rec.checksum_verify_rows_per_sec > 0.0);
-        assert!(rec.scrub_rows_per_sec > 0.0);
-        assert!(rec.tier_classify_segments_per_sec > 0.0);
-        assert!(rec.parity_rebuild_rows_per_sec > 0.0);
-        let json = rec.to_json(7);
+        assert!(rec.rates.iter().all(|&r| r > 0.0), "{:?}", rec.rates);
+        let json = summary_json(&[rec]);
         assert!(json.contains("\"pr\": 7"));
+        assert!(json.contains("\"runs\": 1"));
         assert!(json.contains("\"records\": "));
-        assert!(json.contains("\"federated_scan_rows_per_sec\": "));
-        assert!(json.contains("\"pruned_scan_rows_per_sec\": "));
         assert!(json.contains("\"cols_decoded_per_row\": "));
-        assert!(json.contains("\"checksum_verify_rows_per_sec\": "));
-        assert!(json.contains("\"scrub_rows_per_sec\": "));
-        assert!(json.contains("\"tier_classify_segments_per_sec\": "));
-        assert!(json.contains("\"parity_rebuild_rows_per_sec\": "));
+        for key in RATES {
+            for suffix in ["", "_min", "_max"] {
+                assert!(
+                    json.contains(&format!("\"{key}{suffix}\": ")),
+                    "{key}{suffix}"
+                );
+            }
+        }
     }
 
     fn sample_record() -> BenchRecord {
@@ -431,23 +499,96 @@ mod tests {
             records: 1000,
             archive_bytes: 15_000,
             bytes_per_record: 15.0,
-            generate_records_per_sec: 1e6,
-            scan_rows_per_sec: 5e6,
-            federated_scan_rows_per_sec: 4e6,
-            pruned_scan_rows_per_sec: 2e7,
             pruned_rows_matched: 300,
             cols_decoded_per_row: 3.5,
-            checksum_verify_rows_per_sec: 8e7,
-            scrub_rows_per_sec: 3e7,
-            tier_classify_segments_per_sec: 1e5,
-            parity_rebuild_rows_per_sec: 2e7,
+            rates: [1e6, 5e6, 4e6, 2e7, 8e7, 3e7, 1e5, 2e7],
         }
+    }
+
+    /// `sample_record` with every rate scaled by each factor in turn.
+    fn scaled_runs(factors: &[f64]) -> Vec<BenchRecord> {
+        factors
+            .iter()
+            .map(|&f| {
+                let mut rec = sample_record();
+                rec.rates.iter_mut().for_each(|r| *r *= f);
+                rec
+            })
+            .collect()
+    }
+
+    #[test]
+    fn summarize_takes_median_min_and_max_over_an_odd_count() {
+        let summary = summarize(&scaled_runs(&[3.0, 1.0, 5.0, 2.0, 4.0])).expect("runs agree");
+        let base = sample_record().rates;
+        assert_eq!(summary.runs, 5);
+        for (i, &rate) in base.iter().enumerate() {
+            assert_eq!(summary.median.rates[i], 3.0 * rate, "{}", RATES[i]);
+            assert_eq!(summary.spread[i], (rate, 5.0 * rate), "{}", RATES[i]);
+        }
+        let json = summary.to_json(7);
+        assert!(
+            json.contains("\"generate_records_per_sec\": 3000000,\n"),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"generate_records_per_sec_min\": 1000000,\n"),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"parity_rebuild_rows_per_sec_max\": 100000000\n}"),
+            "{json}"
+        );
+    }
+
+    #[test]
+    fn summarize_names_the_deterministic_field_repeats_disagree_on() {
+        for (key, _, _) in sample_record().deterministic() {
+            let mut runs = scaled_runs(&[1.0, 2.0, 3.0]);
+            let run = &mut runs[2];
+            match key {
+                "records" => run.records += 1,
+                "archive_bytes" => run.archive_bytes -= 1,
+                "bytes_per_record" => run.bytes_per_record += 0.01,
+                "pruned_rows_matched" => run.pruned_rows_matched += 1,
+                "cols_decoded_per_row" => run.cols_decoded_per_row *= 1.5,
+                other => panic!("no edit for deterministic field {other}"),
+            }
+            let err = summarize(&runs).expect_err(key);
+            assert!(err.contains(&format!("field {key} ")), "{key}: {err}");
+            assert!(err.contains("run 3"), "{key}: {err}");
+        }
+    }
+
+    #[test]
+    fn compare_reads_medians_against_a_single_value_predecessor() {
+        let summary = summarize(&scaled_runs(&[0.1, 0.5, 1.0, 2.0, 10.0])).expect("runs agree");
+        // The median equals the predecessor's one sample; the minimum,
+        // a tenth of it, would warn on every rate.
+        let cmp = compare(&summary.median, &single_value_json(&sample_record()));
+        assert!(cmp.failures.is_empty(), "{:?}", cmp.failures);
+        assert!(cmp.warnings.is_empty(), "{:?}", cmp.warnings);
+        assert!(cmp.skipped.is_empty(), "{:?}", cmp.skipped);
+        // A predecessor twice as fast warns on every median.
+        let faster = &scaled_runs(&[2.0])[0];
+        let cmp = compare(&summary.median, &single_value_json(faster));
+        assert_eq!(cmp.warnings.len(), RATES.len(), "{:?}", cmp.warnings);
+        assert!(cmp.skipped.is_empty(), "{:?}", cmp.skipped);
+    }
+
+    #[test]
+    fn json_number_matches_the_whole_key() {
+        let doc = "{\n  \"pruned_scan_rows_per_sec\": 1,\n  \"scan_rows_per_sec_min\": 2,\n  \
+                   \"scan_rows_per_sec\": 3,\n  \"scan_rows_per_sec_max\": 4\n}\n";
+        assert_eq!(json_number(doc, "scan_rows_per_sec"), Some(3.0));
+        assert_eq!(json_number(doc, "scan_rows_per_sec_max"), Some(4.0));
+        assert_eq!(json_number(doc, "scan_rows_per_sec_mean"), None);
     }
 
     #[test]
     fn compare_passes_against_an_equal_predecessor() {
         let rec = sample_record();
-        let cmp = compare(&rec, &rec.to_json(7));
+        let cmp = compare(&rec, &summary_json(std::slice::from_ref(&rec)));
         assert!(cmp.failures.is_empty(), "{:?}", cmp.failures);
         assert!(cmp.warnings.is_empty(), "{:?}", cmp.warnings);
         assert!(cmp.skipped.is_empty(), "{:?}", cmp.skipped);
@@ -456,22 +597,22 @@ mod tests {
     #[test]
     fn compare_fails_on_deterministic_regressions_only() {
         let mut rec = sample_record();
-        let prev = rec.to_json(7);
+        let prev = summary_json(std::slice::from_ref(&rec));
         // 30% density regression: hard failure.
         rec.bytes_per_record *= 1.3;
-        // Wall-clock collapse: advisory only.
-        rec.scan_rows_per_sec /= 10.0;
+        // Wall-clock collapse of the full scan: advisory only.
+        rec.rates[1] /= 10.0;
         let cmp = compare(&rec, &prev);
         assert_eq!(cmp.failures.len(), 1, "{:?}", cmp.failures);
         assert!(cmp.failures[0].contains("bytes_per_record"));
         assert_eq!(cmp.warnings.len(), 1, "{:?}", cmp.warnings);
-        assert!(cmp.warnings[0].contains("scan_rows_per_sec"));
+        assert!(cmp.warnings[0].starts_with("scan_rows_per_sec:"));
     }
 
     #[test]
     fn compare_tolerates_deltas_inside_the_budget() {
         let mut rec = sample_record();
-        let prev = rec.to_json(7);
+        let prev = summary_json(std::slice::from_ref(&rec));
         rec.bytes_per_record *= 1.2; // within 25%
         rec.pruned_rows_matched = 290; // within 25%
         let cmp = compare(&rec, &prev);

@@ -42,9 +42,10 @@
 //!     tiered, damaged tenant federates like a healthy one. The tiering
 //!     drill ([`tier::tier_drill`]) whose counters the metrics fixture
 //!     pins lives here too.
-//! - [`bench`] — the perf-trajectory record: one run of the pinned
-//!   pipeline, wall-clock timed, rendered as the `BENCH_N.json` breadcrumb
-//!   the bench-smoke CI job leaves per PR.
+//! - [`bench`] — the perf-trajectory record: repeated runs of the pinned
+//!   pipeline, wall-clock timed and reduced to medians with their spread,
+//!   rendered as the `BENCH_N.json` breadcrumb the bench-record CI job
+//!   leaves per PR.
 //!
 //! The binary (`charisma-verify lint|gates|bench`) is the gate CI and all
 //! future perf PRs run behind.

@@ -3,8 +3,7 @@
 //! ```text
 //! charisma-verify lint [--root DIR] [--json]
 //! charisma-verify gates [NAME ...] [--write]
-//! charisma-verify bench [--seed N] [--scale F] [--workers N]
-//!                       [--pr N] [--out PATH] [--compare PREV.json]
+//! charisma-verify bench [--pr N] [--out PATH] [--compare PREV.json]
 //! ```
 //!
 //! `gates` runs the named checks of the gate table
@@ -20,8 +19,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use charisma_verify::bench::{summarize, timed_runs, RUNS, WORKERS as BENCH_WORKERS};
 use charisma_verify::gates::{select, Runs, GATES, SCALE, SEED, WORKERS};
-use charisma_verify::{compare_bench, findings_to_json, lint_workspace, run_bench, LintConfig};
+use charisma_verify::{compare_bench, findings_to_json, lint_workspace, LintConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -33,14 +33,16 @@ fn usage() -> ExitCode {
                   run the named gates, or all of them ({}), over one\n\
                   shared set of pipeline runs; --write regenerates the\n\
                   selected gates' fixtures\n\
-           bench  [--seed N] [--scale F] [--workers N] [--pr N] [--out PATH]\n\
-                  [--compare PREV.json]\n\
-                  run the pinned pipeline once, time generation plus\n\
-                  full-archive, pruned, checksum-verify, and scrub\n\
-                  passes, and print (or write) a\n\
-                  BENCH_N.json perf record; with --compare, diff it\n\
-                  against a committed predecessor — deterministic\n\
-                  regressions >25% fail, wall-clock deltas warn",
+           bench  [--pr N] [--out PATH] [--compare PREV.json]\n\
+                  run the pinned pipeline once as a warm-up, then {RUNS}\n\
+                  times, timing generation plus full-archive, federated,\n\
+                  pruned, checksum-verify, scrub, tier-classify and\n\
+                  parity-rebuild passes; print (or write) a BENCH_N.json\n\
+                  perf record of each rate's median, min and max; exit 1\n\
+                  if the repeats disagree on a deterministic field; with\n\
+                  --compare, diff it against a committed predecessor —\n\
+                  deterministic regressions >25% fail, wall-clock deltas\n\
+                  warn",
         gate_names()
     );
     ExitCode::from(2)
@@ -172,30 +174,41 @@ fn run_lint(args: &[String]) -> ExitCode {
 }
 
 fn run_bench_cmd(args: &[String]) -> ExitCode {
-    let (seed, scale, workers, pr) = match (
-        parsed_flag(args, "--seed", 4994u64),
-        parsed_flag(args, "--scale", 0.05f64),
-        parsed_flag(args, "--workers", 4usize),
-        parsed_flag(args, "--pr", 0u64),
-    ) {
-        (Ok(seed), Ok(scale), Ok(workers), Ok(pr)) => (seed, scale, workers, pr),
-        (Err(e), _, _, _) | (_, Err(e), _, _) | (_, _, Err(e), _) | (_, _, _, Err(e)) => {
-            eprintln!("charisma-verify bench: {e}");
+    for pair in args.chunks(2) {
+        if !matches!(pair, [flag, _] if ["--pr", "--out", "--compare"].contains(&flag.as_str())) {
+            eprintln!(
+                "charisma-verify bench: takes only --pr N, --out PATH and \
+                 --compare PREV.json, got {pair:?}"
+            );
             return ExitCode::from(2);
         }
-    };
-    eprintln!(
-        "charisma-verify bench: seed={seed} scale={scale} workers={workers}, \
-         timing generate + scan..."
-    );
-    let record = match run_bench(seed, scale, workers) {
-        Ok(record) => record,
+    }
+    let pr = match parsed_flag(args, "--pr", 0u64) {
+        Ok(pr) => pr,
         Err(e) => {
             eprintln!("charisma-verify bench: {e}");
             return ExitCode::from(2);
         }
     };
-    let json = record.to_json(pr);
+    eprintln!(
+        "charisma-verify bench: seed={SEED} scale={SCALE} workers={BENCH_WORKERS}, \
+         one warm-up run then {RUNS} timed runs..."
+    );
+    let runs = match timed_runs() {
+        Ok(runs) => runs,
+        Err(e) => {
+            eprintln!("charisma-verify bench: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let summary = match summarize(&runs) {
+        Ok(summary) => summary,
+        Err(e) => {
+            println!("bench REPEATS DISAGREE: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let json = summary.to_json(pr);
     match flag_value(args, "--out") {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &json) {
@@ -217,7 +230,7 @@ fn run_bench_cmd(args: &[String]) -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let cmp = compare_bench(&record, &prev);
+        let cmp = compare_bench(&summary.median, &prev);
         for s in &cmp.skipped {
             println!("bench compare: skipped {s}");
         }
