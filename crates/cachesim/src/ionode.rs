@@ -11,6 +11,7 @@
 //! nodes the buffers are spread over (1-20 lines in the figure).
 
 use charisma_cfs::{BlockCache, FifoCache, IplCache, LruCache};
+use charisma_ipsc::par::claim_each;
 use charisma_trace::record::EventBody;
 use charisma_trace::OrderedEvent;
 
@@ -247,8 +248,9 @@ fn replay<C: BlockCache>(
 }
 
 /// The Figure 9 sweep: hit rate for every `(io_nodes, buffers, policy)`
-/// combination. Runs are independent; they execute on a scoped thread pool
-/// so multi-core hosts sweep in parallel.
+/// combination, in `(io_nodes, buffers, policy)` order. Runs are
+/// independent; scoped workers claim them one at a time, so multi-core
+/// hosts sweep in parallel and a slow geometry never holds up a batch.
 pub fn sweep(
     events: &[OrderedEvent],
     index: &crate::prep::SessionIndex,
@@ -264,30 +266,10 @@ pub fn sweep(
             }
         }
     }
-    let results: Vec<IoCacheResult> = std::thread::scope(|scope| {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(configs.len().max(1));
-        let chunks: Vec<&[(usize, usize, Policy)]> =
-            configs.chunks(configs.len().div_ceil(threads)).collect();
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|&(n, b, p)| io_cache_sim(events, index, n, b, p))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("sweep thread"))
-            .collect()
-    });
-    results
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    claim_each(&configs, threads, |_, &(n, b, p)| {
+        io_cache_sim(events, index, n, b, p)
+    })
 }
 
 #[cfg(test)]
@@ -406,15 +388,22 @@ mod tests {
             &[10, 100],
             &[Policy::Lru, Policy::Fifo],
         );
-        assert_eq!(results.len(), 8);
-        // Every config present exactly once.
-        let mut keys: Vec<_> = results
+        // Every config exactly once, in (io_nodes, buffers, policy) order.
+        let keys: Vec<_> = results
             .iter()
-            .map(|r| (r.io_nodes, r.total_buffers, r.policy))
+            .map(|r| (r.io_nodes, r.total_buffers, r.policy as u8))
             .collect();
-        keys.sort_by_key(|&(n, b, p)| (n, b, p as u8));
-        keys.dedup();
-        assert_eq!(keys.len(), 8);
+        let mut expected = Vec::new();
+        for n in [1, 10] {
+            for b in [10, 100] {
+                for p in [Policy::Lru, Policy::Fifo] {
+                    expected.push((n, b, p as u8));
+                }
+            }
+        }
+        assert_eq!(keys, expected);
+        // An empty geometry list sweeps nothing.
+        assert!(sweep(&events, &idx, &[], &[10], &[Policy::Lru]).is_empty());
     }
 
     #[test]

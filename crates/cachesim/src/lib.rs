@@ -20,6 +20,19 @@
 //! hit rate. Whatever comes out is a *prediction* from the synthetic
 //! workload's locality structure.
 
+// Determinism rules; the disallowed types and methods live in clippy.toml.
+#![forbid(unsafe_code)] // CH006
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)] // CH009
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::float_cmp
+    )
+)] // CH008
+
 pub mod combined;
 pub mod compute;
 pub mod ionode;

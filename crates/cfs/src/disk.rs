@@ -89,7 +89,10 @@ impl DiskState {
     /// [`DiskState::serve`] with service time inflated by `degrade_ppm`
     /// parts-per-million (fault injection's model of a disk in media
     /// retry / thermal-recalibration trouble). `0` is exactly `serve`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one call per block on the hot write path; a parameter struct would be built and torn down per block"
+    )]
     pub fn serve_degraded(
         &mut self,
         model: &DiskModel,

@@ -750,7 +750,10 @@ impl Cfs {
     /// Perform the block-level work of a contiguous request.
     ///
     /// Returns `(completion, messages, blocks, cache_hits)`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the request's coordinates plus the caller's fault and cache context; grouping them would only move the list into a one-use struct"
+    )]
     fn access_blocks(
         &mut self,
         machine: &Machine,

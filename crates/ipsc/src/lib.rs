@@ -20,9 +20,25 @@
 //! * [`engine`] — a generic discrete-event queue used to interleave the
 //!   per-node programs of concurrently running jobs;
 //! * [`machine`] — the machine configuration tying it all together;
+//! * [`par`] — the scoped-worker fan-out every parallel stage uses, with
+//!   results in item order whatever the schedule;
 //! * [`faults`] — deterministic chaos: a seeded [`FaultPlan`] injecting
 //!   disk errors, message delay/drop/duplication, I/O-node stalls, and
 //!   clock jumps, with outcomes independent of worker count.
+
+// Determinism rules; the disallowed types and methods live in clippy.toml.
+#![forbid(unsafe_code)] // CH006
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)] // CH009
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // CH003
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::float_cmp
+    )
+)] // CH008
 
 pub mod alloc;
 pub mod clock;
@@ -31,6 +47,7 @@ pub mod faults;
 pub mod invariant;
 pub mod machine;
 pub mod message;
+pub mod par;
 pub mod time;
 pub mod topology;
 

@@ -350,7 +350,7 @@ mod tests {
     #[test]
     fn io_attachments_are_spread_and_valid() {
         let m = Machine::boot_synchronized(MachineConfig::nas_ipsc860());
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for io in 0..10 {
             let at = m.io_attachment(io);
             assert!(m.cube().contains(at));

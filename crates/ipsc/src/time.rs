@@ -143,6 +143,10 @@ impl fmt::Debug for SimTime {
 }
 
 impl fmt::Display for SimTime {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "display only: f64 seconds are printed, never compared"
+    )]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.6}s", self.as_secs_f64())
     }
@@ -155,6 +159,10 @@ impl fmt::Debug for Duration {
 }
 
 impl fmt::Display for Duration {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "display only: f64 seconds are printed, never compared"
+    )]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.6}s", self.as_secs_f64())
     }
@@ -191,6 +199,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the conversion under test")]
     fn float_conversions() {
         assert_eq!(Duration::from_secs_f64(1.5).as_micros(), 1_500_000);
         assert_eq!(Duration::from_secs_f64(-3.0), Duration::ZERO);

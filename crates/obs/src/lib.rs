@@ -47,6 +47,20 @@
 //! assert!(snapshot.to_core_json().contains("cfs.disk_service_us"));
 //! ```
 
+// Determinism rules; the disallowed types and methods live in clippy.toml.
+#![forbid(unsafe_code)] // CH006
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)] // CH009
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // CH003
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::float_cmp
+    )
+)] // CH008
+
 pub mod metrics;
 pub mod probe;
 pub mod snapshot;

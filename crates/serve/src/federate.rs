@@ -1,9 +1,10 @@
 //! Federated queries: one predicate fanned out across every tenant's
 //! pinned catalog, k-way merged back into a single deterministic stream.
 //!
-//! The fan-out reuses the store's sanctioned pattern — worker threads
-//! under [`std::thread::scope`] claim snapshots from an atomic cursor —
-//! and each claimed snapshot runs an ordinary pruned one-worker [`Scan`].
+//! The fan-out reuses the store's sanctioned pattern,
+//! [`charisma_ipsc::par::claim_each`] — worker threads under
+//! [`std::thread::scope`] claim snapshots from an atomic cursor — and each
+//! claimed snapshot runs an ordinary pruned one-worker [`Scan`].
 //! One fan-out worker runs the same claiming loop inline on the calling
 //! thread, and so does each one-worker scan, so a one-worker federated
 //! query spawns no thread at all. The merge is a k-way minimum over
@@ -17,13 +18,11 @@
 //!
 //! [`Scan`]: charisma_store::Scan
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
+use charisma_ipsc::par::claim_each;
 use charisma_store::{Query, StoreError};
 use charisma_trace::OrderedEvent;
 
-use crate::service::{lock, Service, Snapshot};
+use crate::service::{Service, Snapshot};
 use crate::ServeError;
 
 /// A prepared federated query: a predicate bound to a [`Service`]'s
@@ -111,45 +110,13 @@ pub(crate) fn federated_events(
     m.federated_segments_pruned.add(pruned);
     m.federated_segments_scanned.add(admitted);
 
-    let workers = workers.min(snapshots.len()).max(1);
-    let cursor = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, Vec<OrderedEvent>)>> = Mutex::new(Vec::new());
-    let first_error: Mutex<Option<(usize, StoreError)>> = Mutex::new(None);
-    // One worker body: run inline when it is the only worker, on scoped
-    // threads otherwise.
-    let work = || loop {
-        let claim = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(snap) = snapshots.get(claim) else {
-            break;
-        };
-        match snap.reader().query(query.clone()).events() {
-            Ok(events) => lock(&results).push((claim, events)),
-            Err(e) => {
-                let mut slot = lock(&first_error);
-                // Keep the lowest-tenant error: deterministic
-                // regardless of which worker saw one first.
-                if slot.as_ref().is_none_or(|(s, _)| claim < *s) {
-                    *slot = Some((claim, e));
-                }
-            }
-        }
-    };
-    if workers == 1 {
-        work();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(work);
-            }
-        });
-    }
-    if let Some((_, e)) = lock(&first_error).take() {
-        return Err(ServeError::Store(e));
-    }
-    let mut per_tenant: Vec<Vec<OrderedEvent>> = vec![Vec::new(); snapshots.len()];
-    for (tenant, events) in lock(&results).drain(..) {
-        per_tenant[tenant] = events;
-    }
+    // Tenant order is slice order, so the lowest-tenant error wins
+    // whichever worker met it.
+    let per_tenant = claim_each(snapshots, workers, |_, snap| {
+        snap.reader().query(query.clone()).events()
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, StoreError>>()?;
     let merged = kway_merge(&per_tenant);
     m.federated_rows.add(merged.len() as u64);
     Ok(merged)

@@ -26,10 +26,10 @@
 //! pinned prefix — the second half of the `charisma-verify gates serve` gate.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{MutexGuard, PoisonError};
 
 use charisma_ipsc::faults::FaultRng;
+use charisma_ipsc::par::claim_each;
 use charisma_store::{
     ArchiveMeta, ArchiveReader, Query, Scan, SealedSegment, SegmentBuilder, SEGMENT_ROWS,
 };
@@ -189,7 +189,12 @@ pub struct TenantFeed {
 pub struct Service {
     config: ServiceConfig,
     rng: FaultRng,
-    tenants: Vec<Mutex<Tenant>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-tenant state cell: each tenant's feed is processed serially and in order, \
+                  so its catalog is a pure function of the feed whatever the lock schedule"
+    )]
+    tenants: Vec<std::sync::Mutex<Tenant>>,
     metrics: ServeMetrics,
 }
 
@@ -205,7 +210,7 @@ impl Service {
     /// A service with `config.tenants` empty tenants and unregistered
     /// (no-op) metric handles.
     pub fn new(config: ServiceConfig) -> Self {
-        let tenants = (0..config.tenants).map(|_| Mutex::default()).collect();
+        let tenants = (0..config.tenants).map(|_| Default::default()).collect();
         Service {
             config,
             rng: FaultRng::new(config.seed),
@@ -234,11 +239,15 @@ impl Service {
         &self.metrics
     }
 
-    fn tenant_cell(&self, tenant: usize) -> Result<&Mutex<Tenant>, ServeError> {
-        self.tenants.get(tenant).ok_or(ServeError::UnknownTenant {
+    /// Lock `tenant`'s state. Tenant state is updated whole-batch under
+    /// the lock and the service never unwinds mid-update in library
+    /// code, so recover from poisoning instead of propagating it.
+    fn tenant(&self, tenant: usize) -> Result<MutexGuard<'_, Tenant>, ServeError> {
+        let cell = self.tenants.get(tenant).ok_or(ServeError::UnknownTenant {
             tenant,
             tenants: self.tenants.len(),
-        })
+        })?;
+        Ok(cell.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Submit one batch to `tenant`'s ingest queue.
@@ -250,8 +259,7 @@ impl Service {
     /// stalls and drains it synchronously (bounded backpressure), sealing
     /// any full segments into the published catalog.
     pub fn submit(&self, tenant: usize, batch: &[OrderedEvent]) -> Result<Admission, ServeError> {
-        let cell = self.tenant_cell(tenant)?;
-        let mut t = lock(cell);
+        let mut t = self.tenant(tenant)?;
         let batch_seq = t.batch_seq;
         t.batch_seq += 1;
         if self.rng.chance(
@@ -278,8 +286,7 @@ impl Service {
     /// ends; sealing at any other moment would make the final segment
     /// boundary depend on timing and break catalog byte-identity.
     pub fn flush(&self, tenant: usize) -> Result<(), ServeError> {
-        let cell = self.tenant_cell(tenant)?;
-        let mut t = lock(cell);
+        let mut t = self.tenant(tenant)?;
         self.drain(&mut t);
         if !t.builder.is_empty() {
             self.seal(&mut t);
@@ -311,8 +318,7 @@ impl Service {
     /// Pin `tenant`'s published catalog as of now. Cheap: clones segment
     /// handles, not segment bytes.
     pub fn snapshot(&self, tenant: usize) -> Result<Snapshot, ServeError> {
-        let cell = self.tenant_cell(tenant)?;
-        let t = lock(cell);
+        let t = self.tenant(tenant)?;
         self.metrics.snapshots_taken.inc();
         Ok(Snapshot {
             tenant,
@@ -322,21 +328,15 @@ impl Service {
 
     /// Pin every tenant's catalog, in tenant order.
     pub fn snapshot_all(&self) -> Vec<Snapshot> {
+        // Every index is in range, so no tenant is skipped.
         (0..self.tenants.len())
-            .map(|tenant| {
-                let t = lock(&self.tenants[tenant]);
-                self.metrics.snapshots_taken.inc();
-                Snapshot {
-                    tenant,
-                    reader: ArchiveReader::new(self.catalog_meta(), t.catalog.clone()),
-                }
-            })
+            .flat_map(|tenant| self.snapshot(tenant))
             .collect()
     }
 
     /// Rows admitted for `tenant` so far (queued + building + sealed).
     pub fn admitted_rows(&self, tenant: usize) -> Result<u64, ServeError> {
-        Ok(lock(self.tenant_cell(tenant)?).admitted_rows)
+        Ok(self.tenant(tenant)?.admitted_rows)
     }
 
     fn catalog_meta(&self) -> ArchiveMeta {
@@ -347,9 +347,11 @@ impl Service {
     }
 
     /// Run a whole multi-site ingest: `workers` threads claim tenant
-    /// feeds from an atomic cursor (the sanctioned scoped-concurrency
+    /// feeds through [`claim_each`] (the sanctioned scoped-concurrency
     /// pattern) in an order permuted by `interleave_seed`, submit each
     /// feed's batches in order, and flush the tenant when its feed ends.
+    /// A failing feed does not stop the others; the lowest feed index's
+    /// error is returned.
     ///
     /// The work unit is the *feed*: one tenant's batches are always
     /// processed serially and in order, so each tenant's catalog is a
@@ -371,33 +373,18 @@ impl Service {
             }
         }
         let order = self.claim_order(feeds.len(), interleave_seed);
-        let cursor = AtomicUsize::new(0);
-        let first_error: Mutex<Option<(usize, ServeError)>> = Mutex::new(None);
-        let workers = workers.min(feeds.len()).max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let claim = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&idx) = order.get(claim) else {
-                        break;
-                    };
-                    let Some(feed) = feeds.get(idx) else {
-                        break;
-                    };
-                    if let Err(e) = self.run_feed(feed) {
-                        let mut slot = lock(&first_error);
-                        // Keep the lowest-feed-index error: deterministic
-                        // regardless of which worker saw one first.
-                        if slot.as_ref().is_none_or(|(s, _)| idx < *s) {
-                            *slot = Some((idx, e));
-                        }
-                        break;
-                    }
-                });
-            }
-        });
-        let outcome = lock(&first_error).take();
-        match outcome {
+        // Every feed runs, failing or not; the lowest feed index's error
+        // wins, whatever the worker count and claim order.
+        let first_error = claim_each(&order, workers, |_, &idx| {
+            feeds
+                .get(idx)
+                .map_or(Ok(()), |feed| self.run_feed(feed))
+                .map_err(|e| (idx, e))
+        })
+        .into_iter()
+        .filter_map(Result::err)
+        .min_by_key(|(idx, _)| *idx);
+        match first_error {
             Some((_, e)) => Err(e),
             None => Ok(()),
         }
@@ -419,13 +406,6 @@ impl Service {
         order.sort_by_key(|&i| (rng.decide(domain::INTERLEAVE, &[i as u64]), i));
         order
     }
-}
-
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // Tenant state is updated whole-batch under the lock and the service
-    // never unwinds mid-update in library code, so recover from poisoning
-    // instead of propagating it — matching the store's scan pattern.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -639,5 +619,25 @@ mod tests {
             service.run_ingest(&feeds, 2, 1),
             Err(ServeError::DuplicateFeed { tenant: 0 })
         ));
+        // Two failing feeds: the lower feed index's error wins under every
+        // worker count and claim order.
+        let feeds: Vec<TenantFeed> = [0, 7, 5]
+            .into_iter()
+            .map(|tenant| TenantFeed {
+                tenant,
+                batches: vec![stream(10, 1)],
+            })
+            .collect();
+        for workers in [1, 2, 4] {
+            for interleave in 0..8 {
+                assert!(
+                    matches!(
+                        service.run_ingest(&feeds, workers, interleave),
+                        Err(ServeError::UnknownTenant { tenant: 7, .. })
+                    ),
+                    "workers={workers} interleave={interleave}"
+                );
+            }
+        }
     }
 }

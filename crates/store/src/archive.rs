@@ -39,6 +39,8 @@
 //! which is what lets `charisma-verify gates archive` pin the whole file to one
 //! fixture hash.
 
+use std::ops::Range;
+
 use bytes::{Buf, BufMut, Bytes};
 use charisma_ipsc::SimTime;
 use charisma_trace::OrderedEvent;
@@ -182,7 +184,8 @@ pub struct Archive {
 /// Parsed container structure, before any segment bytes are sliced.
 struct Layout {
     meta: ArchiveMeta,
-    zones: Vec<ZoneMap>,
+    /// Each segment's zone map and its validated byte range in the body.
+    zones: Vec<(ZoneMap, Range<usize>)>,
 }
 
 /// Parse the header's provenance. Errors here mean the file was never a
@@ -316,10 +319,12 @@ fn parse_layout(bytes: &[u8]) -> Result<Layout, StoreError> {
             .offset
             .checked_add(zone.len)
             .ok_or(StoreError::Corrupt("segment range overflow"))?;
-        if (zone.offset as usize) < HEADER_LEN || end as usize > footer_start {
-            return Err(StoreError::Corrupt("segment range outside archive body"));
-        }
-        zones.push(zone);
+        let range = usize::try_from(zone.offset)
+            .ok()
+            .zip(usize::try_from(end).ok())
+            .filter(|&(start, end)| start >= HEADER_LEN && end <= footer_start)
+            .ok_or(StoreError::Corrupt("segment range outside archive body"))?;
+        zones.push((zone, range.0..range.1));
     }
     let rows = footer
         .try_get_u64_le()
@@ -330,7 +335,7 @@ fn parse_layout(bytes: &[u8]) -> Result<Layout, StoreError> {
     if !footer.is_empty() {
         return Err(StoreError::Corrupt("trailing bytes in footer"));
     }
-    if rows != zones.iter().map(|z| u64::from(z.rows)).sum::<u64>() {
+    if rows != zones.iter().map(|(z, _)| u64::from(z.rows)).sum::<u64>() {
         return Err(StoreError::Corrupt("row count disagrees with directory"));
     }
     // The file checksum covers every byte before its own encoding: the
@@ -367,11 +372,7 @@ impl Archive {
         let segments = layout
             .zones
             .into_iter()
-            .map(|zone| {
-                let start = zone.offset as usize;
-                let end = (zone.offset + zone.len) as usize;
-                SealedSegment::from_parts(shared.slice(start..end), zone)
-            })
+            .map(|(zone, range)| SealedSegment::from_parts(shared.slice(range), zone))
             .collect();
         Ok(Archive {
             reader: ArchiveReader::new(layout.meta, segments),

@@ -241,10 +241,10 @@ pub fn decode_dict_column(buf: &mut &[u8], n: usize) -> Result<Vec<u8>, StoreErr
     let dict_len = buf
         .try_get_varint_u64()
         .ok_or(StoreError::Corrupt("truncated dictionary length"))?;
-    if dict_len > 256 {
-        return Err(StoreError::Corrupt("dictionary larger than a byte index"));
-    }
-    let dict_len = dict_len as usize;
+    let dict_len = usize::try_from(dict_len)
+        .ok()
+        .filter(|&n| n <= 256)
+        .ok_or(StoreError::Corrupt("dictionary larger than a byte index"))?;
     let mut table = [0u8; 256];
     buf.try_copy_to_slice(&mut table[..dict_len])
         .ok_or(StoreError::Corrupt("truncated dictionary"))?;

@@ -42,6 +42,21 @@
 //!
 //! [`OrderedEvent`]: charisma_trace::OrderedEvent
 
+// Determinism rules; the disallowed types and methods live in clippy.toml.
+#![forbid(unsafe_code)] // CH006
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)] // CH009
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // CH003
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))] // CH005
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::float_cmp
+    )
+)] // CH008
+
 mod access;
 mod archive;
 mod codec;
@@ -71,8 +86,8 @@ pub use segment::{SegmentBuilder, ZoneMap, SEGMENT_ROWS};
 /// Everything that can go wrong opening or scanning an archive.
 ///
 /// Decoders are total: malformed input always surfaces here, never as a
-/// panic — the store crate is held to the same no-panic lint (CH003) as
-/// the simulators.
+/// panic — the store crate is held to the same no-panic rule (CH003:
+/// `clippy::unwrap_used`, `expect_used` and `panic`) as the simulators.
 #[derive(Debug)]
 pub enum StoreError {
     /// The file does not start (or end) with the archive magic.

@@ -14,25 +14,24 @@
 //!    that holds no matching row, but it never rejects one that does (the
 //!    property suite pins `pruned scan ≡ filtered full scan`).
 //!
-//! The scan parallelizes the way the generator does: `workers` threads
-//! under [`std::thread::scope`] claim segment indices from an atomic
-//! cursor. One worker runs the same claiming loop inline on the calling
-//! thread, with no thread spawned or joined. Matches are collected per
-//! segment and reassembled in segment order, so the output — and anything
-//! computed from it — is byte-identical for every worker count.
+//! The scan parallelizes the way the generator does, through
+//! [`charisma_ipsc::par::claim_each`]: `workers` threads under
+//! [`std::thread::scope`] claim segment indices from an atomic cursor. One
+//! worker runs the same loop inline on the calling thread, with no thread
+//! spawned or joined. Matches come back in segment order, so the output —
+//! and anything computed from it, the first error included — is
+//! byte-identical for every worker count.
 //! [`Scan::report`] streams the matches into the push-based
 //! [`charisma_core::Analyzer`]/`RequestSizes`, yielding the paper's full
 //! characterization for any archive subset without re-running the
 //! generator; [`Scan::session_index`] does the same for
 //! the cache simulators' indexing pass.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-
 use charisma_cachesim::SessionIndex;
 use charisma_core::report::Report;
 use charisma_core::requests::RequestSizes;
 use charisma_core::Analyzer;
+use charisma_ipsc::par::claim_each;
 use charisma_ipsc::SimTime;
 use charisma_trace::record::EventBody;
 use charisma_trace::OrderedEvent;
@@ -354,84 +353,58 @@ impl<'a> Scan<'a> {
             m.segments_scanned.add(admitted.len() as u64);
         }
 
+        let outcomes = claim_each(&admitted, self.workers, |_, &seg| {
+            segments[seg].select_events(&self.query)
+        });
+
+        // Reassemble in segment order, so the lowest-index error wins
+        // whichever worker met it. Every outcome is counted first.
         let mut out: Vec<Vec<OrderedEvent>> = vec![Vec::new(); segments.len()];
-        let workers = self.workers.min(admitted.len()).max(1);
-        let cursor = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, Vec<OrderedEvent>)>> = Mutex::new(Vec::new());
-        let first_error: Mutex<Option<(usize, StoreError)>> = Mutex::new(None);
-
-        // One worker body: run inline when it is the only worker (no
-        // thread to spawn and join), on scoped threads otherwise.
-        let work = || {
-            let mut local: Vec<(usize, Vec<OrderedEvent>)> = Vec::new();
-            let mut rows_scanned = 0u64;
-            let mut rows_matched = 0u64;
-            let mut cols_decoded = 0u64;
-            let mut rows_skipped = 0u64;
-            let mut verified = 0u64;
-            let mut failures = 0u64;
-            loop {
-                let claim = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&seg) = admitted.get(claim) else {
-                    break;
-                };
-                match segments[seg].select_events(&self.query) {
-                    Ok(scan) => {
-                        verified += 1;
-                        rows_scanned += u64::from(segments[seg].rows());
-                        rows_matched += scan.events.len() as u64;
-                        cols_decoded += scan.values_decoded;
-                        rows_skipped += scan.rows_skipped;
-                        local.push((seg, scan.events));
-                    }
-                    Err(e) => {
-                        // A checksum mismatch surfaced here knows
-                        // which segment it was: name it (replica 0
-                        // — a plain reader holds the only copy).
-                        let e = match e {
-                            StoreError::ChecksumMismatch => {
-                                failures += 1;
-                                StoreError::CorruptSegment {
-                                    segment: seg as u64,
-                                    replica: 0,
-                                }
+        let mut first_error = None;
+        let mut rows_scanned = 0u64;
+        let mut rows_matched = 0u64;
+        let mut cols_decoded = 0u64;
+        let mut rows_skipped = 0u64;
+        let mut verified = 0u64;
+        let mut failures = 0u64;
+        for (&seg, outcome) in admitted.iter().zip(outcomes) {
+            match outcome {
+                Ok(scan) => {
+                    verified += 1;
+                    rows_scanned += u64::from(segments[seg].rows());
+                    rows_matched += scan.events.len() as u64;
+                    cols_decoded += scan.values_decoded;
+                    rows_skipped += scan.rows_skipped;
+                    out[seg] = scan.events;
+                }
+                Err(e) => {
+                    // A checksum mismatch surfaced here knows which
+                    // segment it was: name it (replica 0 — a plain reader
+                    // holds the only copy).
+                    let e = match e {
+                        StoreError::ChecksumMismatch => {
+                            failures += 1;
+                            StoreError::CorruptSegment {
+                                segment: seg as u64,
+                                replica: 0,
                             }
-                            other => other,
-                        };
-                        let mut slot = lock(&first_error);
-                        // Keep the lowest-index error: deterministic
-                        // regardless of which worker saw one first.
-                        if slot.as_ref().is_none_or(|(s, _)| seg < *s) {
-                            *slot = Some((seg, e));
                         }
-                    }
+                        other => other,
+                    };
+                    first_error.get_or_insert(e);
                 }
             }
-            if let Some(m) = &self.metrics {
-                m.rows_scanned.add(rows_scanned);
-                m.rows_matched.add(rows_matched);
-                m.cols_decoded.add(cols_decoded);
-                m.rows_skipped_late.add(rows_skipped);
-                m.segments_verified.add(verified);
-                m.checksum_failures.add(failures);
-            }
-            lock(&results).append(&mut local);
-        };
-        if workers == 1 {
-            work();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(work);
-                }
-            });
         }
-
-        if let Some((_, e)) = lock(&first_error).take() {
+        if let Some(m) = &self.metrics {
+            m.rows_scanned.add(rows_scanned);
+            m.rows_matched.add(rows_matched);
+            m.cols_decoded.add(cols_decoded);
+            m.rows_skipped_late.add(rows_skipped);
+            m.segments_verified.add(verified);
+            m.checksum_failures.add(failures);
+        }
+        if let Some(e) = first_error {
             return Err(e);
-        }
-        for (seg, matched) in lock(&results).drain(..) {
-            out[seg] = matched;
         }
         if let Some(m) = &self.metrics {
             // Feed the access ledger once every worker is done (after the
@@ -482,13 +455,6 @@ impl<'a> Scan<'a> {
     pub fn session_index(&self) -> Result<SessionIndex, StoreError> {
         Ok(SessionIndex::build(&self.events()?))
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // Scan state is plain vectors guarded per push: a panicked worker
-    // cannot leave them logically inconsistent, so recover from poisoning
-    // instead of propagating it.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -359,7 +359,10 @@ impl ReplicaSet {
                             domain::ARCHIVE_CORRUPT,
                             &[seg as u64, rep as u64, OFFSET_DRAW],
                         );
-                        if self.corrupt_byte(seg, rep, offset as usize, 0xff) {
+                        // The draw is below `len`; an offset that did not
+                        // fit a usize would be refused as out of range.
+                        let offset = usize::try_from(offset).unwrap_or(usize::MAX);
+                        if self.corrupt_byte(seg, rep, offset, 0xff) {
                             report.corrupted += 1;
                         }
                     }

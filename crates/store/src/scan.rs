@@ -367,9 +367,9 @@ pub(crate) fn scan_segment(
 }
 
 /// Every column is `Some` by the end of the materialize phase; keep the
-/// accessor panic-free anyway (CH003) by mapping an impossible `None`
-/// onto an empty slice, which would fail the indexed reads as a bug, not
-/// a panic in release builds of callers.
+/// accessor panic-free anyway (CH003, `clippy::unwrap_used`) by mapping
+/// an impossible `None` onto an empty slice, which would fail the indexed
+/// reads as a bug, not a panic in release builds of callers.
 fn unwrapped<T>(slot: &Option<Vec<T>>) -> &[T] {
     slot.as_deref().unwrap_or(&[])
 }

@@ -5,16 +5,6 @@
 //! produce *deterministic, well-formed* traces standing in for the
 //! proprietary NASA Ames data. This crate enforces that claim:
 //!
-//! - [`lint`] — a project-specific token-level static pass over the
-//!   workspace sources (rules `CH001`–`CH010`) catching the constructs that
-//!   historically break determinism: hash-ordered iteration, raw `f64` time
-//!   comparison, panicking library paths, ambient entropy / wall clocks,
-//!   truncating casts in the codec, `unsafe`, unsanctioned concurrency,
-//!   placeholder panics and float equality, stale suppressions, and
-//!   code/fixture metric-name drift. Built on the [`lex`] tokenizer and the
-//!   [`consistency`] cross-artifact check; the walk is parallel with
-//!   deterministic, sorted findings, and `lint --json` emits them
-//!   machine-readably for CI annotation.
 //! - [`gates`] — the gate table behind `charisma-verify gates [NAME ...]
 //!   [--write]`: six named checks over one shared set of pipeline runs at
 //!   the pinned seed, scale and worker counts. Each check lives in its own
@@ -47,17 +37,17 @@
 //!   rendered as the `BENCH_N.json` breadcrumb the bench-record CI job
 //!   leaves per PR.
 //!
-//! The binary (`charisma-verify lint|gates|bench`) is the gate CI and all
-//! future perf PRs run behind.
+//! The binary (`charisma-verify gates|bench`) is the gate CI and all
+//! future perf PRs run behind. The static determinism rules (`CH001`–`CH009`)
+//! are rustc and clippy lints configured in `crates/clippy.toml` and each
+//! crate's `lib.rs`; `CH010` (metric names in code vs the snapshot
+//! fixtures) is the `tests/metric_names.rs` test.
 
 pub mod archive;
 pub mod bench;
 pub mod chaos;
-pub mod consistency;
 pub mod determinism;
 pub mod gates;
-pub mod lex;
-pub mod lint;
 pub mod metrics;
 pub mod serve;
 pub mod tier;
@@ -69,7 +59,5 @@ pub mod tier;
 pub const INVARIANTS_ENABLED: bool = cfg!(feature = "invariants");
 
 pub use bench::{compare as compare_bench, run_bench, BenchComparison, BenchRecord};
-pub use consistency::{check_metric_consistency, fixture_metric_names, MetricReg};
 pub use determinism::{fnv1a_hash, DeterminismReport, Divergence};
-pub use lint::{findings_to_json, lint_workspace, Finding, LintConfig, Rule};
 pub use metrics::{diff_json, JsonDiff};

@@ -1,7 +1,6 @@
 //! `charisma-verify` — the workspace's correctness gate.
 //!
 //! ```text
-//! charisma-verify lint [--root DIR] [--json]
 //! charisma-verify gates [NAME ...] [--write]
 //! charisma-verify bench [--pr N] [--out PATH] [--compare PREV.json]
 //! ```
@@ -12,37 +11,39 @@
 //! and 8 workers; `--write` regenerates the fixtures of the selected
 //! checks instead of diffing against them. See `charisma_verify::gates`.
 //!
+//! The static determinism rules are not a subcommand: `CH001`–`CH009` are
+//! clippy and rustc lints (`cargo clippy --all-targets --workspace -- -D
+//! warnings`), and `CH010` is a `cargo test` test.
+//!
 //! Every subcommand exits 0 on success, 1 on a violation or divergence
 //! and 2 on a usage or I/O error, so the binary slots directly into CI.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use charisma_verify::bench::{summarize, timed_runs, RUNS, WORKERS as BENCH_WORKERS};
+use charisma_verify::compare_bench;
 use charisma_verify::gates::{select, Runs, GATES, SCALE, SEED, WORKERS};
-use charisma_verify::{compare_bench, findings_to_json, lint_workspace, LintConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: charisma-verify <command>\n\n\
-         commands:\n\
-           lint   [--root DIR] [--json]   run the CH001-CH010 static pass;\n\
-                  --json emits findings as a JSON array for CI annotation\n\
-           gates  [NAME ...] [--write]\n\
-                  run the named gates, or all of them ({}), over one\n\
-                  shared set of pipeline runs; --write regenerates the\n\
-                  selected gates' fixtures\n\
-           bench  [--pr N] [--out PATH] [--compare PREV.json]\n\
-                  run the pinned pipeline once as a warm-up, then {RUNS}\n\
-                  times, timing generation plus full-archive, federated,\n\
-                  pruned, checksum-verify, scrub, tier-classify and\n\
-                  parity-rebuild passes; print (or write) a BENCH_N.json\n\
-                  perf record of each rate's median, min and max; exit 1\n\
-                  if the repeats disagree on a deterministic field; with\n\
-                  --compare, diff it against a committed predecessor —\n\
-                  deterministic regressions >25% fail, wall-clock deltas\n\
-                  warn",
+        "usage: charisma-verify <command>
+
+commands:
+  gates  [NAME ...] [--write]
+         run the named gates, or all of them, over one shared
+         set of pipeline runs; --write regenerates the selected
+         gates' fixtures. Gates: {}
+  bench  [--pr N] [--out PATH] [--compare PREV.json]
+         run the pinned pipeline once as a warm-up, then {RUNS}
+         times, timing generation plus full-archive, federated,
+         pruned, checksum-verify, scrub, tier-classify and
+         parity-rebuild passes; print (or write) a BENCH_N.json
+         perf record of each rate's median, min and max; exit 1
+         if the repeats disagree on a deterministic field; with
+         --compare, diff it against a committed predecessor —
+         deterministic regressions >25% fail, wall-clock deltas
+         warn",
         gate_names()
     );
     ExitCode::from(2)
@@ -51,7 +52,6 @@ fn usage() -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => run_lint(&args[1..]),
         Some("gates") => run_gates(&args[1..]),
         Some("bench") => run_bench_cmd(&args[1..]),
         _ => usage(),
@@ -116,63 +116,6 @@ fn run_gates(args: &[String]) -> ExitCode {
     }
 }
 
-/// Locate the workspace root: walk upward from the current directory to the
-/// first directory holding a `Cargo.toml` with a `[workspace]` table.
-fn find_workspace_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
-        }
-        if !dir.pop() {
-            return PathBuf::from(".");
-        }
-    }
-}
-
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn run_lint(args: &[String]) -> ExitCode {
-    let root = flag_value(args, "--root")
-        .map(PathBuf::from)
-        .unwrap_or_else(find_workspace_root);
-    let json = args.iter().any(|a| a == "--json");
-    let cfg = LintConfig::new(root);
-    match lint_workspace(&cfg) {
-        Ok(findings) if findings.is_empty() => {
-            if json {
-                print!("{}", findings_to_json(&findings));
-            } else {
-                println!("charisma-verify lint: clean");
-            }
-            ExitCode::SUCCESS
-        }
-        Ok(findings) => {
-            if json {
-                print!("{}", findings_to_json(&findings));
-            } else {
-                for f in &findings {
-                    println!("{f}");
-                }
-                println!("charisma-verify lint: {} violation(s)", findings.len());
-            }
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("charisma-verify lint: I/O error: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
 fn run_bench_cmd(args: &[String]) -> ExitCode {
     for pair in args.chunks(2) {
         if !matches!(pair, [flag, _] if ["--pr", "--out", "--compare"].contains(&flag.as_str())) {
@@ -183,10 +126,19 @@ fn run_bench_cmd(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    let pr = match parsed_flag(args, "--pr", 0u64) {
-        Ok(pr) => pr,
-        Err(e) => {
-            eprintln!("charisma-verify bench: {e}");
+    // Every argument is now a `--flag value` pair.
+    let flag_value = |flag: &str| {
+        args.chunks(2)
+            .find(|pair| pair[0] == flag)
+            .map(|pair| pair[1].as_str())
+    };
+    // An absent --pr defaults to 0; a malformed one is a usage error, not
+    // a silent fallback.
+    let pr = match flag_value("--pr").map(|raw| raw.parse::<u64>().map_err(|_| raw)) {
+        None => 0,
+        Some(Ok(pr)) => pr,
+        Some(Err(raw)) => {
+            eprintln!("charisma-verify bench: invalid value for --pr: {raw:?}");
             return ExitCode::from(2);
         }
     };
@@ -209,7 +161,7 @@ fn run_bench_cmd(args: &[String]) -> ExitCode {
         }
     };
     let json = summary.to_json(pr);
-    match flag_value(args, "--out") {
+    match flag_value("--out") {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &json) {
                 eprintln!("charisma-verify bench: cannot write {path}: {e}");
@@ -222,7 +174,7 @@ fn run_bench_cmd(args: &[String]) -> ExitCode {
 
     // The perf-trajectory gate: diff this record against a committed
     // predecessor. Deterministic regressions fail; wall-clock ones warn.
-    if let Some(prev_path) = flag_value(args, "--compare") {
+    if let Some(prev_path) = flag_value("--compare") {
         let prev = match std::fs::read_to_string(prev_path) {
             Ok(text) => text,
             Err(e) => {
@@ -250,15 +202,4 @@ fn run_bench_cmd(args: &[String]) -> ExitCode {
         println!("bench compare passed against {prev_path}");
     }
     ExitCode::SUCCESS
-}
-
-/// Parse an optional flag, distinguishing "absent" (use the default) from
-/// "present but malformed" (a usage error, not a silent fallback).
-fn parsed_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
-    match flag_value(args, flag) {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("invalid value for {flag}: {raw:?}")),
-    }
 }

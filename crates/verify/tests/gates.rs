@@ -55,8 +55,9 @@ fn unknown_gate_name_is_a_usage_error_listing_the_gates() {
     }
 }
 
-/// A record stream corrupted by ambient state — the failure mode CH004 and
-/// the harness exist to catch. The counter survives across calls, so the
+/// A record stream corrupted by ambient state — the failure mode CH004
+/// (`clippy::disallowed_types` on wall clocks; no entropy constructors in
+/// the rand shim) and the harness exist to catch. The counter survives across calls, so the
 /// second "run" sees a different value than the first, exactly like an
 /// unseeded RNG or leaked wall-clock timestamp would inject.
 fn nondeterministic_stream() -> Vec<Vec<u8>> {

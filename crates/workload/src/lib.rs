@@ -21,6 +21,10 @@
 //!   logical shards, simulate them on worker threads, merge
 //!   deterministically.
 
+// Determinism rules; the disallowed types and methods live in clippy.toml.
+#![forbid(unsafe_code)] // CH006
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)] // CH009
+
 pub mod apps;
 pub mod generate;
 pub mod mix;

@@ -33,9 +33,8 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
+use charisma_ipsc::par::claim_each;
 use charisma_ipsc::SimTime;
 use charisma_obs::MetricsSnapshot;
 use charisma_trace::merge::MergedEvents;
@@ -314,42 +313,12 @@ pub fn try_generate_sharded(
     let mix = Mix::plan(Scale(config.scale), &mut rng);
     let parts = partition_mix(&mix);
 
-    let workers = workers.clamp(1, LOGICAL_SHARDS);
-    let results: Vec<Result<GeneratedWorkload, ShardFailure>> = if workers == 1 {
-        parts
-            .iter()
-            .enumerate()
-            .map(|(i, part)| run_shard_guarded(config, i, part))
-            .collect()
-    } else {
-        let outputs: Vec<Mutex<Option<Result<GeneratedWorkload, ShardFailure>>>> =
-            (0..parts.len()).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= parts.len() {
-                        break;
-                    }
-                    let result = run_shard_guarded(config, i, &parts[i]);
-                    *outputs[i].lock().expect("shard output lock") = Some(result);
-                });
-            }
-        });
-        outputs
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("shard output lock")
-                    .expect("every shard ran")
-            })
-            .collect()
-    };
-    let mut shards = Vec::with_capacity(results.len());
-    for result in results {
-        shards.push(result?);
-    }
+    // Shards come back in plan order, so the lowest shard's failure wins.
+    let shards = claim_each(&parts, workers, |i, part| {
+        run_shard_guarded(config, i, part)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
 
     let stats = merge_stats(&shards);
     let mut metrics = MetricsSnapshot::new();
@@ -517,7 +486,7 @@ mod tests {
 
     #[test]
     fn contained_panic_retries_then_succeeds() {
-        use std::sync::atomic::AtomicU32;
+        use std::sync::atomic::{AtomicU32, Ordering};
         let calls = AtomicU32::new(0);
         let out = contain_panics(3, 3, || {
             if calls.fetch_add(1, Ordering::Relaxed) < 2 {

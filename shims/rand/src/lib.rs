@@ -9,8 +9,9 @@
 //! `charisma-verify gates determinism` enforces end to end.
 //!
 //! Deliberately absent: `thread_rng` and `from_entropy`. Every generator in
-//! the simulation must be seeded explicitly (lint rule `CH004`), so the shim
-//! simply does not offer ambient-entropy constructors.
+//! the simulation must be seeded explicitly (rule `CH004`), so the shim
+//! does not offer ambient-entropy constructors and rustc rejects any call
+//! to one (E0425/E0599).
 
 pub mod rngs;
 pub mod seq;
