@@ -10,13 +10,12 @@
 //! only its misses — plus all non-read-only traffic — reach the I/O-node
 //! caches.
 
-use charisma_cfs::LruCache;
 use charisma_trace::record::EventBody;
 use charisma_trace::OrderedEvent;
 
+use crate::bank::{Counts, LruBank};
 use crate::compute::ComputeCacheSim;
-use crate::ionode::IoCacheBank;
-use crate::prep::SessionIndex;
+use crate::prep::{block_span, SessionIndex};
 
 /// Result of the combined simulation, with the I/O-only baseline.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -57,7 +56,8 @@ impl CombinedResult {
 ///
 /// `compute_buffers` is the per-compute-node buffer count (1 in the
 /// paper's final test); `io_nodes` × `buffers_per_io_node` describes the
-/// I/O-node bank (10 × 50 in the paper).
+/// I/O-node bank (10 × 50 in the paper). `index` must be built from
+/// `events`.
 pub fn combined_simulation(
     events: &[OrderedEvent],
     index: &SessionIndex,
@@ -65,13 +65,20 @@ pub fn combined_simulation(
     io_nodes: usize,
     buffers_per_io_node: usize,
 ) -> CombinedResult {
+    assert!(io_nodes > 0);
+    index.check_built_from(events);
+    let bank = || LruBank::new(index.block_ids(), io_nodes, buffers_per_io_node);
     // Baseline: everything reaches the I/O nodes.
-    let mut baseline = IoCacheBank::new(io_nodes, io_nodes * buffers_per_io_node, LruCache::new);
+    let (mut baseline, mut baseline_counts) = (bank(), Counts::default());
     // Combined: compute sim forwards read-only misses; other traffic is
     // fed directly.
-    let mut combined = IoCacheBank::new(io_nodes, io_nodes * buffers_per_io_node, LruCache::new);
+    let (mut combined, mut combined_counts) = (bank(), Counts::default());
     let mut compute = ComputeCacheSim::new(index, compute_buffers);
 
+    // The stream holds one request per read or write of an indexed
+    // session that touches a byte, in event order: the events walk it in
+    // lockstep, and the compute-node filter reads each request's event.
+    let mut stream = index.stream().iter();
     for e in events {
         let (session, offset, bytes, is_read) = match e.body {
             EventBody::Read {
@@ -89,18 +96,28 @@ pub fn combined_simulation(
         let Some(facts) = index.get(session) else {
             continue;
         };
-        baseline.access_request(facts.file, offset, bytes, !is_read);
+        if block_span(offset, bytes).is_none() {
+            continue;
+        }
+        let Some(r) = stream.next() else {
+            break;
+        };
+        baseline_counts.request(&mut baseline, io_nodes, r);
         if is_read && facts.read_only {
-            compute.observe(e, |file, missing| {
-                combined.access_blocks(file, missing);
+            compute.observe(e, |_, missing| {
+                combined_counts.blocks(&mut combined, io_nodes, r, missing);
             });
         } else {
-            combined.access_request(facts.file, offset, bytes, !is_read);
+            combined_counts.request(&mut combined, io_nodes, r);
         }
     }
+    charisma_ipsc::invariant!(
+        stream.next().is_none(),
+        "the request stream outlasts its events"
+    );
     CombinedResult {
-        io_only_hit_rate: baseline.hit_rate(),
-        combined_io_hit_rate: combined.hit_rate(),
+        io_only_hit_rate: baseline_counts.hit_rate(),
+        combined_io_hit_rate: combined_counts.hit_rate(),
         compute_hit_rate: compute.result.hit_rate(),
     }
 }

@@ -11,13 +11,11 @@
 
 use std::collections::BTreeMap;
 
-use charisma_cfs::{BlockCache, LruCache};
+use charisma_cfs::LruCache;
 use charisma_trace::record::EventBody;
 use charisma_trace::OrderedEvent;
 
-use crate::prep::SessionIndex;
-
-const BLOCK: u64 = 4096;
+use crate::prep::{block_span, SessionIndex, BLOCK};
 
 /// Result of a compute-node cache simulation.
 #[derive(Clone, Debug, Default)]
@@ -102,6 +100,9 @@ pub struct ComputeCacheSim<'a> {
     buffers: usize,
     /// One cache per compute node, indexed by node number.
     caches: Vec<LruCache>,
+    /// The blocks of the current request that missed, reused across
+    /// requests.
+    missing: Vec<(u64, u32)>,
     /// The accumulated result.
     pub result: ComputeCacheResult,
 }
@@ -113,6 +114,7 @@ impl<'a> ComputeCacheSim<'a> {
             index,
             buffers,
             caches: Vec::new(),
+            missing: Vec::new(),
             result: ComputeCacheResult::default(),
         }
     }
@@ -136,17 +138,15 @@ impl<'a> ComputeCacheSim<'a> {
         if !facts.read_only {
             return;
         }
-        if bytes == 0 {
+        let Some((first, last, end)) = block_span(offset, bytes) else {
             return;
-        }
+        };
         let node = usize::from(e.node);
         if node >= self.caches.len() {
             let buffers = self.buffers;
             self.caches.resize_with(node + 1, || LruCache::new(buffers));
         }
         let cache = &mut self.caches[node];
-        let first = offset / BLOCK;
-        let last = (offset + u64::from(bytes) - 1) / BLOCK;
         // "Fully satisfied": every touched block must be resident.
         let mut all_resident = true;
         for b in first..=last {
@@ -165,17 +165,15 @@ impl<'a> ComputeCacheSim<'a> {
                 cache.access((facts.file, b), 0);
             }
         } else {
-            let mut missing: Vec<(u64, u32)> = Vec::new();
+            self.missing.clear();
             for b in first..=last {
                 let bstart = b * BLOCK;
-                let bend = bstart + BLOCK;
-                let touched = offset.max(bstart)..(offset + u64::from(bytes)).min(bend);
-                let touched = (touched.end - touched.start) as u32;
+                let touched = (end.min(bstart.saturating_add(BLOCK)) - offset.max(bstart)) as u32;
                 if !cache.access((facts.file, b), touched) {
-                    missing.push((b, touched));
+                    self.missing.push((b, touched));
                 }
             }
-            forward(facts.file, &missing);
+            forward(facts.file, &self.missing);
         }
     }
 }

@@ -10,12 +10,11 @@
 //! (x axis), replacement policy (LRU vs FIFO), and the number of I/O
 //! nodes the buffers are spread over (1-20 lines in the figure).
 
-use charisma_cfs::{BlockCache, FifoCache, IplCache, LruCache};
 use charisma_ipsc::par::claim_each;
-use charisma_trace::record::EventBody;
 use charisma_trace::OrderedEvent;
 
-const BLOCK: u64 = 4096;
+use crate::bank::{Bank, Counts, FifoBank, IplBank, LruBank};
+use crate::prep::SessionIndex;
 
 /// Replacement policy under test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -73,178 +72,48 @@ impl IoCacheResult {
     }
 }
 
-/// The streaming I/O-node cache bank (one cache per I/O node, blocks
-/// striped round-robin).
+/// Run one full-trace I/O-node cache simulation: `total_buffers` spread
+/// evenly over `io_nodes` caches, blocks striped round-robin. `index` must
+/// be built from `events`; the replay reads its prepared request stream.
 ///
 /// Hit accounting is per *request*, consistent with the paper's Figure 8
 /// definition ("fully satisfied from the buffer"): a request counts as a
-/// hit only when every block it touches is resident. Block-level counters
-/// are kept alongside. The bank is generic over its cache type, so every
-/// block access is a direct call into one policy.
-pub struct IoCacheBank<C> {
-    caches: Vec<C>,
-    hits: u64,
-    accesses: u64,
-    block_hits: u64,
-    block_accesses: u64,
-}
-
-impl<C: BlockCache> IoCacheBank<C> {
-    /// `total_buffers` spread evenly over `io_nodes` caches, each built by
-    /// `make` from its per-node capacity.
-    pub fn new(io_nodes: usize, total_buffers: usize, make: impl Fn(usize) -> C) -> Self {
-        assert!(io_nodes > 0);
-        let per = total_buffers / io_nodes;
-        IoCacheBank {
-            caches: (0..io_nodes).map(|_| make(per)).collect(),
-            hits: 0,
-            accesses: 0,
-            block_hits: 0,
-            block_accesses: 0,
-        }
-    }
-
-    /// Serve a whole request: a hit only if every touched block was
-    /// satisfied from cache. A *write* that covers a whole block is
-    /// satisfied even when the block is absent — with write-behind the
-    /// I/O node simply allocates a buffer, no disk read is needed (only a
-    /// partial overwrite of an uncached block forces a fetch).
-    pub fn access_request(&mut self, file: u32, offset: u64, bytes: u32, is_write: bool) {
-        if bytes == 0 {
-            return;
-        }
-        let end = offset + u64::from(bytes);
-        let first = offset / BLOCK;
-        let last = (end - 1) / BLOCK;
-        self.accesses += 1;
-        self.block_accesses += last - first + 1;
-        // Striping is round-robin, so consecutive blocks live on
-        // consecutive I/O nodes: only the run's first block is placed by
-        // division.
-        let nodes = self.caches.len();
-        let mut io = (first % nodes as u64) as usize;
-        let mut all = true;
-        for b in first..=last {
-            let touched = (end.min((b + 1) * BLOCK) - offset.max(b * BLOCK)) as u32;
-            let resident = self.caches[io].access((file, b), touched);
-            if resident || (is_write && touched == BLOCK as u32) {
-                self.block_hits += 1;
-            } else {
-                all = false;
-            }
-            io += 1;
-            if io == nodes {
-                io = 0;
-            }
-        }
-        if all {
-            self.hits += 1;
-        }
-    }
-
-    /// Serve an explicit block list as one request: a hit only if every
-    /// listed block was resident. Empty lists are ignored (the request was
-    /// fully satisfied upstream).
-    pub fn access_blocks(&mut self, file: u32, blocks: &[(u64, u32)]) {
-        if blocks.is_empty() {
-            return;
-        }
-        self.accesses += 1;
-        let mut all = true;
-        for &(b, touched) in blocks {
-            let io = (b % self.caches.len() as u64) as usize;
-            self.block_accesses += 1;
-            if self.caches[io].access((file, b), touched) {
-                self.block_hits += 1;
-            } else {
-                all = false;
-            }
-        }
-        if all {
-            self.hits += 1;
-        }
-    }
-
-    /// Current request-level hit counters `(hits, accesses)`.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.hits, self.accesses)
-    }
-
-    /// Current block-level hit counters `(hits, accesses)`.
-    pub fn block_counters(&self) -> (u64, u64) {
-        (self.block_hits, self.block_accesses)
-    }
-
-    /// Request-level hit rate so far.
-    pub fn hit_rate(&self) -> f64 {
-        self.hits as f64 / self.accesses.max(1) as f64
-    }
-}
-
-/// Run one full-trace I/O-node cache simulation. The policy is chosen once
-/// here; the replay runs against a bank of that one cache type.
+/// hit only when every block it touches is resident, or is a write of the
+/// whole block. Block-level counters are kept alongside. The policy is
+/// chosen once here; the replay runs against a bank of that one policy.
 pub fn io_cache_sim(
     events: &[OrderedEvent],
-    session_file: &crate::prep::SessionIndex,
+    index: &SessionIndex,
     io_nodes: usize,
     total_buffers: usize,
     policy: Policy,
 ) -> IoCacheResult {
-    let ((hits, accesses), (block_hits, block_accesses)) = match policy {
-        Policy::Lru => replay(
-            events,
-            session_file,
-            IoCacheBank::new(io_nodes, total_buffers, LruCache::new),
-        ),
-        Policy::Fifo => replay(
-            events,
-            session_file,
-            IoCacheBank::new(io_nodes, total_buffers, FifoCache::new),
-        ),
-        Policy::Ipl => replay(
-            events,
-            session_file,
-            IoCacheBank::new(io_nodes, total_buffers, |per| IplCache::new(per, BLOCK)),
-        ),
+    assert!(io_nodes > 0);
+    index.check_built_from(events);
+    let (ids, per) = (index.block_ids(), total_buffers / io_nodes);
+    let counts = match policy {
+        Policy::Lru => replay(index, io_nodes, LruBank::new(ids, io_nodes, per)),
+        Policy::Fifo => replay(index, io_nodes, FifoBank::new(ids, io_nodes, per)),
+        Policy::Ipl => replay(index, io_nodes, IplBank::new(ids, io_nodes, per)),
     };
     IoCacheResult {
         io_nodes,
         total_buffers,
         policy,
-        hits,
-        accesses,
-        block_hits,
-        block_accesses,
+        hits: counts.hits,
+        accesses: counts.accesses,
+        block_hits: counts.block_hits,
+        block_accesses: counts.block_accesses,
     }
 }
 
-/// Feed every read and write of a known session to `bank`; returns its
-/// request-level and block-level `(hits, accesses)`.
-fn replay<C: BlockCache>(
-    events: &[OrderedEvent],
-    session_file: &crate::prep::SessionIndex,
-    mut bank: IoCacheBank<C>,
-) -> ((u64, u64), (u64, u64)) {
-    for e in events {
-        let (session, offset, bytes, is_write) = match e.body {
-            EventBody::Read {
-                session,
-                offset,
-                bytes,
-            } => (session, offset, bytes, false),
-            EventBody::Write {
-                session,
-                offset,
-                bytes,
-            } => (session, offset, bytes, true),
-            _ => continue,
-        };
-        let Some(facts) = session_file.get(session) else {
-            continue;
-        };
-        bank.access_request(facts.file, offset, bytes, is_write);
+/// Serve every request of `index`'s stream on `bank`.
+fn replay<B: Bank>(index: &SessionIndex, nodes: usize, mut bank: B) -> Counts {
+    let mut counts = Counts::default();
+    for r in index.stream() {
+        counts.request(&mut bank, nodes, r);
     }
-    (bank.counters(), bank.block_counters())
+    counts
 }
 
 /// The Figure 9 sweep: hit rate for every `(io_nodes, buffers, policy)`
@@ -253,7 +122,7 @@ fn replay<C: BlockCache>(
 /// hosts sweep in parallel and a slow geometry never holds up a batch.
 pub fn sweep(
     events: &[OrderedEvent],
-    index: &crate::prep::SessionIndex,
+    index: &SessionIndex,
     io_node_counts: &[usize],
     buffer_counts: &[usize],
     policies: &[Policy],
@@ -275,9 +144,8 @@ pub fn sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prep::SessionIndex;
     use charisma_ipsc::SimTime;
-    use charisma_trace::record::AccessKind;
+    use charisma_trace::record::{AccessKind, EventBody};
 
     fn open(job: u32, file: u32, session: u32) -> OrderedEvent {
         OrderedEvent {

@@ -5,16 +5,21 @@
 //! * [`compute`] — per-compute-node caches of one-block (4 KB) read-only
 //!   buffers with LRU replacement; per-job hit-rate distributions for 1,
 //!   10, and 50 buffers (Figure 8);
-//! * [`ionode`] — I/O-node caches of 4 KB buffers under LRU or FIFO,
-//!   swept over the number of I/O nodes and total buffer count, with the
-//!   file striped round-robin at one-block granularity (Figure 9);
+//! * [`ionode`] — I/O-node caches of 4 KB buffers under LRU or FIFO (and
+//!   the paper's §5 interprocess-locality policy), swept over the number
+//!   of I/O nodes and total buffer count, with the file striped
+//!   round-robin at one-block granularity (Figure 9);
 //! * [`combined`] — both at once: a single buffer per compute node plus a
 //!   50-buffer cache at each of 10 I/O nodes (the "only a 3 % reduction"
 //!   result);
 //!
 //! plus [`prep`], which indexes sessions by class so the compute-node
 //! simulation can restrict itself to read-only files, exactly as the
-//! paper did.
+//! paper did. The same pass prepares the request stream the I/O-node
+//! simulations replay: one 24-byte entry per read or write, its blocks
+//! renumbered densely, so each Figure 9 cell runs on plain per-block
+//! arrays (the policy banks, one per replacement policy, live in a private
+//! `bank` module) instead of hashing `(file, block)` keys.
 //!
 //! None of these results is calibrated: the workload generator never saw a
 //! hit rate. Whatever comes out is a *prediction* from the synthetic
@@ -33,6 +38,7 @@
     )
 )] // CH008
 
+mod bank;
 pub mod combined;
 pub mod compute;
 pub mod ionode;

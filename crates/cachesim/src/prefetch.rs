@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use charisma_cfs::{BlockCache, LruCache};
+use charisma_cfs::LruCache;
 use charisma_trace::record::EventBody;
 use charisma_trace::OrderedEvent;
 

@@ -308,7 +308,7 @@ mod tests {
 
     #[test]
     fn profile_matches_direct_lru_simulation() {
-        use charisma_cfs::{BlockCache, LruCache};
+        use charisma_cfs::LruCache;
         // Pseudo-random but deterministic block stream.
         let mut x = 12345u64;
         let blocks: Vec<u64> = (0..4000)

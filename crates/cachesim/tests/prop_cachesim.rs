@@ -136,7 +136,7 @@ proptest! {
         capacity in 1usize..24,
     ) {
         use charisma_cachesim::StackDistances;
-        use charisma_cfs::{BlockCache, LruCache};
+        use charisma_cfs::LruCache;
         let mut sd = StackDistances::new(4096);
         let mut lru = LruCache::new(capacity);
         let mut hits = 0u64;

@@ -1,15 +1,12 @@
-//! Block buffer caches.
+//! The block buffer cache of the CFS I/O nodes.
 //!
-//! The paper's trace-driven simulations (§4.8) use 4 KB block buffers with
-//! LRU or FIFO replacement; its conclusions call for policies "other than
-//! LRU or FIFO … to optimize for interprocess locality rather than
-//! traditional spatial and temporal locality" — implemented here as
-//! [`IplCache`].
-//!
-//! All caches share the [`BlockCache`] interface: `access` returns whether
-//! the block was resident (a hit) and makes it resident, evicting if full.
-
-use std::collections::VecDeque;
+//! [`LruCache`] holds 4 KB blocks keyed by `(file, block)` under LRU
+//! replacement: `access` returns whether the block was resident (a hit)
+//! and makes it resident, evicting if full. The CFS simulator gives each
+//! I/O node one, and the §4.8 compute-node and prefetch simulations reuse
+//! it. The Figure 9 I/O-node simulations (LRU, FIFO and the paper's §5
+//! interprocess-locality policy) run on the cache simulator's own banks
+//! over dense block ids instead.
 
 /// Identity of a cached block: the file's path id and the block index.
 pub type BlockKey = (u32, u64);
@@ -18,8 +15,7 @@ pub type BlockKey = (u32, u64);
 // Block table
 // ---------------------------------------------------------------------------
 
-/// The caches' index from a resident block to its per-policy value (a slab
-/// slot, a fetch stamp, a coverage count).
+/// The cache's index from a resident block to its slab slot.
 ///
 /// Open addressing with linear probing over a power-of-two slot array, and
 /// backward-shift deletion, so a removal leaves no tombstone behind and a
@@ -81,6 +77,7 @@ impl<V: Copy> BlockTable<V> {
         }
     }
 
+    #[cfg(test)]
     fn get(&self, key: BlockKey) -> Option<V> {
         self.find(key).ok().map(|(_, v)| v)
     }
@@ -90,6 +87,7 @@ impl<V: Copy> BlockTable<V> {
     }
 
     /// Insert or overwrite `key`.
+    #[cfg(test)]
     fn insert(&mut self, key: BlockKey, value: V) {
         match self.find(key) {
             Ok((i, _)) => self.slots[i] = Some((key, value)),
@@ -154,31 +152,6 @@ impl<V: Copy> BlockTable<V> {
             }
         }
     }
-}
-
-/// Common interface of the replacement policies.
-pub trait BlockCache {
-    /// Touch `key` with `touched_bytes` of the block actually referenced.
-    /// Returns true on a hit (block was resident). On a miss the block is
-    /// fetched (made resident), evicting the policy's victim if needed.
-    fn access(&mut self, key: BlockKey, touched_bytes: u32) -> bool;
-
-    /// Whether `key` is resident, without touching policy state.
-    fn contains(&self, key: BlockKey) -> bool;
-
-    /// Number of resident blocks.
-    fn len(&self) -> usize;
-
-    /// Whether the cache is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Capacity in blocks.
-    fn capacity(&self) -> usize;
-
-    /// Drop a block if resident (e.g. on file deletion).
-    fn invalidate(&mut self, key: BlockKey);
 }
 
 // ---------------------------------------------------------------------------
@@ -249,15 +222,17 @@ impl LruCache {
     pub fn lru_key(&self) -> Option<BlockKey> {
         (self.tail != NIL).then(|| self.slab[self.tail].key)
     }
-}
 
-impl BlockCache for LruCache {
+    /// Touch `key` with `touched_bytes` of the block actually referenced.
+    /// Returns true on a hit (block was resident). On a miss the block is
+    /// fetched (made resident), evicting the least recent block if full.
+    ///
     /// One probe finds `key`. A miss fills the empty slot that probe ended
     /// on before the victim leaves: removing the victim first could shift
     /// another entry into that slot. The victim's slab entry is reused in
     /// place for the new block.
     #[inline]
-    fn access(&mut self, key: BlockKey, _touched_bytes: u32) -> bool {
+    pub fn access(&mut self, key: BlockKey, _touched_bytes: u32) -> bool {
         if self.capacity == 0 {
             return false;
         }
@@ -307,202 +282,32 @@ impl BlockCache for LruCache {
         false
     }
 
-    fn contains(&self, key: BlockKey) -> bool {
+    /// Whether `key` is resident, without touching recency.
+    pub fn contains(&self, key: BlockKey) -> bool {
         self.map.contains(key)
     }
 
-    fn len(&self) -> usize {
+    /// Number of resident blocks.
+    pub fn len(&self) -> usize {
         self.map.len()
     }
 
-    fn capacity(&self) -> usize {
+    /// Whether the cache is empty.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// Capacity in blocks.
+    pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    fn invalidate(&mut self, key: BlockKey) {
+    /// Drop a block if resident (e.g. on file deletion).
+    pub fn invalidate(&mut self, key: BlockKey) {
         if let Some(i) = self.map.remove(key) {
             self.unlink(i);
             self.free.push(i);
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FIFO
-// ---------------------------------------------------------------------------
-
-/// First-in-first-out cache: eviction order is fetch order, ignoring reuse.
-/// "FIFO does not give preference to blocks with high locality" — the paper
-/// found it needs ~5× the buffers LRU needs for a 90 % hit rate.
-#[derive(Debug)]
-pub struct FifoCache {
-    capacity: usize,
-    map: BlockTable<u64>,
-    queue: VecDeque<(BlockKey, u64)>,
-    stamp: u64,
-}
-
-impl FifoCache {
-    /// A cache of `capacity` blocks.
-    pub fn new(capacity: usize) -> Self {
-        FifoCache {
-            capacity,
-            map: BlockTable::new(),
-            queue: VecDeque::with_capacity(capacity.min(1 << 20)),
-            stamp: 0,
-        }
-    }
-}
-
-impl BlockCache for FifoCache {
-    /// One probe finds `key`; a miss fills the slot it ended on, then
-    /// evicts. Each queue entry popped costs one probe, which both checks
-    /// its stamp and names the slot to empty.
-    #[inline]
-    fn access(&mut self, key: BlockKey, _touched_bytes: u32) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        let vacant = match self.map.find(key) {
-            Ok(_) => return true,
-            Err(vacant) => vacant,
-        };
-        self.stamp += 1;
-        self.map.fill(vacant, key, self.stamp);
-        while self.map.len() > self.capacity {
-            // Pop queue entries until one is still current (invalidation
-            // leaves stale queue entries behind). The new block is not
-            // queued yet, and a stale entry for it carries an older stamp.
-            let Some((victim, stamp)) = self.queue.pop_front() else {
-                break; // unreachable: the queue covers the old residents
-            };
-            if let Ok((slot, current)) = self.map.find(victim) {
-                if current == stamp {
-                    self.map.remove_at(slot);
-                }
-            }
-        }
-        self.queue.push_back((key, self.stamp));
-        charisma_ipsc::invariant!(
-            self.map.len() <= self.capacity,
-            "FIFO holds {} blocks over capacity {}",
-            self.map.len(),
-            self.capacity
-        );
-        charisma_ipsc::invariant!(
-            self.queue.len() >= self.map.len(),
-            "FIFO queue no longer covers the resident set"
-        );
-        false
-    }
-
-    fn contains(&self, key: BlockKey) -> bool {
-        self.map.contains(key)
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn invalidate(&mut self, key: BlockKey) {
-        self.map.remove(key);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Interprocess-locality-aware (the paper's §5 future-work policy)
-// ---------------------------------------------------------------------------
-
-/// An eviction policy specialized for the workload the paper observed.
-///
-/// Under interleaved parallel access, a block is referenced by several
-/// compute nodes in quick succession — once every byte of the block has
-/// been consumed, the block is *used up* and will likely never be touched
-/// again (the paper found essentially no temporal locality). `IplCache`
-/// therefore tracks how many bytes of each resident block have been
-/// referenced and preferentially evicts *exhausted* blocks (coverage ≥
-/// block size); only when no block is exhausted does it fall back to LRU
-/// order.
-#[derive(Debug)]
-pub struct IplCache {
-    lru: LruCache,
-    coverage: BlockTable<u64>,
-    exhausted: Vec<BlockKey>,
-    block_bytes: u64,
-}
-
-impl IplCache {
-    /// A cache of `capacity` blocks of `block_bytes` bytes each.
-    pub fn new(capacity: usize, block_bytes: u64) -> Self {
-        IplCache {
-            lru: LruCache::new(capacity),
-            coverage: BlockTable::new(),
-            exhausted: Vec::new(),
-            block_bytes,
-        }
-    }
-}
-
-impl BlockCache for IplCache {
-    fn access(&mut self, key: BlockKey, touched_bytes: u32) -> bool {
-        if self.lru.capacity() == 0 {
-            return false;
-        }
-        // The coverage table's keys are the resident set: a miss is known
-        // here without probing the LRU a second time.
-        let before = self.coverage.get(key);
-        if before.is_none() && self.lru.len() >= self.lru.capacity() {
-            // Prefer evicting an exhausted block over the LRU victim.
-            let mut evicted = false;
-            while let Some(victim) = self.exhausted.pop() {
-                if victim != key && self.lru.contains(victim) {
-                    self.lru.invalidate(victim);
-                    self.coverage.remove(victim);
-                    evicted = true;
-                    break;
-                }
-            }
-            if !evicted {
-                // LruCache::access below will evict its LRU victim; drop
-                // our coverage record for it so the table cannot leak.
-                if let Some(victim) = self.lru.lru_key() {
-                    self.coverage.remove(victim);
-                }
-            }
-        }
-        let hit = self.lru.access(key, touched_bytes);
-        charisma_ipsc::invariant!(hit == before.is_some(), "IPL coverage and LRU disagree");
-        // A fresh fetch restarts coverage accounting.
-        let before = before.unwrap_or(0);
-        let after = before + u64::from(touched_bytes);
-        self.coverage.insert(key, after);
-        if before < self.block_bytes && after >= self.block_bytes {
-            // Push only on the crossing so a hot block cannot flood the
-            // exhausted list with duplicates.
-            self.exhausted.push(key);
-        }
-        hit
-    }
-
-    fn contains(&self, key: BlockKey) -> bool {
-        self.lru.contains(key)
-    }
-
-    fn len(&self) -> usize {
-        self.lru.len()
-    }
-
-    fn capacity(&self) -> usize {
-        self.lru.capacity()
-    }
-
-    fn invalidate(&mut self, key: BlockKey) {
-        self.lru.invalidate(key);
-        self.coverage.remove(key);
     }
 }
 
@@ -576,8 +381,8 @@ mod tests {
         // Three residents share the last slot as home and spill over the
         // end of the array; a fourth key homed at slot 0 arrives as a miss
         // at capacity. Its probe ends past the wrapped run, and the victim
-        // leaves from inside that run afterwards. Every arrival order,
-        // under both policies, keeps every survivor reachable.
+        // leaves from inside that run afterwards. Every arrival order keeps
+        // every survivor reachable.
         let last = BlockTable::<u64>::MIN_SLOTS - 1;
         let mut keys = homed_at(last, 3);
         keys.extend(homed_at(0, 1));
@@ -585,22 +390,17 @@ mod tests {
             let (residents, newcomer) = order.split_at(3);
             let newcomer = newcomer[0];
             let mut lru = LruCache::new(3);
-            let mut fifo = FifoCache::new(3);
             for &key in residents {
-                assert!(!lru.access(key, 1) && !fifo.access(key, 1));
+                assert!(!lru.access(key, 1));
             }
-            assert!(!lru.access(newcomer, 1) && !fifo.access(newcomer, 1));
+            assert!(!lru.access(newcomer, 1));
             assert_eq!(lru.map.slots.len(), BlockTable::<usize>::MIN_SLOTS);
-            assert_eq!(fifo.map.slots.len(), BlockTable::<u64>::MIN_SLOTS);
-            // The oldest resident is both policies' victim.
-            let victim = residents[0];
-            for cache in [&mut lru as &mut dyn BlockCache, &mut fifo] {
-                assert_eq!(cache.len(), 3);
-                assert!(!cache.contains(victim), "{order:?}");
-                for &key in &order[1..] {
-                    assert!(cache.contains(key), "{key:?} lost in {order:?}");
-                    assert!(cache.access(key, 1), "{key:?} missed in {order:?}");
-                }
+            // The oldest resident is the victim.
+            assert_eq!(lru.len(), 3);
+            assert!(!lru.contains(residents[0]), "{order:?}");
+            for &key in &order[1..] {
+                assert!(lru.contains(key), "{key:?} lost in {order:?}");
+                assert!(lru.access(key, 1), "{key:?} missed in {order:?}");
             }
             assert_eq!(lru.lru_key(), Some(order[1]));
         }
@@ -686,34 +486,10 @@ mod tests {
     #[test]
     fn zero_capacity_caches_nothing() {
         let mut lru = LruCache::new(0);
-        let mut fifo = FifoCache::new(0);
-        let mut ipl = IplCache::new(0, 4096);
         for _ in 0..3 {
             assert!(!lru.access(k(0), 1));
-            assert!(!fifo.access(k(0), 1));
-            assert!(!ipl.access(k(0), 1));
         }
-        assert_eq!(lru.len() + fifo.len() + ipl.len(), 0);
-    }
-
-    #[test]
-    fn fifo_ignores_recency() {
-        let mut c = FifoCache::new(2);
-        c.access(k(0), 1);
-        c.access(k(1), 1);
-        assert!(c.access(k(0), 1), "hit does not move k0");
-        c.access(k(2), 1); // evicts k0 (oldest fetch) despite recent hit
-        assert!(!c.contains(k(0)));
-        assert!(c.contains(k(1)) && c.contains(k(2)));
-    }
-
-    #[test]
-    fn fifo_capacity_respected() {
-        let mut c = FifoCache::new(4);
-        for b in 0..50 {
-            c.access(k(b), 1);
-            assert!(c.len() <= 4);
-        }
+        assert!(lru.is_empty());
     }
 
     #[test]
@@ -723,72 +499,5 @@ mod tests {
         lru.invalidate(k(1));
         assert!(!lru.contains(k(1)));
         assert!(!lru.access(k(1), 1), "miss after invalidation");
-
-        let mut fifo = FifoCache::new(2);
-        fifo.access(k(1), 1);
-        fifo.invalidate(k(1));
-        assert!(!fifo.contains(k(1)));
-        // Stale queue entry must not corrupt later evictions.
-        fifo.access(k(2), 1);
-        fifo.access(k(3), 1);
-        fifo.access(k(4), 1);
-        assert!(fifo.len() <= 2);
-    }
-
-    #[test]
-    fn lru_outperforms_fifo_on_looping_scan_with_hot_block() {
-        // A hot block re-touched between scan steps: LRU keeps it, FIFO
-        // ages it out. This is the mechanism behind Figure 9's LRU/FIFO gap.
-        let mut lru = LruCache::new(4);
-        let mut fifo = FifoCache::new(4);
-        let mut lru_hits = 0;
-        let mut fifo_hits = 0;
-        for i in 0..1000u64 {
-            // hot block 0 between cold scan blocks
-            for key in [k(0), k(1000 + i)] {
-                if lru.access(key, 1) {
-                    lru_hits += 1;
-                }
-                if fifo.access(key, 1) {
-                    fifo_hits += 1;
-                }
-            }
-        }
-        assert!(lru_hits > fifo_hits, "LRU {lru_hits} vs FIFO {fifo_hits}");
-    }
-
-    #[test]
-    fn ipl_evicts_exhausted_blocks_first() {
-        let block = 4096;
-        let mut c = IplCache::new(2, block);
-        // Block 0 fully consumed; block 1 half consumed (still useful).
-        c.access(k(0), block as u32);
-        c.access(k(1), (block / 2) as u32);
-        // A third block arrives: the exhausted block 0 should go, even
-        // though block 1 is the LRU victim.
-        c.access(k(2), 1);
-        assert!(!c.contains(k(0)), "exhausted block evicted");
-        assert!(c.contains(k(1)), "unfinished block kept");
-        assert!(c.contains(k(2)));
-    }
-
-    #[test]
-    fn ipl_falls_back_to_lru() {
-        let mut c = IplCache::new(2, 4096);
-        c.access(k(0), 1);
-        c.access(k(1), 1);
-        c.access(k(2), 1); // nothing exhausted: plain LRU eviction of k0
-        assert!(!c.contains(k(0)));
-        assert!(c.contains(k(1)) && c.contains(k(2)));
-        assert!(c.len() <= 2);
-    }
-
-    #[test]
-    fn ipl_capacity_respected_under_churn() {
-        let mut c = IplCache::new(8, 4096);
-        for i in 0..10_000u64 {
-            c.access(k(i % 57), 4096);
-            assert!(c.len() <= 8);
-        }
     }
 }

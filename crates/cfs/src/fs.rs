@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use charisma_ipsc::{Duration, Machine, SimTime};
 use charisma_obs::{Counter, Histogram, MetricsRegistry};
 
-use crate::cache::{BlockCache, LruCache};
+use crate::cache::LruCache;
 use crate::disk::{DiskModel, DiskState};
 use crate::error::CfsError;
 use crate::faults::CfsFaults;

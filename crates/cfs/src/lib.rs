@@ -13,9 +13,7 @@
 //! * [`mode`] — the four CFS I/O modes and their coordination semantics;
 //! * [`stripe`] — round-robin 4 KB block striping across I/O nodes;
 //! * [`disk`] — a first-order disk service-time model;
-//! * [`cache`] — block buffer caches (LRU, FIFO, and an
-//!   interprocess-locality-aware policy, the paper's section 5 future-work
-//!   item);
+//! * [`cache`] — the I/O nodes' LRU block buffer cache;
 //! * [`fs`] — the file-system proper: open/read/write/seek/close/delete;
 //! * [`strided`] — the paper's recommended strided-request interface, as an
 //!   extension;
@@ -45,7 +43,7 @@ pub mod mode;
 pub mod strided;
 pub mod stripe;
 
-pub use cache::{BlockCache, BlockKey, FifoCache, IplCache, LruCache};
+pub use cache::{BlockKey, LruCache};
 pub use collective::{CollectiveOutcome, CollectiveShare};
 pub use disk::{DiskModel, DiskState};
 pub use error::CfsError;

@@ -2,10 +2,7 @@
 //! striping coverage, and strided/loop equivalence.
 
 use charisma_cfs::fs::block_overlap;
-use charisma_cfs::{
-    Access, BlockCache, Cfs, CfsConfig, FifoCache, IoMode, IplCache, LruCache, StridedSpec,
-    Striping, BLOCK_BYTES,
-};
+use charisma_cfs::{Access, Cfs, CfsConfig, IoMode, LruCache, StridedSpec, Striping, BLOCK_BYTES};
 use charisma_ipsc::{Machine, MachineConfig, SimTime};
 use proptest::prelude::*;
 
@@ -29,29 +26,6 @@ impl RefLru {
             self.items.truncate(self.cap);
             false
         }
-    }
-}
-
-/// A naive reference FIFO: a Vec ordered by fetch, oldest first. A hit
-/// leaves the order alone; an invalidation drops the block outright.
-struct RefFifo {
-    cap: usize,
-    items: Vec<(u32, u64)>,
-}
-
-impl RefFifo {
-    fn access(&mut self, key: (u32, u64)) -> bool {
-        if self.cap == 0 {
-            return false;
-        }
-        if self.items.contains(&key) {
-            return true;
-        }
-        if self.items.len() >= self.cap {
-            self.items.remove(0);
-        }
-        self.items.push(key);
-        false
     }
 }
 
@@ -90,77 +64,23 @@ proptest! {
         }
     }
 
-    /// FIFO agrees with the naive reference too, across invalidations that
-    /// leave stale entries in its fetch queue, at every capacity from 0 up.
-    #[test]
-    fn fifo_matches_reference_model(cap in 0usize..65, ops in cache_ops()) {
-        let mut fast = FifoCache::new(cap);
-        let mut slow = RefFifo { cap, items: Vec::new() };
-        for (file, block, invalidate) in ops {
-            let key = (file, block);
-            if invalidate {
-                fast.invalidate(key);
-                slow.items.retain(|&k| k != key);
-            } else {
-                let a = fast.access(key, 1);
-                let b = slow.access(key);
-                prop_assert_eq!(a, b, "divergence on {:?}", key);
-            }
-            prop_assert_eq!(fast.len(), slow.items.len());
-            for &k in &slow.items {
-                prop_assert!(fast.contains(k), "{:?} should be resident", k);
-            }
-        }
-    }
-
-    /// While no block is exhausted (each access touches one byte, and no
-    /// trace is long enough to cover a block), the IPL policy has nothing
-    /// to prefer and agrees with LRU on every hit, eviction and
-    /// invalidation.
-    #[test]
-    fn ipl_matches_lru_while_nothing_is_exhausted(cap in 0usize..65, ops in cache_ops()) {
-        let mut ipl = IplCache::new(cap, BLOCK_BYTES);
-        let mut lru = LruCache::new(cap);
-        let mut seen = Vec::new();
-        for (file, block, invalidate) in ops {
-            let key = (file, block);
-            seen.push(key);
-            if invalidate {
-                ipl.invalidate(key);
-                lru.invalidate(key);
-            } else {
-                prop_assert_eq!(ipl.access(key, 1), lru.access(key, 1), "divergence on {:?}", key);
-            }
-            prop_assert_eq!(ipl.len(), lru.len());
-            for &k in &seen {
-                prop_assert_eq!(ipl.contains(k), lru.contains(k), "residency of {:?}", k);
-            }
-        }
-    }
-
-    /// All three policies respect capacity and report `contains`
-    /// consistently with `access` hits on arbitrary traces.
+    /// The cache respects capacity and reports `contains` consistently
+    /// with `access` hits on arbitrary traces.
     #[test]
     fn caches_respect_capacity(
         cap in 0usize..16,
         blocks in proptest::collection::vec(0u64..64, 1..300),
     ) {
-        let mut caches: Vec<Box<dyn BlockCache>> = vec![
-            Box::new(LruCache::new(cap)),
-            Box::new(FifoCache::new(cap)),
-            Box::new(IplCache::new(cap, BLOCK_BYTES)),
-        ];
+        let mut c = LruCache::new(cap);
         for &b in &blocks {
-            for c in caches.iter_mut() {
-                let key = (0u32, b);
-                let was_resident = c.contains(key);
-                let hit = c.access(key, 512);
-                prop_assert_eq!(hit, was_resident, "hit must equal prior residency");
-                if cap > 0 {
-                    prop_assert!(c.contains(key), "accessed block becomes resident");
-                }
-                prop_assert!(c.len() <= cap);
+            let key = (0u32, b);
+            let was_resident = c.contains(key);
+            let hit = c.access(key, 512);
+            prop_assert_eq!(hit, was_resident, "hit must equal prior residency");
+            if cap > 0 {
+                prop_assert!(c.contains(key), "accessed block becomes resident");
             }
+            prop_assert!(c.len() <= cap);
         }
     }
 

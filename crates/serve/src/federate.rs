@@ -19,7 +19,7 @@
 //! [`Scan`]: charisma_store::Scan
 
 use charisma_ipsc::par::claim_each;
-use charisma_store::{Query, StoreError};
+use charisma_store::Query;
 use charisma_trace::OrderedEvent;
 
 use crate::service::{Service, Snapshot};
@@ -111,12 +111,18 @@ pub(crate) fn federated_events(
     m.federated_segments_scanned.add(admitted);
 
     // Tenant order is slice order, so the lowest-tenant error wins
-    // whichever worker met it.
+    // whichever worker met it, and names its tenant.
     let per_tenant = claim_each(snapshots, workers, |_, snap| {
-        snap.reader().query(query.clone()).events()
+        snap.reader()
+            .query(query.clone())
+            .events()
+            .map_err(|source| ServeError::TenantScan {
+                tenant: snap.tenant(),
+                source,
+            })
     })
     .into_iter()
-    .collect::<Result<Vec<_>, StoreError>>()?;
+    .collect::<Result<Vec<_>, ServeError>>()?;
     let merged = kway_merge(&per_tenant);
     m.federated_rows.add(merged.len() as u64);
     Ok(merged)
@@ -297,8 +303,8 @@ mod tests {
 
         // Beyond repair: tenants 1 and 2 lose every copy of their first
         // segment, and recovery supplies the verifying bytes of a segment
-        // with a different row count, so their scans fail. Inline and
-        // threaded fan-outs return the same error: tenant 1's.
+        // with a different row count, so their scans fail alike. Inline
+        // and threaded fan-outs return the same error, naming tenant 1.
         let mut broken = service.snapshot_all();
         for tenant in [1, 2] {
             let pinned = &broken[tenant];
@@ -319,16 +325,21 @@ mod tests {
             assert_eq!(report.reconstructed, 1);
             broken[tenant] = Snapshot::from_reader(tenant, reader);
         }
-        let own = ServeError::Store(
-            broken[1]
+        let own = ServeError::TenantScan {
+            tenant: 1,
+            source: broken[1]
                 .query(q.clone())
                 .events()
                 .expect_err("tenant 1 alone fails"),
-        );
+        };
         for workers in [1, 2, 4] {
             let err = service
                 .federated_over(&broken, &q, workers)
                 .expect_err("a broken tenant fails the federation");
+            assert!(
+                matches!(err, ServeError::TenantScan { tenant: 1, .. }),
+                "workers={workers}: {err}"
+            );
             assert_eq!(format!("{err:?}"), format!("{own:?}"), "workers={workers}");
         }
     }

@@ -74,6 +74,14 @@ pub enum ServeError {
     },
     /// A catalog scan failed in the store layer.
     Store(StoreError),
+    /// One tenant's scan of a federated query failed in the store layer;
+    /// the lowest such tenant is named.
+    TenantScan {
+        /// The failing tenant.
+        tenant: usize,
+        /// Its scan's error.
+        source: StoreError,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -86,6 +94,9 @@ impl std::fmt::Display for ServeError {
                 write!(f, "tenant {tenant} appears in more than one ingest feed")
             }
             ServeError::Store(e) => write!(f, "store error while serving: {e}"),
+            ServeError::TenantScan { tenant, source } => {
+                write!(f, "store error scanning tenant {tenant}: {source}")
+            }
         }
     }
 }
@@ -93,7 +104,7 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ServeError::Store(e) => Some(e),
+            ServeError::Store(e) | ServeError::TenantScan { source: e, .. } => Some(e),
             _ => None,
         }
     }

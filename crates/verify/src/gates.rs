@@ -9,7 +9,7 @@
 //! regenerates its fixtures instead of diffing against them.
 //!
 //! [`Runs`] keeps the runs of one `Config` at a time, so the gates that
-//! share a configuration sit next to each other in [`GATES`]: the five
+//! share a configuration sit next to each other in [`GATES`]: the six
 //! clean-run gates first, then `chaos`.
 
 use std::collections::BTreeMap;
@@ -132,7 +132,7 @@ impl Gate {
 }
 
 /// Every gate, in the order `charisma-verify gates` runs them.
-pub const GATES: [Gate; 6] = [
+pub const GATES: [Gate; 7] = [
     Gate {
         name: "determinism",
         check: crate::determinism::check,
@@ -152,6 +152,10 @@ pub const GATES: [Gate; 6] = [
     Gate {
         name: "tier",
         check: crate::tier::check,
+    },
+    Gate {
+        name: "cache",
+        check: crate::cache::check,
     },
     Gate {
         name: "chaos",

@@ -6,7 +6,7 @@
 //! proprietary NASA Ames data. This crate enforces that claim:
 //!
 //! - [`gates`] — the gate table behind `charisma-verify gates [NAME ...]
-//!   [--write]`: six named checks over one shared set of pipeline runs at
+//!   [--write]`: seven named checks over one shared set of pipeline runs at
 //!   the pinned seed, scale and worker counts. Each check lives in its own
 //!   module:
 //!   - [`determinism`] — the pipeline run repeatedly with the same seed
@@ -32,6 +32,10 @@
 //!     tiered, damaged tenant federates like a healthy one. The tiering
 //!     drill ([`tier::tier_drill`]) whose counters the metrics fixture
 //!     pins lives here too.
+//!   - [`cache`] — the §4.8 cache simulators' exact counts (Figure 8, a
+//!     Figure 9 grid under LRU, FIFO and IPL, the combined experiment)
+//!     are pinned by a fixture, and an index rebuilt by scanning the
+//!     archive gives the same counts.
 //! - [`bench`] — the perf-trajectory record: repeated runs of the pinned
 //!   pipeline, wall-clock timed and reduced to medians with their spread,
 //!   rendered as the `BENCH_N.json` breadcrumb the bench-record CI job
@@ -45,6 +49,7 @@
 
 pub mod archive;
 pub mod bench;
+pub mod cache;
 pub mod chaos;
 pub mod determinism;
 pub mod gates;

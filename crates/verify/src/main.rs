@@ -6,7 +6,7 @@
 //! ```
 //!
 //! `gates` runs the named checks of the gate table
-//! (`determinism metrics archive serve tier chaos`), or all of them, over
+//! (`determinism metrics archive serve tier cache chaos`), or all of them, over
 //! one shared set of pipeline runs at seed 4994, scale 0.05 and 1, 2, 4
 //! and 8 workers; `--write` regenerates the fixtures of the selected
 //! checks instead of diffing against them. See `charisma_verify::gates`.

@@ -23,6 +23,7 @@ fn every_gate_passes_at_ci_seed_and_scale() {
         sorted,
         [
             "archive",
+            "cache",
             "chaos",
             "determinism",
             "metrics",
