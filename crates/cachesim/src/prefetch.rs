@@ -25,9 +25,7 @@ use charisma_cfs::LruCache;
 use charisma_trace::record::EventBody;
 use charisma_trace::OrderedEvent;
 
-use crate::prep::SessionIndex;
-
-const BLOCK: u64 = 4096;
+use crate::prep::{block_span, SessionIndex};
 
 /// Prefetch policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -137,14 +135,12 @@ pub fn prefetch_sim(
             } => (session, offset, bytes),
             _ => continue,
         };
-        if bytes == 0 {
+        let Some((first, last, _)) = block_span(offset, bytes) else {
             continue;
-        }
+        };
         let Some(facts) = index.get(session) else {
             continue;
         };
-        let first = offset / BLOCK;
-        let last = (offset + u64::from(bytes) - 1) / BLOCK;
         for b in first..=last {
             let io = (b % io_nodes as u64) as usize;
             let key = (facts.file, b);

@@ -23,9 +23,7 @@ use std::collections::{BTreeMap, VecDeque};
 use charisma_trace::record::EventBody;
 use charisma_trace::OrderedEvent;
 
-use crate::prep::SessionIndex;
-
-const BLOCK: u64 = 4096;
+use crate::prep::{block_span, SessionIndex};
 
 /// When dirty blocks are written to disk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -129,15 +127,13 @@ pub fn writeback_sim(
         else {
             continue;
         };
-        if bytes == 0 {
+        let Some((first, last, _)) = block_span(offset, bytes) else {
             continue;
-        }
+        };
         let Some(facts) = index.get(session) else {
             continue;
         };
         out.write_requests += 1;
-        let first = offset / BLOCK;
-        let last = (offset + u64::from(bytes) - 1) / BLOCK;
         for b in first..=last {
             out.block_writes += 1;
             match policy {

@@ -2,7 +2,8 @@
 //! and accounting invariants on arbitrary traces.
 
 use charisma_cachesim::{
-    combined_simulation, compute_cache_sim, io_cache_sim, Policy, SessionIndex,
+    combined_simulation, compute_cache_sim, io_cache_sim, lru_profile, prefetch_sim, writeback_sim,
+    FlushPolicy, Policy, Prefetcher, SessionIndex,
 };
 use charisma_ipsc::SimTime;
 use charisma_trace::record::{AccessKind, EventBody};
@@ -149,5 +150,43 @@ proptest! {
         let profile = sd.finish();
         let direct = hits as f64 / blocks.len() as f64;
         prop_assert!((profile.hit_rate_at(capacity) - direct).abs() < 1e-12);
+    }
+}
+
+/// A request whose byte range runs past the end of the 64-bit offset
+/// space is cut off there, so every simulator counts one access to the
+/// last block and none overflows the span's end.
+#[test]
+fn a_request_past_the_end_of_the_offset_space_touches_one_block_everywhere() {
+    let read = trace(&[(0, u64::MAX - 10, 100, false)]);
+    let idx = SessionIndex::build(&read);
+    for policy in [Policy::Lru, Policy::Fifo, Policy::Ipl] {
+        let r = io_cache_sim(&read, &idx, 2, 8, policy);
+        assert_eq!((r.accesses, r.block_accesses), (1, 1), "{policy:?}");
+    }
+    for prefetcher in [
+        Prefetcher::None,
+        Prefetcher::OneBlockLookahead,
+        Prefetcher::Strided,
+    ] {
+        let r = prefetch_sim(&read, &idx, 2, 4, prefetcher);
+        assert_eq!(r.accesses, 1, "{prefetcher:?}");
+    }
+    let profile = lru_profile(&read, &idx, 2, 4);
+    assert_eq!((profile.total, profile.cold), (1, 1));
+
+    let write = trace(&[(0, u64::MAX - 10, 100, true)]);
+    let idx = SessionIndex::build(&write);
+    for policy in [
+        FlushPolicy::WriteThrough,
+        FlushPolicy::WriteBehind,
+        FlushPolicy::Watermark { high: 2, low: 1 },
+    ] {
+        let r = writeback_sim(&write, &idx, 4, policy);
+        assert_eq!(
+            (r.write_requests, r.block_writes, r.disk_writes),
+            (1, 1, 1),
+            "{policy:?}"
+        );
     }
 }

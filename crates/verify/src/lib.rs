@@ -21,7 +21,9 @@
 //!     drill ([`chaos::archive_fault_drill`]) under the archive-fault plan.
 //!   - [`archive`] — the columnar archive's bytes are canonical (worker
 //!     invariant and pinned by a hash fixture), it round-trips the merged
-//!     stream exactly, and zone-map pruning never changes a result.
+//!     stream exactly, zone-map pruning never changes a result, a
+//!     two-predicate query's scan counters are pinned exactly, and a
+//!     clean replica placement scrubs clean.
 //!   - [`serve`] — every ingest schedule publishes byte-identical tenant
 //!     catalogs, mid-ingest snapshots replay exactly their pinned prefix,
 //!     federated scans match the concat-and-stable-sort oracle, and the
@@ -36,19 +38,15 @@
 //!     Figure 9 grid under LRU, FIFO and IPL, the combined experiment)
 //!     are pinned by a fixture, and an index rebuilt by scanning the
 //!     archive gives the same counts.
-//! - [`bench`] — the perf-trajectory record: repeated runs of the pinned
-//!   pipeline, wall-clock timed and reduced to medians with their spread,
-//!   rendered as the `BENCH_N.json` breadcrumb the bench-record CI job
-//!   leaves per PR.
 //!
-//! The binary (`charisma-verify gates|bench`) is the gate CI and all
-//! future perf PRs run behind. The static determinism rules (`CH001`–`CH009`)
-//! are rustc and clippy lints configured in `crates/clippy.toml` and each
-//! crate's `lib.rs`; `CH010` (metric names in code vs the snapshot
-//! fixtures) is the `tests/metric_names.rs` test.
+//! The binary (`charisma-verify gates`) is the gate CI runs. It measures
+//! no performance: the benchmark of record is the standalone `benchmark/`
+//! package named by `BENCHMARK.json`. The static determinism rules
+//! (`CH001`–`CH009`) are rustc and clippy lints configured in
+//! `crates/clippy.toml` and each crate's `lib.rs`; `CH010` (metric names
+//! in code vs the snapshot fixtures) is the `tests/metric_names.rs` test.
 
 pub mod archive;
-pub mod bench;
 pub mod cache;
 pub mod chaos;
 pub mod determinism;
@@ -63,6 +61,5 @@ pub mod tier;
 /// consistency check live.
 pub const INVARIANTS_ENABLED: bool = cfg!(feature = "invariants");
 
-pub use bench::{compare as compare_bench, run_bench, BenchComparison, BenchRecord};
 pub use determinism::{fnv1a_hash, DeterminismReport, Divergence};
 pub use metrics::{diff_json, JsonDiff};

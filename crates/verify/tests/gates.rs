@@ -56,6 +56,26 @@ fn unknown_gate_name_is_a_usage_error_listing_the_gates() {
     }
 }
 
+#[test]
+fn retired_bench_command_is_a_usage_error_listing_the_gates() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_charisma-verify"))
+        .args(["bench", "--pr", "1"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("usage: charisma-verify"), "{stderr}");
+    assert!(!stderr.contains("bench"), "{stderr}");
+    for gate in &GATES {
+        assert!(stderr.contains(gate.name), "{stderr}");
+    }
+}
+
 /// A record stream corrupted by ambient state — the failure mode CH004
 /// (`clippy::disallowed_types` on wall clocks; no entropy constructors in
 /// the rand shim) and the harness exist to catch. The counter survives across calls, so the

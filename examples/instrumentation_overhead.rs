@@ -25,7 +25,7 @@ const RECORD_APPEND_US: u64 = 25;
 const RECORDS_PER_FLUSH: u64 = 170;
 
 /// Run the NHT-1-style benchmark; returns the simulated makespan.
-fn run_benchmark(instrumented: bool) -> Result<f64, charisma::Error> {
+fn nht1_makespan(instrumented: bool) -> Result<f64, charisma::Error> {
     let machine = Machine::boot_synchronized(MachineConfig::nas_ipsc860());
     let mut cfs = Cfs::new(CfsConfig::nas());
     let nodes: u16 = 16;
@@ -103,8 +103,8 @@ fn run_benchmark(instrumented: bool) -> Result<f64, charisma::Error> {
 }
 
 fn main() -> Result<(), charisma::Error> {
-    let bare = run_benchmark(false)?;
-    let traced = run_benchmark(true)?;
+    let bare = nht1_makespan(false)?;
+    let traced = nht1_makespan(true)?;
     let overhead = 100.0 * (traced - bare) / bare;
     println!("NHT-1-style benchmark, 16 nodes, 2176 I/O calls per node:");
     println!("  uninstrumented makespan: {bare:.3}s (simulated)");
