@@ -667,7 +667,7 @@ mod tests {
             for &(block, id) in &ops {
                 let node = (block % nodes as u64) as usize;
                 let key = (0, u64::from(id));
-                prop_assert_eq!(bank.access(node, id, 1), caches[node].access(key, 1), "id {}", id);
+                prop_assert_eq!(bank.access(node, id, 1), caches[node].access(key), "id {}", id);
                 prop_assert_eq!(bank.len(node), caches[node].len());
                 prop_assert!(bank.len(node) <= cap);
                 let tail = (bank.len(node) > 0)

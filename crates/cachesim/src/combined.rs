@@ -34,22 +34,6 @@ impl CombinedResult {
     pub fn io_hit_rate_reduction(&self) -> f64 {
         self.io_only_hit_rate - self.combined_io_hit_rate
     }
-
-    /// Record this run's hit rates, in basis points (1/100 of a percent),
-    /// under the `cachesim.combined.` prefix of `registry`. Gauges, since
-    /// rates are not summable across runs.
-    pub fn record_metrics(&self, registry: &charisma_obs::MetricsRegistry) {
-        let bp = |rate: f64| (rate * 10_000.0).round().max(0.0) as u64;
-        registry
-            .gauge("cachesim.combined.io_only_hit_rate_bp")
-            .record_max(bp(self.io_only_hit_rate));
-        registry
-            .gauge("cachesim.combined.io_hit_rate_bp")
-            .record_max(bp(self.combined_io_hit_rate));
-        registry
-            .gauge("cachesim.combined.compute_hit_rate_bp")
-            .record_max(bp(self.compute_hit_rate));
-    }
 }
 
 /// Run both configurations over the same trace.

@@ -64,18 +64,6 @@ impl ComputeCacheResult {
         }
         rates.iter().filter(|&&r| r == 0.0).count() as f64 / rates.len() as f64
     }
-
-    /// Record this run's raw counters under the `cachesim.compute.` prefix
-    /// of `registry`.
-    pub fn record_metrics(&self, registry: &charisma_obs::MetricsRegistry) {
-        registry
-            .counter("cachesim.compute.requests")
-            .add(self.requests);
-        registry.counter("cachesim.compute.hits").add(self.hits);
-        registry
-            .counter("cachesim.compute.jobs")
-            .add(self.per_job.len() as u64);
-    }
 }
 
 /// Run the simulation with `buffers` one-block buffers per compute node.
@@ -162,14 +150,14 @@ impl<'a> ComputeCacheSim<'a> {
             entry.0 += 1;
             // Touch for recency.
             for b in first..=last {
-                cache.access((facts.file, b), 0);
+                cache.access((facts.file, b));
             }
         } else {
             self.missing.clear();
             for b in first..=last {
                 let bstart = b * BLOCK;
                 let touched = (end.min(bstart.saturating_add(BLOCK)) - offset.max(bstart)) as u32;
-                if !cache.access((facts.file, b), touched) {
+                if !cache.access((facts.file, b)) {
                     self.missing.push((b, touched));
                 }
             }

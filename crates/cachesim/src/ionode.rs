@@ -57,19 +57,6 @@ impl IoCacheResult {
     pub fn block_hit_rate(&self) -> f64 {
         self.block_hits as f64 / self.block_accesses.max(1) as f64
     }
-
-    /// Record this run's raw counters under the `cachesim.io.` prefix of
-    /// `registry` (counts, never rates — snapshots stay mergeable).
-    pub fn record_metrics(&self, registry: &charisma_obs::MetricsRegistry) {
-        registry.counter("cachesim.io.requests").add(self.accesses);
-        registry.counter("cachesim.io.request_hits").add(self.hits);
-        registry
-            .counter("cachesim.io.block_accesses")
-            .add(self.block_accesses);
-        registry
-            .counter("cachesim.io.block_hits")
-            .add(self.block_hits);
-    }
 }
 
 /// Run one full-trace I/O-node cache simulation: `total_buffers` spread

@@ -117,7 +117,7 @@ pub fn prefetch_sim(
         // Eviction of an unused prefetched block is wasted work; detect by
         // sweeping pending entries no longer resident (cheap amortized:
         // check this key later on demand or at the end).
-        caches[io].access(key, 0);
+        caches[io].access(key);
         pending.insert(key, ());
     };
 
@@ -145,7 +145,7 @@ pub fn prefetch_sim(
             let io = (b % io_nodes as u64) as usize;
             let key = (facts.file, b);
             out.accesses += 1;
-            let resident = caches[io].access(key, 1);
+            let resident = caches[io].access(key);
             if resident {
                 out.hits += 1;
                 if pending.remove(&key).is_some() {

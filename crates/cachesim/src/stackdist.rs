@@ -115,23 +115,6 @@ impl StackDistanceProfile {
     pub fn ceiling(&self) -> f64 {
         self.hit_rate_at(usize::MAX)
     }
-
-    /// Record this profile under the `cachesim.stack_distance` keys of
-    /// `registry`: the distance distribution goes into a log2 histogram
-    /// (each access recorded at its stack distance), cold misses and the
-    /// access total into counters.
-    pub fn record_metrics(&self, registry: &charisma_obs::MetricsRegistry) {
-        let histogram = registry.histogram("cachesim.stack_distance");
-        for (d, &count) in self.histogram.iter().enumerate() {
-            histogram.record_n(d as u64 + 1, count);
-        }
-        registry
-            .counter("cachesim.stack_distance.cold")
-            .add(self.cold);
-        registry
-            .counter("cachesim.stack_distance.total")
-            .add(self.total);
-    }
 }
 
 /// Streaming stack-distance computer over block accesses.
@@ -320,7 +303,7 @@ mod tests {
             let mut cache = LruCache::new(capacity);
             let mut hits = 0u64;
             for &b in &blocks {
-                if cache.access((0, b), 1) {
+                if cache.access((0, b)) {
                     hits += 1;
                 }
             }
@@ -341,19 +324,6 @@ mod tests {
         assert_eq!(p.capacity_for(0.5), Some(6));
         assert_eq!(p.capacity_for(0.99), None, "compulsory misses cap it");
         assert!((p.ceiling() - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn record_metrics_mirrors_the_profile() {
-        let p = distances(&[1, 2, 3, 1, 1]);
-        let registry = charisma_obs::MetricsRegistry::new();
-        p.record_metrics(&registry);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counters["cachesim.stack_distance.cold"], 3);
-        assert_eq!(snap.counters["cachesim.stack_distance.total"], 5);
-        let h = &snap.histograms["cachesim.stack_distance"];
-        assert_eq!(h.count, 2, "two reuses recorded");
-        assert_eq!(h.sum, 3 + 1, "distances 3 and 1");
     }
 
     #[test]

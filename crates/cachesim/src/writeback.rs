@@ -63,23 +63,6 @@ impl WritebackResult {
     pub fn absorption(&self) -> f64 {
         self.block_writes as f64 / self.disk_writes.max(1) as f64
     }
-
-    /// Record this run's raw counters (write-back volume and peak dirty
-    /// footprint) under the `cachesim.writeback.` prefix of `registry`.
-    pub fn record_metrics(&self, registry: &charisma_obs::MetricsRegistry) {
-        registry
-            .counter("cachesim.writeback.write_requests")
-            .add(self.write_requests);
-        registry
-            .counter("cachesim.writeback.block_writes")
-            .add(self.block_writes);
-        registry
-            .counter("cachesim.writeback.disk_writes")
-            .add(self.disk_writes);
-        registry
-            .gauge("cachesim.writeback.peak_dirty")
-            .record_max(self.peak_dirty as u64);
-    }
 }
 
 /// Run the write-absorption simulation over a trace's write stream.

@@ -143,7 +143,7 @@ proptest! {
         let mut hits = 0u64;
         for &(f, b) in &blocks {
             sd.access((f, b));
-            if lru.access((f, b), 1) {
+            if lru.access((f, b)) {
                 hits += 1;
             }
         }

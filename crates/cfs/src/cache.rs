@@ -223,16 +223,16 @@ impl LruCache {
         (self.tail != NIL).then(|| self.slab[self.tail].key)
     }
 
-    /// Touch `key` with `touched_bytes` of the block actually referenced.
-    /// Returns true on a hit (block was resident). On a miss the block is
-    /// fetched (made resident), evicting the least recent block if full.
+    /// Touch `key`. Returns true on a hit (block was resident). On a miss
+    /// the block is fetched (made resident), evicting the least recent
+    /// block if full.
     ///
     /// One probe finds `key`. A miss fills the empty slot that probe ended
     /// on before the victim leaves: removing the victim first could shift
     /// another entry into that slot. The victim's slab entry is reused in
     /// place for the new block.
     #[inline]
-    pub fn access(&mut self, key: BlockKey, _touched_bytes: u32) -> bool {
+    pub fn access(&mut self, key: BlockKey) -> bool {
         if self.capacity == 0 {
             return false;
         }
@@ -391,16 +391,16 @@ mod tests {
             let newcomer = newcomer[0];
             let mut lru = LruCache::new(3);
             for &key in residents {
-                assert!(!lru.access(key, 1));
+                assert!(!lru.access(key));
             }
-            assert!(!lru.access(newcomer, 1));
+            assert!(!lru.access(newcomer));
             assert_eq!(lru.map.slots.len(), BlockTable::<usize>::MIN_SLOTS);
             // The oldest resident is the victim.
             assert_eq!(lru.len(), 3);
             assert!(!lru.contains(residents[0]), "{order:?}");
             for &key in &order[1..] {
                 assert!(lru.contains(key), "{key:?} lost in {order:?}");
-                assert!(lru.access(key, 1), "{key:?} missed in {order:?}");
+                assert!(lru.access(key), "{key:?} missed in {order:?}");
             }
             assert_eq!(lru.lru_key(), Some(order[1]));
         }
@@ -440,7 +440,7 @@ mod tests {
         let mut c = LruCache::new(1 << 20);
         assert_eq!(c.map.slots.len(), BlockTable::<usize>::MIN_SLOTS);
         for b in 0..100 {
-            c.access(k(b), 1);
+            c.access(k(b));
         }
         assert_eq!(
             c.map.slots.len(),
@@ -452,23 +452,23 @@ mod tests {
     #[test]
     fn lru_hits_and_misses() {
         let mut c = LruCache::new(2);
-        assert!(!c.access(k(0), 1), "cold miss");
-        assert!(c.access(k(0), 1), "hit");
-        assert!(!c.access(k(1), 1));
-        assert!(!c.access(k(2), 1), "evicts k0 (LRU)");
-        assert!(!c.access(k(0), 1), "k0 was evicted");
-        assert!(c.access(k(2), 1), "k2 survived");
+        assert!(!c.access(k(0)), "cold miss");
+        assert!(c.access(k(0)), "hit");
+        assert!(!c.access(k(1)));
+        assert!(!c.access(k(2)), "evicts k0 (LRU)");
+        assert!(!c.access(k(0)), "k0 was evicted");
+        assert!(c.access(k(2)), "k2 survived");
     }
 
     #[test]
     fn lru_eviction_order_is_recency() {
         let mut c = LruCache::new(3);
-        c.access(k(0), 1);
-        c.access(k(1), 1);
-        c.access(k(2), 1);
-        c.access(k(0), 1); // k0 now most recent; k1 is LRU
+        c.access(k(0));
+        c.access(k(1));
+        c.access(k(2));
+        c.access(k(0)); // k0 now most recent; k1 is LRU
         assert_eq!(c.lru_key(), Some(k(1)));
-        c.access(k(3), 1);
+        c.access(k(3));
         assert!(!c.contains(k(1)));
         assert!(c.contains(k(0)) && c.contains(k(2)) && c.contains(k(3)));
     }
@@ -477,7 +477,7 @@ mod tests {
     fn lru_never_exceeds_capacity() {
         let mut c = LruCache::new(5);
         for b in 0..100 {
-            c.access(k(b), 1);
+            c.access(k(b));
             assert!(c.len() <= 5);
         }
         assert_eq!(c.len(), 5);
@@ -487,7 +487,7 @@ mod tests {
     fn zero_capacity_caches_nothing() {
         let mut lru = LruCache::new(0);
         for _ in 0..3 {
-            assert!(!lru.access(k(0), 1));
+            assert!(!lru.access(k(0)));
         }
         assert!(lru.is_empty());
     }
@@ -495,9 +495,9 @@ mod tests {
     #[test]
     fn invalidate_removes() {
         let mut lru = LruCache::new(4);
-        lru.access(k(1), 1);
+        lru.access(k(1));
         lru.invalidate(k(1));
         assert!(!lru.contains(k(1)));
-        assert!(!lru.access(k(1), 1), "miss after invalidation");
+        assert!(!lru.access(k(1)), "miss after invalidation");
     }
 }

@@ -868,7 +868,7 @@ impl Cfs {
                 let (b, touched) = touches[i as usize];
                 blocks += 1;
                 io_bytes += u64::from(touched);
-                if caches[serve_io].access((file, b), touched) {
+                if caches[serve_io].access((file, b)) {
                     hits += 1;
                     stats.cache_hits += 1;
                     io_done += cache_op;
@@ -1527,7 +1527,7 @@ mod tests {
                     }
                     blocks += 1;
                     io_bytes += u64::from(touched);
-                    if self.caches[serve_io].access((file, b), touched) {
+                    if self.caches[serve_io].access((file, b)) {
                         hits += 1;
                         self.stats.cache_hits += 1;
                         io_done += cache_op;

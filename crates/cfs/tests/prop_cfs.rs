@@ -54,7 +54,7 @@ proptest! {
                 fast.invalidate(key);
                 slow.items.retain(|&k| k != key);
             } else {
-                let a = fast.access(key, 1);
+                let a = fast.access(key);
                 let b = slow.access(key);
                 prop_assert_eq!(a, b, "divergence on {:?}", key);
             }
@@ -75,7 +75,7 @@ proptest! {
         for &b in &blocks {
             let key = (0u32, b);
             let was_resident = c.contains(key);
-            let hit = c.access(key, 512);
+            let hit = c.access(key);
             prop_assert_eq!(hit, was_resident, "hit must equal prior residency");
             if cap > 0 {
                 prop_assert!(c.contains(key), "accessed block becomes resident");

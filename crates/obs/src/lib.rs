@@ -17,15 +17,13 @@
 //!    diffed byte-for-byte against a committed fixture — that is the
 //!    `charisma-verify gates metrics` gate.
 //! 2. **Segregated nondeterminism.** Span timings measure *wall-clock*
-//!    phases ([`MetricsRegistry::span`], the [`span!`] macro). They are
-//!    useful for profiling but vary run to run, so the JSON export
-//!    quarantines them under a `"nondeterministic"` key and
-//!    [`MetricsSnapshot::to_core_json`] omits them entirely.
+//!    phases ([`MetricsRegistry::span`]). They are useful for profiling
+//!    but vary run to run, so the JSON export quarantines them under a
+//!    `"nondeterministic"` key and [`MetricsSnapshot::to_core_json`] omits
+//!    them entirely.
 //! 3. **Near-zero cost.** Metric handles are `Arc`-shared atomic cells:
 //!    registration takes a lock once, per-event updates are single relaxed
-//!    atomic operations on pre-looked-up handles. Profiling hooks go
-//!    through the [`Probe`] trait, whose default [`NoopProbe`] inlines to
-//!    nothing.
+//!    atomic operations on pre-looked-up handles.
 //!
 //! The crate is dependency-free by design (see `ROADMAP.md`: extend shims,
 //! never add registry dependencies).
@@ -62,13 +60,11 @@
 )] // CH008
 
 pub mod metrics;
-pub mod probe;
 pub mod snapshot;
 pub mod span;
 
 pub use metrics::{
     bucket_floor, bucket_index, Counter, Gauge, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS,
 };
-pub use probe::{NoopProbe, Probe};
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot, TimingSnapshot};
 pub use span::Span;

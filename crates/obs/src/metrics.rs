@@ -14,7 +14,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::probe::{NoopProbe, Probe};
 use crate::snapshot::{HistogramSnapshot, MetricsSnapshot, TimingSnapshot};
 use crate::span::Span;
 
@@ -209,36 +208,19 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// One registry per simulation domain — the sharded generator runs one per
 /// shard and merges the snapshots, which is what keeps the merged metrics
 /// independent of worker count.
+#[derive(Default)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
     /// Wall-clock span accumulators: name → (entries, total nanoseconds).
     timings: Mutex<BTreeMap<String, (u64, u64)>>,
-    probe: Arc<dyn Probe>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl MetricsRegistry {
-    /// An empty registry with the no-op probe.
+    /// An empty registry.
     pub fn new() -> Self {
-        Self::with_probe(Arc::new(NoopProbe))
-    }
-
-    /// An empty registry whose spans report to `probe`.
-    pub fn with_probe(probe: Arc<dyn Probe>) -> Self {
-        MetricsRegistry {
-            counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
-            timings: Mutex::new(BTreeMap::new()),
-            probe,
-        }
+        Self::default()
     }
 
     /// The registered counter named `name`, creating it at zero on first
@@ -282,18 +264,11 @@ impl MetricsRegistry {
         }
     }
 
-    /// Open a wall-clock span; its elapsed time is recorded (and reported
-    /// to the probe) when the returned guard drops. Prefer the [`span!`]
-    /// macro, which binds the guard for you.
-    ///
-    /// [`span!`]: crate::span!
+    /// Open a wall-clock span; its elapsed time is recorded when the
+    /// returned guard drops, so bind it (`let _span = ...`) for the scope
+    /// it should time.
     pub fn span(&self, name: &'static str) -> Span<'_> {
         Span::enter(self, name)
-    }
-
-    /// The probe spans report to.
-    pub fn probe(&self) -> &Arc<dyn Probe> {
-        &self.probe
     }
 
     /// Accumulate `nanos` of wall-clock time under the span name `name`.

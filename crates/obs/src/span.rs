@@ -1,16 +1,16 @@
 //! Wall-clock span timing.
 //!
-//! A [`Span`] is an RAII guard: entering notifies the registry's probe,
-//! dropping records the elapsed wall-clock time into the registry's
-//! timing table (which the JSON export quarantines under
-//! `"nondeterministic"` — see [`crate::snapshot`]).
+//! A [`Span`] is an RAII guard: dropping it records the elapsed
+//! wall-clock time into the registry's timing table (which the JSON
+//! export quarantines under `"nondeterministic"` — see
+//! [`crate::snapshot`]).
 
 use std::time::Instant;
 
 use crate::metrics::MetricsRegistry;
 
 /// RAII timing guard returned by [`MetricsRegistry::span`]. Records its
-/// elapsed wall-clock time (and notifies the probe) when dropped.
+/// elapsed wall-clock time when dropped.
 #[derive(Debug)]
 pub struct Span<'r> {
     registry: &'r MetricsRegistry,
@@ -19,22 +19,13 @@ pub struct Span<'r> {
 }
 
 impl<'r> Span<'r> {
-    /// Open a span. Prefer [`MetricsRegistry::span`] or the [`span!`]
-    /// macro.
-    ///
-    /// [`span!`]: crate::span!
+    /// Open a span. Prefer [`MetricsRegistry::span`].
     pub fn enter(registry: &'r MetricsRegistry, name: &'static str) -> Self {
-        registry.probe().span_enter(name);
         Span {
             registry,
             name,
             started: Instant::now(),
         }
-    }
-
-    /// The span's name.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 }
 
@@ -43,27 +34,7 @@ impl Drop for Span<'_> {
         let elapsed = self.started.elapsed();
         let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         self.registry.record_timing(self.name, nanos);
-        self.registry.probe().span_exit(self.name, nanos);
     }
-}
-
-/// Time the rest of the enclosing scope under `name`:
-///
-/// ```
-/// use charisma_obs::{span, MetricsRegistry};
-///
-/// let registry = MetricsRegistry::new();
-/// {
-///     span!(registry, "generate");
-///     // ... work ...
-/// }
-/// assert_eq!(registry.snapshot().timings["generate"].count, 1);
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($registry:expr, $name:literal) => {
-        let _span_guard = $registry.span($name);
-    };
 }
 
 #[cfg(test)]
@@ -74,8 +45,8 @@ mod tests {
     fn span_records_on_drop() {
         let registry = MetricsRegistry::new();
         {
-            let span = registry.span("work");
-            assert_eq!(span.name(), "work");
+            let _span = registry.span("work");
+            assert!(registry.snapshot().timings.is_empty());
         }
         let snap = registry.snapshot();
         assert_eq!(snap.timings["work"].count, 1);
@@ -85,9 +56,9 @@ mod tests {
     fn nested_spans_record_independently() {
         let registry = MetricsRegistry::new();
         {
-            span!(registry, "outer");
+            let _outer = registry.span("outer");
             {
-                span!(registry, "inner");
+                let _inner = registry.span("inner");
             }
         }
         let snap = registry.snapshot();
@@ -99,7 +70,7 @@ mod tests {
     fn repeated_spans_accumulate() {
         let registry = MetricsRegistry::new();
         for _ in 0..3 {
-            span!(registry, "loop");
+            let _span = registry.span("loop");
         }
         assert_eq!(registry.snapshot().timings["loop"].count, 3);
     }

@@ -7,20 +7,20 @@
 //! claimed snapshot runs an ordinary pruned one-worker [`Scan`].
 //! One fan-out worker runs the same claiming loop inline on the calling
 //! thread, and so does each one-worker scan, so a one-worker federated
-//! query spawns no thread at all. The merge is a k-way minimum over
-//! `(time, node, tenant)`: because every tenant stream is internally
-//! ordered by `(time, node)`, the merged output is exactly a stable sort
-//! of the tenant-ordered concatenation by `(time, node)` — the federation
-//! analog of the trace layer's canonical `(time, node, shard, seq)` merge
-//! key, with the tenant index standing in for the shard and per-tenant
-//! row order for the sequence number. The property suite pins that
+//! query spawns no thread at all. The per-tenant results go through the
+//! trace layer's [`MergedEvents`], whose `(time, node, shard, seq)` key
+//! becomes `(time, node, tenant, row)`: it stably sorts each tenant's
+//! stream by `(time, node)` and then merges, so the output is exactly a
+//! stable sort of the tenant-ordered concatenation by `(time, node)` —
+//! also for a tenant whose batches were submitted out of order, which
+//! [`Service::submit`] does not forbid. The property suite pins that
 //! equivalence for arbitrary queries and worker counts.
 //!
 //! [`Scan`]: charisma_store::Scan
 
 use charisma_ipsc::par::claim_each;
 use charisma_store::Query;
-use charisma_trace::OrderedEvent;
+use charisma_trace::{MergedEvents, OrderedEvent};
 
 use crate::service::{Service, Snapshot};
 use crate::ServeError;
@@ -123,38 +123,9 @@ pub(crate) fn federated_events(
     })
     .into_iter()
     .collect::<Result<Vec<_>, ServeError>>()?;
-    let merged = kway_merge(&per_tenant);
+    let merged: Vec<OrderedEvent> = MergedEvents::new(per_tenant).collect();
     m.federated_rows.add(merged.len() as u64);
     Ok(merged)
-}
-
-/// Deterministic k-way merge of per-tenant ordered streams. Ties on
-/// `(time, node)` break by tenant index, which for internally-ordered
-/// inputs makes the output a stable sort of the tenant-ordered
-/// concatenation by `(time, node)`.
-fn kway_merge(streams: &[Vec<OrderedEvent>]) -> Vec<OrderedEvent> {
-    let total: usize = streams.iter().map(Vec::len).sum();
-    let mut heads = vec![0usize; streams.len()];
-    let mut out = Vec::with_capacity(total);
-    while out.len() < total {
-        let mut best: Option<(u64, u16, usize)> = None;
-        for (tenant, stream) in streams.iter().enumerate() {
-            if let Some(e) = stream.get(heads[tenant]) {
-                let key = (e.time.as_micros(), e.node, tenant);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
-        let Some((_, _, tenant)) = best else {
-            break;
-        };
-        if let Some(&e) = streams[tenant].get(heads[tenant]) {
-            out.push(e);
-        }
-        heads[tenant] += 1;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -363,5 +334,39 @@ mod tests {
             .events()
             .expect("federates");
         assert_eq!(got, sorted(stream(300, 2)));
+    }
+
+    #[test]
+    fn unordered_tenants_federate_as_a_stable_sort() {
+        let at = |us: u64| OrderedEvent {
+            time: SimTime::from_micros(us),
+            node: 0,
+            body: EventBody::Read {
+                session: 0,
+                offset: us,
+                bytes: 64,
+            },
+        };
+        // Tenant 0 submits t=5 before t=1; tenant 1 holds t=3.
+        let feeds = vec![
+            TenantFeed {
+                tenant: 0,
+                batches: vec![vec![at(5)], vec![at(1)]],
+            },
+            TenantFeed {
+                tenant: 1,
+                batches: vec![vec![at(3)]],
+            },
+        ];
+        let service = service_with(&feeds);
+        for workers in [1, 2] {
+            let got = service
+                .federated(Query::all())
+                .workers(workers)
+                .events()
+                .expect("federates");
+            let times: Vec<u64> = got.iter().map(|e| e.time.as_micros()).collect();
+            assert_eq!(times, [1, 3, 5], "workers={workers}");
+        }
     }
 }

@@ -492,7 +492,7 @@ impl Archive {
 
     /// Begin a query over the archive. The returned [`Scan`] is a builder:
     /// set `.workers(n)` / `.attach_metrics(..)`, then consume it with
-    /// `.events()`, `.report()`, or `.session_index()`.
+    /// `.events()` or `.report()`.
     pub fn query(&self, query: Query) -> Scan<'_> {
         self.reader.query(query)
     }

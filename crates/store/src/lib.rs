@@ -15,9 +15,8 @@
 //! * [`Archive`] memory-loads an archive and answers [`Query`]s: the zone
 //!   maps prune whole segments before any decoding, then worker threads
 //!   claim and scan the survivors. A [`Scan`] can materialize matching
-//!   [`events`](Scan::events), compute a full analyzer
-//!   [`report`](Scan::report) for the subset, or rebuild the cache
-//!   simulators' [`session_index`](Scan::session_index).
+//!   [`events`](Scan::events) or compute a full analyzer
+//!   [`report`](Scan::report) for the subset.
 //!
 //! # Build/serve split
 //!

@@ -21,16 +21,11 @@
 //! spawned or joined. Matches come back in segment order, so the output —
 //! and anything computed from it, the first error included — is
 //! byte-identical for every worker count.
-//! [`Scan::report`] streams the matches into the push-based
-//! [`charisma_core::Analyzer`]/`RequestSizes`, yielding the paper's full
-//! characterization for any archive subset without re-running the
-//! generator; [`Scan::session_index`] does the same for
-//! the cache simulators' indexing pass.
+//! [`Scan::report`] streams the matches into
+//! [`Report::from_stream`], yielding the paper's full characterization
+//! for any archive subset without re-running the generator.
 
-use charisma_cachesim::SessionIndex;
 use charisma_core::report::Report;
-use charisma_core::requests::RequestSizes;
-use charisma_core::Analyzer;
 use charisma_ipsc::par::claim_each;
 use charisma_ipsc::SimTime;
 use charisma_trace::record::EventBody;
@@ -113,8 +108,7 @@ impl OpSet {
 /// Every predicate is optional; [`Query::all`] matches everything. The
 /// identity predicates are *set-valued* — [`Query::jobs`],
 /// [`Query::files`], [`Query::nodes`] each accept a slice and match any
-/// member; [`Query::job`]/[`Query::file`]/[`Query::node`] are thin
-/// single-element wrappers kept for existing call sites. Job and file
+/// member; [`Query::node`] is shorthand for a one-node set. Job and file
 /// predicates select records that *name* that identity — job records,
 /// opens, and deletes — which is also exactly what the zone maps index;
 /// request records tie to jobs only through their session, a join the
@@ -149,24 +143,12 @@ impl Query {
         self
     }
 
-    /// Restrict to records naming job `job` (single-element [`Query::jobs`]).
-    #[must_use]
-    pub fn job(self, job: u32) -> Self {
-        self.jobs(&[job])
-    }
-
     /// Restrict to records naming any file in `files`. Replaces any
     /// earlier file predicate; an empty slice matches nothing.
     #[must_use]
     pub fn files(mut self, files: &[u32]) -> Self {
         self.files = Some(files.to_vec());
         self
-    }
-
-    /// Restrict to records naming file `file` (single-element [`Query::files`]).
-    #[must_use]
-    pub fn file(self, file: u32) -> Self {
-        self.files(&[file])
     }
 
     /// Restrict to records recorded on any node in `nodes`. Replaces any
@@ -434,26 +416,9 @@ impl<'a> Scan<'a> {
     /// streamed straight into the push-based analyzer — no intermediate
     /// event vector.
     pub fn report(&self) -> Result<Report, StoreError> {
-        let mut analyzer = Analyzer::new();
-        let mut sizes = RequestSizes::new();
-        for segment in self.scan_segments()? {
-            for e in &segment {
-                analyzer.push(e);
-                sizes.push(e);
-            }
-        }
-        sizes.seal();
-        Ok(Report {
-            chars: analyzer.finish(),
-            request_sizes: sizes,
-        })
-    }
-
-    /// The cache simulators' session-indexing pass over the matching
-    /// subset — the prep step for re-running cache experiments from an
-    /// archive instead of a fresh generation.
-    pub fn session_index(&self) -> Result<SessionIndex, StoreError> {
-        Ok(SessionIndex::build(&self.events()?))
+        Ok(Report::from_stream(
+            self.scan_segments()?.into_iter().flatten(),
+        ))
     }
 }
 
@@ -538,8 +503,8 @@ mod tests {
         let full = stream();
         let queries = [
             Query::all().time_window(SimTime::from_micros(2000), SimTime::from_micros(4500)),
-            Query::all().job(1),
-            Query::all().file(17),
+            Query::all().jobs(&[1]),
+            Query::all().files(&[17]),
             Query::all().node(3),
             Query::all().jobs(&[0, 2]),
             Query::all().files(&[17, 83, 999]),
@@ -694,7 +659,9 @@ mod tests {
     fn job_and_file_pruning_respects_presence() {
         let a = archive();
         // Job 2 only appears in the last 2000 records (one tail segment).
-        let q = Query::all().job(2).ops(OpSet::empty().with(OpClass::Open));
+        let q = Query::all()
+            .jobs(&[2])
+            .ops(OpSet::empty().with(OpClass::Open));
         let got = a.query(q).events().expect("scans");
         assert!(!got.is_empty());
         assert!(got
@@ -702,7 +669,7 @@ mod tests {
             .all(|e| matches!(e.body, EventBody::Open { job: 2, .. })));
         // A job id no record names matches nothing.
         assert!(a
-            .query(Query::all().job(999))
+            .query(Query::all().jobs(&[999]))
             .events()
             .expect("scans")
             .is_empty());
@@ -711,19 +678,15 @@ mod tests {
     #[test]
     fn set_predicates_subsume_single_element_wrappers() {
         let a = archive();
-        // Single-element wrappers are exactly the one-member sets.
-        assert_eq!(
-            a.query(Query::all().job(1)).events().expect("scans"),
-            a.query(Query::all().jobs(&[1])).events().expect("scans"),
-        );
+        // The single-node shorthand is exactly the one-member set.
         assert_eq!(
             a.query(Query::all().node(3)).events().expect("scans"),
             a.query(Query::all().nodes(&[3])).events().expect("scans"),
         );
         // A set union matches the union of its members' matches.
         let both = a.query(Query::all().jobs(&[0, 2])).events().expect("scans");
-        let j0 = a.query(Query::all().job(0)).events().expect("scans");
-        let j2 = a.query(Query::all().job(2)).events().expect("scans");
+        let j0 = a.query(Query::all().jobs(&[0])).events().expect("scans");
+        let j2 = a.query(Query::all().jobs(&[2])).events().expect("scans");
         assert_eq!(both.len(), j0.len() + j2.len());
         // Empty sets match nothing; later calls replace earlier predicates.
         assert!(a
@@ -735,7 +698,7 @@ mod tests {
             a.query(Query::all().jobs(&[999]).jobs(&[1]))
                 .events()
                 .expect("scans"),
-            a.query(Query::all().job(1)).events().expect("scans"),
+            a.query(Query::all().jobs(&[1])).events().expect("scans"),
         );
     }
 
@@ -774,15 +737,6 @@ mod tests {
         let got = a.query(q.clone()).workers(4).report().expect("scans");
         let want = Report::from_stream(stream().into_iter().filter(|e| q.matches(e)));
         assert_eq!(got.render(), want.render());
-    }
-
-    #[test]
-    fn session_index_rebuilds_from_a_scan() {
-        let a = archive();
-        let idx = a.query(Query::all()).session_index().expect("scans");
-        let want = SessionIndex::build(&stream());
-        assert_eq!(idx.len(), want.len());
-        assert_eq!(idx.get(17).copied(), want.get(17).copied());
     }
 
     #[test]

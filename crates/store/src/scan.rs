@@ -454,8 +454,8 @@ mod tests {
             Query::all().time_window(SimTime::from_micros(90), SimTime::from_micros(600)),
             Query::all().node(2),
             Query::all().ops(OpSet::empty().with(OpClass::Open)),
-            Query::all().job(7),
-            Query::all().file(13),
+            Query::all().jobs(&[7]),
+            Query::all().files(&[13]),
             Query::all()
                 .time_window(SimTime::from_micros(0), SimTime::from_micros(900))
                 .ops(OpSet::requests()),

@@ -163,7 +163,7 @@ impl ArchiveReader {
 
     /// Begin a query over the catalog. The returned [`Scan`] is a builder:
     /// set `.workers(n)` / `.attach_metrics(..)`, then consume it with
-    /// `.events()`, `.report()`, or `.session_index()`.
+    /// `.events()` or `.report()`.
     pub fn query(&self, query: Query) -> Scan<'_> {
         Scan::new(self, query)
     }

@@ -103,20 +103,14 @@ fn arb_query() -> impl Strategy<Value = Query> {
                     SimTime::from_micros(a.max(b)),
                 );
             }
-            // Exercise both the set predicates and the single-element
-            // wrappers (a one-member set goes through the wrapper).
             if let Some(jobs) = jobs {
-                q = match jobs.as_slice() {
-                    [one] => q.job(*one),
-                    set => q.jobs(set),
-                };
+                q = q.jobs(&jobs);
             }
             if let Some(files) = files {
-                q = match files.as_slice() {
-                    [one] => q.file(*one),
-                    set => q.files(set),
-                };
+                q = q.files(&files);
             }
+            // A one-member node set goes through the single-node
+            // shorthand.
             if let Some(nodes) = nodes {
                 q = match nodes.as_slice() {
                     [one] => q.node(*one),

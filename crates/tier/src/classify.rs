@@ -32,28 +32,6 @@ pub enum Tier {
     Cold,
 }
 
-impl Tier {
-    /// One-letter code used by the [`TierReport`](crate::TierReport)
-    /// codec: `H`/`W`/`C`.
-    pub fn code(self) -> char {
-        match self {
-            Tier::Hot => 'H',
-            Tier::Warm => 'W',
-            Tier::Cold => 'C',
-        }
-    }
-
-    /// Inverse of [`Tier::code`].
-    pub fn from_code(c: char) -> Option<Tier> {
-        match c {
-            'H' => Some(Tier::Hot),
-            'W' => Some(Tier::Warm),
-            'C' => Some(Tier::Cold),
-            _ => None,
-        }
-    }
-}
-
 /// A segment's demand: scans weighted by reader coverage. Never-scanned
 /// segments have demand 0 regardless of mask bits.
 pub fn demand(access: &SegmentAccess) -> u64 {
@@ -143,7 +121,5 @@ mod tests {
         assert_eq!(demand(&narrow), 20);
         assert_eq!(demand(&wide), 650);
         assert_eq!(demand(&dead), 0, "coverage without scans is not demand");
-        assert_eq!(Tier::from_code(Tier::Hot.code()), Some(Tier::Hot));
-        assert_eq!(Tier::from_code('x'), None);
     }
 }

@@ -23,12 +23,12 @@
 //!   reconstruction last — and [`TieredSet::heal`] restores full
 //!   health, scrub-verified.
 //!
-//! Everything is deterministic and auditable: [`TierPlan`] /
-//! [`TierReport`] round-trip through the same plain-text codec as the
-//! chaos layer's fault plans, `tier.*` counters land in the pinned
-//! metrics fixture, and the `charisma-verify gates tier` gate holds
-//! classification to worker-count- and scan-order-invariance and parity
-//! to byte-exact single-loss reconstruction. Tiering is layout, not
+//! Everything is deterministic and auditable: a [`TierPlan`] plus an
+//! access ledger fixes the layout, the [`TierReport`] records it in full,
+//! `tier.*` counters land in the pinned metrics fixture, and the
+//! `charisma-verify gates tier` gate holds classification to
+//! worker-count- and scan-order-invariance and parity to byte-exact
+//! single-loss reconstruction. Tiering is layout, not
 //! format: no plan changes the canonical archive bytes.
 
 // Determinism rules; the disallowed types and methods live in clippy.toml.
@@ -53,5 +53,5 @@ mod policy;
 
 pub use classify::{classify, demand, Tier};
 pub use metrics::TierMetrics;
-pub use plan::{TierCodecError, TierPlan, TierReport};
+pub use plan::{TierPlan, TierReport};
 pub use policy::{HealReport, TieredSet};

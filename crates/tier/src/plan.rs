@@ -1,13 +1,9 @@
-//! The tiering policy's plain-data codec: [`TierPlan`] in,
-//! [`TierReport`] out.
+//! The tiering policy's plain data: [`TierPlan`] in, [`TierReport`] out.
 //!
-//! Both sides follow the chaos layer's `FaultPlan` text format — one
-//! `key = value` per line, `#` comments and blanks ignored, unknown keys
-//! rejected so a typo in a policy config cannot silently change the
-//! layout. A plan plus an access ledger fully determines a
+//! A plan plus an access ledger fully determines a
 //! [`TieredSet`](crate::TieredSet); the report is the auditable record
 //! of what the policy did, including the full per-segment assignment
-//! string, so two runs can be compared byte-for-byte.
+//! vector, so two runs can be compared with `==`.
 
 use crate::classify::Tier;
 
@@ -48,66 +44,6 @@ impl Default for TierPlan {
     }
 }
 
-impl TierPlan {
-    /// Serialize to the plan text format. Round-trips through
-    /// [`TierPlan::parse`] exactly.
-    pub fn encode(&self) -> String {
-        let mut out = String::from("# charisma tier plan v1\n");
-        let mut kv = |k: &str, v: u64| {
-            out.push_str(k);
-            out.push_str(" = ");
-            out.push_str(&v.to_string());
-            out.push('\n');
-        };
-        kv("seed", self.seed);
-        kv("nodes", u64::from(self.nodes));
-        kv("base_factor", u64::from(self.base_factor));
-        kv("hot_factor", u64::from(self.hot_factor));
-        kv("hot_weight", u64::from(self.hot_weight));
-        kv("cold_weight", u64::from(self.cold_weight));
-        kv("parity_k", u64::from(self.parity_k));
-        out
-    }
-
-    /// Parse the plan text format (see [`TierPlan::encode`]). Missing
-    /// keys keep their defaults; unknown keys are errors.
-    pub fn parse(text: &str) -> Result<TierPlan, TierCodecError> {
-        let mut plan = TierPlan::default();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(TierCodecError::MissingSeparator {
-                    line: lineno + 1,
-                    text: line.to_string(),
-                });
-            };
-            let (key, value) = (key.trim(), value.trim());
-            let bad = |_| TierCodecError::BadValue {
-                key: key.to_string(),
-                value: value.to_string(),
-            };
-            match key {
-                "seed" => plan.seed = value.parse().map_err(bad)?,
-                "nodes" => plan.nodes = value.parse().map_err(bad)?,
-                "base_factor" => plan.base_factor = value.parse().map_err(bad)?,
-                "hot_factor" => plan.hot_factor = value.parse().map_err(bad)?,
-                "hot_weight" => plan.hot_weight = value.parse().map_err(bad)?,
-                "cold_weight" => plan.cold_weight = value.parse().map_err(bad)?,
-                "parity_k" => plan.parity_k = value.parse().map_err(bad)?,
-                _ => {
-                    return Err(TierCodecError::UnknownKey {
-                        key: key.to_string(),
-                    })
-                }
-            }
-        }
-        Ok(plan)
-    }
-}
-
 /// What one policy run decided: tier census, replica-set deltas, parity
 /// layout, and the full per-segment assignment vector.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -134,196 +70,4 @@ pub struct TierReport {
     pub parity_bytes: u64,
     /// Per-segment assignment, in catalog order.
     pub assignments: Vec<Tier>,
-}
-
-impl TierReport {
-    /// Serialize to the report text format. Round-trips through
-    /// [`TierReport::parse`] exactly.
-    pub fn encode(&self) -> String {
-        let mut out = String::from("# charisma tier report v1\n");
-        let mut kv = |k: &str, v: u64| {
-            out.push_str(k);
-            out.push_str(" = ");
-            out.push_str(&v.to_string());
-            out.push('\n');
-        };
-        kv("segments", self.segments);
-        kv("hot", self.hot);
-        kv("warm", self.warm);
-        kv("cold", self.cold);
-        kv("promotions", self.promotions);
-        kv("demotions", self.demotions);
-        kv("replicas_added", self.replicas_added);
-        kv("replicas_dropped", self.replicas_dropped);
-        kv("parity_groups", self.parity_groups);
-        kv("parity_bytes", self.parity_bytes);
-        if !self.assignments.is_empty() {
-            out.push_str("assignments = ");
-            out.extend(self.assignments.iter().map(|t| t.code()));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parse the report text format (see [`TierReport::encode`]).
-    pub fn parse(text: &str) -> Result<TierReport, TierCodecError> {
-        let mut report = TierReport::default();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(TierCodecError::MissingSeparator {
-                    line: lineno + 1,
-                    text: line.to_string(),
-                });
-            };
-            let (key, value) = (key.trim(), value.trim());
-            let bad = |_| TierCodecError::BadValue {
-                key: key.to_string(),
-                value: value.to_string(),
-            };
-            match key {
-                "segments" => report.segments = value.parse().map_err(bad)?,
-                "hot" => report.hot = value.parse().map_err(bad)?,
-                "warm" => report.warm = value.parse().map_err(bad)?,
-                "cold" => report.cold = value.parse().map_err(bad)?,
-                "promotions" => report.promotions = value.parse().map_err(bad)?,
-                "demotions" => report.demotions = value.parse().map_err(bad)?,
-                "replicas_added" => report.replicas_added = value.parse().map_err(bad)?,
-                "replicas_dropped" => report.replicas_dropped = value.parse().map_err(bad)?,
-                "parity_groups" => report.parity_groups = value.parse().map_err(bad)?,
-                "parity_bytes" => report.parity_bytes = value.parse().map_err(bad)?,
-                "assignments" => {
-                    report.assignments = value
-                        .chars()
-                        .map(|c| {
-                            Tier::from_code(c).ok_or_else(|| TierCodecError::BadValue {
-                                key: key.to_string(),
-                                value: value.to_string(),
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-                _ => {
-                    return Err(TierCodecError::UnknownKey {
-                        key: key.to_string(),
-                    })
-                }
-            }
-        }
-        Ok(report)
-    }
-}
-
-/// Everything that can go wrong parsing a tier plan or report.
-#[derive(Debug, PartialEq, Eq)]
-pub enum TierCodecError {
-    /// A non-comment line has no `=` separator.
-    MissingSeparator {
-        /// 1-based line number.
-        line: usize,
-        /// The offending line, trimmed.
-        text: String,
-    },
-    /// A known key's value failed to parse.
-    BadValue {
-        /// The key whose value was rejected.
-        key: String,
-        /// The rejected value text.
-        value: String,
-    },
-    /// A key this build does not know — typos must not silently change
-    /// a layout.
-    UnknownKey {
-        /// The unrecognized key.
-        key: String,
-    },
-}
-
-impl std::fmt::Display for TierCodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TierCodecError::MissingSeparator { line, text } => {
-                write!(f, "tier codec line {line}: no `=` separator in {text:?}")
-            }
-            TierCodecError::BadValue { key, value } => {
-                write!(f, "tier codec: bad value {value:?} for key {key}")
-            }
-            TierCodecError::UnknownKey { key } => {
-                write!(f, "tier codec: unknown key {key}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TierCodecError {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn plan_round_trips_and_rejects_unknown_keys() {
-        let plan = TierPlan {
-            seed: 42,
-            nodes: 12,
-            base_factor: 3,
-            hot_factor: 6,
-            hot_weight: 3,
-            cold_weight: 2,
-            parity_k: 5,
-        };
-        assert_eq!(TierPlan::parse(&plan.encode()), Ok(plan));
-        assert_eq!(TierPlan::parse(""), Ok(TierPlan::default()));
-        assert_eq!(
-            TierPlan::parse("warp_factor = 9"),
-            Err(TierCodecError::UnknownKey {
-                key: "warp_factor".to_string()
-            })
-        );
-        assert_eq!(
-            TierPlan::parse("seed banana"),
-            Err(TierCodecError::MissingSeparator {
-                line: 1,
-                text: "seed banana".to_string()
-            })
-        );
-        assert_eq!(
-            TierPlan::parse("nodes = many"),
-            Err(TierCodecError::BadValue {
-                key: "nodes".to_string(),
-                value: "many".to_string()
-            })
-        );
-    }
-
-    #[test]
-    fn report_round_trips_with_assignments() {
-        let report = TierReport {
-            segments: 5,
-            hot: 1,
-            warm: 2,
-            cold: 2,
-            promotions: 1,
-            demotions: 2,
-            replicas_added: 2,
-            replicas_dropped: 2,
-            parity_groups: 1,
-            parity_bytes: 4096,
-            assignments: vec![Tier::Hot, Tier::Warm, Tier::Cold, Tier::Warm, Tier::Cold],
-        };
-        let text = report.encode();
-        assert!(text.contains("assignments = HWCWC"));
-        assert_eq!(TierReport::parse(&text), Ok(report));
-        assert_eq!(
-            TierReport::parse("assignments = HWX"),
-            Err(TierCodecError::BadValue {
-                key: "assignments".to_string(),
-                value: "HWX".to_string()
-            })
-        );
-        assert_eq!(TierReport::parse(""), Ok(TierReport::default()));
-    }
 }

@@ -197,8 +197,7 @@ impl TieredSet {
         &self.parity
     }
 
-    /// What the policy run decided (serializable via
-    /// [`TierReport::encode`]).
+    /// What the policy run decided.
     pub fn report(&self) -> &TierReport {
         &self.report
     }
@@ -327,13 +326,9 @@ mod tests {
             };
             assert_eq!(tiered.replica_set().replica_factor(s), want, "segment {s}");
         }
-        // Deterministic and serializable: a second run is byte-identical.
+        // Deterministic: a second run reports the same layout.
         let again = TieredSet::build(archive.reader(), &ledger, &plan);
         assert_eq!(again.report(), report);
-        assert_eq!(
-            TierReport::parse(&report.encode()).expect("round-trips"),
-            *report
-        );
         // Tiering is layout, not format.
         let (reader, failovers) = tiered.replica_set().failover_reader().expect("reads");
         assert_eq!(failovers, 0);

@@ -14,7 +14,7 @@
 //! seq)` is an arbitrary-but-fixed tiebreak that makes the order total.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use charisma_obs::{Counter, MetricsRegistry};
 
@@ -120,7 +120,8 @@ impl Iterator for MergedEvents {
     type Item = OrderedEvent;
 
     fn next(&mut self) -> Option<OrderedEvent> {
-        let Reverse((key, shard)) = self.heap.pop()?;
+        let mut top = self.heap.peek_mut()?;
+        let Reverse((key, shard)) = *top;
         #[cfg(feature = "invariants")]
         {
             charisma_ipsc::invariant!(
@@ -135,11 +136,14 @@ impl Iterator for MergedEvents {
         let pos = self.cursor[shard];
         let event = self.shards[shard][pos];
         self.cursor[shard] = pos + 1;
+        // The stream's next event replaces the head in place (one sift
+        // down); `heap_ops` still counts the pop and the refill push.
         let mut heap_ops = 1u64;
         if let Some(next) = self.shards[shard].get(pos + 1) {
-            self.heap
-                .push(Reverse((merge_key(next, shard, pos + 1), shard)));
+            *top = Reverse((merge_key(next, shard, pos + 1), shard));
             heap_ops += 1;
+        } else {
+            PeekMut::pop(top);
         }
         if let Some(m) = &self.metrics {
             m.records_merged.inc();

@@ -15,17 +15,15 @@
 //! 3. **the combined experiment** — the bits of its three hit rates;
 //!
 //! in `crates/verify/fixtures/cache_counts.txt`. It then renders the same
-//! lines from a [`SessionIndex`] rebuilt by scanning the run's archive
-//! ([`Scan::session_index`]) and requires them to be identical.
-//!
-//! [`Scan::session_index`]: charisma::store::Scan::session_index
+//! lines from a [`SessionIndex`] rebuilt from the run's archive and
+//! requires them to be identical.
 
 use std::fmt::Write as _;
 
 use charisma::cachesim::{
     combined_simulation, compute_cache_sim, io_cache_sim, Policy, SessionIndex,
 };
-use charisma::store::{Archive, Query};
+use charisma::store::Archive;
 use charisma::trace::OrderedEvent;
 
 use crate::gates::{pin, Config, Runs};
@@ -83,7 +81,7 @@ pub(crate) fn check(runs: &mut Runs, write: bool) -> Result<Vec<String>, charism
     let mut complaints = pin("cache_counts.txt", &(header + &counts), "cache", write);
 
     let archive = Archive::from_bytes(out.archive.clone().unwrap_or_default())?;
-    let scanned = archive.query(Query::all()).session_index()?;
+    let scanned = SessionIndex::build(&archive.events()?);
     let rescanned = render(&out.events, &scanned);
     if rescanned != counts {
         let line = counts

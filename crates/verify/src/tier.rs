@@ -173,7 +173,7 @@ pub(crate) fn check(runs: &mut Runs, _write: bool) -> Result<Vec<String>, charis
     // ledger, same assignments, same placements, same parity layout.
     let baseline_ledger = ledger_for(&archive, 1, false)?;
     let baseline = TieredSet::build(archive.reader(), &baseline_ledger, &plan);
-    let base_encoding = baseline.report().encode();
+    let base_report = baseline.report();
     let base_placements = placements(&baseline);
     for &workers in &GATE_WORKERS[1..] {
         let ledger = ledger_for(&archive, workers, false)?;
@@ -183,7 +183,7 @@ pub(crate) fn check(runs: &mut Runs, _write: bool) -> Result<Vec<String>, charis
             ));
         }
         let tiered = TieredSet::build(archive.reader(), &ledger, &plan);
-        if tiered.report().encode() != base_encoding {
+        if tiered.report() != base_report {
             complaints.push(format!(
                 "tier report under {workers} scan workers differs from the serial report"
             ));
@@ -199,7 +199,7 @@ pub(crate) fn check(runs: &mut Runs, _write: bool) -> Result<Vec<String>, charis
     // place identically (the ledger's scan ticks may differ — they are
     // the one order-dependent field — but the policy never reads them).
     let reversed = TieredSet::build(archive.reader(), &ledger_for(&archive, 2, true)?, &plan);
-    if reversed.report().encode() != base_encoding {
+    if reversed.report() != base_report {
         complaints.push(
             "tier report from the reversed scan schedule differs from the forward one".into(),
         );

@@ -37,13 +37,6 @@ const REGISTRATION_CALLS: &[&str] = &[".counter(", ".gauge(", ".histogram(", ".s
 ///   message faults, not worker deaths.
 const OPTIONAL_METRICS: &[&str] = &["faults.shard_retries"];
 
-/// Metric-name prefixes exempt from fixture coverage:
-///
-/// * `cachesim.` — the cache simulators expose `record_metrics` as an
-///   opt-in sink; the pinned pipeline characterizes the trace without
-///   running them, so their namespace is exercised by unit tests instead.
-const OPTIONAL_METRIC_PREFIXES: &[&str] = &["cachesim."];
-
 /// One registration site: `file:line` and the name pattern it registers.
 struct Registration {
     site: String,
@@ -192,13 +185,6 @@ fn fixture_metric_names(json: &str) -> Vec<(String, usize)> {
     out
 }
 
-fn is_optional(pattern: &str) -> bool {
-    OPTIONAL_METRICS.contains(&pattern)
-        || OPTIONAL_METRIC_PREFIXES
-            .iter()
-            .any(|px| pattern.starts_with(px))
-}
-
 /// Every `.rs` file under `dir`, recursively, in path order.
 fn rs_files(dir: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
@@ -243,7 +229,10 @@ fn registered_metric_names_match_the_snapshot_fixtures() {
         }
     }
 
-    for reg in regs.iter().filter(|r| !is_optional(&r.pattern)) {
+    for reg in regs
+        .iter()
+        .filter(|r| !OPTIONAL_METRICS.contains(&r.pattern.as_str()))
+    {
         if !pinned.keys().any(|name| reg.covers(name)) {
             complaints.push(format!(
                 "{}: metric `{}` is registered in code but pinned by no snapshot \

@@ -66,7 +66,7 @@
 //!   parity-protected single copies for cold ones ([`tier::TieredSet::build`]
 //!   over a sealed archive and its access ledger);
 //! * [`obs`] — the deterministic observability layer: counters, gauges,
-//!   log2 histograms, span timings, and profiling probes, surfaced as
+//!   log2 histograms and span timings, surfaced as
 //!   [`PipelineOutput::metrics`].
 //!
 //! ## Fault injection
@@ -106,7 +106,7 @@ pub mod prelude {
     pub use charisma_core::report::Report;
     pub use charisma_core::{analyze, Characterization};
     pub use charisma_ipsc::{FaultPlan, IoNodeDown, Machine, MachineConfig, RetryPolicy, SimTime};
-    pub use charisma_obs::{MetricsRegistry, MetricsSnapshot, NoopProbe, Probe};
+    pub use charisma_obs::{MetricsRegistry, MetricsSnapshot};
     pub use charisma_serve::{
         FederatedQuery, ServeError, Service, ServiceConfig, Snapshot, TenantFeed,
     };

@@ -25,7 +25,7 @@ use std::time::Instant;
 use charisma_cfs::CfsConfig;
 use charisma_core::report::Report;
 use charisma_ipsc::{FaultPlan, MachineConfig};
-use charisma_obs::{MetricsRegistry, MetricsSnapshot, Probe};
+use charisma_obs::{MetricsRegistry, MetricsSnapshot};
 use charisma_serve::{ServeError, Service};
 use charisma_store::{ArchiveMeta, ArchiveWriter, StoreError, StoreMetrics};
 use charisma_trace::{MergeMetrics, OrderedEvent};
@@ -50,10 +50,10 @@ pub enum ArchiveSink {
 }
 
 /// The serve half of [`ArchiveSink::Serve`]: which [`Service`] tenant
-/// receives the merged stream, and how many rows ride in each submitted
-/// batch.
+/// receives the merged stream.
 ///
-/// The pipeline submits batches during its single merge pass, flushes the
+/// The pipeline submits 512-row batches during its single merge pass
+/// (published bytes do not depend on the batch size), flushes the
 /// tenant at the end, and stores the tenant's published catalog bytes in
 /// [`PipelineOutput::archive`]. Those bytes carry the *service's*
 /// `(seed, scale)` metadata — configure the [`ServiceConfig`] to match
@@ -65,26 +65,15 @@ pub enum ArchiveSink {
 pub struct ServeSink {
     service: Arc<Service>,
     tenant: usize,
-    batch_rows: usize,
 }
 
-impl ServeSink {
-    /// Target `tenant` of `service`, with the default 512-row batches.
-    pub fn new(service: Arc<Service>, tenant: usize) -> Self {
-        ServeSink {
-            service,
-            tenant,
-            batch_rows: 512,
-        }
-    }
+/// Rows per batch a [`ServeSink`] submits.
+const SERVE_BATCH_ROWS: usize = 512;
 
-    /// Rows per submitted ingest batch (default 512; clamped to ≥ 1).
-    /// Purely an ingest-granularity knob: published bytes are identical
-    /// for every value.
-    #[must_use]
-    pub fn batch_rows(mut self, rows: usize) -> Self {
-        self.batch_rows = rows.max(1);
-        self
+impl ServeSink {
+    /// Target `tenant` of `service`.
+    pub fn new(service: Arc<Service>, tenant: usize) -> Self {
+        ServeSink { service, tenant }
     }
 
     /// The shared service this sink publishes into.
@@ -116,7 +105,7 @@ enum SinkState {
 ///
 /// Defaults reproduce the paper: full three-week scale, seed 4994 (SC
 /// '94), the NAS iPSC/860 machine and CFS, serial execution.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct Pipeline {
     scale: f64,
     seed: u64,
@@ -124,23 +113,7 @@ pub struct Pipeline {
     machine: MachineConfig,
     cfs: CfsConfig,
     faults: FaultPlan,
-    probe: Option<Arc<dyn Probe>>,
     archive: Option<ArchiveSink>,
-}
-
-impl std::fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pipeline")
-            .field("scale", &self.scale)
-            .field("seed", &self.seed)
-            .field("shards", &self.shards)
-            .field("machine", &self.machine)
-            .field("cfs", &self.cfs)
-            .field("faults", &self.faults)
-            .field("probe", &self.probe.as_ref().map(|_| "dyn Probe"))
-            .field("archive", &self.archive)
-            .finish()
-    }
 }
 
 impl Default for Pipeline {
@@ -159,7 +132,6 @@ impl Pipeline {
             machine: MachineConfig::nas_ipsc860(),
             cfs: CfsConfig::nas(),
             faults: FaultPlan::none(),
-            probe: None,
             archive: None,
         }
     }
@@ -220,15 +192,6 @@ impl Pipeline {
         self
     }
 
-    /// Attach a [`Probe`] that is notified as the pipeline's phase spans
-    /// (`pipeline.generate`, `pipeline.analyze`) are entered and exited —
-    /// the hook point for external profilers. Default: none.
-    #[must_use]
-    pub fn probe(mut self, probe: Arc<dyn Probe>) -> Self {
-        self.probe = Some(probe);
-        self
-    }
-
     /// Also deliver the merged trace as a [`charisma_store`] columnar
     /// archive to `sink` — a file path, in-memory bytes, or a tenant of a
     /// shared [`charisma_serve::Service`]. The archive is fed from the
@@ -261,10 +224,7 @@ impl Pipeline {
             cfs: self.cfs.clone(),
             faults: self.faults.clone(),
         };
-        let registry = match &self.probe {
-            Some(p) => MetricsRegistry::with_probe(Arc::clone(p)),
-            None => MetricsRegistry::new(),
-        };
+        let registry = MetricsRegistry::new();
         let started = Instant::now();
         let workload = {
             let _generate = registry.span("pipeline.generate");
@@ -283,7 +243,7 @@ impl Pipeline {
             }
             Some(ArchiveSink::Serve(sink)) => Some(SinkState::Serve {
                 sink: sink.clone(),
-                buf: Vec::with_capacity(sink.batch_rows),
+                buf: Vec::with_capacity(SERVE_BATCH_ROWS),
                 error: None,
             }),
         };
@@ -297,7 +257,7 @@ impl Pipeline {
                     Some(SinkState::Writer(w)) => w.push(e),
                     Some(SinkState::Serve { sink, buf, error }) if error.is_none() => {
                         buf.push(*e);
-                        if buf.len() >= sink.batch_rows {
+                        if buf.len() >= SERVE_BATCH_ROWS {
                             if let Err(err) = sink.service.submit(sink.tenant, buf) {
                                 *error = Some(err);
                             }
@@ -420,34 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn attached_probe_observes_pipeline_spans() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        #[derive(Default)]
-        struct CountingProbe {
-            enters: AtomicU64,
-            exits: AtomicU64,
-        }
-        impl charisma_obs::Probe for CountingProbe {
-            fn span_enter(&self, _name: &'static str) {
-                self.enters.fetch_add(1, Ordering::Relaxed);
-            }
-            fn span_exit(&self, _name: &'static str, _elapsed_ns: u64) {
-                self.exits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-
-        let probe = Arc::new(CountingProbe::default());
-        Pipeline::new()
-            .scale(0.01)
-            .probe(probe.clone())
-            .run()
-            .expect("runs");
-        assert_eq!(probe.enters.load(Ordering::Relaxed), 2);
-        assert_eq!(probe.exits.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
     fn chaos_plan_injects_faults_without_breaking_the_run() {
         use charisma_ipsc::FaultPlan;
         let out = Pipeline::new()
@@ -539,9 +471,7 @@ mod tests {
         let out = Pipeline::new()
             .scale(0.01)
             .shards(2)
-            .sink(ArchiveSink::Serve(
-                ServeSink::new(Arc::clone(&service), 1).batch_rows(333),
-            ))
+            .sink(ArchiveSink::Serve(ServeSink::new(Arc::clone(&service), 1)))
             .run()
             .expect("runs");
         assert_eq!(out.archive, mem.archive);
