@@ -171,9 +171,9 @@ impl Cfs {
             completion = completion.max(serve_done + reply);
         }
         if is_write {
-            self.note_write(payload);
+            self.note_write(mode, payload);
         } else {
-            self.note_read(payload);
+            self.note_read(mode, payload);
         }
         Ok(CollectiveOutcome {
             bytes: payload,

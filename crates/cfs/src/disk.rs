@@ -9,7 +9,7 @@
 //! dominated by positioning, and batching/sorting (caching, strided,
 //! collective I/O) wins by avoiding it.
 
-use charisma_ipsc::{Duration, SimTime};
+use charisma_ipsc::{round_u64, Duration, SimTime};
 
 /// Disk timing parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -40,9 +40,28 @@ impl DiskModel {
     pub fn service(&self, bytes: u64, sequential: bool) -> Duration {
         let position = if sequential { 0 } else { self.position_us };
         Duration::from_micros(
-            self.overhead_us + position + (self.per_byte_us * bytes as f64).round() as u64,
+            self.overhead_us + position + round_u64(self.per_byte_us * bytes as f64),
         )
     }
+
+    /// Both service times of a `bytes`-byte block access, worked out once
+    /// for every block of a request.
+    pub fn block_service(&self, bytes: u64) -> BlockService {
+        BlockService {
+            positioned: self.service(bytes, false),
+            sequential: self.service(bytes, true),
+        }
+    }
+}
+
+/// The service times of one block size under one [`DiskModel`]: with
+/// positioning, and for an access sequential to the previous one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BlockService {
+    /// Seek, rotation, overhead and transfer.
+    pub positioned: Duration,
+    /// Overhead and transfer only.
+    pub sequential: Duration,
 }
 
 /// Per-disk dynamic state: a single-server FIFO queue plus enough history
@@ -83,29 +102,29 @@ impl DiskState {
         arrival: SimTime,
         is_write: bool,
     ) -> SimTime {
-        self.serve_degraded(model, file, block, bytes, arrival, is_write, 0)
+        let service = model.block_service(bytes);
+        self.serve_degraded(service, file, block, arrival, is_write, 0)
     }
 
-    /// [`DiskState::serve`] with service time inflated by `degrade_ppm`
-    /// parts-per-million (fault injection's model of a disk in media
-    /// retry / thermal-recalibration trouble). `0` is exactly `serve`.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one call per block on the hot write path; a parameter struct would be built and torn down per block"
-    )]
+    /// [`DiskState::serve`] of a block whose service times are `service`,
+    /// inflated by `degrade_ppm` parts-per-million (fault injection's model
+    /// of a disk in media retry / thermal-recalibration trouble). `0` is
+    /// exactly `serve`.
     pub fn serve_degraded(
         &mut self,
-        model: &DiskModel,
+        service: BlockService,
         file: u32,
         block: u64,
-        bytes: u64,
         arrival: SimTime,
         is_write: bool,
         degrade_ppm: u32,
     ) -> SimTime {
-        let sequential = self.is_sequential(file, block);
         let start = self.next_free.max(arrival);
-        let mut service = model.service(bytes, sequential);
+        let mut service = if self.is_sequential(file, block) {
+            service.sequential
+        } else {
+            service.positioned
+        };
         if degrade_ppm > 0 {
             let extra = service.as_micros() * u64::from(degrade_ppm) / 1_000_000;
             service += Duration::from_micros(extra);
@@ -185,10 +204,10 @@ mod tests {
         let mut a = DiskState::default();
         let mut b = DiskState::default();
         let base = a.serve(&m, 1, 0, 4096, SimTime::ZERO, false);
-        let same = b.serve_degraded(&m, 1, 0, 4096, SimTime::ZERO, false, 0);
+        let same = b.serve_degraded(m.block_service(4096), 1, 0, SimTime::ZERO, false, 0);
         assert_eq!(base, same, "degrade 0 must be exactly serve");
         let mut c = DiskState::default();
-        let slow = c.serve_degraded(&m, 1, 0, 4096, SimTime::ZERO, false, 250_000);
+        let slow = c.serve_degraded(m.block_service(4096), 1, 0, SimTime::ZERO, false, 250_000);
         // 25 % slower than the baseline service time.
         let expected = base.as_micros() + base.as_micros() / 4;
         assert_eq!(slow.as_micros(), expected);

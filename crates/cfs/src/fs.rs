@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 
 use charisma_ipsc::{Duration, Machine, SimTime};
-use charisma_obs::{Counter, Histogram, MetricsRegistry};
+use charisma_obs::{Counter, Histogram, HistogramTally, MetricsRegistry};
 
 use crate::cache::LruCache;
 use crate::disk::{DiskModel, DiskState};
@@ -140,8 +140,8 @@ pub struct CfsStats {
     pub messages: u64,
 }
 
-/// Metric handles a [`Cfs`] reports through once attached with
-/// [`Cfs::attach_metrics`]. Everything here is simulated-time data —
+/// Metric handles a [`Cfs`] publishes into, once, when it is dropped (see
+/// [`Cfs::attach_metrics`]). Everything here is simulated-time data —
 /// deterministic for a fixed seed.
 #[derive(Clone, Debug, Default)]
 pub struct CfsMetrics {
@@ -219,9 +219,20 @@ pub struct Cfs {
     caches: Vec<LruCache>,
     used_bytes: u64,
     stats: CfsStats,
+    tally: CfsTally,
     metrics: Option<CfsMetrics>,
     faults: Option<CfsFaults>,
     scratch: RequestScratch,
+}
+
+/// What [`CfsMetrics`] reports beyond [`CfsStats`], counted in plain
+/// fields and published when the [`Cfs`] drops.
+#[derive(Debug, Default)]
+struct CfsTally {
+    /// Requests by I/O mode, indexed by [`IoMode::code`].
+    mode_requests: [u64; 4],
+    stripe_fanout: HistogramTally,
+    disk_service_us: HistogramTally,
 }
 
 /// Buffers reused by every request instead of allocated per request.
@@ -271,46 +282,6 @@ impl RequestScratch {
     }
 }
 
-/// Samples for one histogram, recorded with one `record_n` per run of
-/// consecutive equal values. Dropping it records the pending run, so
-/// every return path flushes.
-struct SampleRun<'a> {
-    histogram: Option<&'a Histogram>,
-    value: u64,
-    count: u64,
-}
-
-impl<'a> SampleRun<'a> {
-    fn new(histogram: Option<&'a Histogram>) -> Self {
-        SampleRun {
-            histogram,
-            value: 0,
-            count: 0,
-        }
-    }
-
-    fn record(&mut self, value: u64) {
-        if value != self.value {
-            self.flush();
-            self.value = value;
-        }
-        self.count += 1;
-    }
-
-    fn flush(&mut self) {
-        if let Some(h) = self.histogram {
-            h.record_n(self.value, self.count);
-        }
-        self.count = 0;
-    }
-}
-
-impl Drop for SampleRun<'_> {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 impl Cfs {
     /// Create a file system.
     pub fn new(config: CfsConfig) -> Self {
@@ -330,14 +301,17 @@ impl Cfs {
             caches,
             used_bytes: 0,
             stats: CfsStats::default(),
+            tally: CfsTally::default(),
             metrics: None,
             faults: None,
             scratch: RequestScratch::default(),
         }
     }
 
-    /// Report request, cache, stripe, and disk activity through `metrics`
-    /// from now on.
+    /// Publish request, cache, stripe, and disk activity into `metrics`
+    /// when the file system is dropped. It counts in plain fields (its
+    /// [`CfsStats`] among them) whether or not metrics are attached, so the
+    /// published totals cover its whole life.
     pub fn attach_metrics(&mut self, metrics: CfsMetrics) {
         self.metrics = Some(metrics);
     }
@@ -540,12 +514,7 @@ impl Cfs {
         self.advance_pointer(session, node, u64::from(actual));
         let (completion, messages, blocks, hits) =
             self.access_blocks(machine, node, file, offset, u64::from(actual), now, false)?;
-        self.stats.reads += 1;
-        self.stats.bytes_read += u64::from(actual);
-        if let Some(m) = &self.metrics {
-            m.reads.inc();
-            m.mode_requests[usize::from(mode.code())].inc();
-        }
+        self.note_read(mode, u64::from(actual));
         Ok(IoOutcome {
             offset,
             bytes: actual,
@@ -578,12 +547,7 @@ impl Cfs {
         self.advance_pointer(session, node, u64::from(bytes));
         let (completion, messages, blocks, hits) =
             self.access_blocks(machine, node, file, offset, u64::from(bytes), now, true)?;
-        self.stats.writes += 1;
-        self.stats.bytes_written += u64::from(bytes);
-        if let Some(m) = &self.metrics {
-            m.writes.inc();
-            m.mode_requests[usize::from(mode.code())].inc();
-        }
+        self.note_write(mode, u64::from(bytes));
         Ok(IoOutcome {
             offset,
             bytes,
@@ -814,15 +778,14 @@ impl Cfs {
             disks,
             caches,
             stats,
-            metrics,
+            tally,
             faults,
             scratch,
             ..
         } = self;
-        let metrics = metrics.as_ref();
         let faults = faults.as_ref();
         scratch.bucket(*striping, touches);
-        let mut disk_service = SampleRun::new(metrics.map(|m| &m.disk_service_us));
+        let block_service = config.disk.block_service(BLOCK_BYTES);
         let now_us = now.as_micros();
         let degrade_ppm = faults.map_or(0, |f| f.degrade_ppm());
         let cache_op = Duration::from_micros(config.cache_op_us);
@@ -881,16 +844,8 @@ impl Cfs {
                     io_done += cache_op;
                     let disk = &mut disks[serve_io];
                     let busy_before = disk.busy_us;
-                    disk.serve_degraded(
-                        &config.disk,
-                        file,
-                        b,
-                        BLOCK_BYTES,
-                        io_done,
-                        true,
-                        degrade_ppm,
-                    );
-                    disk_service.record(disk.busy_us - busy_before);
+                    disk.serve_degraded(block_service, file, b, io_done, true, degrade_ppm);
+                    tally.disk_service_us.record(disk.busy_us - busy_before);
                 } else {
                     // A flaky block read retries with backoff; past the
                     // budget it is read around from the next live node.
@@ -919,16 +874,9 @@ impl Cfs {
                     }
                     let disk = &mut disks[disk_io];
                     let busy_before = disk.busy_us;
-                    io_done = disk.serve_degraded(
-                        &config.disk,
-                        file,
-                        b,
-                        BLOCK_BYTES,
-                        io_done,
-                        false,
-                        degrade_ppm,
-                    );
-                    disk_service.record(disk.busy_us - busy_before);
+                    io_done =
+                        disk.serve_degraded(block_service, file, b, io_done, false, degrade_ppm);
+                    tally.disk_service_us.record(disk.busy_us - busy_before);
                 }
             }
             // Reply message carries the data (reads) or the ack (writes).
@@ -938,11 +886,7 @@ impl Cfs {
             completion = completion.max(done);
         }
         stats.messages += messages;
-        if let Some(m) = metrics {
-            m.cache_hits.add(hits);
-            m.cache_misses.add(blocks - hits);
-            m.stripe_fanout.record(fanout);
-        }
+        tally.stripe_fanout.record(fanout);
         // Per-request timeout: a request that exceeds the budget pays one
         // extra client-side backoff (the caller's reissue) and is counted.
         if let Some(f) = faults {
@@ -970,22 +914,37 @@ impl Cfs {
         self.extend_file(file, new_end)
     }
 
-    /// Account an extension-interface read in the aggregate stats.
-    pub(crate) fn note_read(&mut self, bytes: u64) {
+    /// Account a served read request of session mode `mode`: plain,
+    /// strided or collective.
+    pub(crate) fn note_read(&mut self, mode: IoMode, bytes: u64) {
         self.stats.reads += 1;
         self.stats.bytes_read += bytes;
-        if let Some(m) = &self.metrics {
-            m.reads.inc();
-        }
+        self.tally.mode_requests[usize::from(mode.code())] += 1;
     }
 
-    /// Account an extension-interface write in the aggregate stats.
-    pub(crate) fn note_write(&mut self, bytes: u64) {
+    /// Account a served write request of session mode `mode`: plain,
+    /// strided or collective.
+    pub(crate) fn note_write(&mut self, mode: IoMode, bytes: u64) {
         self.stats.writes += 1;
         self.stats.bytes_written += bytes;
-        if let Some(m) = &self.metrics {
-            m.writes.inc();
+        self.tally.mode_requests[usize::from(mode.code())] += 1;
+    }
+}
+
+impl Drop for Cfs {
+    fn drop(&mut self) {
+        let Some(m) = &self.metrics else {
+            return;
+        };
+        for (counter, &n) in m.mode_requests.iter().zip(&self.tally.mode_requests) {
+            counter.add(n);
         }
+        m.reads.add(self.stats.reads);
+        m.writes.add(self.stats.writes);
+        m.cache_hits.add(self.stats.cache_hits);
+        m.cache_misses.add(self.stats.cache_misses);
+        m.stripe_fanout.absorb(&self.tally.stripe_fanout);
+        m.disk_service_us.absorb(&self.tally.disk_service_us);
     }
 }
 
@@ -1435,6 +1394,9 @@ mod tests {
         fs.write(&m, o.session, 0, 8192, t0()).unwrap();
         fs.seek(o.session, 0, 0).unwrap();
         fs.read(&m, o.session, 0, 8192, t0()).unwrap();
+        assert_eq!(registry.snapshot().counters["cfs.read_requests"], 0);
+        // Dropped mid-run, session still open: it publishes what it did.
+        drop(fs);
         let snap = registry.snapshot();
         assert_eq!(snap.counters["cfs.read_requests"], 1);
         assert_eq!(snap.counters["cfs.write_requests"], 1);
@@ -1449,6 +1411,46 @@ mod tests {
         // Two write misses went to disk.
         assert_eq!(snap.histograms["cfs.disk_service_us"].count, 2);
         assert!(snap.histograms["cfs.disk_service_us"].sum > 0);
+    }
+
+    #[test]
+    fn strided_and_collective_requests_are_counted_by_mode() {
+        use crate::{CollectiveShare, StridedSpec};
+        let (m, mut fs) = setup();
+        let registry = MetricsRegistry::new();
+        fs.attach_metrics(CfsMetrics::register(&registry));
+        let o = fs
+            .open(1, "f", Access::ReadWrite, IoMode::Independent, 0, false)
+            .unwrap();
+        fs.open(1, "f", Access::ReadWrite, IoMode::Independent, 1, false)
+            .unwrap();
+        let spec = StridedSpec {
+            start: 0,
+            record_bytes: 512,
+            stride: 4096,
+            count: 8,
+        };
+        fs.write_strided(&m, o.session, 0, spec, t0()).unwrap();
+        fs.read_strided(&m, o.session, 0, spec, t0()).unwrap();
+        let shares = [0u16, 1].map(|node| CollectiveShare {
+            node,
+            offset: u64::from(node) * 8192,
+            bytes: 8192,
+        });
+        fs.collective_write(&m, o.session, &shares, t0()).unwrap();
+        fs.collective_read(&m, o.session, &shares, t0()).unwrap();
+        drop(fs);
+        let snap = registry.snapshot();
+        let by_mode: u64 = (0..4)
+            .map(|mode| snap.counters[&format!("cfs.requests.mode{mode}")])
+            .sum();
+        let (reads, writes) = (
+            snap.counters["cfs.read_requests"],
+            snap.counters["cfs.write_requests"],
+        );
+        assert_eq!((reads, writes), (2, 2));
+        assert_eq!(by_mode, reads + writes);
+        assert_eq!(snap.counters["cfs.requests.mode0"], 4);
     }
 
     #[test]
@@ -1479,7 +1481,6 @@ mod tests {
             now: SimTime,
             is_write: bool,
         ) -> Result<(SimTime, u64, u64, u64), CfsError> {
-            let metrics = self.metrics.clone();
             let faults = self.faults.clone();
             let now_us = now.as_micros();
             let degrade_ppm = faults.as_ref().map_or(0, |f| f.degrade_ppm());
@@ -1539,18 +1540,16 @@ mod tests {
                             io_done += cache_op;
                             let busy_before = self.disks[serve_io].busy_us;
                             self.disks[serve_io].serve_degraded(
-                                &self.config.disk,
+                                self.config.disk.block_service(BLOCK_BYTES),
                                 file,
                                 b,
-                                BLOCK_BYTES,
                                 io_done,
                                 true,
                                 degrade_ppm,
                             );
-                            if let Some(m) = &metrics {
-                                m.disk_service_us
-                                    .record(self.disks[serve_io].busy_us - busy_before);
-                            }
+                            self.tally
+                                .disk_service_us
+                                .record(self.disks[serve_io].busy_us - busy_before);
                         } else {
                             // A flaky block read retries with backoff; past
                             // the budget it is read around from the next
@@ -1584,18 +1583,16 @@ mod tests {
                             }
                             let busy_before = self.disks[disk_io].busy_us;
                             io_done = self.disks[disk_io].serve_degraded(
-                                &self.config.disk,
+                                self.config.disk.block_service(BLOCK_BYTES),
                                 file,
                                 b,
-                                BLOCK_BYTES,
                                 io_done,
                                 false,
                                 degrade_ppm,
                             );
-                            if let Some(m) = &metrics {
-                                m.disk_service_us
-                                    .record(self.disks[disk_io].busy_us - busy_before);
-                            }
+                            self.tally
+                                .disk_service_us
+                                .record(self.disks[disk_io].busy_us - busy_before);
                         }
                     }
                 }
@@ -1609,11 +1606,7 @@ mod tests {
                 }
             }
             self.stats.messages += messages;
-            if let Some(m) = &metrics {
-                m.cache_hits.add(hits);
-                m.cache_misses.add(blocks - hits);
-                m.stripe_fanout.record(fanout);
-            }
+            self.tally.stripe_fanout.record(fanout);
             // Per-request timeout: a request that exceeds the budget pays one
             // extra client-side backoff (the caller's reissue) and is counted.
             if let Some(f) = &faults {
@@ -1755,7 +1748,16 @@ mod tests {
                         );
                     }
                 }
-                assert_eq!(fast_metrics.snapshot(), slow_metrics.snapshot(), "{ctx}");
+                // Both publish their tallies when they drop; fault counters
+                // were published as the faults fired.
+                assert_eq!(fast_metrics.snapshot().counters["cfs.cache_misses"], 0);
+                drop((fast, slow));
+                let published = fast_metrics.snapshot();
+                let lookups =
+                    published.counters["cfs.cache_hits"] + published.counters["cfs.cache_misses"];
+                let served = !matches!(faults, Faults::AllDown);
+                assert_eq!(lookups > 0, served, "{ctx}");
+                assert_eq!(published, slow_metrics.snapshot(), "{ctx}");
             }
         }
     }
@@ -1807,6 +1809,7 @@ mod tests {
             .serve_block_list(&m, 0, file, &touches, t0(), false)
             .unwrap_err();
         assert_eq!(err, CfsError::Degraded { io_node: 0 });
+        drop(fs);
         let service = &registry.snapshot().histograms["cfs.disk_service_us"];
         assert_eq!(service.count, clean_before_flaky(file));
         assert!(service.sum > 0);

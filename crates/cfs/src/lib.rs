@@ -45,7 +45,7 @@ pub mod stripe;
 
 pub use cache::{BlockKey, LruCache};
 pub use collective::{CollectiveOutcome, CollectiveShare};
-pub use disk::{DiskModel, DiskState};
+pub use disk::{BlockService, DiskModel, DiskState};
 pub use error::CfsError;
 pub use faults::CfsFaults;
 pub use fs::{Access, Cfs, CfsConfig, CfsMetrics, CfsStats, IoOutcome, OpenResult};

@@ -181,9 +181,9 @@ impl Cfs {
         }
         let out = self.serve_block_list(machine, node, file, &touches, now, is_write)?;
         if is_write {
-            self.note_write(payload);
+            self.note_write(mode, payload);
         } else {
-            self.note_read(payload);
+            self.note_read(mode, payload);
         }
         Ok(IoOutcome {
             offset: spec.start,

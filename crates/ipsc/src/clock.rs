@@ -14,7 +14,7 @@
 //! correction assumes, so the trace postprocessing in `charisma-trace` can
 //! (approximately) invert it.
 
-use crate::time::SimTime;
+use crate::time::{round_u64, SimTime};
 
 /// A node-local clock with a fixed frequency error and initial offset.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -80,7 +80,7 @@ impl DriftClock {
         if self.jump_at_us != 0 && t.as_micros() >= self.jump_at_us {
             skewed += self.jump_us as f64;
         }
-        SimTime::from_micros(skewed.max(0.0).round() as u64)
+        SimTime::from_micros(round_u64(skewed))
     }
 
     /// Invert the clock model: the true time at which this clock shows

@@ -13,9 +13,10 @@ use charisma_obs::{Counter, Gauge, MetricsRegistry};
 
 use crate::time::SimTime;
 
-/// Metric handles an [`EventQueue`] reports through once attached with
-/// [`EventQueue::attach_metrics`]. All counts are facts of the simulation
-/// (deterministic for a fixed seed), not wall-clock measurements.
+/// Metric handles an [`EventQueue`] publishes into, once, when it is
+/// dropped (see [`EventQueue::attach_metrics`]). All counts are facts of
+/// the simulation (deterministic for a fixed seed), not wall-clock
+/// measurements.
 #[derive(Clone, Debug, Default)]
 pub struct QueueMetrics {
     /// Events scheduled via [`EventQueue::push`].
@@ -41,7 +42,12 @@ impl QueueMetrics {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// Events pushed so far (also the FIFO tiebreak of the next push).
     seq: u64,
+    /// Events popped so far.
+    dispatched: u64,
+    /// Most events ever pending at once.
+    depth_high_water: usize,
     metrics: Option<QueueMetrics>,
     #[cfg(feature = "invariants")]
     last_popped: Option<SimTime>,
@@ -90,15 +96,18 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
             seq: 0,
+            dispatched: 0,
+            depth_high_water: 0,
             metrics: None,
             #[cfg(feature = "invariants")]
             last_popped: None,
         }
     }
 
-    /// Report push/dispatch counts and the depth high-water mark through
-    /// `metrics` from now on. Un-attached queues pay only an `Option`
-    /// check per operation.
+    /// Publish the queue's push and dispatch counts and its depth
+    /// high-water mark into `metrics` when it is dropped. The queue counts
+    /// in plain fields whether or not metrics are attached; the totals
+    /// cover its whole life, not just the time since this call.
     pub fn attach_metrics(&mut self, metrics: QueueMetrics) {
         self.metrics = Some(metrics);
     }
@@ -111,19 +120,14 @@ impl<E> EventQueue<E> {
             key: Reverse((at, seq)),
             event,
         });
-        if let Some(m) = &self.metrics {
-            m.pushed.inc();
-            m.depth_high_water.record_max(self.heap.len() as u64);
-        }
+        self.depth_high_water = self.depth_high_water.max(self.heap.len());
     }
 
     /// Remove and return the earliest event, with its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let e = self.heap.pop()?;
         let at = (e.key.0).0;
-        if let Some(m) = &self.metrics {
-            m.dispatched.inc();
-        }
+        self.dispatched += 1;
         #[cfg(feature = "invariants")]
         {
             crate::invariant!(
@@ -149,6 +153,16 @@ impl<E> EventQueue<E> {
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
+    }
+}
+
+impl<E> Drop for EventQueue<E> {
+    fn drop(&mut self) {
+        if let Some(m) = &self.metrics {
+            m.pushed.add(self.seq);
+            m.dispatched.add(self.dispatched);
+            m.depth_high_water.record_max(self.depth_high_water as u64);
+        }
     }
 }
 
@@ -211,6 +225,9 @@ mod tests {
         q.push(SimTime::from_secs(3), 'c');
         q.pop();
         q.pop();
+        assert_eq!(registry.snapshot().counters["engine.events_pushed"], 0);
+        // Dropped with one event still pending: it publishes what it did.
+        drop(q);
         let snap = registry.snapshot();
         assert_eq!(snap.counters["engine.events_pushed"], 3);
         assert_eq!(snap.counters["engine.events_dispatched"], 2);

@@ -57,5 +57,5 @@ pub use engine::{EventQueue, QueueMetrics};
 pub use faults::{FaultMetrics, FaultPlan, FaultRng, IoNodeDown, NetFaultState, RetryPolicy};
 pub use machine::{IoNodeId, Machine, MachineConfig, MachineMetrics, NodeId};
 pub use message::{Message, NetworkModel, PACKET_BYTES};
-pub use time::{Duration, SimTime};
+pub use time::{round_u64, Duration, SimTime};
 pub use topology::Hypercube;

@@ -6,7 +6,9 @@
 //! the host computer. The total I/O capacity is 7.6 GB and the total
 //! bandwidth is less than 10 MB/s." (paper §3)
 
-use charisma_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use std::cell::Cell;
+
+use charisma_obs::{Counter, Gauge, Histogram, HistogramTally, MetricsRegistry};
 use rand::Rng;
 
 use crate::alloc::SubcubeAllocator;
@@ -81,9 +83,9 @@ impl MachineConfig {
 }
 
 /// Metric handles a [`Machine`] reports through once attached with
-/// [`Machine::attach_metrics`]. Message/packet counts accumulate as the
-/// network model is consulted; clock extremes are recorded at attach time
-/// (the clocks are fixed at boot).
+/// [`Machine::attach_metrics`]. Clock extremes are recorded at attach time
+/// (the clocks are fixed at boot); message, packet and hop counts are
+/// published once, when the machine is dropped.
 #[derive(Clone, Debug, Default)]
 pub struct MachineMetrics {
     /// Messages routed through the latency model.
@@ -111,6 +113,22 @@ impl MachineMetrics {
     }
 }
 
+/// The routing counts a [`Machine`] publishes when dropped. They sit in
+/// cells because latency queries take `&self`. A clone starts from zero,
+/// so every machine publishes only the messages it routed itself.
+#[derive(Debug, Default)]
+struct RouteTally {
+    messages: Cell<u64>,
+    packets: Cell<u64>,
+    hops: HistogramTally,
+}
+
+impl Clone for RouteTally {
+    fn clone(&self) -> Self {
+        RouteTally::default()
+    }
+}
+
 /// A live machine instance: topology, allocator, and per-node clocks.
 #[derive(Clone, Debug)]
 pub struct Machine {
@@ -121,6 +139,7 @@ pub struct Machine {
     clocks: Vec<DriftClock>,
     /// Clock of the service node (the trace collector's reference clock).
     service_clock: DriftClock,
+    routes: RouteTally,
     metrics: Option<MachineMetrics>,
     faults: Option<NetFaultState>,
 }
@@ -146,6 +165,7 @@ impl Machine {
             // postprocessing corrects *to*; give it a small offset too.
             service_clock: DriftClock::PERFECT,
             config,
+            routes: RouteTally::default(),
             metrics: None,
             faults: None,
         }
@@ -163,15 +183,17 @@ impl Machine {
             clocks,
             service_clock: DriftClock::PERFECT,
             config,
+            routes: RouteTally::default(),
             metrics: None,
             faults: None,
         }
     }
 
-    /// Report message routing and clock extremes through `metrics` from
-    /// now on. Clock extremes are recorded immediately (clocks are fixed
-    /// at boot); message and packet counts accumulate as the latency model
-    /// is consulted.
+    /// Report clock extremes and message routing through `metrics`. Clock
+    /// extremes are recorded immediately (clocks are fixed at boot). The
+    /// machine counts messages, packets and hops in plain cells whether or
+    /// not metrics are attached, and publishes its lifetime totals into
+    /// `metrics` once, when it is dropped.
     pub fn attach_metrics(&mut self, metrics: MachineMetrics) {
         for clock in &self.clocks {
             metrics
@@ -234,11 +256,10 @@ impl Machine {
     }
 
     fn note_message(&self, msg: &Message, hops: u32) {
-        if let Some(m) = &self.metrics {
-            m.messages_routed.inc();
-            m.packets_routed.add(msg.packets());
-            m.route_hops.record(u64::from(hops));
-        }
+        let r = &self.routes;
+        r.messages.set(r.messages.get() + 1);
+        r.packets.set(r.packets.get() + msg.packets());
+        r.hops.record(u64::from(hops));
     }
 
     /// The static configuration.
@@ -302,6 +323,16 @@ impl Machine {
         let hops = self.cube.distance(src, 0) + 1;
         self.note_message(&msg, hops);
         self.config.network.latency(&msg, hops) + self.fault_extra(src, 0, bytes)
+    }
+}
+
+impl Drop for Machine {
+    fn drop(&mut self) {
+        if let Some(m) = &self.metrics {
+            m.messages_routed.add(self.routes.messages.get());
+            m.packets_routed.add(self.routes.packets.get());
+            m.route_hops.absorb(&self.routes.hops);
+        }
     }
 }
 
@@ -384,6 +415,8 @@ mod tests {
         m.attach_metrics(MachineMetrics::register(&registry));
         m.io_message_latency(5, 0, 10_000);
         m.service_message_latency(5, 4096);
+        assert_eq!(registry.snapshot().counters["machine.messages_routed"], 0);
+        drop(m);
         let snap = registry.snapshot();
         assert_eq!(snap.counters["machine.messages_routed"], 2);
         // 10 000 bytes is three 4 KB packets, the flush one more.
@@ -392,6 +425,26 @@ mod tests {
         let drift = snap.gauges["machine.clock_drift_ppb_max"];
         assert!(drift > 0 && drift <= 80_000, "drift {drift} ppb");
         assert!(snap.gauges["machine.clock_offset_us_max"] <= 5_000);
+    }
+
+    #[test]
+    fn a_clone_publishes_only_its_own_messages() {
+        let registry = MetricsRegistry::new();
+        let mut m = Machine::boot_synchronized(MachineConfig::tiny());
+        m.attach_metrics(MachineMetrics::register(&registry));
+        m.io_message_latency(5, 0, 10_000);
+        let clone = m.clone();
+        clone.io_message_latency(5, 0, 100);
+        clone.io_message_latency(5, 1, 100);
+        drop(clone);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["machine.messages_routed"], 2);
+        assert_eq!(snap.counters["machine.packets_routed"], 2);
+        drop(m);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["machine.messages_routed"], 3);
+        assert_eq!(snap.counters["machine.packets_routed"], 5);
+        assert_eq!(snap.histograms["machine.route_hops"].count, 3);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! buffered event records into 4 KB blocks before sending them, and one of
 //! the costs the paper's recommended strided interface would avoid.
 
-use crate::time::Duration;
+use crate::time::{round_u64, Duration};
 
 /// The iPSC packet size: large messages are split into blocks of this size.
 pub const PACKET_BYTES: u64 = 4096;
@@ -68,7 +68,7 @@ impl NetworkModel {
             + self.per_hop_us * f64::from(hops)
             + self.per_packet_us * msg.packets() as f64
             + self.per_byte_us * msg.bytes as f64;
-        Duration::from_micros(us.round().max(1.0) as u64)
+        Duration::from_micros(round_u64(us).max(1))
     }
 }
 

@@ -8,6 +8,25 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
+/// `x.round() as u64`, exactly, without a libm call.
+///
+/// The x86-64 baseline has no rounding instruction, so `f64::round` is a
+/// library call; the latency, clock and disk models round once per message,
+/// record or block. Truncate, then add one when the discarded fraction is
+/// at least one half: below 2^53 the fraction `x - t` is exact, and from
+/// 2^53 on every `f64` is an integer. Negative values, `-0.0` and NaN give
+/// 0 and values from 2^64 on (and +inf) give `u64::MAX`, as `as u64` does;
+/// so for every input this also equals `x.max(0.0).round() as u64`.
+#[inline]
+pub fn round_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 /// An absolute instant of simulated time, in microseconds since machine boot.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
@@ -204,6 +223,79 @@ mod tests {
         assert_eq!(Duration::from_secs_f64(1.5).as_micros(), 1_500_000);
         assert_eq!(Duration::from_secs_f64(-3.0), Duration::ZERO);
         assert!((SimTime::from_secs(3).as_secs_f64() - 3.0).abs() < 1e-12);
+    }
+
+    /// The libm forms `round_u64` replaces, one per call-site clamp.
+    fn assert_rounds_like_libm(x: f64) {
+        let got = round_u64(x);
+        assert_eq!(got, x.round() as u64, "{x:e} ({:#x})", x.to_bits());
+        assert_eq!(got, x.max(0.0).round() as u64, "{x:e} with .max(0.0)");
+        assert_eq!(
+            got.max(1),
+            x.round().max(1.0) as u64,
+            "{x:e} with .max(1.0)"
+        );
+    }
+
+    #[test]
+    fn round_u64_matches_libm_on_the_edges() {
+        let two = |e: i32| 2f64.powi(e);
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            0.5000000000000001,
+            -0.5,
+            -0.49999999999999994,
+            -1.5,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            two(53),
+            two(63),
+            two(64),
+            u64::MAX as f64,
+            (u64::MAX - 1024) as f64,
+        ];
+        for e in [51, 52, 53, 63, 64] {
+            let base = two(e);
+            for k in [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0] {
+                let x = base + k;
+                edges.extend([x, x + 0.5, x - 0.5, x.next_up(), x.next_down()]);
+            }
+        }
+        for x in edges {
+            assert_rounds_like_libm(x);
+        }
+    }
+
+    #[test]
+    fn round_u64_matches_libm_on_random_bit_patterns() {
+        // splitmix64 draws, each used twice: as an f64 bit pattern (every
+        // class and sign), and as a 53-bit integer scaled by 2^-(0..63),
+        // which lands anywhere in [0, 2^53) with its fraction bits live.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..1_000_000 {
+            let bits = next();
+            assert_rounds_like_libm(f64::from_bits(bits));
+            let scale = 2f64.powi(-((bits & 63) as i32));
+            assert_rounds_like_libm((bits >> 11) as f64 * scale);
+        }
     }
 
     #[test]

@@ -21,9 +21,18 @@
 //!    but vary run to run, so the JSON export quarantines them under a
 //!    `"nondeterministic"` key and [`MetricsSnapshot::to_core_json`] omits
 //!    them entirely.
-//! 3. **Near-zero cost.** Metric handles are `Arc`-shared atomic cells:
-//!    registration takes a lock once, per-event updates are single relaxed
-//!    atomic operations on pre-looked-up handles.
+//! 3. **Pay per publish, not per event.** Metric handles are `Arc`-shared
+//!    atomic cells: registration takes a lock once, and an update is a
+//!    compare-and-swap loop on a pre-looked-up handle. That is cheap per
+//!    call but not free: in a PC-sample profile of generation at the
+//!    benchmark's settings, per-event updates took ~15% of the samples. So the single-threaded simulators (the
+//!    `ipsc` machine and event queue, the CFS, and the trace merge) count
+//!    into plain fields and [`HistogramTally`]s, and publish into their
+//!    attached handles once, when they are dropped, the way the paper's
+//!    nodes batched records into 4 KB buffers (§3.1). Handles are updated
+//!    directly only where workers on several threads share them: the
+//!    archive store's scans and writers, the serve layer, and fault
+//!    injection.
 //!
 //! The crate is dependency-free by design (see `ROADMAP.md`: extend shims,
 //! never add registry dependencies).
@@ -64,7 +73,8 @@ pub mod snapshot;
 pub mod span;
 
 pub use metrics::{
-    bucket_floor, bucket_index, Counter, Gauge, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS,
+    bucket_floor, bucket_index, Counter, Gauge, Histogram, HistogramTally, MetricsRegistry,
+    HISTOGRAM_BUCKETS,
 };
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot, TimingSnapshot};
 pub use span::Span;

@@ -2,14 +2,17 @@
 //!
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are `Arc`-shared atomic
 //! cells: the registry keeps one canonical handle per name, and every
-//! clone updates the same storage. Hot paths therefore pay one relaxed
-//! atomic op per update — no lock, no string lookup — while the registry
-//! can snapshot every metric at any time through its own clones.
+//! clone updates the same storage. An update takes no lock and no string
+//! lookup, but it is still a compare-and-swap loop on a shared cache line
+//! (a gauge, one `fetch_max`). That suits handles shared across threads;
+//! a single-threaded hot path counts into plain fields and a
+//! [`HistogramTally`] instead and publishes once (see the crate docs).
 //!
 //! All updates use saturating arithmetic so a metric can never wrap: a
 //! counter stuck at `u64::MAX` is a visible anomaly, a counter that wrapped
 //! past zero is a silent lie.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -170,6 +173,18 @@ impl Histogram {
         self.0.sum.load(Ordering::Relaxed)
     }
 
+    /// Add every sample of `tally` (bucket-wise saturating sum): one
+    /// owner's counts published in one step.
+    pub fn absorb(&self, tally: &HistogramTally) {
+        for (cell, b) in self.0.buckets.iter().zip(&tally.buckets) {
+            if b.get() > 0 {
+                saturating_add(cell, b.get());
+            }
+        }
+        saturating_add(&self.0.count, tally.count.get());
+        saturating_add(&self.0.sum, tally.sum.get());
+    }
+
     /// Freeze the current state into plain data.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = BTreeMap::new();
@@ -190,6 +205,63 @@ impl Histogram {
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Histogram")
+            .field("count", &self.count())
+            .field("sum", &self.sum())
+            .finish()
+    }
+}
+
+/// A histogram's samples counted in plain cells by their single owner,
+/// published into a shared [`Histogram`] with [`Histogram::absorb`].
+///
+/// Recording takes `&self` (the cells are [`Cell`]s), so an owner can count
+/// from a `&self` method; the tally is therefore neither `Sync` nor meant
+/// to be shared. It saturates like [`Histogram`].
+pub struct HistogramTally {
+    buckets: [Cell<u64>; HISTOGRAM_BUCKETS],
+    count: Cell<u64>,
+    sum: Cell<u64>,
+}
+
+impl Default for HistogramTally {
+    fn default() -> Self {
+        HistogramTally {
+            buckets: std::array::from_fn(|_| Cell::new(0)),
+            count: Cell::new(0),
+            sum: Cell::new(0),
+        }
+    }
+}
+
+impl HistogramTally {
+    /// An empty tally.
+    pub fn new() -> Self {
+        HistogramTally::default()
+    }
+
+    /// Record one sample.
+    #[inline]
+    pub fn record(&self, v: u64) {
+        let bucket = &self.buckets[bucket_index(v)];
+        bucket.set(bucket.get().saturating_add(1));
+        self.count.set(self.count.get().saturating_add(1));
+        self.sum.set(self.sum.get().saturating_add(v));
+    }
+
+    /// Samples recorded.
+    pub fn count(&self) -> u64 {
+        self.count.get()
+    }
+
+    /// Sum of the samples (saturating).
+    pub fn sum(&self) -> u64 {
+        self.sum.get()
+    }
+}
+
+impl std::fmt::Debug for HistogramTally {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HistogramTally")
             .field("count", &self.count())
             .field("sum", &self.sum())
             .finish()
@@ -395,6 +467,26 @@ mod tests {
         h.record_n(42, 0);
         assert_eq!(h.count(), 0);
         assert!(h.snapshot().buckets.is_empty());
+    }
+
+    #[test]
+    fn absorbing_a_tally_equals_recording_each_sample() {
+        let samples = [0, 1, 3, 1000, 1000, u64::MAX];
+        let direct = Histogram::new();
+        let tally = HistogramTally::new();
+        for &v in &samples {
+            direct.record(v);
+            tally.record(v);
+        }
+        let published = Histogram::new();
+        published.record(7);
+        direct.record(7);
+        published.absorb(&tally);
+        assert_eq!(published.snapshot(), direct.snapshot());
+        assert_eq!((tally.count(), tally.sum()), (6, u64::MAX));
+        // An empty tally publishes nothing.
+        published.absorb(&HistogramTally::new());
+        assert_eq!(published.snapshot(), direct.snapshot());
     }
 
     #[test]

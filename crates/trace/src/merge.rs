@@ -20,8 +20,8 @@ use charisma_obs::{Counter, MetricsRegistry};
 
 use crate::postprocess::OrderedEvent;
 
-/// Metric handles a [`MergedEvents`] reports through once attached with
-/// [`MergedEvents::attach_metrics`].
+/// Metric handles a [`MergedEvents`] publishes into, once, when it is
+/// dropped (see [`MergedEvents::attach_metrics`]).
 #[derive(Clone, Debug, Default)]
 pub struct MergeMetrics {
     /// Events emitted by the merge.
@@ -66,6 +66,10 @@ pub struct MergedEvents {
     /// Min-heap over the head of every non-exhausted stream.
     heap: BinaryHeap<Reverse<(MergeKey, usize)>>,
     remaining: usize,
+    /// Events yielded so far.
+    merged: u64,
+    /// Heap operations so far (see [`MergeMetrics::heap_ops`]).
+    heap_ops: u64,
     metrics: Option<MergeMetrics>,
     #[cfg(feature = "invariants")]
     last_key: Option<MergeKey>,
@@ -93,14 +97,16 @@ impl MergedEvents {
             cursor,
             heap,
             remaining,
+            merged: 0,
+            heap_ops: 0,
             metrics: None,
             #[cfg(feature = "invariants")]
             last_key: None,
         }
     }
 
-    /// Report merge throughput and heap workload through `metrics` from
-    /// now on.
+    /// Publish the merge's event and heap-operation counts into `metrics`
+    /// when it is dropped, covering every event it yielded.
     pub fn attach_metrics(&mut self, metrics: MergeMetrics) {
         self.metrics = Some(metrics);
     }
@@ -138,17 +144,14 @@ impl Iterator for MergedEvents {
         self.cursor[shard] = pos + 1;
         // The stream's next event replaces the head in place (one sift
         // down); `heap_ops` still counts the pop and the refill push.
-        let mut heap_ops = 1u64;
+        self.heap_ops += 1;
         if let Some(next) = self.shards[shard].get(pos + 1) {
             *top = Reverse((merge_key(next, shard, pos + 1), shard));
-            heap_ops += 1;
+            self.heap_ops += 1;
         } else {
             PeekMut::pop(top);
         }
-        if let Some(m) = &self.metrics {
-            m.records_merged.inc();
-            m.heap_ops.add(heap_ops);
-        }
+        self.merged += 1;
         self.remaining -= 1;
         Some(event)
     }
@@ -159,6 +162,15 @@ impl Iterator for MergedEvents {
 }
 
 impl ExactSizeIterator for MergedEvents {}
+
+impl Drop for MergedEvents {
+    fn drop(&mut self) {
+        if let Some(m) = &self.metrics {
+            m.records_merged.add(self.merged);
+            m.heap_ops.add(self.heap_ops);
+        }
+    }
+}
 
 /// Merge per-shard rectified streams into one materialized ordered stream.
 ///
@@ -255,6 +267,25 @@ mod tests {
         assert_eq!(snap.counters["merge.records_merged"], 3);
         // 3 pops + 1 refill push (shard 0 has a successor after its head).
         assert_eq!(snap.counters["merge.heap_ops"], 4);
+    }
+
+    #[test]
+    fn a_merge_dropped_early_publishes_what_it_yielded() {
+        let registry = MetricsRegistry::new();
+        let shards = vec![
+            vec![ev(1, 0, 0), ev(4, 0, 1), ev(6, 0, 2)],
+            vec![ev(2, 0, 3), ev(3, 0, 4)],
+        ];
+        let mut m = MergedEvents::new(shards);
+        m.attach_metrics(MergeMetrics::register(&registry));
+        let first: Vec<u32> = m.by_ref().take(3).map(|e| session(&e)).collect();
+        assert_eq!(first, vec![0, 3, 4]);
+        assert_eq!(registry.snapshot().counters["merge.records_merged"], 0);
+        drop(m);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["merge.records_merged"], 3);
+        // Three pops; shards 0 and 1 each refilled after their first head.
+        assert_eq!(snap.counters["merge.heap_ops"], 5);
     }
 
     #[test]

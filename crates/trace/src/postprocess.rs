@@ -14,7 +14,7 @@
 //! for every node, which shifts all estimates together and is harmless for
 //! ordering — the same property the paper relied on.
 
-use charisma_ipsc::SimTime;
+use charisma_ipsc::{round_u64, SimTime};
 
 use crate::builder::Trace;
 use crate::record::{EventBody, SERVICE_NODE};
@@ -46,7 +46,7 @@ impl ClockFit {
     /// Map a node-local timestamp into the collector frame.
     pub fn correct(&self, local: SimTime) -> SimTime {
         let t = self.a + self.b * local.as_micros() as f64;
-        SimTime::from_micros(t.max(0.0).round() as u64)
+        SimTime::from_micros(round_u64(t))
     }
 }
 

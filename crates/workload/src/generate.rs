@@ -170,7 +170,8 @@ struct Generator {
     next_dataset: usize,
     stats: GenStats,
     /// Per-generator registry: every subsystem this generator owns reports
-    /// here, so sharded runs produce one mergeable snapshot per shard.
+    /// here, so sharded runs produce one mergeable snapshot per shard. The
+    /// machine, queue and CFS publish into it when they are dropped.
     metrics: MetricsRegistry,
 }
 
@@ -287,22 +288,26 @@ impl Generator {
         self.stats.end_time = end;
         let trace = self.trace.take().expect("builder present");
         self.stats.message_reduction = trace.message_reduction();
-        self.metrics
-            .counter("workload.jobs")
-            .add(self.stats.jobs as u64);
-        self.metrics
+        let Generator {
+            machine,
+            cfs,
+            queue,
+            stats,
+            metrics,
+            ..
+        } = self;
+        // The simulators publish their tallies into `metrics` as they drop.
+        drop((machine, cfs, queue));
+        metrics.counter("workload.jobs").add(stats.jobs as u64);
+        metrics
             .counter("workload.traced_jobs")
-            .add(self.stats.traced_jobs as u64);
-        self.metrics
-            .counter("workload.sessions")
-            .add(self.stats.sessions);
-        self.metrics
-            .counter("workload.requests")
-            .add(self.stats.requests);
+            .add(stats.traced_jobs as u64);
+        metrics.counter("workload.sessions").add(stats.sessions);
+        metrics.counter("workload.requests").add(stats.requests);
         GeneratedWorkload {
             trace: trace.finish(end),
-            stats: self.stats,
-            metrics: self.metrics.snapshot(),
+            stats,
+            metrics: metrics.snapshot(),
         }
     }
 
