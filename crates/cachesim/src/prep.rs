@@ -8,7 +8,7 @@
 //! seen, so the simulators make one indexing pass first — the same
 //! two-pass structure a trace-driven simulator of the real data would use.
 //!
-//! The same pass prepares the I/O-node simulators' input: one [`Request`]
+//! The same pass prepares the I/O-node simulators' input: one `Request`
 //! per read or write, with its blocks renumbered densely, so each of the
 //! many Figure 9 cells replays a flat array and indexes plain per-block
 //! arrays instead of walking events and hashing `(file, block)` keys.
@@ -106,7 +106,7 @@ impl Request {
 /// no per-process random state — and the table has no iteration API, so
 /// nothing observable depends on slot order.
 ///
-/// The stream holds one [`Request`] per `Read` or `Write` of an indexed
+/// The stream holds one `Request` per `Read` or `Write` of an indexed
 /// session that touches a byte, in event order. Block ids are assigned
 /// per file over the merged extents of the touched blocks, so the id
 /// space is exactly the number of distinct touched blocks however sparse

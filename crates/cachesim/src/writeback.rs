@@ -5,7 +5,7 @@
 //! more efficiently served by disk hardware. Indeed, with RAID disk
 //! arrays … it is even more important to avoid small requests at the disk
 //! level." (paper §4.8; the mechanism is studied in Kotz & Ellis's
-//! "Caching and writeback policies in parallel file systems" [19].)
+//! "Caching and writeback policies in parallel file systems" \[19\].)
 //!
 //! This simulator measures exactly that: how many *disk* writes result
 //! from the workload's stream of small write requests under

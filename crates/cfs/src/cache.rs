@@ -224,7 +224,7 @@ const NIL: u32 = u32::MAX;
 
 impl LruCache {
     /// The largest capacity, in blocks: slab indices are `u32`s below
-    /// [`NIL`], so a cache holds at most `u32::MAX` blocks.
+    /// `NIL`, so a cache holds at most `u32::MAX` blocks.
     pub const MAX_CAPACITY: usize = NIL as usize;
 
     /// A cache of `capacity` blocks (capacity 0 caches nothing), clamped

@@ -1,7 +1,7 @@
 //! Per-job I/O statistics.
 //!
-//! The paper's companion technical report (PCS-TR94-211, reference [21] —
-//! "More detail may be found in [21]") breaks the workload down by job:
+//! The paper's companion technical report (PCS-TR94-211, reference \[21\] —
+//! "More detail may be found in \[21\]") breaks the workload down by job:
 //! how much I/O each job did, how concentrated the traffic was, and how
 //! I/O-intensive jobs were relative to their lifetimes. This module
 //! derives those views from the characterization, because they motivate

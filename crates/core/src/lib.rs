@@ -1,6 +1,6 @@
 //! Workload characterization — the paper's analysis layer.
 //!
-//! One streaming pass over a rectified trace ([`analyze`]) builds
+//! One streaming pass over a rectified trace ([`analyze()`]) builds
 //! per-job and per-session state; the sub-modules then derive every table
 //! and figure of the paper's §4:
 //!

@@ -6,13 +6,13 @@ use std::fmt::Write as _;
 
 use charisma_trace::OrderedEvent;
 
-use crate::analyze::{analyze, Analyzer, Characterization, SessionClass};
+use crate::analyze::{Analyzer, Characterization, SessionClass};
 use crate::census;
 use crate::intervals;
 use crate::jobs;
 use crate::jobstats;
 use crate::modes;
-use crate::requests::{self, RequestSizes};
+use crate::requests::RequestSizes;
 use crate::sequential::{self, Metric};
 use crate::sharing;
 
@@ -25,26 +25,22 @@ pub struct Report {
 }
 
 impl Report {
-    /// Analyze an ordered event stream.
+    /// Analyze an ordered event slice: [`Self::from_stream`] over it.
     pub fn from_events(events: &[OrderedEvent]) -> Report {
-        Report {
-            chars: analyze(events),
-            request_sizes: requests::request_sizes(events),
-        }
+        Report::from_stream(events.iter().copied())
     }
 
     /// Analyze a *streaming* ordered event source in a single pass.
     ///
     /// The sharded pipeline's k-way merge yields events as an iterator;
-    /// this entry point consumes it without materializing a `Vec` first
-    /// (and without the two passes [`Self::from_events`] makes over its
-    /// slice). Events must arrive in rectified stream order.
+    /// this entry point consumes it without materializing a `Vec` first.
+    /// Events must arrive in rectified stream order.
     pub fn from_stream<I>(events: I) -> Report
     where
         I: IntoIterator<Item = OrderedEvent>,
     {
         let mut analyzer = Analyzer::new();
-        let mut sizes = requests::RequestSizes::new();
+        let mut sizes = RequestSizes::new();
         for e in events {
             analyzer.push(&e);
             sizes.push(&e);

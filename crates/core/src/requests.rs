@@ -103,19 +103,6 @@ impl RequestSizes {
     }
 }
 
-/// Accumulate the Figure 4 curves from an event stream.
-pub fn request_sizes<'a, I>(events: I) -> RequestSizes
-where
-    I: IntoIterator<Item = &'a OrderedEvent>,
-{
-    let mut out = RequestSizes::new();
-    for e in events {
-        out.push(e);
-    }
-    out.seal();
-    out
-}
-
 impl Default for RequestSizes {
     fn default() -> Self {
         Self::new()
@@ -126,6 +113,16 @@ impl Default for RequestSizes {
 mod tests {
     use super::*;
     use charisma_ipsc::SimTime;
+
+    /// The sealed Figure 4 curves of `events`.
+    fn request_sizes(events: &[OrderedEvent]) -> RequestSizes {
+        let mut out = RequestSizes::new();
+        for e in events {
+            out.push(e);
+        }
+        out.seal();
+        out
+    }
 
     fn read(bytes: u32) -> OrderedEvent {
         OrderedEvent {

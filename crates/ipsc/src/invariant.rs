@@ -1,6 +1,6 @@
 //! Runtime simulation invariants.
 //!
-//! [`invariant!`](crate::invariant) is the workspace's checked-build
+//! [`invariant!`](crate::invariant!) is the workspace's checked-build
 //! assertion: under `--features invariants` it asserts; otherwise it
 //! compiles to nothing (the condition is embedded in a closure that is
 //! never called, so it still type-checks but is never evaluated).

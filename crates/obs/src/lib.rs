@@ -8,26 +8,24 @@
 //! in flight, without compromising the property the repository is built
 //! on: **same seed, same bytes**.
 //!
-//! Three ideas organize the design:
+//! Two ideas organize the design:
 //!
-//! 1. **Deterministic core.** Counters, gauges, and histograms record
+//! 1. **Facts, not timings.** Counters, gauges, and histograms record
 //!    facts of the *simulation* (requests served, queue depth high-water,
 //!    disk service times in simulated microseconds). Their values are a
-//!    pure function of the seed, so a [`MetricsSnapshot`]'s core can be
-//!    diffed byte-for-byte against a committed fixture — that is the
-//!    `charisma-verify gates metrics` gate.
-//! 2. **Segregated nondeterminism.** Span timings measure *wall-clock*
-//!    phases ([`MetricsRegistry::span`]). They are useful for profiling
-//!    but vary run to run, so the JSON export quarantines them under a
-//!    `"nondeterministic"` key and [`MetricsSnapshot::to_core_json`] omits
-//!    them entirely.
-//! 3. **Pay per publish, not per event.** Metric handles are `Arc`-shared
+//!    pure function of the seed, so a [`MetricsSnapshot`] renders
+//!    ([`MetricsSnapshot::to_core_json`]) to bytes that are diffed against
+//!    a committed fixture — that is the `charisma-verify gates metrics`
+//!    gate. Nothing here reads a wall clock: like the paper's trace
+//!    records, the metrics are facts, and timing analysis happens outside
+//!    (the benchmark's own tracer in `benchmark/`).
+//! 2. **Pay per publish, not per event.** Metric handles are `Arc`-shared
 //!    atomic cells: registration takes a lock once, and an update is a
 //!    compare-and-swap loop on a pre-looked-up handle. That is cheap per
 //!    call but not free: in a PC-sample profile of generation at the
-//!    benchmark's settings, per-event updates took ~15% of the samples. So the single-threaded simulators (the
-//!    `ipsc` machine and event queue, the CFS, and the trace merge) count
-//!    into plain fields and [`HistogramTally`]s, and publish into their
+//!    benchmark's settings, per-event updates took ~15% of the samples.
+//!    So the single-threaded simulators (the `ipsc` machine and event
+//!    queue, the CFS, and the trace merge) count into plain fields and [`HistogramTally`]s, and publish into their
 //!    attached handles once, when they are dropped, the way the paper's
 //!    nodes batched records into 4 KB buffers (§3.1). Handles are updated
 //!    directly only where workers on several threads share them: the
@@ -70,11 +68,9 @@
 
 pub mod metrics;
 pub mod snapshot;
-pub mod span;
 
 pub use metrics::{
     bucket_floor, bucket_index, Counter, Gauge, Histogram, HistogramTally, MetricsRegistry,
     HISTOGRAM_BUCKETS,
 };
-pub use snapshot::{HistogramSnapshot, MetricsSnapshot, TimingSnapshot};
-pub use span::Span;
+pub use snapshot::{HistogramSnapshot, MetricsSnapshot};

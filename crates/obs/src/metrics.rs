@@ -17,8 +17,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::snapshot::{HistogramSnapshot, MetricsSnapshot, TimingSnapshot};
-use crate::span::Span;
+use crate::snapshot::{HistogramSnapshot, MetricsSnapshot};
 
 /// Add `v` to an atomic cell, saturating at `u64::MAX`.
 fn saturating_add(cell: &AtomicU64, v: u64) {
@@ -285,8 +284,6 @@ pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
-    /// Wall-clock span accumulators: name → (entries, total nanoseconds).
-    timings: Mutex<BTreeMap<String, (u64, u64)>>,
 }
 
 impl MetricsRegistry {
@@ -336,23 +333,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Open a wall-clock span; its elapsed time is recorded when the
-    /// returned guard drops, so bind it (`let _span = ...`) for the scope
-    /// it should time.
-    pub fn span(&self, name: &'static str) -> Span<'_> {
-        Span::enter(self, name)
-    }
-
-    /// Accumulate `nanos` of wall-clock time under the span name `name`.
-    /// Called by [`Span`] on drop; public so external timers can feed the
-    /// same accounting.
-    pub fn record_timing(&self, name: &str, nanos: u64) {
-        let mut map = lock(&self.timings);
-        let cell = map.entry(name.to_owned()).or_insert((0, 0));
-        cell.0 = cell.0.saturating_add(1);
-        cell.1 = cell.1.saturating_add(nanos);
-    }
-
     /// Freeze every registered metric into plain, mergeable data.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let counters = lock(&self.counters)
@@ -367,16 +347,10 @@ impl MetricsRegistry {
             .iter()
             .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect();
-        let timings = lock(&self.timings)
-            .iter()
-            .map(|(k, &(count, total_ns))| (k.clone(), TimingSnapshot { count, total_ns }))
-            .collect();
         MetricsSnapshot {
             counters,
             gauges,
             histograms,
-            timings,
-            rates: BTreeMap::new(),
         }
     }
 }
@@ -387,7 +361,6 @@ impl std::fmt::Debug for MetricsRegistry {
             .field("counters", &lock(&self.counters).len())
             .field("gauges", &lock(&self.gauges).len())
             .field("histograms", &lock(&self.histograms).len())
-            .field("timings", &lock(&self.timings).len())
             .finish()
     }
 }
@@ -487,16 +460,6 @@ mod tests {
         // An empty tally publishes nothing.
         published.absorb(&HistogramTally::new());
         assert_eq!(published.snapshot(), direct.snapshot());
-    }
-
-    #[test]
-    fn timings_accumulate() {
-        let r = MetricsRegistry::new();
-        r.record_timing("phase", 100);
-        r.record_timing("phase", 50);
-        let s = r.snapshot();
-        assert_eq!(s.timings["phase"].count, 2);
-        assert_eq!(s.timings["phase"].total_ns, 150);
     }
 
     #[test]

@@ -3,11 +3,9 @@
 //! A [`MetricsSnapshot`] is what crosses shard boundaries and lands in
 //! fixtures. Merging is associative and commutative (counters saturating
 //! sum, gauges max, histograms bucket-wise sum), so the merged snapshot of
-//! a sharded run is independent of worker scheduling. The JSON export is
-//! BTreeMap-ordered and hand-rolled (no serde in an offline workspace);
-//! [`MetricsSnapshot::to_core_json`] emits only the deterministic core,
-//! while [`MetricsSnapshot::to_json`] appends wall-clock timings and rates
-//! under a `"nondeterministic"` key.
+//! a sharded run is independent of worker scheduling. The JSON export,
+//! [`MetricsSnapshot::to_core_json`], is BTreeMap-ordered and hand-rolled
+//! (no serde in an offline workspace).
 
 use std::collections::BTreeMap;
 
@@ -38,20 +36,9 @@ impl HistogramSnapshot {
     }
 }
 
-/// One span's accumulated wall-clock time. Nondeterministic by nature.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TimingSnapshot {
-    /// Times the span was entered.
-    pub count: u64,
-    /// Total wall-clock nanoseconds across all entries.
-    pub total_ns: u64,
-}
-
-/// Every metric a registry knew at snapshot time.
-///
-/// `counters`, `gauges`, and `histograms` are the deterministic core: pure
-/// functions of the simulation seed. `timings` and `rates` are wall-clock
-/// derived and excluded from [`to_core_json`](Self::to_core_json).
+/// Every metric a registry knew at snapshot time: pure functions of the
+/// simulation seed, so [`to_core_json`](Self::to_core_json) can be diffed
+/// against a fixture.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Monotonic counts, merged by saturating sum.
@@ -60,11 +47,6 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, u64>,
     /// Log2 histograms, merged bucket-wise.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Wall-clock span timings (nondeterministic).
-    pub timings: BTreeMap<String, TimingSnapshot>,
-    /// Derived wall-clock rates, e.g. records per second
-    /// (nondeterministic).
-    pub rates: BTreeMap<String, u64>,
 }
 
 impl MetricsSnapshot {
@@ -74,9 +56,9 @@ impl MetricsSnapshot {
     }
 
     /// Fold `other` into `self`. Counters add (saturating), gauges take
-    /// the max, histograms add bucket-wise, timings add, rates take the
-    /// max. Every rule is associative and commutative, so any merge order
-    /// over any partition of the same updates yields the same snapshot.
+    /// the max, histograms add bucket-wise. Every rule is associative and
+    /// commutative, so any merge order over any partition of the same
+    /// updates yields the same snapshot.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (k, &v) in &other.counters {
             let cell = self.counters.entry(k.clone()).or_insert(0);
@@ -89,15 +71,6 @@ impl MetricsSnapshot {
         for (k, h) in &other.histograms {
             self.histograms.entry(k.clone()).or_default().merge(h);
         }
-        for (k, t) in &other.timings {
-            let cell = self.timings.entry(k.clone()).or_default();
-            cell.count = cell.count.saturating_add(t.count);
-            cell.total_ns = cell.total_ns.saturating_add(t.total_ns);
-        }
-        for (k, &v) in &other.rates {
-            let cell = self.rates.entry(k.clone()).or_insert(0);
-            *cell = (*cell).max(v);
-        }
     }
 
     /// Set a counter directly (used when importing pre-counted results,
@@ -106,62 +79,12 @@ impl MetricsSnapshot {
         self.counters.insert(name.to_owned(), value);
     }
 
-    /// Set a derived rate (nondeterministic section).
-    pub fn set_rate(&mut self, name: &str, value: u64) {
-        self.rates.insert(name.to_owned(), value);
-    }
-
-    /// True when no metric of any kind is present.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.timings.is_empty()
-            && self.rates.is_empty()
-    }
-
     /// The deterministic core as pretty JSON: counters, gauges,
     /// histograms — byte-identical for byte-identical simulations, which
     /// is what the `charisma-verify gates metrics` fixture diff relies on.
     pub fn to_core_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.open_object();
-        self.write_core(&mut w);
-        w.close_object();
-        w.finish()
-    }
-
-    /// The full snapshot as pretty JSON. Deterministic core first, then
-    /// wall-clock data under `"nondeterministic"` so consumers can hash
-    /// everything above that key.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.open_object();
-        self.write_core(&mut w);
-        w.key("nondeterministic");
-        w.open_object();
-        w.key("timings");
-        w.open_object();
-        for (name, t) in &self.timings {
-            w.key(name);
-            w.open_object();
-            w.field_u64("count", t.count);
-            w.field_u64("total_ns", t.total_ns);
-            w.close_object();
-        }
-        w.close_object();
-        w.key("rates");
-        w.open_object();
-        for (name, &v) in &self.rates {
-            w.field_u64(name, v);
-        }
-        w.close_object();
-        w.close_object();
-        w.close_object();
-        w.finish()
-    }
-
-    fn write_core(&self, w: &mut JsonWriter) {
         w.key("counters");
         w.open_object();
         for (name, &v) in &self.counters {
@@ -193,6 +116,8 @@ impl MetricsSnapshot {
             w.close_object();
         }
         w.close_object();
+        w.close_object();
+        w.finish()
     }
 }
 
@@ -296,14 +221,6 @@ mod tests {
             buckets: [(10u32, 2u64)].into_iter().collect(),
         };
         s.histograms.insert("service_us".into(), h);
-        s.timings.insert(
-            "generate".into(),
-            TimingSnapshot {
-                count: 1,
-                total_ns: 5000,
-            },
-        );
-        s.rates.insert("records_per_sec".into(), 123);
         s
     }
 
@@ -345,30 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn core_json_omits_wall_clock_data() {
-        let s = sample();
-        let core = s.to_core_json();
-        assert!(core.contains("a.requests"));
-        assert!(core.contains("service_us"));
-        assert!(!core.contains("nondeterministic"));
-        assert!(!core.contains("generate"));
-        assert!(!core.contains("records_per_sec"));
-    }
-
-    #[test]
-    fn full_json_quarantines_wall_clock_data() {
-        let s = sample();
-        let full = s.to_json();
-        let nd_at = full.find("\"nondeterministic\"").expect("nd key present");
-        let timing_at = full.find("\"generate\"").expect("timing present");
-        let rate_at = full.find("\"records_per_sec\"").expect("rate present");
-        assert!(timing_at > nd_at && rate_at > nd_at);
-        // Everything before the nondeterministic key equals the core,
-        // minus the closing brace: the deterministic prefix is hashable.
-        assert!(full.starts_with(s.to_core_json().trim_end_matches("\n}\n")));
-    }
-
-    #[test]
     fn json_is_stable_across_insertion_order() {
         let mut fwd = MetricsSnapshot::new();
         fwd.counters.insert("alpha".into(), 1);
@@ -376,14 +269,14 @@ mod tests {
         let mut rev = MetricsSnapshot::new();
         rev.counters.insert("beta".into(), 2);
         rev.counters.insert("alpha".into(), 1);
-        assert_eq!(fwd.to_json(), rev.to_json());
+        assert_eq!(fwd.to_core_json(), rev.to_core_json());
     }
 
     #[test]
     fn json_escapes_strings() {
         let mut s = MetricsSnapshot::new();
         s.counters.insert("weird\"\\name\n".into(), 1);
-        let json = s.to_json();
+        let json = s.to_core_json();
         assert!(json.contains("weird\\\"\\\\name\\n"));
     }
 

@@ -99,7 +99,7 @@ pub fn decode_varint_column(buf: &mut &[u8], n: usize) -> Result<Vec<u64>, Store
 /// complete one-byte varints, emitted in one branch-light burst.
 /// Otherwise the first clear continuation bit ends the next varint: one
 /// of up to eight bytes is assembled from the window by
-/// [`varint_from_window`], and only a longer one falls back to the
+/// `varint_from_window`, and only a longer one falls back to the
 /// per-byte decoder. Fewer than eight bytes left means the per-byte
 /// decoder for the rest, so every read stays inside `buf`.
 pub fn decode_varint_column_into(

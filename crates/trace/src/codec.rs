@@ -211,6 +211,10 @@ pub fn encoded_len(e: &Event) -> usize {
     9 + e.body.payload_len()
 }
 
+/// Bytes of the shortest record on the wire: the 9-byte (tag +
+/// timestamp) prefix plus the smallest [`payload_len`] (`JobEnd`'s 4).
+pub(crate) const MIN_RECORD_BYTES: usize = 9 + 4;
+
 /// Bytes of payload following the 9-byte (tag + timestamp) prefix, per
 /// record tag; `None` for unknown tags. Used by the streaming reader to
 /// size its reads.
@@ -272,7 +276,7 @@ pub(crate) fn chain_validates(mut buf: &[u8]) -> bool {
 /// instead of aborting.
 ///
 /// On a record error the decoder scans forward one byte at a time until
-/// it finds an offset where [`RESYNC_CHAIN`] consecutive records (or the
+/// it finds an offset where `RESYNC_CHAIN` consecutive records (or the
 /// clean end of the buffer) parse, then resumes there. Every uncorrupted
 /// record downstream of a corrupt region is therefore recovered; the
 /// region itself is reported in [`DecodeStats`], never silently dropped.
@@ -526,6 +530,8 @@ mod tests {
         }
         assert_eq!(payload_len(0), None);
         assert_eq!(payload_len(99), None);
+        let shortest = (0..=u8::MAX).filter_map(payload_len).min();
+        assert_eq!(shortest.map(|p| 9 + p), Some(MIN_RECORD_BYTES));
     }
 
     #[test]

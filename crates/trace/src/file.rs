@@ -10,8 +10,20 @@ use std::io::{self, Read, Write};
 use bytes::{Buf, BufMut};
 use charisma_ipsc::SimTime;
 
-use crate::builder::{Block, Trace};
-use crate::codec::{self, DecodeError};
+use crate::builder::{Block, Trace, NODE_BUFFER_BYTES};
+use crate::codec::{self, DecodeError, MIN_RECORD_BYTES};
+
+/// Bytes of a block header on the wire: node (u16), send and receive
+/// timestamps (u64 each), record count (u32).
+const BLOCK_HEADER_BYTES: usize = 2 + 8 + 8 + 4;
+
+/// A capacity hint for `declared` items of at least `item_bytes` each,
+/// capped at what the `remaining` input bytes can encode. The counts in
+/// a file are untrusted: a hint taken from them unchecked lets a few
+/// bytes ask for gigabytes.
+fn capacity_hint(declared: usize, remaining: usize, item_bytes: usize) -> usize {
+    declared.min(remaining / item_bytes)
+}
 
 /// Errors raised while reading a trace file.
 #[derive(Debug)]
@@ -75,16 +87,18 @@ pub fn read_trace<R: Read>(mut r: R) -> Result<Trace, TraceFileError> {
         return Err(DecodeError::Truncated.into());
     }
     let nblocks = buf.get_u64_le() as usize;
-    let mut blocks = Vec::with_capacity(nblocks.min(1 << 20));
+    let mut blocks =
+        Vec::with_capacity(capacity_hint(nblocks, buf.remaining(), BLOCK_HEADER_BYTES));
     for _ in 0..nblocks {
-        if buf.remaining() < 2 + 8 + 8 + 4 {
+        if buf.remaining() < BLOCK_HEADER_BYTES {
             return Err(DecodeError::Truncated.into());
         }
         let node = buf.get_u16_le();
         let send_local = SimTime::from_micros(buf.get_u64_le());
         let recv_service = SimTime::from_micros(buf.get_u64_le());
         let count = buf.get_u32_le() as usize;
-        let mut events = Vec::with_capacity(count.min(1 << 16));
+        let mut events =
+            Vec::with_capacity(capacity_hint(count, buf.remaining(), MIN_RECORD_BYTES));
         for _ in 0..count {
             events.push(codec::decode_event(&mut buf)?);
         }
@@ -131,7 +145,7 @@ pub fn read_trace_tolerant<R: Read>(mut r: R) -> Result<TolerantTrace, TraceFile
     }
     let nblocks = buf.get_u64_le() as usize;
     'blocks: for _ in 0..nblocks {
-        if buf.remaining() < 2 + 8 + 8 + 4 {
+        if buf.remaining() < BLOCK_HEADER_BYTES {
             stats.truncated = true;
             break;
         }
@@ -139,7 +153,8 @@ pub fn read_trace_tolerant<R: Read>(mut r: R) -> Result<TolerantTrace, TraceFile
         let send_local = SimTime::from_micros(buf.get_u64_le());
         let recv_service = SimTime::from_micros(buf.get_u64_le());
         let count = buf.get_u32_le() as usize;
-        let mut events = Vec::with_capacity(count.min(1 << 16));
+        let mut events =
+            Vec::with_capacity(capacity_hint(count, buf.remaining(), MIN_RECORD_BYTES));
         // A corrupt region inside a block is assumed to hide one record
         // (in-place corruption); `consumed` tracks decoded + skipped so
         // the block still ends where its record count says it does.
@@ -321,7 +336,7 @@ impl<R: Read> TraceStream<R> {
             return Ok(None);
         }
         self.blocks_left -= 1;
-        let mut head = [0u8; 2 + 8 + 8 + 4];
+        let mut head = [0u8; BLOCK_HEADER_BYTES];
         self.reader
             .read_exact(&mut head)
             .map_err(TraceFileError::Io)?;
@@ -331,8 +346,11 @@ impl<R: Read> TraceStream<R> {
         let recv_service = SimTime::from_micros(slice.get_u64_le());
         let count = slice.get_u32_le() as usize;
         // Events are variable-length; read them one at a time through a
-        // small buffer (records are <= 32 bytes on the wire).
-        let mut events = Vec::with_capacity(count.min(1 << 16));
+        // small buffer (records are <= 32 bytes on the wire). The stream
+        // cannot see how many bytes remain, so the hint is what one 4 KB
+        // node buffer can hold.
+        let mut events =
+            Vec::with_capacity(capacity_hint(count, NODE_BUFFER_BYTES, MIN_RECORD_BYTES));
         let mut buf = Vec::new();
         for _ in 0..count {
             // Tag + timestamp first, then the tag-dependent payload.

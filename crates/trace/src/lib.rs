@@ -14,9 +14,9 @@
 //! * [`record`] — the event-record vocabulary (open/close/read/write/...);
 //! * [`codec`] — a compact binary encoding with a self-descriptive header;
 //! * [`builder`] — per-node 4 KB buffering plus the service-node collector;
-//! * [`postprocess`] — drift estimation and chronological rectification;
+//! * [`postprocess`](mod@postprocess) — drift estimation and chronological rectification;
 //! * [`merge`] — deterministic k-way merge of per-shard rectified streams;
-//! * [`file`] — writing and reading trace files.
+//! * [`file`](mod@file) — writing and reading trace files.
 
 // Determinism rules; the disallowed types and methods live in clippy.toml.
 #![forbid(unsafe_code)] // CH006
@@ -42,7 +42,7 @@ pub mod record;
 pub use builder::{Block, Trace, TraceBuilder};
 pub use codec::{decode_events_tolerant, DecodeStats};
 pub use file::{read_trace, read_trace_tolerant, write_trace, TolerantTrace, TraceFileError};
-pub use merge::{merge_shards, MergeMetrics, MergedEvents};
+pub use merge::{MergeMetrics, MergedEvents};
 pub use postprocess::{postprocess, OrderedEvent};
 pub use record::{
     AccessKind, Event, EventBody, FileId, JobId, SessionId, TraceHeader, SERVICE_NODE,

@@ -172,13 +172,6 @@ impl Drop for MergedEvents {
     }
 }
 
-/// Merge per-shard rectified streams into one materialized ordered stream.
-///
-/// Convenience over [`MergedEvents`] for callers that want the vector.
-pub fn merge_shards(shards: Vec<Vec<OrderedEvent>>) -> Vec<OrderedEvent> {
-    MergedEvents::new(shards).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,7 +201,7 @@ mod tests {
     fn merges_in_time_order() {
         let a = vec![ev(1, 0, 0), ev(5, 0, 1), ev(9, 0, 2)];
         let b = vec![ev(2, 1, 10), ev(3, 1, 11), ev(20, 1, 12)];
-        let merged = merge_shards(vec![a, b]);
+        let merged: Vec<_> = MergedEvents::new(vec![a, b]).collect();
         let times: Vec<u64> = merged.iter().map(|e| e.time.as_micros()).collect();
         assert_eq!(times, vec![1, 2, 3, 5, 9, 20]);
     }
@@ -218,7 +211,7 @@ mod tests {
         let t = 7;
         let a = vec![ev(t, 3, 0)];
         let b = vec![ev(t, 1, 10), ev(t, 3, 11)];
-        let merged = merge_shards(vec![a, b]);
+        let merged: Vec<_> = MergedEvents::new(vec![a, b]).collect();
         let ids: Vec<u32> = merged.iter().map(session).collect();
         // node 1 first; among node 3, shard 0 before shard 1.
         assert_eq!(ids, vec![10, 0, 11]);
@@ -231,12 +224,13 @@ mod tests {
         let all: Vec<OrderedEvent> = (0..100u64)
             .map(|i| ev(i % 13, (i % 3) as u16, i as u32))
             .collect();
-        let one = merge_shards(vec![all.clone()]);
-        let four = merge_shards(
+        let one: Vec<_> = MergedEvents::new(vec![all.clone()]).collect();
+        let four: Vec<_> = MergedEvents::new(
             (0..4)
                 .map(|k| all.iter().skip(k).step_by(4).copied().collect())
                 .collect(),
-        );
+        )
+        .collect();
         let mut s1: Vec<u32> = one.iter().map(session).collect();
         let mut s4: Vec<u32> = four.iter().map(session).collect();
         s1.sort_unstable();
@@ -290,7 +284,8 @@ mod tests {
 
     #[test]
     fn empty_shards_are_fine() {
-        assert!(merge_shards(Vec::new()).is_empty());
-        assert_eq!(merge_shards(vec![Vec::new(), vec![ev(1, 0, 0)]]).len(), 1);
+        assert_eq!(MergedEvents::new(Vec::new()).count(), 0);
+        let one = MergedEvents::new(vec![Vec::new(), vec![ev(1, 0, 0)]]);
+        assert_eq!(one.count(), 1);
     }
 }

@@ -4,7 +4,7 @@ use charisma_ipsc::{DriftClock, Duration, SimTime};
 use charisma_trace::builder::TraceBuilder;
 use charisma_trace::codec;
 use charisma_trace::file::{read_trace, write_trace};
-use charisma_trace::merge::merge_shards;
+use charisma_trace::merge::MergedEvents;
 use charisma_trace::postprocess::postprocess;
 use charisma_trace::record::{AccessKind, Event, EventBody, TraceHeader};
 use charisma_trace::OrderedEvent;
@@ -202,7 +202,7 @@ proptest! {
         oracle.sort_by_key(|entry| entry.0);
         let oracle: Vec<OrderedEvent> = oracle.into_iter().map(|(_, e)| e).collect();
 
-        let merged = merge_shards(shards);
+        let merged: Vec<_> = MergedEvents::new(shards).collect();
         prop_assert_eq!(merged, oracle);
     }
 

@@ -9,7 +9,7 @@
 //! 1. **Figure 8** — hits and requests at 1, 10 and 50 buffers per
 //!    compute node;
 //! 2. **Figure 9** — hits, requests, block hits and block references for
-//!    every cell of [`IO_NODES`] × [`IO_BUFFERS`] × LRU/FIFO/IPL. The 3-
+//!    every cell of `IO_NODES` × `IO_BUFFERS` × LRU/FIFO/IPL. The 3-
 //!    and 20-node rows divide no buffer count or only some of them, so
 //!    the per-node capacity's rounding is pinned too;
 //! 3. **the combined experiment** — the bits of its three hit rates;

@@ -27,7 +27,8 @@
 //!   - [`serve`] — every ingest schedule publishes byte-identical tenant
 //!     catalogs, mid-ingest snapshots replay exactly their pinned prefix,
 //!     federated scans match the concat-and-stable-sort oracle, and the
-//!     pipeline's serve sink matches its memory sink byte for byte.
+//!     serial run's stream published through one tenant matches its
+//!     memory sink byte for byte.
 //!   - [`tier`] — the pinned skewed scan schedule classifies and places
 //!     identically under every scan worker count and in reverse, every
 //!     cold-segment loss rebuilds byte-exactly from XOR parity, and a

@@ -1,10 +1,10 @@
 //! The metrics-snapshot gate.
 //!
 //! The observability layer (`charisma-obs`) claims its counters, gauges,
-//! and histograms are a **pure function of the configuration and seed** —
-//! wall-clock artifacts are quarantined in the snapshot's nondeterministic
-//! section and never reach [`MetricsSnapshot::to_core_json`]. The
-//! `metrics` gate turns that claim into two checks:
+//! and histograms are a **pure function of the configuration and seed**:
+//! it reads no wall clock, so [`MetricsSnapshot::to_core_json`] renders
+//! the same bytes for the same simulation. The `metrics` gate turns that
+//! claim into two checks:
 //!
 //! 1. **Snapshot diff** — render the serial run's deterministic core as
 //!    canonical JSON and diff it line-by-line against the checked-in

@@ -17,17 +17,15 @@
 //!    concatenation of serial per-tenant scans, stable-sorted by the
 //!    canonical `(time, node)` key, for all-pass and pruned queries
 //!    alike, at every fan-out width.
-//! 4. **Sink parity** — a pipeline run delivered through
-//!    `ArchiveSink::Serve` must publish the same bytes as the same run's
-//!    `ArchiveSink::Memory` container (the build/serve split cannot leak
-//!    into the format).
-
-use std::sync::Arc;
+//! 4. **Sink parity** — the serial run's merged stream, submitted in
+//!    512-row batches to a fresh one-tenant service and flushed, must
+//!    publish the same bytes as that run's `ArchiveSink::Memory`
+//!    container (the build/serve split cannot leak into the format, and
+//!    a flush must seal the partial tail).
 
 use charisma::serve::{Service, ServiceConfig, TenantFeed};
 use charisma::store::Query;
 use charisma::trace::OrderedEvent;
-use charisma::{ArchiveSink, Pipeline, ServeSink};
 
 use crate::determinism::fnv1a_hash;
 use crate::gates::{Config, Runs};
@@ -38,6 +36,10 @@ const GATE_TENANTS: usize = 4;
 /// Rows per submitted batch in the gate's feeds: deliberately off the
 /// segment size so sealing happens mid-batch.
 const GATE_BATCH_ROWS: usize = 700;
+
+/// Rows per batch the sink-parity check submits. Published bytes do not
+/// depend on the batch size.
+const SINK_BATCH_ROWS: usize = 512;
 
 /// Ingest worker counts the schedule-invariance matrix covers.
 const GATE_WORKERS: &[usize] = &[1, 2, 4];
@@ -184,29 +186,26 @@ pub(crate) fn check(runs: &mut Runs, _write: bool) -> Result<Vec<String>, charis
         }
     }
 
-    // 4. Sink parity: a serve-sink pipeline run publishes the same bytes
-    // as the memory-sink container.
-    let sink_service = Arc::new(Service::new(ServiceConfig {
-        seed,
-        scale,
+    // 4. Sink parity: the run's stream, published through one tenant,
+    // equals the memory-sink container.
+    let service = Service::new(ServiceConfig {
         tenants: 1,
-        ..ServiceConfig::default()
-    }));
-    let served = Pipeline::new()
-        .seed(seed)
-        .scale(scale)
-        .shards(2)
-        .sink(ArchiveSink::Serve(ServeSink::new(
-            Arc::clone(&sink_service),
-            0,
-        )))
-        .run()?;
-    if served.archive != out.archive {
+        ..config
+    });
+    for batch in out.events.chunks(SINK_BATCH_ROWS) {
+        service.submit(0, batch)?;
+    }
+    service.flush(0)?;
+    let served = service.snapshot(0)?.to_bytes();
+    let container = out.archive.as_deref().unwrap_or_default();
+    if served != container {
         complaints.push(format!(
-            "serve-sink pipeline bytes ({:?}) differ from the memory-sink \
-             container ({:?})",
-            served.archive.as_ref().map(Vec::len),
-            out.archive.as_ref().map(Vec::len),
+            "the run's stream published through one tenant differs from the \
+             memory-sink container ({} vs {} bytes, fnv1a {:#018x} vs {:#018x})",
+            served.len(),
+            container.len(),
+            fnv1a_hash(&served),
+            fnv1a_hash(container),
         ));
     }
     Ok(complaints)
@@ -229,6 +228,7 @@ fn pruning_query(events: &[OrderedEvent]) -> Query {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use charisma::Pipeline;
 
     #[test]
     fn partition_preserves_per_stream_order() {

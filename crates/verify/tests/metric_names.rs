@@ -25,8 +25,6 @@ const METRIC_CRATES: &[&str] = &[
 ];
 
 /// Registry and snapshot calls whose first argument is a metric name.
-/// `set_rate` is absent: rates live in the snapshot's nondeterministic
-/// section, which no fixture pins.
 const REGISTRATION_CALLS: &[&str] = &[".counter(", ".gauge(", ".histogram(", ".set_counter("];
 
 /// Metrics registered only on paths the canonical gate runs never take,

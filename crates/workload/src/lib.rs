@@ -15,7 +15,7 @@
 //! * [`apps`] — application templates (CFD solvers, post-processors,
 //!   broadcast readers, the out-of-core oddball, ...);
 //! * [`mix`] — the job arrival/sizing model;
-//! * [`generate`] — the discrete-event executor that runs the mix on the
+//! * [`generate`](mod@generate) — the discrete-event executor that runs the mix on the
 //!   simulated machine + CFS and emits a CHARISMA trace;
 //! * [`shard`] — the sharded parallel driver: partition the mix into
 //!   logical shards, simulate them on worker threads, merge
@@ -35,6 +35,4 @@ pub mod shard;
 pub use generate::{generate, GenStats, GeneratedWorkload, GeneratorConfig};
 pub use mix::{JobClass, JobPlan, Mix};
 pub use program::{FileSlot, Op, Program};
-pub use shard::{
-    generate_sharded, try_generate_sharded, ShardFailure, ShardedWorkload, LOGICAL_SHARDS,
-};
+pub use shard::{try_generate_sharded, ShardFailure, ShardedWorkload, LOGICAL_SHARDS};

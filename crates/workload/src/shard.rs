@@ -1,7 +1,7 @@
 //! Sharded workload generation: plan once, simulate in parallel, merge
 //! deterministically.
 //!
-//! The monolithic generator ([`crate::generate`]) runs the entire
+//! The monolithic generator ([`crate::generate()`]) runs the entire
 //! three-week job population through one discrete-event loop. That is
 //! faithful but single-threaded — the hot path of the whole
 //! reproduction. This module shards it:
@@ -49,11 +49,11 @@ use rand::SeedableRng;
 /// Number of logical shards the job mix is partitioned into.
 ///
 /// This is a *plan* constant, not a thread count: `workers` in
-/// [`generate_sharded`] only chooses how many threads execute the shards.
-/// Keeping the partition fixed is what makes the merged stream identical
-/// for every worker count. Sixteen shards keep the largest shard well
-/// under half the total work (the out-of-core singleton dominates its
-/// shard), which is what bounds parallel speedup.
+/// [`try_generate_sharded`] only chooses how many threads execute the
+/// shards. Keeping the partition fixed is what makes the merged stream
+/// identical for every worker count. Sixteen shards keep the largest
+/// shard well under half the total work (the out-of-core singleton
+/// dominates its shard), which is what bounds parallel speedup.
 pub const LOGICAL_SHARDS: usize = 16;
 
 /// Bits reserved for per-shard session/file counters; the shard index
@@ -294,17 +294,9 @@ fn run_shard(config: &GeneratorConfig, shard: usize, mix: Mix) -> GeneratedWorkl
 /// execution width (`0` and `1` both mean "run serially on the calling
 /// thread"; anything larger is capped at [`LOGICAL_SHARDS`]). Workers
 /// claim shards from a shared counter, so a slow shard (the one hosting
-/// the out-of-core singleton) never blocks the others.
-pub fn generate_sharded(config: &GeneratorConfig, workers: usize) -> ShardedWorkload {
-    match try_generate_sharded(config, workers) {
-        Ok(w) => w,
-        Err(failure) => panic!("{failure}"),
-    }
-}
-
-/// [`generate_sharded`], but a shard worker that panics (even after
-/// [`SHARD_ATTEMPTS`] contained retries) surfaces as a [`ShardFailure`]
-/// instead of tearing the process down.
+/// the out-of-core singleton) never blocks the others. A shard worker
+/// that panics, even after its contained retries, surfaces as a
+/// [`ShardFailure`] instead of tearing the process down.
 pub fn try_generate_sharded(
     config: &GeneratorConfig,
     workers: usize,
@@ -415,9 +407,9 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_the_stream() {
-        let serial = generate_sharded(&config(0.02), 1);
-        let two = generate_sharded(&config(0.02), 2);
-        let eight = generate_sharded(&config(0.02), 8);
+        let serial = try_generate_sharded(&config(0.02), 1).expect("generates");
+        let two = try_generate_sharded(&config(0.02), 2).expect("generates");
+        let eight = try_generate_sharded(&config(0.02), 8).expect("generates");
         let h = stream_hash(&serial);
         assert_eq!(h, stream_hash(&two), "2 workers diverged from serial");
         assert_eq!(h, stream_hash(&eight), "8 workers diverged from serial");
@@ -427,7 +419,7 @@ mod tests {
 
     #[test]
     fn shard_ids_are_disjoint_across_shards() {
-        let w = generate_sharded(&config(0.02), 4);
+        let w = try_generate_sharded(&config(0.02), 4).expect("generates");
         for (shard, g) in w.shards.iter().enumerate() {
             let base = shard_id_base(shard);
             for (_, e) in g.trace.raw_events() {
@@ -442,7 +434,7 @@ mod tests {
 
     #[test]
     fn merged_stream_is_ordered_and_complete() {
-        let w = generate_sharded(&config(0.02), 4);
+        let w = try_generate_sharded(&config(0.02), 4).expect("generates");
         let merged: Vec<_> = w.merged_events().collect();
         assert_eq!(merged.len(), w.event_count());
         for pair in merged.windows(2) {
@@ -463,8 +455,8 @@ mod tests {
 
     #[test]
     fn merged_metrics_are_worker_count_invariant() {
-        let serial = generate_sharded(&config(0.02), 1);
-        let four = generate_sharded(&config(0.02), 4);
+        let serial = try_generate_sharded(&config(0.02), 1).expect("generates");
+        let four = try_generate_sharded(&config(0.02), 4).expect("generates");
         assert_eq!(serial.metrics, four.metrics, "metrics diverged");
         // The full export (timings included) varies run to run, but the
         // deterministic core must be byte-identical.
@@ -514,8 +506,8 @@ mod tests {
         use charisma_ipsc::FaultPlan;
         let mut cfg = config(0.01);
         cfg.faults = FaultPlan::chaos_fixture();
-        let serial = generate_sharded(&cfg, 1);
-        let four = generate_sharded(&cfg, 4);
+        let serial = try_generate_sharded(&cfg, 1).expect("generates");
+        let four = try_generate_sharded(&cfg, 4).expect("generates");
         assert_eq!(
             stream_hash(&serial),
             stream_hash(&four),
@@ -531,10 +523,10 @@ mod tests {
     #[test]
     fn empty_fault_plan_changes_nothing() {
         use charisma_ipsc::FaultPlan;
-        let clean = generate_sharded(&config(0.01), 2);
+        let clean = try_generate_sharded(&config(0.01), 2).expect("generates");
         let mut cfg = config(0.01);
         cfg.faults = FaultPlan::none();
-        let with_empty_plan = generate_sharded(&cfg, 2);
+        let with_empty_plan = try_generate_sharded(&cfg, 2).expect("generates");
         assert_eq!(stream_hash(&clean), stream_hash(&with_empty_plan));
         assert_eq!(
             clean.metrics.to_core_json(),
@@ -549,7 +541,7 @@ mod tests {
     #[test]
     fn sharded_stats_roughly_match_monolithic() {
         let mono = crate::generate(config(0.05));
-        let sharded = generate_sharded(&config(0.05), 4);
+        let sharded = try_generate_sharded(&config(0.05), 4).expect("generates");
         assert_eq!(mono.stats.jobs, sharded.stats.jobs, "same planned jobs");
         assert_eq!(mono.stats.traced_jobs, sharded.stats.traced_jobs);
         // Sessions/requests drift slightly (independent per-shard RNG

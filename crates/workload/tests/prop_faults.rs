@@ -8,7 +8,7 @@
 //! workers) run agree on every merged record and every metric.
 
 use charisma_ipsc::FaultPlan;
-use charisma_workload::{generate_sharded, GeneratorConfig, LOGICAL_SHARDS};
+use charisma_workload::{try_generate_sharded, GeneratorConfig, LOGICAL_SHARDS};
 use proptest::prelude::*;
 
 proptest! {
@@ -34,8 +34,8 @@ proptest! {
             faults: plan,
             ..GeneratorConfig::test_scale(0.01)
         };
-        let serial = generate_sharded(&config, 1);
-        let parallel = generate_sharded(&config, LOGICAL_SHARDS);
+        let serial = try_generate_sharded(&config, 1).expect("generates");
+        let parallel = try_generate_sharded(&config, LOGICAL_SHARDS).expect("generates");
         let serial_events: Vec<_> = serial.merged_events().collect();
         let parallel_events: Vec<_> = parallel.merged_events().collect();
         prop_assert_eq!(serial_events, parallel_events,

@@ -6,8 +6,8 @@
 //! where three simulated *sites* publish their trace campaigns and
 //! readers query across all of them:
 //!
-//! * site 0 publishes straight from a pipeline run through
-//!   `ArchiveSink::Serve` — the run is just another tenant;
+//! * site 0 submits a pipeline run's merged stream in 512-row batches
+//!   — the run is just another tenant;
 //! * site 1 ingests its own campaign as explicit batch feeds;
 //! * site 2 demonstrates snapshot isolation: a reader pins the catalog
 //!   mid-ingest and keeps seeing exactly that prefix while ingest
@@ -20,11 +20,8 @@
 //! cargo run --release --example archive_service
 //! ```
 
-use std::sync::Arc;
-
 use charisma::prelude::*;
 use charisma::serve::ServeMetrics;
-use charisma::{ArchiveSink, ServeSink};
 
 fn main() -> Result<(), charisma::Error> {
     // One long-lived service hosting three sites. Its (seed, scale)
@@ -37,18 +34,16 @@ fn main() -> Result<(), charisma::Error> {
         ..ServiceConfig::default()
     });
     service.attach_metrics(ServeMetrics::register(&registry));
-    let service = Arc::new(service);
 
-    // Site 0: a pipeline run delivers its merged stream through the
-    // serve sink — same single merge pass that feeds the analysis.
-    let out = Pipeline::new()
-        .scale(0.02)
-        .seed(4994)
-        .shards(2)
-        .sink(ArchiveSink::Serve(ServeSink::new(Arc::clone(&service), 0)))
-        .run()?;
+    // Site 0: a pipeline run submits its merged stream in 512-row
+    // batches and flushes, which seals the partial last segment.
+    let out = Pipeline::new().scale(0.02).seed(4994).shards(2).run()?;
+    for batch in out.events.chunks(512) {
+        service.submit(0, batch)?;
+    }
+    service.flush(0)?;
     println!(
-        "site 0: pipeline published {} rows through the serve sink",
+        "site 0: pipeline run submitted {} rows in 512-row batches",
         out.events.len()
     );
 

@@ -25,8 +25,13 @@ fn main() -> Result<(), charisma::Error> {
         .scale(0.02)
         .seed(4994)
         .shards(2)
-        .sink(ArchiveSink::Path(path.into()))
+        .sink(ArchiveSink::Memory)
         .run()?;
+    let bytes = out
+        .archive
+        .as_deref()
+        .expect("the memory sink keeps the bytes");
+    std::fs::write(path, bytes).map_err(StoreError::Io)?;
 
     // `PipelineOutput` keeps the raw pre-rectification traces, one per
     // logical shard, for exactly this kind of measurement-layer analysis.
@@ -68,9 +73,9 @@ fn main() -> Result<(), charisma::Error> {
         inversions
     );
 
-    // The pipeline wrote the merged stream as a columnar archive in the
-    // same pass that analyzed it. Reopen it from disk — everything below
-    // runs without the generator.
+    // The pipeline encoded the merged stream as a columnar archive in the
+    // same pass that analyzed it, and it was saved above. Reopen it from
+    // disk — everything below runs without the generator.
     let archive = Archive::open(path)?;
     println!(
         "\narchive: {} rows in {} segments, {} bytes on disk ({:.2} bytes/record)",

@@ -5,7 +5,7 @@ use crate::test_runner::TestRng;
 use rand::Rng;
 use std::ops::Range;
 
-/// Acceptable length specifications for [`vec`].
+/// Acceptable length specifications for [`vec()`].
 pub struct SizeRange {
     lo: usize,
     hi: usize, // exclusive
@@ -36,7 +36,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// Output of [`vec`].
+/// Output of [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,

@@ -33,7 +33,7 @@ pub enum Error {
     ShardFailed(ShardFailure),
     /// A columnar trace archive could not be written, opened, or scanned.
     Store(StoreError),
-    /// The archive service rejected or failed a serve-sink ingest.
+    /// The archive service rejected an ingest, flush or snapshot.
     Serve(ServeError),
 }
 

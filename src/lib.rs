@@ -50,24 +50,23 @@
 //! * [`cachesim`] — the trace-driven cache simulations (Figures 8-9 and
 //!   the combined experiment);
 //! * [`store`] — the indexed columnar trace archive and its parallel
-//!   predicate-pushdown query engine (`.sink(ArchiveSink::Path(…))` on
-//!   the pipeline, [`store::Archive::open`] to reopen and query), now
-//!   split into an append-only build side ([`store::SegmentBuilder`] →
+//!   predicate-pushdown query engine (`.sink(ArchiveSink::Memory)` on
+//!   the pipeline, [`store::Archive::from_bytes`] or
+//!   [`store::Archive::open`] to reopen and query), split into an
+//!   append-only build side ([`store::SegmentBuilder`] →
 //!   [`store::SealedSegment`]) and a read-only serve side
 //!   ([`store::ArchiveReader`]);
 //! * [`serve`] — the multi-tenant archive service over that split:
 //!   bounded-queue ingest with deterministic admission, snapshot-isolated
-//!   catalogs, and federated cross-tenant queries
-//!   (`.sink(ArchiveSink::Serve(…))` plugs a pipeline run in as one
-//!   tenant);
+//!   catalogs, and federated cross-tenant queries (a pipeline run joins
+//!   as one tenant by submitting its [`PipelineOutput::events`]);
 //! * [`tier`] — hot/warm/cold segment tiering over the store's replica
 //!   substrate: scan-fed access ledgers, deterministic weighted
 //!   classification, dynamic replication for hot segments, XOR
 //!   parity-protected single copies for cold ones ([`tier::TieredSet::build`]
 //!   over a sealed archive and its access ledger);
-//! * [`obs`] — the deterministic observability layer: counters, gauges,
-//!   log2 histograms and span timings, surfaced as
-//!   [`PipelineOutput::metrics`].
+//! * [`obs`] — the deterministic observability layer: counters, gauges
+//!   and log2 histograms, surfaced as [`PipelineOutput::metrics`].
 //!
 //! ## Fault injection
 //!
@@ -93,12 +92,12 @@ mod error;
 mod pipeline;
 
 pub use error::Error;
-pub use pipeline::{ArchiveSink, Pipeline, PipelineOutput, ServeSink};
+pub use pipeline::{ArchiveSink, Pipeline, PipelineOutput};
 
 /// The commonly used types and entry points in one import.
 pub mod prelude {
     pub use crate::error::Error;
-    pub use crate::pipeline::{ArchiveSink, Pipeline, PipelineOutput, ServeSink};
+    pub use crate::pipeline::{ArchiveSink, Pipeline, PipelineOutput};
     pub use charisma_cachesim::{
         combined_simulation, compute_cache_sim, io_cache_sim, Policy, SessionIndex,
     };

@@ -18,16 +18,11 @@
 //! # Ok::<(), charisma::Error>(())
 //! ```
 
-use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::Instant;
-
 use charisma_cfs::CfsConfig;
 use charisma_core::report::Report;
 use charisma_ipsc::{FaultPlan, MachineConfig};
 use charisma_obs::{MetricsRegistry, MetricsSnapshot};
-use charisma_serve::{ServeError, Service};
-use charisma_store::{ArchiveMeta, ArchiveWriter, StoreError, StoreMetrics};
+use charisma_store::{ArchiveMeta, ArchiveWriter, StoreMetrics};
 use charisma_trace::{MergeMetrics, OrderedEvent};
 use charisma_workload::shard::try_generate_sharded;
 use charisma_workload::{GeneratorConfig, ShardedWorkload};
@@ -38,80 +33,24 @@ use crate::error::Error;
 /// Passed to [`Pipeline::sink`].
 #[derive(Clone, Debug)]
 pub enum ArchiveSink {
-    /// Write the archive file at this path (bytes also kept in the output).
-    Path(PathBuf),
-    /// Keep the archive bytes in [`PipelineOutput::archive`] only.
+    /// Keep the archive bytes in [`PipelineOutput::archive`]. Write them
+    /// to a file, or submit [`PipelineOutput::events`] to a
+    /// [`charisma_serve::Service`] tenant, from there.
     Memory,
-    /// Stream the merged events into one tenant of a shared
-    /// [`charisma_serve::Service`] — the run becomes one site publishing
-    /// into a long-lived multi-tenant archive service instead of writing
-    /// its own container. See [`ServeSink`].
-    Serve(ServeSink),
-}
-
-/// The serve half of [`ArchiveSink::Serve`]: which [`Service`] tenant
-/// receives the merged stream.
-///
-/// The pipeline submits 512-row batches during its single merge pass
-/// (published bytes do not depend on the batch size), flushes the
-/// tenant at the end, and stores the tenant's published catalog bytes in
-/// [`PipelineOutput::archive`]. Those bytes carry the *service's*
-/// `(seed, scale)` metadata — configure the [`ServiceConfig`] to match
-/// the pipeline when byte-parity with a [`ArchiveSink::Memory`] run
-/// matters.
-///
-/// [`ServiceConfig`]: charisma_serve::ServiceConfig
-#[derive(Clone, Debug)]
-pub struct ServeSink {
-    service: Arc<Service>,
-    tenant: usize,
-}
-
-/// Rows per batch a [`ServeSink`] submits.
-const SERVE_BATCH_ROWS: usize = 512;
-
-impl ServeSink {
-    /// Target `tenant` of `service`.
-    pub fn new(service: Arc<Service>, tenant: usize) -> Self {
-        ServeSink { service, tenant }
-    }
-
-    /// The shared service this sink publishes into.
-    pub fn service(&self) -> &Arc<Service> {
-        &self.service
-    }
-
-    /// The tenant index this sink publishes to.
-    pub fn tenant(&self) -> usize {
-        self.tenant
-    }
-}
-
-/// Live per-sink state during the merge pass of [`Pipeline::run`].
-enum SinkState {
-    /// Path/Memory: encode into an in-process [`ArchiveWriter`].
-    Writer(Box<ArchiveWriter>),
-    /// Serve: buffer rows and submit batches to the service; the first
-    /// ingest error is parked here and surfaced after the pass (the
-    /// analysis stream cannot carry a `Result` mid-flight).
-    Serve {
-        sink: ServeSink,
-        buf: Vec<OrderedEvent>,
-        error: Option<ServeError>,
-    },
 }
 
 /// Builder for one end-to-end run of the reproduction.
 ///
 /// Defaults reproduce the paper: full three-week scale, seed 4994 (SC
-/// '94), the NAS iPSC/860 machine and CFS, serial execution.
+/// '94), serial execution. A run always simulates the NAS 128-node
+/// iPSC/860 ([`MachineConfig::nas_ipsc860`]) and its CFS
+/// ([`CfsConfig::nas`]); to simulate another machine, build a
+/// [`GeneratorConfig`] and call [`try_generate_sharded`] directly.
 #[derive(Clone, Debug)]
 pub struct Pipeline {
     scale: f64,
     seed: u64,
     shards: usize,
-    machine: MachineConfig,
-    cfs: CfsConfig,
     faults: FaultPlan,
     archive: Option<ArchiveSink>,
 }
@@ -129,8 +68,6 @@ impl Pipeline {
             scale: 1.0,
             seed: 4994,
             shards: 1,
-            machine: MachineConfig::nas_ipsc860(),
-            cfs: CfsConfig::nas(),
             faults: FaultPlan::none(),
             archive: None,
         }
@@ -164,20 +101,6 @@ impl Pipeline {
         self
     }
 
-    /// Machine to simulate (default: the NAS 128-node iPSC/860).
-    #[must_use]
-    pub fn machine(mut self, machine: MachineConfig) -> Self {
-        self.machine = machine;
-        self
-    }
-
-    /// File system to simulate (default: the NAS CFS).
-    #[must_use]
-    pub fn cfs(mut self, cfs: CfsConfig) -> Self {
-        self.cfs = cfs;
-        self
-    }
-
     /// Fault-injection plan for chaos testing (default:
     /// [`FaultPlan::none`], which attaches no fault state at all — the
     /// run is byte-identical to one without the chaos layer).
@@ -192,13 +115,11 @@ impl Pipeline {
         self
     }
 
-    /// Also deliver the merged trace as a [`charisma_store`] columnar
-    /// archive to `sink` — a file path, in-memory bytes, or a tenant of a
-    /// shared [`charisma_serve::Service`]. The archive is fed from the
-    /// same single merge pass as the analysis and is byte-identical for
-    /// every `shards(n)` worker count (`charisma-verify gates archive`
-    /// pins this). The bytes are also kept in
-    /// [`PipelineOutput::archive`].
+    /// Also encode the merged trace as a [`charisma_store`] columnar
+    /// archive, kept in [`PipelineOutput::archive`]. The archive is fed
+    /// from the same single merge pass as the analysis and is
+    /// byte-identical for every `shards(n)` worker count
+    /// (`charisma-verify gates archive` pins this).
     #[must_use]
     pub fn sink(mut self, sink: ArchiveSink) -> Self {
         self.archive = Some(sink);
@@ -220,88 +141,34 @@ impl Pipeline {
         let config = GeneratorConfig {
             scale: self.scale,
             seed: self.seed,
-            machine: self.machine.clone(),
-            cfs: self.cfs.clone(),
-            faults: self.faults.clone(),
+            machine: MachineConfig::nas_ipsc860(),
+            cfs: CfsConfig::nas(),
+            faults: self.faults,
         };
+        let workload = try_generate_sharded(&config, self.shards)?;
         let registry = MetricsRegistry::new();
-        let started = Instant::now();
-        let workload = {
-            let _generate = registry.span("pipeline.generate");
-            try_generate_sharded(&config, self.shards)?
-        };
+        let mut writer = self.archive.map(|ArchiveSink::Memory| {
+            let mut w = ArchiveWriter::new(ArchiveMeta {
+                seed: self.seed,
+                scale: self.scale,
+            });
+            w.attach_metrics(StoreMetrics::register(&registry));
+            w
+        });
         let mut events = Vec::with_capacity(workload.event_count());
-        let mut sink_state = match &self.archive {
-            None => None,
-            Some(ArchiveSink::Path(_) | ArchiveSink::Memory) => {
-                let mut w = ArchiveWriter::new(ArchiveMeta {
-                    seed: self.seed,
-                    scale: self.scale,
-                });
-                w.attach_metrics(StoreMetrics::register(&registry));
-                Some(SinkState::Writer(Box::new(w)))
+        let mut merged = workload.merged_events();
+        merged.attach_metrics(MergeMetrics::register(&registry));
+        // The merge is consumed (and so publishes its counts) before the
+        // registry is snapshotted below.
+        let report = Report::from_stream(merged.inspect(|e| {
+            events.push(*e);
+            if let Some(w) = &mut writer {
+                w.push(e);
             }
-            Some(ArchiveSink::Serve(sink)) => Some(SinkState::Serve {
-                sink: sink.clone(),
-                buf: Vec::with_capacity(SERVE_BATCH_ROWS),
-                error: None,
-            }),
-        };
-        let report = {
-            let _analyze = registry.span("pipeline.analyze");
-            let mut merged = workload.merged_events();
-            merged.attach_metrics(MergeMetrics::register(&registry));
-            Report::from_stream(merged.inspect(|e| {
-                events.push(*e);
-                match &mut sink_state {
-                    Some(SinkState::Writer(w)) => w.push(e),
-                    Some(SinkState::Serve { sink, buf, error }) if error.is_none() => {
-                        buf.push(*e);
-                        if buf.len() >= SERVE_BATCH_ROWS {
-                            if let Err(err) = sink.service.submit(sink.tenant, buf) {
-                                *error = Some(err);
-                            }
-                            buf.clear();
-                        }
-                    }
-                    // No sink, or a serve sink already parked on its
-                    // first error: nothing further to buffer.
-                    _ => {}
-                }
-            }))
-        };
-        let archive = match (sink_state, &self.archive) {
-            (Some(SinkState::Writer(w)), Some(sink)) => {
-                let bytes = w.finish();
-                if let ArchiveSink::Path(path) = sink {
-                    std::fs::write(path, &bytes).map_err(StoreError::Io)?;
-                }
-                Some(bytes)
-            }
-            (Some(SinkState::Serve { sink, buf, error }), _) => {
-                if let Some(err) = error {
-                    return Err(Error::Serve(err));
-                }
-                if !buf.is_empty() {
-                    sink.service.submit(sink.tenant, &buf)?;
-                }
-                sink.service.flush(sink.tenant)?;
-                Some(sink.service.snapshot(sink.tenant)?.to_bytes())
-            }
-            _ => None,
-        };
-        // The deterministic core (counters/gauges/histograms) comes from
-        // the simulation and the merge; the facade's own wall-clock
-        // artifacts (span timings, throughput) live in the snapshot's
-        // quarantined nondeterministic section.
+        }));
+        let archive = writer.map(ArchiveWriter::finish);
         let mut metrics = workload.metrics.clone();
         metrics.merge(&registry.snapshot());
-        let elapsed = started.elapsed().as_secs_f64();
-        if elapsed > 0.0 {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            let rps = (events.len() as f64 / elapsed).round() as u64;
-            metrics.set_rate("pipeline.records_per_sec", rps);
-        }
         Ok(PipelineOutput {
             workload,
             events,
@@ -321,17 +188,13 @@ pub struct PipelineOutput {
     /// The paper's full §4 characterization of that stream.
     pub report: Report,
     /// Metrics from every layer of the run: the shard-merged simulation
-    /// counters/gauges/histograms (a pure function of the configuration
-    /// and seed — see [`MetricsSnapshot::to_core_json`]) plus the
-    /// pipeline's own span timings and throughput rate (wall-clock, kept
-    /// under the snapshot's `nondeterministic` section).
+    /// counters/gauges/histograms plus the merge's and the archive
+    /// writer's, all a pure function of the configuration and seed (see
+    /// [`MetricsSnapshot::to_core_json`]).
     pub metrics: MetricsSnapshot,
     /// The columnar trace archive bytes, when an [`ArchiveSink`] was
-    /// configured via [`Pipeline::sink`]. For a [`ArchiveSink::Serve`]
-    /// sink these are the tenant's published catalog bytes (under the
-    /// service's metadata). Reopen with
-    /// [`charisma_store::Archive::from_bytes`] (or `Archive::open` for a
-    /// path sink) and query any subset.
+    /// configured via [`Pipeline::sink`]. Reopen with
+    /// [`charisma_store::Archive::from_bytes`] and query any subset.
     pub archive: Option<Vec<u8>>,
 }
 
@@ -370,13 +233,6 @@ mod tests {
             out.metrics.counters["merge.records_merged"],
             out.events.len() as u64
         );
-        assert!(out.metrics.timings.contains_key("pipeline.generate"));
-        assert!(out.metrics.timings.contains_key("pipeline.analyze"));
-        assert!(out.metrics.rates.contains_key("pipeline.records_per_sec"));
-        // Wall-clock artifacts stay out of the deterministic core.
-        let core = out.metrics.to_core_json();
-        assert!(!core.contains("pipeline.generate"));
-        assert!(!core.contains("records_per_sec"));
     }
 
     #[test]
@@ -449,52 +305,6 @@ mod tests {
             .run()
             .expect("runs");
         assert_eq!(a.archive, b.archive);
-    }
-
-    #[test]
-    fn serve_sink_publishes_the_same_bytes_as_the_memory_sink() {
-        use charisma_serve::{Service, ServiceConfig};
-
-        let mem = Pipeline::new()
-            .scale(0.01)
-            .sink(ArchiveSink::Memory)
-            .run()
-            .expect("runs");
-        // Service metadata matches the pipeline, so the tenant's catalog
-        // is byte-identical to the self-written container.
-        let service = Arc::new(Service::new(ServiceConfig {
-            seed: 4994,
-            scale: 0.01,
-            tenants: 2,
-            ..ServiceConfig::default()
-        }));
-        let out = Pipeline::new()
-            .scale(0.01)
-            .shards(2)
-            .sink(ArchiveSink::Serve(ServeSink::new(Arc::clone(&service), 1)))
-            .run()
-            .expect("runs");
-        assert_eq!(out.archive, mem.archive);
-        // The catalog stays live in the service for other readers, and
-        // sibling tenants are untouched.
-        let snap = service.snapshot(1).expect("snapshots");
-        assert_eq!(snap.rows(), out.events.len() as u64);
-        assert_eq!(service.snapshot(0).expect("snapshots").rows(), 0);
-    }
-
-    #[test]
-    fn serve_sink_surfaces_unknown_tenants() {
-        use charisma_serve::{Service, ServiceConfig};
-
-        let service = Arc::new(Service::new(ServiceConfig {
-            tenants: 1,
-            ..ServiceConfig::default()
-        }));
-        let err = Pipeline::new()
-            .scale(0.01)
-            .sink(ArchiveSink::Serve(ServeSink::new(service, 3)))
-            .run();
-        assert!(matches!(err, Err(Error::Serve(_))));
     }
 
     #[test]

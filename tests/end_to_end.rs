@@ -8,25 +8,32 @@
 
 use charisma::cachesim::{Policy, SessionIndex};
 use charisma::core::analyze::SessionClass;
-use charisma::core::{census, intervals, jobs, modes, requests, sequential, sharing};
+use charisma::core::{census, intervals, jobs, modes, sequential, sharing};
 use charisma::prelude::*;
 
 /// One shared pipeline for the whole file (generation dominates runtime).
-fn pipeline() -> (Vec<OrderedEvent>, Characterization, SessionIndex) {
+fn pipeline() -> (Vec<OrderedEvent>, Report, SessionIndex) {
     let workload = generate(GeneratorConfig {
         scale: 0.10,
         seed: 4994,
         ..Default::default()
     });
     let events = postprocess(&workload.trace);
-    let chars = analyze(&events);
+    let report = Report::from_events(&events);
     let index = SessionIndex::build(&events);
-    (events, chars, index)
+    (events, report, index)
 }
 
 #[test]
 fn paper_shapes_hold_end_to_end() {
-    let (events, chars, index) = pipeline();
+    let (
+        events,
+        Report {
+            chars,
+            request_sizes: rs,
+        },
+        index,
+    ) = pipeline();
 
     // --- §4.1: jobs ------------------------------------------------------
     let profile = jobs::concurrency_profile(&chars);
@@ -75,7 +82,6 @@ fn paper_shapes_hold_end_to_end() {
     );
 
     // --- §4.3: request sizes ----------------------------------------------
-    let rs = requests::request_sizes(&events);
     assert!(
         rs.small_read_fraction() > 0.85,
         "the vast majority of reads are small"
@@ -214,10 +220,9 @@ fn different_seeds_give_different_traces_same_shapes() {
     // But the qualitative shape is seed-independent.
     for w in [a, b] {
         let events = postprocess(&w.trace);
-        let rs = requests::request_sizes(&events);
-        assert!(rs.small_read_fraction() > 0.8);
-        let chars = analyze(&events);
-        let mu = modes::mode_usage(&chars);
+        let report = Report::from_events(&events);
+        assert!(report.request_sizes.small_read_fraction() > 0.8);
+        let mu = modes::mode_usage(&report.chars);
         assert!(mu.mode0_fraction() > 0.99);
     }
 }
