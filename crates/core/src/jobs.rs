@@ -53,16 +53,17 @@ pub fn node_usage(c: &Characterization) -> Vec<(u16, f64)> {
 /// Fraction of node-time used by jobs of each size (the "large parallel
 /// jobs dominated node usage" claim), as `(nodes, fraction)`.
 pub fn node_time_share(c: &Characterization) -> Vec<(u16, f64)> {
-    let mut usage: std::collections::BTreeMap<u16, f64> = std::collections::BTreeMap::new();
-    let mut total = 0.0;
+    // Node-microseconds, summed as integers so the shares do not depend
+    // on the order the jobs are visited in.
+    let mut usage: std::collections::BTreeMap<u16, u128> = std::collections::BTreeMap::new();
     for j in c.jobs.values() {
-        let t = (j.end - j.start).as_secs_f64() * f64::from(j.nodes);
-        *usage.entry(j.nodes).or_insert(0.0) += t;
-        total += t;
+        let t = u128::from((j.end - j.start).as_micros()) * u128::from(j.nodes);
+        *usage.entry(j.nodes).or_insert(0) += t;
     }
+    let total = usage.values().sum::<u128>().max(1) as f64;
     usage
         .into_iter()
-        .map(|(n, t)| (n, t / total.max(f64::MIN_POSITIVE)))
+        .map(|(n, t)| (n, t as f64 / total))
         .collect()
 }
 

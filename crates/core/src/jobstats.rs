@@ -9,9 +9,7 @@
 //! high-performance access by many concurrent, presumably unrelated,
 //! jobs".
 
-use std::collections::HashMap;
-
-use crate::analyze::Characterization;
+use crate::analyze::{Characterization, IntMap};
 
 /// Aggregated I/O facts for one job.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -53,12 +51,12 @@ impl JobIo {
 #[derive(Clone, Debug, Default)]
 pub struct JobIoStats {
     /// Per-job aggregates (traced jobs with at least one session).
-    pub jobs: HashMap<u32, JobIo>,
+    pub jobs: IntMap<u32, JobIo>,
 }
 
 /// Build the per-job table from a characterization.
 pub fn job_io(c: &Characterization) -> JobIoStats {
-    let mut jobs: HashMap<u32, JobIo> = HashMap::new();
+    let mut jobs: IntMap<u32, JobIo> = IntMap::default();
     for s in c.sessions.values() {
         let entry = jobs.entry(s.job).or_default();
         entry.reads += s.reads;

@@ -16,6 +16,32 @@ use crate::requests::RequestSizes;
 use crate::sequential::{self, Metric};
 use crate::sharing;
 
+/// The push form of [`Report::from_stream`], for a source that hands
+/// events over in batches rather than as one iterator. Events must arrive
+/// in rectified stream order.
+#[derive(Debug, Default)]
+pub struct ReportBuilder {
+    analyzer: Analyzer,
+    sizes: RequestSizes,
+}
+
+impl ReportBuilder {
+    /// Account one event.
+    pub fn push(&mut self, e: &OrderedEvent) {
+        self.analyzer.push(e);
+        self.sizes.push(e);
+    }
+
+    /// The report over every event pushed.
+    pub fn finish(mut self) -> Report {
+        self.sizes.seal();
+        Report {
+            chars: self.analyzer.finish(),
+            request_sizes: self.sizes,
+        }
+    }
+}
+
 /// A fully computed characterization report.
 pub struct Report {
     /// The accumulated per-job / per-session state.
@@ -39,17 +65,11 @@ impl Report {
     where
         I: IntoIterator<Item = OrderedEvent>,
     {
-        let mut analyzer = Analyzer::new();
-        let mut sizes = RequestSizes::new();
+        let mut builder = ReportBuilder::default();
         for e in events {
-            analyzer.push(&e);
-            sizes.push(&e);
+            builder.push(&e);
         }
-        sizes.seal();
-        Report {
-            chars: analyzer.finish(),
-            request_sizes: sizes,
-        }
+        builder.finish()
     }
 
     /// Render every §4 figure and table as text.

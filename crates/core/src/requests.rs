@@ -4,20 +4,19 @@
 //! this module accumulates its CDFs in its own streaming pass — cheap, and
 //! it keeps the per-session state small.
 
-use std::collections::BTreeMap;
-
 use charisma_trace::record::EventBody;
 use charisma_trace::OrderedEvent;
 
+use crate::analyze::IntMap;
 use crate::cdf::Cdf;
 
 /// Figure 4's four curves plus the paper's headline percentages.
 ///
 /// Requests take few distinct sizes (48 in a seed-4994 trace of 365k
-/// requests), so the stream is tallied as `size → count` per direction
-/// and the curves are built once, when the stream is sealed. The tally is
-/// ordered, so a trace of all-distinct sizes still costs O(log n) per
-/// request.
+/// requests), so the stream is tallied as `size → count` per direction,
+/// one hash lookup per request, and the curves are built once, when the
+/// stream is sealed: the tally is sorted by size then, so the curves are
+/// filled in ascending size order whatever order the map keeps.
 #[derive(Clone, Debug)]
 pub struct RequestSizes {
     /// CDF of read request sizes, weighted by count.
@@ -29,15 +28,18 @@ pub struct RequestSizes {
     /// CDF of write request sizes, weighted by bytes moved.
     pub writes_by_bytes: Cdf,
     /// Read requests per size, until sealed.
-    reads: BTreeMap<u32, u64>,
+    reads: IntMap<u32, u64>,
     /// Write requests per size, until sealed.
-    writes: BTreeMap<u32, u64>,
+    writes: IntMap<u32, u64>,
 }
 
-/// Move a size tally into its two curves: weight `n` by count and
-/// `size·n` by bytes. Integer weights below 2^53 sum exactly in `f64`,
-/// so the curves equal one sample per request bit for bit.
-fn fill(counts: BTreeMap<u32, u64>, by_count: &mut Cdf, by_bytes: &mut Cdf) {
+/// Move a size tally into its two curves, in ascending size order:
+/// weight `n` by count and `size·n` by bytes. Integer weights below 2^53
+/// sum exactly in `f64`, so the curves equal one sample per request bit
+/// for bit.
+fn fill(counts: IntMap<u32, u64>, by_count: &mut Cdf, by_bytes: &mut Cdf) {
+    let mut counts: Vec<(u32, u64)> = counts.into_iter().collect();
+    counts.sort_unstable();
     for (size, n) in counts {
         by_count.add_weighted(u64::from(size), n as f64);
         by_bytes.add_weighted(u64::from(size), f64::from(size) * n as f64);
@@ -54,8 +56,8 @@ impl RequestSizes {
             reads_by_bytes: Cdf::new(),
             writes_by_count: Cdf::new(),
             writes_by_bytes: Cdf::new(),
-            reads: BTreeMap::new(),
-            writes: BTreeMap::new(),
+            reads: IntMap::default(),
+            writes: IntMap::default(),
         }
     }
 

@@ -6,9 +6,7 @@
 //! looks *inside* concurrently multi-node-opened files: what fraction of
 //! each file's bytes (and 4 KB blocks) was touched by more than one node.
 
-use std::collections::HashMap;
-
-use crate::analyze::{Characterization, SessionClass, SessionStat};
+use crate::analyze::{Characterization, IntMap, SessionClass, SessionStat};
 use crate::cdf::Cdf;
 
 /// Granularity of the sharing measurement.
@@ -129,7 +127,7 @@ pub fn sharing_cdfs(c: &Characterization) -> SharingCdfs {
 pub fn concurrent_interjob_shares(c: &Characterization) -> usize {
     // Group sessions by file; check pairwise open-window overlap across
     // different jobs.
-    let mut by_file: HashMap<u32, Vec<&SessionStat>> = HashMap::new();
+    let mut by_file: IntMap<u32, Vec<&SessionStat>> = IntMap::default();
     for s in c.sessions.values() {
         by_file.entry(s.file).or_default().push(s);
     }

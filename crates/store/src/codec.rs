@@ -21,38 +21,37 @@
 //!
 //! # Batched decode
 //!
-//! The decoders come in two shapes: the original `decode_*_column`
-//! functions allocate and return a vector, and the `decode_*_column_into`
-//! variants append into a caller-owned buffer. Both run the same batched
-//! core, which reads varints a little-endian u64 window (eight bytes) at a
-//! time:
+//! Varints are read a little-endian u64 window (eight bytes) at a time.
+//! One step, `next_varint`, decodes the varint at the front of a buffer:
 //!
-//! * when no byte in the window carries a continuation bit, all eight are
-//!   complete one-byte varints and are emitted without per-value
-//!   branching — the common case for identifier columns and for the tiny
-//!   zigzag deltas of sorted time/offset columns;
-//! * otherwise the lowest clear continuation bit of the same window gives
-//!   the length of the next varint, and a value of two to eight bytes is
-//!   assembled from the window by masking off the continuation bits and
-//!   closing the gaps between the 7-bit groups in three mask-and-shift
-//!   steps (pairs, quads, then the two halves). Session ids carry their
-//!   shard in bits 24 and up, so nearly every session value takes this
-//!   path as a four-byte varint; time, offset and size deltas mostly take
-//!   two or three.
+//! * the lowest clear continuation bit of the window gives the length of
+//!   the varint, and a value of one to eight bytes is assembled from the
+//!   window by masking off the continuation bits and closing the gaps
+//!   between the 7-bit groups in three mask-and-shift steps (pairs, quads,
+//!   then the two halves). Session ids carry their shard in bits 24 and
+//!   up, so nearly every session value is a four-byte varint; time,
+//!   offset and size deltas mostly take one to three;
+//! * only a varint of nine or more bytes, or one starting in the last
+//!   seven bytes of the buffer, goes through the per-byte decoder. Every
+//!   one-to-eight-byte varint is well formed (it carries at most 56 value
+//!   bits), so the window can never be the one to report an error: any
+//!   corrupt input errs on the per-byte path exactly where it always did.
 //!
-//! Only a varint of nine or more bytes, or one starting in the last seven
-//! bytes of the buffer, goes through the per-byte decoder. Every
-//! two-to-eight-byte varint is well formed (it carries at most 56 value
-//! bits), so the word path can never be the one to report an error: any
-//! corrupt input errs on the per-byte path exactly where it always did.
+//! [`decode_varint_column_into`] adds one burst on top of that step: when
+//! no byte of the window carries a continuation bit, all eight are
+//! complete one-byte varints and are emitted without per-value branching
+//! — the common case for identifier columns and for the tiny zigzag
+//! deltas of sorted time/offset columns. Delta columns decode their
+//! zigzag varints first, then rebuild absolute values with a chunked
+//! wrapping prefix sum over the decoded buffer.
 //!
-//! Delta columns decode their zigzag varints first, then rebuild absolute
-//! values with a chunked wrapping prefix sum over the decoded buffer.
-//! Dictionary columns check the largest index once against the dictionary
-//! length, then map the whole run through a 256-entry table with no
-//! per-row branch. The predicate-first
-//! segment scan (`scan` module) and the full decode share these exact
-//! loops.
+//! Dictionary columns check the largest index once against the
+//! dictionary length; after that a row's value is one lookup in a
+//! 256-entry table, with no per-row check.
+//!
+//! The segment scan (`scan` module) decodes whole predicate columns with
+//! the `_into` loops, and reads every other column row by row through the
+//! same step and the same checked dictionary.
 
 use bytes::{Buf, BufMut};
 
@@ -84,24 +83,15 @@ pub fn encode_varint_column(values: &[u64], out: &mut Vec<u8>) {
     }
 }
 
-/// Decode `n` varints written by [`encode_varint_column`].
-pub fn decode_varint_column(buf: &mut &[u8], n: usize) -> Result<Vec<u64>, StoreError> {
-    let mut values = Vec::with_capacity(n);
-    decode_varint_column_into(buf, n, &mut values)?;
-    Ok(values)
-}
-
 /// Append `n` varints from `buf` onto `out` — the batched core shared by
-/// every varint-shaped decode.
+/// every whole-column varint decode.
 ///
 /// The hot loop loads eight input bytes as one little-endian u64. If no
 /// byte in the window has its continuation bit set, the window is eight
 /// complete one-byte varints, emitted in one branch-light burst.
-/// Otherwise the first clear continuation bit ends the next varint: one
-/// of up to eight bytes is assembled from the window by
-/// `varint_from_window`, and only a longer one falls back to the
-/// per-byte decoder. Fewer than eight bytes left means the per-byte
-/// decoder for the rest, so every read stays inside `buf`.
+/// Otherwise one varint is taken by the window step, `next_varint`. Fewer
+/// than eight bytes left means the per-byte decoder for the rest, so every
+/// read stays inside `buf`.
 pub fn decode_varint_column_into(
     buf: &mut &[u8],
     n: usize,
@@ -109,39 +99,41 @@ pub fn decode_varint_column_into(
 ) -> Result<(), StoreError> {
     out.reserve(n);
     let mut remaining = n;
-    while remaining > 0 && buf.len() >= 8 {
-        let window = [
-            buf[0], buf[1], buf[2], buf[3], buf[4], buf[5], buf[6], buf[7],
-        ];
+    while remaining > 0 {
+        if remaining >= 8 {
+            if let Some(&window) = buf.first_chunk::<8>() {
+                if u64::from_le_bytes(window) & VARINT_PROBE_MASK == 0 {
+                    out.extend(window.map(u64::from));
+                    *buf = &buf[8..];
+                    remaining -= 8;
+                    continue;
+                }
+            }
+        }
+        out.push(next_varint(buf).ok_or(StoreError::Corrupt("truncated varint column"))?);
+        remaining -= 1;
+    }
+    Ok(())
+}
+
+/// Take the varint at the front of `buf`: the one varint step of the
+/// crate. With eight or more bytes left, a varint of up to eight bytes is
+/// assembled from one little-endian window by `varint_from_window`;
+/// anything else goes through the per-byte decoder. `None` (truncated or
+/// overflowing) leaves `buf` where the per-byte decoder stopped.
+#[inline(always)]
+pub(crate) fn next_varint(buf: &mut &[u8]) -> Option<u64> {
+    if let Some(&window) = buf.first_chunk::<8>() {
         let word = u64::from_le_bytes(window);
         // One set bit per byte that ends a varint.
         let ends = !word & VARINT_PROBE_MASK;
-        if ends == VARINT_PROBE_MASK && remaining >= 8 {
-            for b in window {
-                out.push(u64::from(b));
-            }
-            *buf = &buf[8..];
-            remaining -= 8;
-        } else if ends == 0 {
-            out.push(
-                buf.try_get_varint_u64()
-                    .ok_or(StoreError::Corrupt("truncated varint column"))?,
-            );
-            remaining -= 1;
-        } else {
+        if ends != 0 {
             let (value, len) = varint_from_window(word, ends);
-            out.push(value);
             *buf = &buf[len..];
-            remaining -= 1;
+            return Some(value);
         }
     }
-    for _ in 0..remaining {
-        out.push(
-            buf.try_get_varint_u64()
-                .ok_or(StoreError::Corrupt("truncated varint column"))?,
-        );
-    }
-    Ok(())
+    buf.try_get_varint_u64()
 }
 
 /// The varint at the start of the little-endian `word`, and its length
@@ -168,13 +160,6 @@ pub fn encode_delta_column(values: &[u64], out: &mut Vec<u8>) {
         out.put_varint_u64(zigzag(v.wrapping_sub(prev) as i64));
         prev = v;
     }
-}
-
-/// Decode `n` values written by [`encode_delta_column`].
-pub fn decode_delta_column(buf: &mut &[u8], n: usize) -> Result<Vec<u64>, StoreError> {
-    let mut values = Vec::with_capacity(n);
-    decode_delta_column_into(buf, n, &mut values)?;
-    Ok(values)
 }
 
 /// Append `n` values written by [`encode_delta_column`] onto `out`.
@@ -231,39 +216,71 @@ pub fn encode_dict_column(values: &[u8], out: &mut Vec<u8>) {
     }
 }
 
-/// Decode `n` values written by [`encode_dict_column`].
-///
-/// The dictionary is read into a 256-entry table. The largest of the
-/// index bytes present is checked once against the dictionary length,
-/// then a short run is reported as truncated; otherwise the run maps
-/// through the table in one pass.
+/// Decode `n` values written by [`encode_dict_column`]: the checked
+/// `DictRun` read row by row.
 pub fn decode_dict_column(buf: &mut &[u8], n: usize) -> Result<Vec<u8>, StoreError> {
-    let dict_len = buf
-        .try_get_varint_u64()
-        .ok_or(StoreError::Corrupt("truncated dictionary length"))?;
-    let dict_len = usize::try_from(dict_len)
-        .ok()
-        .filter(|&n| n <= 256)
-        .ok_or(StoreError::Corrupt("dictionary larger than a byte index"))?;
-    let mut table = [0u8; 256];
-    buf.try_copy_to_slice(&mut table[..dict_len])
-        .ok_or(StoreError::Corrupt("truncated dictionary"))?;
-    match dict_len {
-        0 if n == 0 => Ok(Vec::new()),
-        0 => Err(StoreError::Corrupt("empty dictionary for non-empty column")),
-        1 => Ok(vec![table[0]; n]),
-        _ => {
-            let (indices, rest) = buf.split_at(n.min(buf.len()));
-            let top = indices.iter().fold(0, |top, &idx| top.max(idx));
-            if usize::from(top) >= dict_len {
-                return Err(StoreError::Corrupt("dictionary index out of range"));
+    let run = DictRun::parse(buf, n)?;
+    Ok((0..n).map(|i| run.get(i)).collect())
+}
+
+/// The index byte a constant column's rows all read (its indices are
+/// elided; every row is dictionary entry 0).
+const CONSTANT_INDEX: &[u8] = &[0];
+
+/// A dictionary column's first `n` rows, range-checked once: the value of
+/// row `i < n` is one lookup in a 256-entry table, with no per-row check.
+pub(crate) struct DictRun<'a> {
+    table: [u8; 256],
+    indices: &'a [u8],
+    /// 1 when each row has an index byte, 0 for a constant column (every
+    /// row reads [`CONSTANT_INDEX`]).
+    stride: usize,
+}
+
+impl<'a> DictRun<'a> {
+    /// Read the dictionary into its table and take the index bytes of the
+    /// first `n` rows off `buf`. The largest of them is checked once
+    /// against the dictionary length, then a short run is reported as
+    /// truncated.
+    pub(crate) fn parse(buf: &mut &'a [u8], n: usize) -> Result<Self, StoreError> {
+        let dict_len = buf
+            .try_get_varint_u64()
+            .ok_or(StoreError::Corrupt("truncated dictionary length"))?;
+        let dict_len = usize::try_from(dict_len)
+            .ok()
+            .filter(|&n| n <= 256)
+            .ok_or(StoreError::Corrupt("dictionary larger than a byte index"))?;
+        let mut table = [0u8; 256];
+        buf.try_copy_to_slice(&mut table[..dict_len])
+            .ok_or(StoreError::Corrupt("truncated dictionary"))?;
+        let (indices, stride) = match dict_len {
+            0 if n == 0 => (&[][..], 0),
+            0 => return Err(StoreError::Corrupt("empty dictionary for non-empty column")),
+            1 => (CONSTANT_INDEX, 0),
+            _ => {
+                let (indices, rest) = buf.split_at(n.min(buf.len()));
+                let top = indices.iter().fold(0, |top, &idx| top.max(idx));
+                if usize::from(top) >= dict_len {
+                    return Err(StoreError::Corrupt("dictionary index out of range"));
+                }
+                if indices.len() < n {
+                    return Err(StoreError::Corrupt("truncated dictionary indices"));
+                }
+                *buf = rest;
+                (indices, 1)
             }
-            if indices.len() < n {
-                return Err(StoreError::Corrupt("truncated dictionary indices"));
-            }
-            *buf = rest;
-            Ok(indices.iter().map(|&idx| table[usize::from(idx)]).collect())
-        }
+        };
+        Ok(DictRun {
+            table,
+            indices,
+            stride,
+        })
+    }
+
+    /// The value of row `i`, for `i` below the parsed row count.
+    #[inline(always)]
+    pub(crate) fn get(&self, i: usize) -> u8 {
+        self.table[usize::from(self.indices[i * self.stride])]
     }
 }
 
@@ -287,10 +304,9 @@ mod tests {
         let mut out = Vec::new();
         encode_varint_column(&values, &mut out);
         let mut buf = out.as_slice();
-        assert_eq!(
-            decode_varint_column(&mut buf, values.len()).unwrap(),
-            values
-        );
+        let mut got = Vec::new();
+        decode_varint_column_into(&mut buf, values.len(), &mut got).unwrap();
+        assert_eq!(got, values);
         assert!(buf.is_empty());
     }
 
@@ -326,8 +342,13 @@ mod tests {
                     let mut enc = one.clone();
                     enc.resize(one.len() + pad, 0x7f);
                     let mut buf = enc.as_slice();
-                    let got = decode_varint_column(&mut buf, 1).expect("well formed");
+                    let mut got = Vec::new();
+                    decode_varint_column_into(&mut buf, 1, &mut got).expect("well formed");
                     assert_eq!(got, [v], "len {len} pad {pad}");
+                    // The row-wise step reads the same value and length.
+                    let mut step = enc.as_slice();
+                    assert_eq!(next_varint(&mut step), Some(v), "len {len} pad {pad}");
+                    assert_eq!(step.len(), pad, "len {len} pad {pad}");
                     assert_eq!(buf.len(), pad, "len {len} pad {pad}");
                 }
             }
@@ -355,7 +376,8 @@ mod tests {
                 assert!(buf.is_empty());
                 // One value short: the cursor stops right before the last.
                 let mut buf = enc.as_slice();
-                let got = decode_varint_column(&mut buf, values.len() - 1).unwrap();
+                let mut got = Vec::new();
+                decode_varint_column_into(&mut buf, values.len() - 1, &mut got).unwrap();
                 assert_eq!(got, values[..values.len() - 1]);
                 assert_eq!(buf.len(), if trail == 0 { 4 } else { 1 });
             }
@@ -373,14 +395,18 @@ mod tests {
             out.len()
         );
         let mut buf = out.as_slice();
-        assert_eq!(decode_delta_column(&mut buf, sorted.len()).unwrap(), sorted);
+        let mut got = Vec::new();
+        decode_delta_column_into(&mut buf, sorted.len(), &mut got).unwrap();
+        assert_eq!(got, sorted);
 
         // Wrapping deltas survive arbitrary jumps, including u64::MAX.
         let wild = [u64::MAX, 0, u64::MAX / 2, 1, u64::MAX];
         let mut out = Vec::new();
         encode_delta_column(&wild, &mut out);
         let mut buf = out.as_slice();
-        assert_eq!(decode_delta_column(&mut buf, wild.len()).unwrap(), wild);
+        let mut got = Vec::new();
+        decode_delta_column_into(&mut buf, wild.len(), &mut got).unwrap();
+        assert_eq!(got, wild);
     }
 
     #[test]
@@ -408,9 +434,9 @@ mod tests {
     #[test]
     fn corrupt_columns_error_instead_of_panicking() {
         let mut buf: &[u8] = &[0x80]; // truncated varint
-        assert!(decode_varint_column(&mut buf, 1).is_err());
+        assert!(decode_varint_column_into(&mut buf, 1, &mut Vec::new()).is_err());
         let mut buf: &[u8] = &[];
-        assert!(decode_delta_column(&mut buf, 1).is_err());
+        assert!(decode_delta_column_into(&mut buf, 1, &mut Vec::new()).is_err());
         let mut buf: &[u8] = &[2, 9]; // dict says 2 entries, only 1 present
         assert!(decode_dict_column(&mut buf, 1).is_err());
         let mut buf: &[u8] = &[2, 9, 8, 5]; // index 5 out of range

@@ -71,9 +71,8 @@ mod segment;
 pub use access::{reader_mask, AccessLedger, SegmentAccess};
 pub use archive::{write_archive, Archive, ArchiveMeta, ArchiveWriter, Recovery};
 pub use codec::{
-    decode_delta_column, decode_delta_column_into, decode_dict_column, decode_varint_column,
-    decode_varint_column_into, encode_delta_column, encode_dict_column, encode_varint_column,
-    unzigzag, zigzag,
+    decode_delta_column_into, decode_dict_column, decode_varint_column_into, encode_delta_column,
+    encode_dict_column, encode_varint_column, unzigzag, zigzag,
 };
 pub use metrics::StoreMetrics;
 pub use parity::ParityGroup;

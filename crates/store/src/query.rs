@@ -7,8 +7,10 @@
 //! 1. **Segment pruning** — [`Query::admits`] asks each zone map whether
 //!    any row could match; segments that cannot are skipped without
 //!    decoding a byte (`store.segments_pruned`).
-//! 2. **Row filtering** — surviving segments are decoded and each record
-//!    tested with [`Query::matches`].
+//! 2. **Row filtering** — a surviving segment decodes the columns the
+//!    predicates name and tests them row by row, then materializes only
+//!    the rows that pass; the result equals filtering every record with
+//!    [`Query::matches`].
 //!
 //! Pruning is conservative by construction: `admits` may keep a segment
 //!    that holds no matching row, but it never rejects one that does (the
@@ -21,11 +23,11 @@
 //! spawned or joined. Matches come back in segment order, so the output —
 //! and anything computed from it, the first error included — is
 //! byte-identical for every worker count.
-//! [`Scan::report`] streams the matches into
-//! [`Report::from_stream`], yielding the paper's full characterization
-//! for any archive subset without re-running the generator.
+//! [`Scan::report`] streams the matches, segment by segment, into a
+//! [`ReportBuilder`], yielding the paper's full characterization for any
+//! archive subset without re-running the generator.
 
-use charisma_core::report::Report;
+use charisma_core::report::{Report, ReportBuilder};
 use charisma_ipsc::par::claim_each;
 use charisma_ipsc::SimTime;
 use charisma_trace::record::EventBody;
@@ -316,111 +318,144 @@ impl<'a> Scan<'a> {
         self
     }
 
-    /// Per-segment matches, indexed by segment (pruned segments empty).
-    ///
-    /// The parallel core: workers claim segments from an atomic cursor,
-    /// prune on the zone map, and run the predicate-first scan
-    /// ([`SealedSegment::select_events`](crate::SealedSegment)) over the
-    /// survivors — predicate columns decode and select first, the rest
-    /// materialize late for selected rows only. Output order is segment
-    /// order regardless of claim order.
-    fn scan_segments(&self) -> Result<Vec<Vec<OrderedEvent>>, StoreError> {
+    /// The indices of the segments the zone maps admit, in catalog order.
+    fn admitted(&self) -> Vec<usize> {
         let segments = self.reader.segments();
-        let admitted: Vec<usize> = (0..segments.len())
+        (0..segments.len())
             .filter(|&i| self.query.admits(segments[i].zone()))
-            .collect();
+            .collect()
+    }
+
+    /// Scan the `admitted` segments and hand each one's matches to `sink`,
+    /// in segment order.
+    ///
+    /// The parallel core: workers claim segments from an atomic cursor
+    /// and run the predicate-first scan
+    /// ([`SealedSegment::select_into`](crate::SealedSegment)) over them —
+    /// predicate columns decode and select first, the rest materialize
+    /// late for selected rows only. The segments go out in windows of
+    /// [`SCAN_WINDOW`] per worker, so at most that many decoded segments
+    /// wait for the sink at once; one worker scans and hands over one
+    /// segment at a time. The sink may take the events out of the vector
+    /// it is given. Once a segment has failed, the sink sees no more,
+    /// but every admitted segment is still scanned and counted, and the
+    /// lowest-index error is returned whichever worker met it.
+    fn scan_segments(
+        &self,
+        admitted: &[usize],
+        mut sink: impl FnMut(&mut Vec<OrderedEvent>),
+    ) -> Result<(), StoreError> {
+        let segments = self.reader.segments();
         if let Some(m) = &self.metrics {
             m.segments_pruned
                 .add((segments.len() - admitted.len()) as u64);
             m.segments_scanned.add(admitted.len() as u64);
         }
 
-        let outcomes = claim_each(&admitted, self.workers, |_, &seg| {
-            segments[seg].select_events(&self.query)
-        });
-
-        // Reassemble in segment order, so the lowest-index error wins
-        // whichever worker met it. Every outcome is counted first.
-        let mut out: Vec<Vec<OrderedEvent>> = vec![Vec::new(); segments.len()];
         let mut first_error = None;
         let mut rows_scanned = 0u64;
-        let mut rows_matched = 0u64;
         let mut cols_decoded = 0u64;
         let mut rows_skipped = 0u64;
-        let mut verified = 0u64;
         let mut failures = 0u64;
-        for (&seg, outcome) in admitted.iter().zip(outcomes) {
-            match outcome {
-                Ok(scan) => {
-                    verified += 1;
-                    rows_scanned += u64::from(segments[seg].rows());
-                    rows_matched += scan.events.len() as u64;
-                    cols_decoded += scan.values_decoded;
-                    rows_skipped += scan.rows_skipped;
-                    out[seg] = scan.events;
-                }
-                Err(e) => {
-                    // A checksum mismatch surfaced here knows which
-                    // segment it was: name it (replica 0 — a plain reader
-                    // holds the only copy).
-                    let e = match e {
-                        StoreError::ChecksumMismatch => {
-                            failures += 1;
-                            StoreError::CorruptSegment {
-                                segment: seg as u64,
-                                replica: 0,
-                            }
+        let mut touched: Vec<(u64, u64)> = Vec::with_capacity(admitted.len());
+        let window = if self.workers == 1 {
+            1
+        } else {
+            self.workers * SCAN_WINDOW
+        };
+        for chunk in admitted.chunks(window) {
+            let outcomes = claim_each(chunk, self.workers, |_, &seg| {
+                let mut events = Vec::new();
+                let scan = segments[seg].select_into(&self.query, &mut events);
+                (scan, events)
+            });
+            for (&seg, (outcome, mut events)) in chunk.iter().zip(outcomes) {
+                match outcome {
+                    Ok(scan) => {
+                        rows_scanned += u64::from(segments[seg].rows());
+                        cols_decoded += scan.values_decoded;
+                        rows_skipped += scan.rows_skipped;
+                        touched.push((seg as u64, events.len() as u64));
+                        if first_error.is_none() {
+                            sink(&mut events);
                         }
-                        other => other,
-                    };
-                    first_error.get_or_insert(e);
+                    }
+                    Err(e) => {
+                        // A checksum mismatch surfaced here knows which
+                        // segment it was: name it (replica 0 — a plain
+                        // reader holds the only copy).
+                        let e = match e {
+                            StoreError::ChecksumMismatch => {
+                                failures += 1;
+                                StoreError::CorruptSegment {
+                                    segment: seg as u64,
+                                    replica: 0,
+                                }
+                            }
+                            other => other,
+                        };
+                        first_error.get_or_insert(e);
+                    }
                 }
             }
         }
         if let Some(m) = &self.metrics {
             m.rows_scanned.add(rows_scanned);
-            m.rows_matched.add(rows_matched);
+            m.rows_matched
+                .add(touched.iter().map(|&(_, matched)| matched).sum());
             m.cols_decoded.add(cols_decoded);
             m.rows_skipped_late.add(rows_skipped);
-            m.segments_verified.add(verified);
+            m.segments_verified.add(touched.len() as u64);
             m.checksum_failures.add(failures);
         }
         if let Some(e) = first_error {
             return Err(e);
         }
         if let Some(m) = &self.metrics {
-            // Feed the access ledger once every worker is done (after the
-            // join, or after the inline run), from the reassembled
-            // per-segment results: one commutative record per committed
-            // scan, so ledger contents never depend on worker count or
-            // claim order.
-            let touched: Vec<(u64, u64)> = admitted
-                .iter()
-                .map(|&seg| (seg as u64, out[seg].len() as u64))
-                .collect();
+            // Feed the access ledger once every segment is scanned: one
+            // commutative record per committed scan, so ledger contents
+            // never depend on worker count or claim order.
             m.access
                 .record_scan(&touched, reader_mask(self.query.nodes_pred()));
             m.access_scans.inc();
             m.access_segments.add(touched.len() as u64);
         }
+        Ok(())
+    }
+
+    /// Every matching record, in merged stream order, in one vector
+    /// reserved up front for every row the admitted segments hold, then
+    /// shrunk to what matched.
+    pub fn events(&self) -> Result<Vec<OrderedEvent>, StoreError> {
+        let admitted = self.admitted();
+        let segments = self.reader.segments();
+        let rows: usize = admitted
+            .iter()
+            .map(|&seg| segments[seg].rows() as usize)
+            .sum();
+        let mut out = Vec::with_capacity(rows);
+        self.scan_segments(&admitted, |events| out.append(events))?;
+        out.shrink_to_fit();
         Ok(out)
     }
 
-    /// Every matching record, in merged stream order, concatenated into
-    /// one vector sized to the total.
-    pub fn events(&self) -> Result<Vec<OrderedEvent>, StoreError> {
-        Ok(self.scan_segments()?.concat())
-    }
-
     /// The paper's full §4 characterization of the matching subset,
-    /// streamed straight into the push-based analyzer — no intermediate
-    /// event vector.
+    /// streamed segment by segment into the push-based analyzer — no
+    /// event vector of the whole subset is ever built.
     pub fn report(&self) -> Result<Report, StoreError> {
-        Ok(Report::from_stream(
-            self.scan_segments()?.into_iter().flatten(),
-        ))
+        let mut report = ReportBuilder::default();
+        self.scan_segments(&self.admitted(), |events| {
+            for e in events.iter() {
+                report.push(e);
+            }
+        })?;
+        Ok(report.finish())
     }
 }
+
+/// Decoded segments a scan holds per worker before handing them on, in
+/// segment order. At one worker a scan holds one.
+const SCAN_WINDOW: usize = 4;
 
 #[cfg(test)]
 mod tests {
@@ -728,6 +763,19 @@ mod tests {
             .expect("scans");
         assert!(got.is_empty());
         assert_eq!(registry.snapshot().counters["store.segments_scanned"], 0);
+    }
+
+    #[test]
+    fn segments_reach_the_sink_one_at_a_time_in_segment_order() {
+        let a = archive();
+        for workers in [1, 2, 4] {
+            let scan = a.query(Query::all()).workers(workers);
+            let mut seen = Vec::new();
+            scan.scan_segments(&scan.admitted(), |events| seen.push(std::mem::take(events)))
+                .expect("scans");
+            assert_eq!(seen.len(), 3, "workers={workers}");
+            assert_eq!(seen.concat(), stream(), "workers={workers}");
+        }
     }
 
     #[test]

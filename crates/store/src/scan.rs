@@ -12,27 +12,36 @@
 //!    predicates reference (time, node, op, job, file; the op column also
 //!    rides along with job/file predicates because those predicates are
 //!    op-conditional) and evaluate them into a [`RowSelection`] bitmap.
-//! 2. **Materialize phase** — decode the remaining columns just far
-//!    enough to cover the last selected row, then build events for the
-//!    selected rows alone, skipping unselected runs a 64-row word at a
-//!    time via the bitmap.
+//!    Varint columns decode whole, with the batched loops in
+//!    [`crate::codec`]; the op column is range-checked once and read
+//!    through its dictionary table.
+//! 2. **Materialize phase** — one row-wise loop up to the last selected
+//!    row. Every column the predicate phase did not decode is read
+//!    through a cursor, and all the cursors advance in lockstep, one value
+//!    per row: each column's varint chain is serial, but the chains of
+//!    different columns overlap. Predicate columns are read by index, and
+//!    dictionary columns through their checked 256-entry tables. A
+//!    selected row's event is built as soon as its values are read; an
+//!    unselected row only advances the cursors.
 //!
-//! Both phases run the batched decoders in [`crate::codec`]
-//! (u64-at-a-time varint probing, chunked delta prefix sums). A query
-//! with no predicates takes the same machinery with an all-ones
-//! selection, so the full decode is the identity case of the scan, not a
-//! separate code path.
+//! A query with no predicates takes the same loop with an all-ones
+//! selection and every column on a cursor, so the full decode is the
+//! identity case of the scan, not a separate code path.
 //!
 //! Partial decode changes *when* corruption is observed, not whether the
 //! structure is validated: every scanned segment still has its row count
 //! and all ten column frames checked ([`SegmentColumns::parse`]), but a
 //! corrupt cell in a row no selected query ever materializes is not an
-//! error — exactly as a pruned segment's cells never were.
+//! error — exactly as a pruned segment's cells never were. A full decode
+//! (the last row selected) also requires every column to end exactly
+//! where its last value does.
 
 use bytes::Buf;
 use charisma_trace::OrderedEvent;
 
-use crate::codec::{decode_delta_column_into, decode_dict_column, decode_varint_column_into};
+use crate::codec::{
+    decode_delta_column_into, decode_varint_column_into, next_varint, unzigzag, DictRun,
+};
 use crate::query::Query;
 use crate::segment::{event_from_row, Row, COLUMN_COUNT};
 use crate::StoreError;
@@ -49,6 +58,8 @@ const COL_MODE: usize = 6;
 const COL_FLAGS: usize = 7;
 const COL_OFFSET: usize = 8;
 const COL_SIZE: usize = 9;
+
+const TRAILING: StoreError = StoreError::Corrupt("trailing bytes in column");
 
 /// A parsed segment frame: the row count plus one borrowed byte slice per
 /// column. Parsing validates the segment's *structure* — row count
@@ -94,34 +105,41 @@ impl<'a> SegmentColumns<'a> {
         self.rows
     }
 
-    /// Decode the first `upto` values of a varint or delta u64 column.
-    /// A full decode (`upto == rows`) also enforces the per-column
-    /// trailing-bytes check; a partial decode cannot (the tail is
-    /// legitimately unread).
-    fn u64s(&self, idx: usize, delta: bool, upto: usize) -> Result<Vec<u64>, StoreError> {
+    /// Decode a whole varint or delta u64 column, which must end exactly
+    /// at its last value.
+    fn all_u64s(&self, idx: usize, delta: bool) -> Result<Vec<u64>, StoreError> {
         let mut col = self.cols[idx];
         let mut values = Vec::new();
         if delta {
-            decode_delta_column_into(&mut col, upto, &mut values)?;
+            decode_delta_column_into(&mut col, self.rows, &mut values)?;
         } else {
-            decode_varint_column_into(&mut col, upto, &mut values)?;
+            decode_varint_column_into(&mut col, self.rows, &mut values)?;
         }
-        if upto == self.rows && !col.is_empty() {
-            return Err(StoreError::Corrupt("trailing bytes in column"));
+        if !col.is_empty() {
+            return Err(TRAILING);
         }
         Ok(values)
     }
 
-    /// Decode the first `upto` values of a dictionary column. Constant
-    /// columns (one-entry dictionary, indices elided) materialize `upto`
-    /// copies without reading any index bytes at all.
-    fn u8s(&self, idx: usize, upto: usize) -> Result<Vec<u8>, StoreError> {
+    /// The first `upto` rows of a dictionary column, range-checked. When
+    /// that is every row, the column must end at the last index.
+    fn dict(&self, idx: usize, upto: usize) -> Result<DictRun<'a>, StoreError> {
         let mut col = self.cols[idx];
-        let values = decode_dict_column(&mut col, upto)?;
+        let run = DictRun::parse(&mut col, upto)?;
         if upto == self.rows && !col.is_empty() {
-            return Err(StoreError::Corrupt("trailing bytes in column"));
+            return Err(TRAILING);
         }
-        Ok(values)
+        Ok(run)
+    }
+
+    /// A cursor at the start of a u64 column — or over nothing when the
+    /// predicate phase already `decoded` the column, so that the
+    /// end-of-column check holds for it trivially.
+    fn cursor(&self, idx: usize, decoded: bool) -> Cursor<'a> {
+        Cursor {
+            buf: if decoded { &[] } else { self.cols[idx] },
+            prev: 0,
+        }
     }
 }
 
@@ -139,9 +157,44 @@ fn take_column<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], StoreError> {
     Ok(col)
 }
 
+/// A forward reader over one varint or delta column: one
+/// [`next_varint`] step per row.
+struct Cursor<'a> {
+    buf: &'a [u8],
+    /// The previous absolute value of a delta column.
+    prev: u64,
+}
+
+impl Cursor<'_> {
+    #[inline(always)]
+    fn varint(&mut self) -> Result<u64, StoreError> {
+        next_varint(&mut self.buf).ok_or(StoreError::Corrupt("truncated varint column"))
+    }
+
+    #[inline(always)]
+    fn delta(&mut self) -> Result<u64, StoreError> {
+        let z = next_varint(&mut self.buf).ok_or(StoreError::Corrupt("truncated delta column"))?;
+        self.prev = self.prev.wrapping_add(unzigzag(z) as u64);
+        Ok(self.prev)
+    }
+}
+
+/// The value of row `i` of a u64 column: read by index when the predicate
+/// phase decoded it, else the cursor's next one.
+#[inline(always)]
+fn late(
+    decoded: &Option<Vec<u64>>,
+    i: usize,
+    step: impl FnOnce() -> Result<u64, StoreError>,
+) -> Result<u64, StoreError> {
+    match decoded {
+        Some(values) => Ok(values[i]),
+        None => step(),
+    }
+}
+
 /// A per-segment row-selection bitmap: which rows survived the predicate
-/// phase. One bit per row, packed into u64 words so the materialize phase
-/// can skip 64 unselected rows with a single zero-word test.
+/// phase. One bit per row, packed into u64 words.
 pub(crate) struct RowSelection {
     words: Vec<u64>,
     selected: usize,
@@ -166,6 +219,12 @@ impl RowSelection {
         self.last = Some(i);
     }
 
+    /// Whether row `i` is selected.
+    #[inline(always)]
+    pub(crate) fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] >> (i % 64) & 1 != 0
+    }
+
     /// Selected row count.
     pub(crate) fn count(&self) -> usize {
         self.selected
@@ -175,34 +234,11 @@ impl RowSelection {
     pub(crate) fn last(&self) -> Option<usize> {
         self.last
     }
-
-    /// Iterate the selected row indices in ascending order, skipping
-    /// all-zero words wholesale.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w != 0)
-            .flat_map(|(wi, &w)| {
-                let mut bits = w;
-                std::iter::from_fn(move || {
-                    if bits == 0 {
-                        return None;
-                    }
-                    let bit = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(wi * 64 + bit)
-                })
-            })
-    }
 }
 
-/// What one segment scan produced: the matching events plus the effort
-/// accounting the `store.cols_decoded` / `store.rows_skipped_late`
-/// counters aggregate.
+/// The effort accounting of one segment scan, which the
+/// `store.cols_decoded` / `store.rows_skipped_late` counters aggregate.
 pub(crate) struct SegmentScan {
-    /// Matching events, in row order.
-    pub(crate) events: Vec<OrderedEvent>,
     /// Column *values* decoded (cells). A full-decode scan charges
     /// `10 × rows`; dividing by rows scanned gives the average columns
     /// touched per row.
@@ -212,12 +248,15 @@ pub(crate) struct SegmentScan {
     pub(crate) rows_skipped: u64,
 }
 
-/// Scan one segment blob under `query`: predicate-column decode into a
-/// [`RowSelection`], then late materialization of the survivors.
+/// Scan one segment blob under `query`, appending the matching events to
+/// `out` in row order: predicate-column decode into a [`RowSelection`],
+/// then row-wise late materialization of the survivors. On an error,
+/// `out` may hold some of the segment's events.
 pub(crate) fn scan_segment(
     buf: &[u8],
     expected_rows: u32,
     query: &Query,
+    out: &mut Vec<OrderedEvent>,
 ) -> Result<SegmentScan, StoreError> {
     let cols = SegmentColumns::parse(buf, expected_rows)?;
     let rows = cols.rows();
@@ -236,30 +275,30 @@ pub(crate) fn scan_segment(
     // so they pull the op column into the predicate set.
     let need_op = ops_pred.is_some() || jobs_pred.is_some() || files_pred.is_some();
 
-    let mut values_decoded = 0u64;
-    let mut decode_full_u64 = |idx: usize, delta: bool| -> Result<Vec<u64>, StoreError> {
-        values_decoded += rows as u64;
-        cols.u64s(idx, delta, rows)
-    };
-
-    let mut times = time_pred
-        .map(|_| decode_full_u64(COL_TIME, true))
+    let times = time_pred
+        .map(|_| cols.all_u64s(COL_TIME, true))
         .transpose()?;
-    let mut nodes = nodes_pred
-        .map(|_| decode_full_u64(COL_NODE, false))
+    let nodes = nodes_pred
+        .map(|_| cols.all_u64s(COL_NODE, false))
         .transpose()?;
-    let mut jobs = jobs_pred
-        .map(|_| decode_full_u64(COL_JOB, false))
+    let jobs = jobs_pred
+        .map(|_| cols.all_u64s(COL_JOB, false))
         .transpose()?;
-    let mut files = files_pred
-        .map(|_| decode_full_u64(COL_FILE, false))
+    let files = files_pred
+        .map(|_| cols.all_u64s(COL_FILE, false))
         .transpose()?;
-    let mut ops = if need_op {
-        values_decoded += rows as u64;
-        Some(cols.u8s(COL_OP, rows)?)
-    } else {
-        None
-    };
+    let ops = need_op.then(|| cols.dict(COL_OP, rows)).transpose()?;
+    let decoded = [
+        times.is_some(),
+        nodes.is_some(),
+        jobs.is_some(),
+        files.is_some(),
+        ops.is_some(),
+    ]
+    .into_iter()
+    .filter(|&d| d)
+    .count();
+    let mut values_decoded = (decoded * rows) as u64;
 
     let mut selection = RowSelection::empty(rows);
     for i in 0..rows {
@@ -274,7 +313,7 @@ pub(crate) fn scan_segment(
                 continue;
             }
         }
-        let op = ops.as_ref().map(|ops| ops[i]);
+        let op = ops.as_ref().map(|ops| ops.get(i));
         if let (Some(set), Some(op)) = (ops_pred, op) {
             // An out-of-range tag cannot be in any op set; it only
             // becomes a decode error if the row is otherwise selected
@@ -301,77 +340,73 @@ pub(crate) fn scan_segment(
     }
 
     let matched = selection.count();
-    if matched == 0 {
+    let Some(last) = selection.last() else {
         return Ok(SegmentScan {
-            events: Vec::new(),
             values_decoded,
             rows_skipped: rows as u64,
         });
-    }
+    };
 
-    // Phase 2: late materialization. Decode every column the predicate
-    // phase did not touch, but only up to the last selected row — the
-    // tail beyond it is never read.
-    let upto = selection.last().map_or(0, |i| i + 1);
-    let mut materialize_u64 =
-        |slot: &mut Option<Vec<u64>>, idx: usize, delta: bool| -> Result<(), StoreError> {
-            if slot.is_none() {
-                values_decoded += upto as u64;
-                *slot = Some(cols.u64s(idx, delta, upto)?);
-            }
-            Ok(())
-        };
-    materialize_u64(&mut times, COL_TIME, true)?;
-    materialize_u64(&mut nodes, COL_NODE, false)?;
-    materialize_u64(&mut jobs, COL_JOB, false)?;
-    materialize_u64(&mut files, COL_FILE, false)?;
-    let mut sessions = None;
-    materialize_u64(&mut sessions, COL_SESSION, false)?;
-    let mut offsets = None;
-    materialize_u64(&mut offsets, COL_OFFSET, true)?;
-    let mut sizes = None;
-    materialize_u64(&mut sizes, COL_SIZE, true)?;
-    if ops.is_none() {
-        values_decoded += upto as u64;
-        ops = Some(cols.u8s(COL_OP, upto)?);
-    }
-    values_decoded += 2 * upto as u64;
-    let modes = cols.u8s(COL_MODE, upto)?;
-    let flags = cols.u8s(COL_FLAGS, upto)?;
+    // Phase 2: late materialization, row by row up to the last selected
+    // row — the tail beyond it is never read.
+    let upto = last + 1;
+    values_decoded += ((COLUMN_COUNT - decoded) * upto) as u64;
+    let ops = match ops {
+        Some(ops) => ops,
+        None => cols.dict(COL_OP, upto)?,
+    };
+    let modes = cols.dict(COL_MODE, upto)?;
+    let flags = cols.dict(COL_FLAGS, upto)?;
+    let mut time_col = cols.cursor(COL_TIME, times.is_some());
+    let mut node_col = cols.cursor(COL_NODE, nodes.is_some());
+    let mut job_col = cols.cursor(COL_JOB, jobs.is_some());
+    let mut file_col = cols.cursor(COL_FILE, files.is_some());
+    let mut session_col = cols.cursor(COL_SESSION, false);
+    let mut offset_col = cols.cursor(COL_OFFSET, false);
+    let mut size_col = cols.cursor(COL_SIZE, false);
 
-    let (times, nodes, ops) = (unwrapped(&times), unwrapped(&nodes), unwrapped(&ops));
-    let (jobs, files) = (unwrapped(&jobs), unwrapped(&files));
-    let (sessions, offsets, sizes) = (unwrapped(&sessions), unwrapped(&offsets), unwrapped(&sizes));
-
-    let mut events = Vec::with_capacity(matched);
-    for i in selection.iter() {
+    out.reserve(matched);
+    for i in 0..upto {
+        let time = late(&times, i, || time_col.delta())?;
+        let node = late(&nodes, i, || node_col.varint())?;
+        let job = late(&jobs, i, || job_col.varint())?;
+        let file = late(&files, i, || file_col.varint())?;
+        let session = session_col.varint()?;
+        let offset = offset_col.delta()?;
+        let size = size_col.delta()?;
+        if !selection.contains(i) {
+            continue;
+        }
         let row = Row {
-            time: times[i],
-            node: narrow(nodes[i], "node id exceeds u16")?,
-            op: ops[i],
-            job: narrow(jobs[i], "job id exceeds u32")?,
-            file: narrow(files[i], "file id exceeds u32")?,
-            session: narrow(sessions[i], "session id exceeds u32")?,
-            mode: modes[i],
-            flags: flags[i],
-            offset: offsets[i],
-            size: sizes[i],
+            time,
+            node: narrow(node, "node id exceeds u16")?,
+            op: ops.get(i),
+            job: narrow(job, "job id exceeds u32")?,
+            file: narrow(file, "file id exceeds u32")?,
+            session: narrow(session, "session id exceeds u32")?,
+            mode: modes.get(i),
+            flags: flags.get(i),
+            offset,
+            size,
         };
-        events.push(event_from_row(&row)?);
+        out.push(event_from_row(&row)?);
+    }
+    let cursors = [
+        time_col,
+        node_col,
+        job_col,
+        file_col,
+        session_col,
+        offset_col,
+        size_col,
+    ];
+    if upto == rows && cursors.iter().any(|c| !c.buf.is_empty()) {
+        return Err(TRAILING);
     }
     Ok(SegmentScan {
-        events,
         values_decoded,
         rows_skipped: rows as u64 - matched as u64,
     })
-}
-
-/// Every column is `Some` by the end of the materialize phase; keep the
-/// accessor panic-free anyway (CH003, `clippy::unwrap_used`) by mapping
-/// an impossible `None` onto an empty slice, which would fail the indexed
-/// reads as a bug, not a panic in release builds of callers.
-fn unwrapped<T>(slot: &Option<Vec<T>>) -> &[T] {
-    slot.as_deref().unwrap_or(&[])
 }
 
 fn narrow<T: TryFrom<u64>>(v: u64, what: &'static str) -> Result<T, StoreError> {
@@ -384,7 +419,9 @@ pub(crate) fn decode_segment(
     buf: &[u8],
     expected_rows: u32,
 ) -> Result<Vec<OrderedEvent>, StoreError> {
-    Ok(scan_segment(buf, expected_rows, &Query::all())?.events)
+    let mut events = Vec::new();
+    scan_segment(buf, expected_rows, &Query::all(), &mut events)?;
+    Ok(events)
 }
 
 #[cfg(test)]
@@ -432,8 +469,15 @@ mod tests {
         b.seal()
     }
 
+    /// The events and the accounting of one scan of `seg` under `q`.
+    fn scan(seg: &crate::SealedSegment, q: &Query) -> (Vec<OrderedEvent>, SegmentScan) {
+        let mut events = Vec::new();
+        let scan = scan_segment(seg.bytes(), seg.rows(), q, &mut events).expect("scans");
+        (events, scan)
+    }
+
     #[test]
-    fn selection_bitmap_iterates_in_order_and_skips_runs() {
+    fn selection_bitmap_marks_exactly_the_selected_rows() {
         let mut sel = RowSelection::empty(300);
         assert_eq!(sel.count(), 0);
         assert_eq!(sel.last(), None);
@@ -442,7 +486,8 @@ mod tests {
         }
         assert_eq!(sel.count(), 5);
         assert_eq!(sel.last(), Some(299));
-        assert_eq!(sel.iter().collect::<Vec<_>>(), vec![0, 63, 64, 200, 299]);
+        let marked: Vec<usize> = (0..300).filter(|&i| sel.contains(i)).collect();
+        assert_eq!(marked, vec![0, 63, 64, 200, 299]);
     }
 
     #[test]
@@ -462,9 +507,9 @@ mod tests {
             Query::all().jobs(&[]),
         ];
         for q in queries {
-            let scan = scan_segment(seg.bytes(), seg.rows(), &q).expect("scans");
+            let (got, scan) = scan(&seg, &q);
             let want: Vec<OrderedEvent> = events.iter().filter(|e| q.matches(e)).copied().collect();
-            assert_eq!(scan.events, want, "query {q:?}");
+            assert_eq!(got, want, "query {q:?}");
             assert_eq!(
                 scan.rows_skipped,
                 events.len() as u64 - want.len() as u64,
@@ -477,15 +522,15 @@ mod tests {
     fn full_scan_charges_every_cell_and_pruned_scans_charge_fewer() {
         let events = stream(500);
         let seg = sealed(&events);
-        let full = scan_segment(seg.bytes(), seg.rows(), &Query::all()).expect("scans");
+        let (_, full) = scan(&seg, &Query::all());
         assert_eq!(full.values_decoded, 10 * 500);
         assert_eq!(full.rows_skipped, 0);
 
         // A time window covering the first 31 rows: 1 predicate column at
         // 500 values + 9 late columns at 31 values each.
         let q = Query::all().time_window(SimTime::from_micros(0), SimTime::from_micros(90));
-        let narrow = scan_segment(seg.bytes(), seg.rows(), &q).expect("scans");
-        assert_eq!(narrow.events.len(), 31);
+        let (got, narrow) = scan(&seg, &q);
+        assert_eq!(got.len(), 31);
         assert_eq!(narrow.values_decoded, 500 + 9 * 31);
         assert_eq!(narrow.rows_skipped, 500 - 31);
         assert!(narrow.values_decoded < full.values_decoded);
@@ -499,10 +544,65 @@ mod tests {
             SimTime::from_micros(1_000_000),
             SimTime::from_micros(u64::MAX),
         );
-        let scan = scan_segment(seg.bytes(), seg.rows(), &q).expect("scans");
-        assert!(scan.events.is_empty());
+        let (got, scan) = scan(&seg, &q);
+        assert!(got.is_empty());
         assert_eq!(scan.values_decoded, 128, "only the time column");
         assert_eq!(scan.rows_skipped, 128);
+    }
+
+    /// `seg` re-framed with `extra` appended to column `col`, and
+    /// re-sealed.
+    fn with_extra_bytes(seg: &crate::SealedSegment, col: usize, extra: &[u8]) -> Vec<u8> {
+        use bytes::BufMut;
+        let blob = seg.bytes();
+        let mut buf = &blob[..blob.len() - crate::integrity::CHECKSUM_LEN];
+        let rows = buf.try_get_varint_u64().expect("row count");
+        let mut out = Vec::new();
+        out.put_varint_u64(rows);
+        for i in 0..COLUMN_COUNT {
+            let mut bytes = take_column(&mut buf).expect("column").to_vec();
+            if i == col {
+                bytes.extend_from_slice(extra);
+            }
+            out.put_varint_u64(bytes.len() as u64);
+            out.put_slice(&bytes);
+        }
+        let sum = crate::integrity::checksum(&out);
+        out.put_u64_le(sum);
+        out
+    }
+
+    #[test]
+    fn an_extra_value_fails_a_full_decode_but_not_a_scan_that_stops_short() {
+        let events = stream(64);
+        let seg = sealed(&events);
+        // Rows 0..10: the time window ends well before any column's tail.
+        let q = Query::all().time_window(SimTime::ZERO, SimTime::from_micros(27));
+        for col in 0..COLUMN_COUNT {
+            // One more varint (or dictionary index) than the segment has
+            // rows.
+            let blob = with_extra_bytes(&seg, col, &[0]);
+            let mut out = Vec::new();
+            let err = scan_segment(&blob, seg.rows(), &Query::all(), &mut out)
+                .err()
+                .unwrap_or_else(|| panic!("column {col}: full decode accepted a trailing value"));
+            assert!(
+                matches!(err, StoreError::Corrupt("trailing bytes in column")),
+                "column {col}: {err:?}"
+            );
+            let mut out = Vec::new();
+            let selective = scan_segment(&blob, seg.rows(), &q, &mut out);
+            if col == COL_TIME {
+                // A predicate column of `q`, so decoded whole.
+                assert!(matches!(
+                    selective,
+                    Err(StoreError::Corrupt("trailing bytes in column"))
+                ));
+            } else {
+                selective.unwrap_or_else(|e| panic!("column {col}: {e:?}"));
+                assert_eq!(out, events[..10], "column {col}");
+            }
+        }
     }
 
     #[test]
@@ -515,10 +615,11 @@ mod tests {
         );
         // Row-count disagreement and truncation fail even for a query
         // whose selection would be empty.
-        assert!(scan_segment(seg.bytes(), seg.rows() + 1, &q).is_err());
+        let mut out = Vec::new();
+        assert!(scan_segment(seg.bytes(), seg.rows() + 1, &q, &mut out).is_err());
         for cut in 0..seg.bytes().len() {
             assert!(
-                scan_segment(&seg.bytes()[..cut], seg.rows(), &q).is_err(),
+                scan_segment(&seg.bytes()[..cut], seg.rows(), &q, &mut out).is_err(),
                 "cut {cut}"
             );
         }

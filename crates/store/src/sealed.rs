@@ -54,8 +54,10 @@ pub struct SealedSegment {
 
 impl SealedSegment {
     /// Wrap an encoded blob and its zone map. `zone.offset`/`zone.len`
-    /// are normalized to the standalone form (`0`/blob length).
-    pub(crate) fn from_parts(bytes: Bytes, mut zone: ZoneMap) -> Self {
+    /// are normalized to the standalone form (`0`/blob length). Nothing is
+    /// verified here: a scan checks the blob's checksum and structure,
+    /// and any damage surfaces as a [`StoreError`].
+    pub fn from_parts(bytes: Bytes, mut zone: ZoneMap) -> Self {
         zone.offset = 0;
         zone.len = bytes.len() as u64;
         SealedSegment { bytes, zone }
@@ -100,11 +102,16 @@ impl SealedSegment {
         decode_segment(&self.bytes, self.zone.rows)
     }
 
-    /// Scan the segment under `query`: predicate-column-first decode into
-    /// a row selection, then late materialization of the surviving rows —
-    /// the per-segment core every [`Scan`] runs.
-    pub(crate) fn select_events(&self, query: &Query) -> Result<SegmentScan, StoreError> {
-        scan_segment(&self.bytes, self.zone.rows, query)
+    /// Scan the segment under `query`, appending the matching events to
+    /// `out`: predicate-column-first decode into a row selection, then
+    /// late materialization of the surviving rows — the per-segment core
+    /// every [`Scan`] runs.
+    pub(crate) fn select_into(
+        &self,
+        query: &Query,
+        out: &mut Vec<OrderedEvent>,
+    ) -> Result<SegmentScan, StoreError> {
+        scan_segment(&self.bytes, self.zone.rows, query, out)
     }
 }
 

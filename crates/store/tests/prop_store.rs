@@ -11,12 +11,12 @@
 //!   records a plain filter over the full stream returns — pruning can
 //!   skip work but never drop a match.
 
+use bytes::Bytes;
 use charisma_ipsc::SimTime;
 use charisma_store::{
-    decode_delta_column, decode_delta_column_into, decode_dict_column, decode_varint_column,
-    decode_varint_column_into, encode_delta_column, encode_dict_column, encode_varint_column,
-    unzigzag, write_archive, zigzag, Archive, ArchiveMeta, ArchiveReader, OpClass, OpSet, Query,
-    SealedSegment, SegmentBuilder,
+    decode_delta_column_into, decode_dict_column, decode_varint_column_into, encode_delta_column,
+    encode_dict_column, encode_varint_column, unzigzag, write_archive, zigzag, Archive,
+    ArchiveMeta, ArchiveReader, OpClass, OpSet, Query, SealedSegment, SegmentBuilder, ZoneMap,
 };
 use charisma_trace::record::{AccessKind, EventBody};
 use charisma_trace::OrderedEvent;
@@ -270,6 +270,148 @@ fn ref_dict(mut buf: &[u8], n: usize) -> Option<(Vec<u8>, usize)> {
     Some((values, buf.len()))
 }
 
+/// The archive's integrity checksum, re-derived from its description in
+/// the store's `integrity` module: a length-seeded state, one
+/// multiply-rotate step per little-endian 8-byte word (the last one
+/// zero-padded), then a xorshift-multiply finalizer.
+fn ref_checksum(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = 0xcbf2_9ce4_8422_2325 ^ (bytes.len() as u64).wrapping_mul(K);
+    for chunk in bytes.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h = (h ^ u64::from_le_bytes(word))
+            .wrapping_mul(K)
+            .rotate_left(29);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// The ten column byte strings of a sealed segment, in schema order.
+fn columns_of(seg: &SealedSegment) -> Vec<Vec<u8>> {
+    let blob = seg.bytes();
+    let mut buf = &blob[..blob.len() - 8];
+    ref_varint(&mut buf).expect("row count");
+    (0..10)
+        .map(|_| {
+            let len = ref_varint(&mut buf).expect("column length") as usize;
+            let (col, rest) = buf.split_at(len);
+            buf = rest;
+            col.to_vec()
+        })
+        .collect()
+}
+
+/// Frame `columns` as a segment of `rows` rows, seal it with the format's
+/// checksum, and give it `zone`.
+fn reseal(rows: usize, columns: &[Vec<u8>], zone: ZoneMap) -> SealedSegment {
+    let mut blob = Vec::new();
+    encode_varint_column(&[rows as u64], &mut blob);
+    for col in columns {
+        encode_varint_column(&[col.len() as u64], &mut blob);
+        blob.extend_from_slice(col);
+    }
+    let sum = ref_checksum(&blob);
+    blob.extend_from_slice(&sum.to_le_bytes());
+    SealedSegment::from_parts(Bytes::from(blob), zone)
+}
+
+/// Which columns are dictionary columns (op, mode, flags) and which of
+/// the rest are delta columns (time, offset, size), in schema order.
+const DICT_COLUMNS: [usize; 3] = [2, 6, 7];
+const DELTA_COLUMNS: [usize; 3] = [0, 8, 9];
+
+/// The longest prefix of at most `n` rows the per-byte reference decodes
+/// from one column.
+fn ref_column_prefix(col: usize, bytes: &[u8], n: usize) -> Vec<u64> {
+    if DICT_COLUMNS.contains(&col) {
+        return (0..=n)
+            .rev()
+            .find_map(|k| ref_dict(bytes, k))
+            .map(|(values, _)| values.into_iter().map(u64::from).collect())
+            .unwrap_or_default();
+    }
+    let mut buf = bytes;
+    let mut prev = 0u64;
+    std::iter::from_fn(|| ref_varint(&mut buf))
+        .take(n)
+        .map(|v| {
+            if DELTA_COLUMNS.contains(&col) {
+                prev = prev.wrapping_add(unzigzag(v) as u64);
+                prev
+            } else {
+                v
+            }
+        })
+        .collect()
+}
+
+/// The event one row of column values stands for, if any: the values
+/// re-encoded canonically as a one-row segment and decoded.
+fn ref_event(values: &[u64], zone: ZoneMap) -> Option<OrderedEvent> {
+    let columns: Vec<Vec<u8>> = values
+        .iter()
+        .enumerate()
+        .map(|(col, &v)| {
+            let mut out = Vec::new();
+            if DICT_COLUMNS.contains(&col) {
+                encode_dict_column(&[u8::try_from(v).ok()?], &mut out);
+            } else if DELTA_COLUMNS.contains(&col) {
+                encode_delta_column(&[v], &mut out);
+            } else {
+                encode_varint_column(&[v], &mut out);
+            }
+            Some(out)
+        })
+        .collect::<Option<_>>()?;
+    let mut zone = zone;
+    zone.rows = 1;
+    match reseal(1, &columns, zone).events().ok()?.as_slice() {
+        [e] => Some(*e),
+        _ => None,
+    }
+}
+
+/// Scan the segment `columns` re-seal into under each query: an error
+/// is allowed, a success must return exactly the reference rows. A scan
+/// that succeeds cannot have selected a row past the shortest decodable
+/// column prefix, nor one that makes no event.
+fn scan_matches_the_reference_or_errs(
+    rows: usize,
+    columns: &[Vec<u8>],
+    zone: ZoneMap,
+    queries: &[Query],
+) {
+    let reader = ArchiveReader::new(META, vec![reseal(rows, columns, zone)]);
+    let prefixes: Vec<Vec<u64>> = columns
+        .iter()
+        .enumerate()
+        .map(|(col, bytes)| ref_column_prefix(col, bytes, rows))
+        .collect();
+    let decodable = prefixes.iter().map(Vec::len).min().unwrap_or(0);
+    let reference: Vec<OrderedEvent> = (0..decodable)
+        .filter_map(|row| {
+            let values: Vec<u64> = prefixes.iter().map(|p| p[row]).collect();
+            ref_event(&values, zone)
+        })
+        .collect();
+    for q in queries {
+        let Ok(got) = reader.query(q.clone()).events() else {
+            continue;
+        };
+        let want: Vec<OrderedEvent> = if q.admits(&zone) {
+            reference.iter().filter(|e| q.matches(e)).copied().collect()
+        } else {
+            Vec::new()
+        };
+        assert_eq!(got, want, "query {q:?} columns {columns:02x?}");
+    }
+}
+
 const META: ArchiveMeta = ArchiveMeta {
     seed: 4994,
     scale: 0.05,
@@ -282,7 +424,9 @@ proptest! {
         let mut out = Vec::new();
         encode_varint_column(&values, &mut out);
         let mut buf = out.as_slice();
-        prop_assert_eq!(decode_varint_column(&mut buf, values.len()).unwrap(), values);
+        let mut got = Vec::new();
+        decode_varint_column_into(&mut buf, values.len(), &mut got).unwrap();
+        prop_assert_eq!(got, values);
         prop_assert!(buf.is_empty(), "no trailing bytes");
     }
 
@@ -292,7 +436,9 @@ proptest! {
         let mut out = Vec::new();
         encode_delta_column(&values, &mut out);
         let mut buf = out.as_slice();
-        prop_assert_eq!(decode_delta_column(&mut buf, values.len()).unwrap(), values);
+        let mut got = Vec::new();
+        decode_delta_column_into(&mut buf, values.len(), &mut got).unwrap();
+        prop_assert_eq!(got, values);
         prop_assert!(buf.is_empty());
     }
 
@@ -335,11 +481,11 @@ proptest! {
     }
 
     /// The `_into` decoders (the batched u64-probe / prefix-sum loops
-    /// behind the predicate-first scan) append exactly what the
-    /// allocating decoders return, even onto a non-empty buffer — over
-    /// both one-byte-dominated and multi-byte varint mixes.
+    /// behind the predicate phase of the scan) append exactly the encoded
+    /// values, even onto a non-empty buffer — over both
+    /// one-byte-dominated and multi-byte varint mixes.
     #[test]
-    fn batched_decode_into_matches_the_allocating_decoders(
+    fn batched_decode_into_appends_exactly_the_encoded_values(
         values in prop_oneof![
             proptest::collection::vec(0u64..128, 0..300),
             proptest::collection::vec(any::<u64>(), 0..300),
@@ -388,7 +534,8 @@ proptest! {
             }
 
             let mut buf = bytes.as_slice();
-            let got = decode_delta_column(&mut buf, n);
+            let mut out = Vec::new();
+            let got = decode_delta_column_into(&mut buf, n, &mut out).map(|()| out);
             match ref_varints(&bytes, n) {
                 Ok((zigzags, left)) => {
                     let mut prev = 0u64;
@@ -428,6 +575,50 @@ proptest! {
                 }
                 None => prop_assert!(got.is_err(), "n={n} bytes={bytes:02x?}"),
             }
+        }
+    }
+
+    /// A segment with one column, or all ten, replaced by hostile bytes
+    /// after a clean prefix of the column's own bytes, and re-sealed with
+    /// a valid checksum, never panics a scan; and a scan that succeeds
+    /// returns exactly the rows the per-byte reference decodes and the
+    /// query matches — under an arbitrary query, a time prefix (late
+    /// columns read only part way) and the full decode.
+    #[test]
+    fn a_resealed_segment_with_hostile_columns_scans_as_the_reference_or_errs(
+        events in arb_stream(),
+        rows in 1usize..40,
+        varints in proptest::collection::vec(arb_hostile_bytes(), 10),
+        dicts in proptest::collection::vec(arb_hostile_dict(), 10),
+        keep in proptest::collection::vec(0usize..48, 10),
+        q in arb_query(),
+        prefix_end in 0u64..100_000,
+    ) {
+        let events = &events[..rows.min(events.len())];
+        let mut b = SegmentBuilder::default();
+        for e in events {
+            b.push(e);
+        }
+        let base = b.seal();
+        let zone = *base.zone();
+        let clean = columns_of(&base);
+        prop_assert_eq!(reseal(events.len(), &clean, zone), base, "the reference seal");
+        let queries = [
+            q,
+            Query::all().time_window(SimTime::ZERO, SimTime::from_micros(prefix_end)),
+            Query::all(),
+        ];
+        for damaged in (0..10).map(|col| vec![col]).chain([(0..10).collect()]) {
+            let mut columns = clean.clone();
+            for col in damaged {
+                columns[col].truncate(keep[col]);
+                columns[col].extend(if DICT_COLUMNS.contains(&col) {
+                    &dicts[col]
+                } else {
+                    &varints[col]
+                });
+            }
+            scan_matches_the_reference_or_errs(events.len(), &columns, zone, &queries);
         }
     }
 
