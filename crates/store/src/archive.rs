@@ -58,10 +58,12 @@ use crate::StoreError;
 pub const MAGIC: &[u8; 8] = b"CHSTOR01";
 
 /// Current format version. Version 2 replaced version 1's byte-serial
-/// FNV-1a checksums with the word-at-a-time [`crate::integrity`] checksum,
-/// so a version-1 file is refused as [`StoreError::BadVersion`] rather
-/// than misreported as a checksum mismatch or a torn tail.
-pub const VERSION: u32 = 2;
+/// FNV-1a checksums with a word-at-a-time checksum, and version 3
+/// replaced that single chain with the four-lane [`crate::integrity`]
+/// checksum, so a version-1 or version-2 file is refused as
+/// [`StoreError::BadVersion`] rather than misreported as a checksum
+/// mismatch or a torn tail.
+pub const VERSION: u32 = 3;
 
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 const TAIL_LEN: usize = 8 + 8;
@@ -828,29 +830,42 @@ mod tests {
     }
 
     #[test]
-    fn version_1_archives_are_refused_by_version() {
-        // Version 1 carried byte-serial FNV-1a checksums. Its files must
-        // fail on the header's version field, before any checksum or
-        // torn-tail classification could misreport them as damage; a
-        // torn version-1 file is refused the same way.
-        let mut v1 = write_archive(&stream(5000), META);
-        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert!(matches!(
-            Archive::from_bytes(v1.clone()),
-            Err(StoreError::BadVersion(1))
-        ));
+    fn earlier_versions_are_refused_by_version() {
+        // Version 1 carried byte-serial FNV-1a checksums and version 2 a
+        // single-chain word checksum. Their files must fail on the
+        // header's version field, before any checksum or torn-tail
+        // classification could misreport them as damage, whichever way
+        // they are opened; a torn file is refused the same way.
+        let current = write_archive(&stream(5000), META);
         let dir = std::env::temp_dir().join("charisma-store-test");
         std::fs::create_dir_all(&dir).expect("temp dir");
-        for (name, bytes) in [("v1.chst", &v1[..]), ("v1-torn.chst", &v1[..v1.len() / 2])] {
-            let path = dir.join(name);
-            std::fs::write(&path, bytes).expect("write");
-            assert!(
-                matches!(
-                    Archive::open_recovering(&path),
-                    Err(StoreError::BadVersion(1))
-                ),
-                "{name}"
-            );
+        for old in [1u32, 2] {
+            let mut whole = current.clone();
+            whole[8..12].copy_from_slice(&old.to_le_bytes());
+            let torn = &whole[..whole.len() / 2];
+            for (kind, bytes) in [("whole", &whole[..]), ("torn", torn)] {
+                let name = format!("v{old}-{kind}.chst");
+                assert!(
+                    matches!(
+                        Archive::from_bytes(bytes.to_vec()),
+                        Err(StoreError::BadVersion(v)) if v == old
+                    ),
+                    "from_bytes {name}"
+                );
+                let path = dir.join(&name);
+                std::fs::write(&path, bytes).expect("write");
+                assert!(
+                    matches!(Archive::open(&path), Err(StoreError::BadVersion(v)) if v == old),
+                    "open {name}"
+                );
+                assert!(
+                    matches!(
+                        Archive::open_recovering(&path),
+                        Err(StoreError::BadVersion(v)) if v == old
+                    ),
+                    "open_recovering {name}"
+                );
+            }
         }
     }
 }

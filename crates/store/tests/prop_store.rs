@@ -271,18 +271,31 @@ fn ref_dict(mut buf: &[u8], n: usize) -> Option<(Vec<u8>, usize)> {
 }
 
 /// The archive's integrity checksum, re-derived from its description in
-/// the store's `integrity` module: a length-seeded state, one
-/// multiply-rotate step per little-endian 8-byte word (the last one
-/// zero-padded), then a xorshift-multiply finalizer.
+/// the store's `integrity` module: four length-seeded lanes, lane `i`
+/// stepping through word `i` of every whole 32-byte block, then a fresh
+/// length-seeded state that takes the four lanes in order and the
+/// remaining little-endian 8-byte words (the last one zero-padded), each
+/// by one multiply-rotate step, then a xorshift-multiply finalizer.
 fn ref_checksum(bytes: &[u8]) -> u64 {
     const K: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut h = 0xcbf2_9ce4_8422_2325 ^ (bytes.len() as u64).wrapping_mul(K);
-    for chunk in bytes.chunks(8) {
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(K).rotate_left(29);
+    let le = |chunk: &[u8]| {
         let mut word = [0u8; 8];
         word[..chunk.len()].copy_from_slice(chunk);
-        h = (h ^ u64::from_le_bytes(word))
-            .wrapping_mul(K)
-            .rotate_left(29);
+        u64::from_le_bytes(word)
+    };
+    let seed = 0xcbf2_9ce4_8422_2325 ^ (bytes.len() as u64).wrapping_mul(K);
+    let whole = bytes.len() / 32 * 32;
+    let mut h = seed;
+    for lane in 0..4 {
+        let mut l = seed;
+        for block in bytes[..whole].chunks(32) {
+            l = step(l, le(&block[8 * lane..8 * lane + 8]));
+        }
+        h = step(h, l);
+    }
+    for chunk in bytes[whole..].chunks(8) {
+        h = step(h, le(chunk));
     }
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
