@@ -300,7 +300,9 @@ impl Service {
     fn drain(&self, t: &mut Tenant) {
         while let Some(batch) = t.queue.pop_front() {
             for e in &batch {
-                t.builder.push(e);
+                // Sealed below the moment it fills, so the builder has room.
+                let pushed = t.builder.push(e);
+                debug_assert!(pushed.is_ok(), "an open builder is never full");
                 if t.builder.len() >= SEGMENT_ROWS {
                     self.seal(t);
                 }

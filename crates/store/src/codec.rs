@@ -19,6 +19,20 @@
 //! archive promise canonical bytes. Every decoder is total: corrupt input
 //! yields [`StoreError`], never a panic.
 //!
+//! # Write side
+//!
+//! The encoders take their values as iterators, so a segment encodes each
+//! column straight from its rows with no per-column vector in between.
+//! Every varint goes through the one writer, the `bytes` shim's
+//! `BufMut::put_varint_u64`: it spreads a value's low 56 bits into eight
+//! 7-bit groups with three mask-and-shift steps (the decoder's steps run
+//! backwards), sets the continuation bits of all but the last byte with
+//! one mask, and appends the varint in one fixed-size copy. Only values
+//! of 2^56 and up spill into a ninth or tenth byte. A dictionary column
+//! finds its dictionary with a 256-entry "seen" table and writes its
+//! index bytes through a 256-entry value → index table, one lookup per
+//! row.
+//!
 //! # Batched decode
 //!
 //! Varints are read a little-endian u64 window (eight bytes) at a time.
@@ -77,8 +91,8 @@ pub fn unzigzag(z: u64) -> i64 {
 }
 
 /// Append `values` as one varint each.
-pub fn encode_varint_column(values: &[u64], out: &mut Vec<u8>) {
-    for &v in values {
+pub fn encode_varint_column(values: impl IntoIterator<Item = u64>, out: &mut Vec<u8>) {
+    for v in values {
         out.put_varint_u64(v);
     }
 }
@@ -154,9 +168,9 @@ fn varint_from_window(word: u64, ends: u64) -> (u64, usize) {
 
 /// Append `values` as zigzag varints of the wrapping delta from the
 /// previous value (the first delta is taken from 0).
-pub fn encode_delta_column(values: &[u64], out: &mut Vec<u8>) {
+pub fn encode_delta_column(values: impl IntoIterator<Item = u64>, out: &mut Vec<u8>) {
     let mut prev = 0u64;
-    for &v in values {
+    for v in values {
         out.put_varint_u64(zigzag(v.wrapping_sub(prev) as i64));
         prev = v;
     }
@@ -196,23 +210,34 @@ pub fn decode_delta_column_into(
 /// order, then one dictionary index per row. A constant column (dictionary
 /// of one entry) stores no indices at all; an empty column stores only the
 /// zero dictionary length.
-pub fn encode_dict_column(values: &[u8], out: &mut Vec<u8>) {
+///
+/// Two passes over `values`, each one table lookup per row: the first
+/// marks each byte value's first appearance, the second maps every row
+/// through a 256-entry value → index table.
+pub fn encode_dict_column<I>(values: I, out: &mut Vec<u8>)
+where
+    I: IntoIterator<Item = u8>,
+    I::IntoIter: Clone,
+{
+    let values = values.into_iter();
+    let mut seen = [false; 256];
     let mut dict: Vec<u8> = Vec::new();
-    for &v in values {
-        if !dict.contains(&v) {
+    for v in values.clone() {
+        if !seen[usize::from(v)] {
+            seen[usize::from(v)] = true;
             dict.push(v);
         }
     }
     out.put_varint_u64(dict.len() as u64);
     out.put_slice(&dict);
     if dict.len() > 1 {
-        for &v in values {
-            // Present by construction; fall back to 0 rather than panic.
-            // The dictionary holds distinct u8 values, so the index always
-            // fits a byte — try_from keeps that assumption checked.
-            let idx = dict.iter().position(|&d| d == v).unwrap_or(0);
-            out.put_u8(u8::try_from(idx).unwrap_or(0));
+        // The dictionary holds distinct bytes, so at most 256 entries and
+        // every index fits a byte.
+        let mut index = [0u8; 256];
+        for (i, &d) in (0..=u8::MAX).zip(&dict) {
+            index[usize::from(d)] = i;
         }
+        out.extend(values.map(|v| index[usize::from(v)]));
     }
 }
 
@@ -302,7 +327,7 @@ mod tests {
     fn varint_column_round_trips() {
         let values = [0u64, 1, 127, 128, u64::MAX, 4994];
         let mut out = Vec::new();
-        encode_varint_column(&values, &mut out);
+        encode_varint_column(values, &mut out);
         let mut buf = out.as_slice();
         let mut got = Vec::new();
         decode_varint_column_into(&mut buf, values.len(), &mut got).unwrap();
@@ -334,7 +359,7 @@ mod tests {
             };
             for v in [lo, hi, lo | 0x55, hi & !0x3c] {
                 let mut one = Vec::new();
-                encode_varint_column(&[v], &mut one);
+                encode_varint_column([v], &mut one);
                 assert_eq!(one.len(), len as usize, "value {v:#x}");
                 // Alone (the per-byte tail), then followed by eight bytes
                 // of padding (the window path for every length up to 8).
@@ -368,7 +393,7 @@ mod tests {
                 values.push(big);
                 values.extend(std::iter::repeat_n(9u64, trail));
                 let mut enc = Vec::new();
-                encode_varint_column(&values, &mut enc);
+                encode_varint_column(values.iter().copied(), &mut enc);
                 let mut buf = enc.as_slice();
                 let mut out = vec![1];
                 decode_varint_column_into(&mut buf, values.len(), &mut out).unwrap();
@@ -388,7 +413,7 @@ mod tests {
     fn delta_column_round_trips_and_compresses_sorted_data() {
         let sorted: Vec<u64> = (0..1000u64).map(|i| 1_000_000 + i * 3).collect();
         let mut out = Vec::new();
-        encode_delta_column(&sorted, &mut out);
+        encode_delta_column(sorted.iter().copied(), &mut out);
         assert!(
             out.len() < 1010,
             "sorted u64s should take ~1 byte each, got {}",
@@ -402,7 +427,7 @@ mod tests {
         // Wrapping deltas survive arbitrary jumps, including u64::MAX.
         let wild = [u64::MAX, 0, u64::MAX / 2, 1, u64::MAX];
         let mut out = Vec::new();
-        encode_delta_column(&wild, &mut out);
+        encode_delta_column(wild, &mut out);
         let mut buf = out.as_slice();
         let mut got = Vec::new();
         decode_delta_column_into(&mut buf, wild.len(), &mut got).unwrap();
@@ -413,20 +438,20 @@ mod tests {
     fn dict_column_round_trips_and_elides_constant_indices() {
         let constant = vec![5u8; 100];
         let mut out = Vec::new();
-        encode_dict_column(&constant, &mut out);
+        encode_dict_column(constant.iter().copied(), &mut out);
         assert_eq!(out.len(), 2, "constant column stores only the dictionary");
         let mut buf = out.as_slice();
         assert_eq!(decode_dict_column(&mut buf, 100).unwrap(), constant);
 
         let mixed = [1u8, 3, 1, 7, 3, 3, 1];
         let mut out = Vec::new();
-        encode_dict_column(&mixed, &mut out);
+        encode_dict_column(mixed, &mut out);
         let mut buf = out.as_slice();
         assert_eq!(decode_dict_column(&mut buf, mixed.len()).unwrap(), mixed);
 
         let empty: [u8; 0] = [];
         let mut out = Vec::new();
-        encode_dict_column(&empty, &mut out);
+        encode_dict_column(empty, &mut out);
         let mut buf = out.as_slice();
         assert!(decode_dict_column(&mut buf, 0).unwrap().is_empty());
     }

@@ -81,7 +81,7 @@ pub use replica::{FailoverReport, InjectReport, ReplicaConfig, ReplicaSet, Scrub
 pub use sealed::{ArchiveReader, SealedSegment};
 pub use segment::{SegmentBuilder, ZoneMap, SEGMENT_ROWS};
 
-/// Everything that can go wrong opening or scanning an archive.
+/// Everything that can go wrong building, opening or scanning an archive.
 ///
 /// Decoders are total: malformed input always surfaces here, never as a
 /// panic — the store crate is held to the same no-panic rule (CH003:
@@ -122,6 +122,9 @@ pub enum StoreError {
         /// Whole segments recoverable from the sealed prefix.
         recovered_segments: u64,
     },
+    /// A [`SegmentBuilder`] already holds [`SEGMENT_ROWS`] rows, the most
+    /// a reader accepts in one segment; the refused record was not added.
+    SegmentFull,
     /// The underlying file could not be read or written.
     Io(std::io::Error),
 }
@@ -144,6 +147,10 @@ impl std::fmt::Display for StoreError {
                 f,
                 "archive tail torn (crash mid-seal); {recovered_segments} sealed \
                  segment(s) recoverable"
+            ),
+            StoreError::SegmentFull => write!(
+                f,
+                "segment builder is full ({SEGMENT_ROWS} rows); seal it first"
             ),
             StoreError::Io(e) => write!(f, "archive i/o error: {e}"),
         }

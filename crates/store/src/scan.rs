@@ -464,7 +464,7 @@ mod tests {
     fn sealed(events: &[OrderedEvent]) -> crate::SealedSegment {
         let mut b = SegmentBuilder::default();
         for e in events {
-            b.push(e);
+            b.push(e).unwrap();
         }
         b.seal()
     }

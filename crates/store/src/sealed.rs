@@ -230,7 +230,7 @@ mod tests {
         let events = stream(100);
         let mut b = SegmentBuilder::default();
         for e in &events {
-            b.push(e);
+            b.push(e).unwrap();
         }
         let sealed = b.seal();
         assert_eq!(sealed.rows(), 100);
@@ -252,7 +252,7 @@ mod tests {
         for chunk in events.chunks(128) {
             let mut b = SegmentBuilder::default();
             for e in chunk {
-                b.push(e);
+                b.push(e).unwrap();
             }
             segments.push(b.seal());
         }
@@ -291,7 +291,7 @@ mod tests {
         for chunk in events.chunks(128) {
             let mut b = SegmentBuilder::default();
             for e in chunk {
-                b.push(e);
+                b.push(e).unwrap();
             }
             segments.push(b.seal());
         }

@@ -28,6 +28,7 @@ use charisma_trace::record::{AccessKind, EventBody};
 use charisma_trace::OrderedEvent;
 
 use crate::codec::{encode_delta_column, encode_dict_column, encode_varint_column};
+use crate::integrity::CHECKSUM_LEN;
 use crate::StoreError;
 
 /// Rows per segment. Small enough that a pruned segment saves real work at
@@ -305,7 +306,15 @@ pub struct SegmentBuilder {
 impl SegmentBuilder {
     /// Append one record. Records must arrive in stream order for the
     /// canonical-bytes guarantee (the builder does not re-sort).
-    pub fn push(&mut self, e: &OrderedEvent) {
+    ///
+    /// A builder holds at most [`SEGMENT_ROWS`] rows, the most a reader
+    /// accepts in one segment: a record past that is refused with
+    /// [`StoreError::SegmentFull`] and the builder is left unchanged, so
+    /// every builder seals into a segment its own reader reopens.
+    pub fn push(&mut self, e: &OrderedEvent) -> Result<(), StoreError> {
+        if self.rows.len() >= SEGMENT_ROWS {
+            return Err(StoreError::SegmentFull);
+        }
         let row = row_from_event(e);
         Bounds::observe(&mut self.time, row.time);
         Bounds::observe(&mut self.node, row.node);
@@ -321,6 +330,7 @@ impl SegmentBuilder {
             _ => {}
         }
         self.rows.push(row);
+        Ok(())
     }
 
     /// Rows accumulated so far.
@@ -350,47 +360,63 @@ impl SegmentBuilder {
     /// The blob ends with an integrity checksum over the row count and all
     /// ten column frames, so `zone.len` covers the checksum and any byte
     /// flip inside the blob is detectable without decoding a value.
+    ///
+    /// Each column is encoded straight from the rows into one buffer that
+    /// holds all ten back to back; `out` then grows once and takes each
+    /// column behind its length prefix, which is what lets a reader skip
+    /// the columns it does not need.
     pub(crate) fn finish(self, out: &mut Vec<u8>) -> ZoneMap {
+        let rows = &self.rows;
+        let n = rows.len();
+        let mut cols = Vec::new();
+        let ends = [
+            column(&mut cols, n, |c| {
+                encode_delta_column(rows.iter().map(|r| r.time), c)
+            }),
+            column(&mut cols, n, |c| {
+                encode_varint_column(rows.iter().map(|r| u64::from(r.node)), c);
+            }),
+            column(&mut cols, n, |c| {
+                encode_dict_column(rows.iter().map(|r| r.op), c)
+            }),
+            column(&mut cols, n, |c| {
+                encode_varint_column(rows.iter().map(|r| u64::from(r.job)), c);
+            }),
+            column(&mut cols, n, |c| {
+                encode_varint_column(rows.iter().map(|r| u64::from(r.file)), c);
+            }),
+            column(&mut cols, n, |c| {
+                encode_varint_column(rows.iter().map(|r| u64::from(r.session)), c);
+            }),
+            column(&mut cols, n, |c| {
+                encode_dict_column(rows.iter().map(|r| r.mode), c)
+            }),
+            column(&mut cols, n, |c| {
+                encode_dict_column(rows.iter().map(|r| r.flags), c)
+            }),
+            column(&mut cols, n, |c| {
+                encode_delta_column(rows.iter().map(|r| r.offset), c)
+            }),
+            column(&mut cols, n, |c| {
+                encode_delta_column(rows.iter().map(|r| r.size), c)
+            }),
+        ];
         let start = out.len();
-        let n = self.rows.len();
+        // The row count and ten length prefixes take at most ten bytes each.
+        out.reserve((COLUMN_COUNT + 1) * 10 + cols.len() + CHECKSUM_LEN);
         out.put_varint_u64(n as u64);
-        encode_column(out, |col| {
-            encode_delta_column(&collect(&self.rows, |r| r.time), col)
-        });
-        encode_column(out, |col| {
-            encode_varint_column(&collect(&self.rows, |r| u64::from(r.node)), col)
-        });
-        encode_column(out, |col| {
-            encode_dict_column(&collect8(&self.rows, |r| r.op), col)
-        });
-        encode_column(out, |col| {
-            encode_varint_column(&collect(&self.rows, |r| u64::from(r.job)), col)
-        });
-        encode_column(out, |col| {
-            encode_varint_column(&collect(&self.rows, |r| u64::from(r.file)), col)
-        });
-        encode_column(out, |col| {
-            encode_varint_column(&collect(&self.rows, |r| u64::from(r.session)), col)
-        });
-        encode_column(out, |col| {
-            encode_dict_column(&collect8(&self.rows, |r| r.mode), col)
-        });
-        encode_column(out, |col| {
-            encode_dict_column(&collect8(&self.rows, |r| r.flags), col)
-        });
-        encode_column(out, |col| {
-            encode_delta_column(&collect(&self.rows, |r| r.offset), col)
-        });
-        encode_column(out, |col| {
-            encode_delta_column(&collect(&self.rows, |r| r.size), col)
-        });
+        let mut from = 0;
+        for end in ends {
+            out.put_varint_u64((end - from) as u64);
+            out.put_slice(&cols[from..end]);
+            from = end;
+        }
         let sum = crate::integrity::checksum(&out[start..]);
         out.put_u64_le(sum);
         ZoneMap {
             offset: start as u64,
             len: (out.len() - start) as u64,
-            // n <= SEGMENT_ROWS by construction; saturate rather than wrap
-            // if that invariant ever breaks, so the zone map stays sane.
+            // n <= SEGMENT_ROWS: `push` refuses any row past it.
             rows: u32::try_from(n).unwrap_or(u32::MAX),
             time: self.time.unwrap_or(Bounds { min: 0, max: 0 }),
             node: self.node.unwrap_or(Bounds { min: 0, max: 0 }),
@@ -401,22 +427,12 @@ impl SegmentBuilder {
     }
 }
 
-fn collect(rows: &[Row], f: impl Fn(&Row) -> u64) -> Vec<u64> {
-    rows.iter().map(f).collect()
-}
-
-fn collect8(rows: &[Row], f: impl Fn(&Row) -> u8) -> Vec<u8> {
-    rows.iter().map(f).collect()
-}
-
-/// Write one length-prefixed column: the byte length as a varint, then the
-/// column bytes. The prefix is what lets a reader skip columns it does not
-/// need.
-fn encode_column(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
-    let mut col = Vec::new();
-    encode(&mut col);
-    out.put_varint_u64(col.len() as u64);
-    out.put_slice(&col);
+/// Append one column of `rows` rows to `cols` and return where it ends.
+fn column(cols: &mut Vec<u8>, rows: usize, encode: impl FnOnce(&mut Vec<u8>)) -> usize {
+    // Every column but a constant dictionary takes a byte per row or more.
+    cols.reserve(rows);
+    encode(cols);
+    cols.len()
 }
 
 #[cfg(test)]
@@ -483,12 +499,99 @@ mod tests {
         ]
     }
 
+    /// The every-tag sample, then rows whose deltas take 9- and 10-byte
+    /// varints: time jumps past 2^56 and on to `u64::MAX`, a read at offset
+    /// 2^63 (its zigzag delta is `u64::MAX`), reads back down towards zero,
+    /// and a close whose size is past 2^57.
+    fn wide_events() -> Vec<OrderedEvent> {
+        let mut events = sample_events();
+        let far = 1u64 << 56;
+        let read = |us, offset| OrderedEvent {
+            time: SimTime::from_micros(us),
+            node: 3,
+            body: EventBody::Read {
+                session: 9,
+                offset,
+                bytes: u32::MAX,
+            },
+        };
+        events.extend([
+            read(far, 1 << 63),
+            read(far + 1, 1 << 62),
+            read(far + 2, 5),
+            OrderedEvent {
+                time: SimTime::from_micros(u64::MAX),
+                node: 3,
+                body: EventBody::Close {
+                    session: 9,
+                    size: (1 << 57) + 3,
+                },
+            },
+        ]);
+        events
+    }
+
+    /// FNV-1a over `bytes`, written out here so the pin below does not
+    /// lean on anything the store computes.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn sealed_bytes_are_pinned() {
+        let events = wide_events();
+        let mut builder = SegmentBuilder::default();
+        for e in &events {
+            builder.push(e).unwrap();
+        }
+        let sealed = builder.seal();
+        let bytes = sealed.bytes();
+        // Taken from the byte-at-a-time writer the word-at-a-time one
+        // replaced: these bytes are the format and must not move.
+        assert_eq!(
+            (fnv1a(bytes), bytes.len()),
+            (0x4599_f203_3fb1_65c8, 207),
+            "the canonical segment bytes moved"
+        );
+        assert_eq!(decode_segment(bytes, sealed.rows()).unwrap(), events);
+    }
+
+    #[test]
+    fn a_full_builder_refuses_a_row_and_is_left_unchanged() {
+        let events = wide_events();
+        let fill = || {
+            let mut builder = SegmentBuilder::default();
+            for e in events.iter().cycle().take(SEGMENT_ROWS) {
+                builder.push(e).unwrap();
+            }
+            builder
+        };
+        let mut refused = fill();
+        // A job and file outside the segment's bounds: a refused row must
+        // not widen the zone map either.
+        let outsider = OrderedEvent {
+            time: SimTime::ZERO,
+            node: 0,
+            body: EventBody::Delete { job: 7, file: 99 },
+        };
+        assert!(matches!(
+            refused.push(&outsider),
+            Err(StoreError::SegmentFull)
+        ));
+        assert_eq!(refused.len(), SEGMENT_ROWS);
+        let sealed = refused.seal();
+        assert_eq!(sealed, fill().seal());
+        assert_eq!(sealed.rows() as usize, SEGMENT_ROWS);
+    }
+
     #[test]
     fn segment_round_trips_every_tag() {
         let events = sample_events();
         let mut builder = SegmentBuilder::default();
         for e in &events {
-            builder.push(e);
+            builder.push(e).unwrap();
         }
         let mut out = Vec::new();
         let zone = builder.finish(&mut out);
@@ -504,7 +607,7 @@ mod tests {
         let events = sample_events();
         let mut builder = SegmentBuilder::default();
         for e in &events {
-            builder.push(e);
+            builder.push(e).unwrap();
         }
         let mut out = Vec::new();
         let zone = builder.finish(&mut out);
@@ -522,15 +625,17 @@ mod tests {
 
         // A reads-only segment names no jobs or files.
         let mut builder = SegmentBuilder::default();
-        builder.push(&OrderedEvent {
-            time: SimTime::from_micros(1),
-            node: 0,
-            body: EventBody::Read {
-                session: 1,
-                offset: 0,
-                bytes: 8,
-            },
-        });
+        builder
+            .push(&OrderedEvent {
+                time: SimTime::from_micros(1),
+                node: 0,
+                body: EventBody::Read {
+                    session: 1,
+                    offset: 0,
+                    bytes: 8,
+                },
+            })
+            .unwrap();
         let zone = builder.finish(&mut Vec::new());
         assert_eq!(zone.jobs, None);
         assert_eq!(zone.files, None);
@@ -542,7 +647,7 @@ mod tests {
         let events = sample_events();
         let mut builder = SegmentBuilder::default();
         for e in &events {
-            builder.push(e);
+            builder.push(e).unwrap();
         }
         let zone = builder.finish(&mut Vec::new());
         let mut out = Vec::new();
@@ -558,7 +663,7 @@ mod tests {
         let events = sample_events();
         let mut builder = SegmentBuilder::default();
         for e in &events {
-            builder.push(e);
+            builder.push(e).unwrap();
         }
         let mut out = Vec::new();
         let zone = builder.finish(&mut out);

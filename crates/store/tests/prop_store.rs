@@ -1,7 +1,8 @@
 //! Property tests for the columnar archive.
 //!
 //! Three layers, three promises:
-//! * every column codec is a bijection on arbitrary value sequences, and
+//! * every column codec is a bijection on arbitrary value sequences, the
+//!   encoders write exactly the bytes of a per-byte reference writer, and
 //!   the batched decoders agree with a per-byte reference decoder on
 //!   arbitrary (hostile) bytes;
 //! * the archive round-trips arbitrary record streams exactly (and the
@@ -11,12 +12,13 @@
 //!   records a plain filter over the full stream returns — pruning can
 //!   skip work but never drop a match.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 use charisma_ipsc::SimTime;
 use charisma_store::{
     decode_delta_column_into, decode_dict_column, decode_varint_column_into, encode_delta_column,
     encode_dict_column, encode_varint_column, unzigzag, write_archive, zigzag, Archive,
-    ArchiveMeta, ArchiveReader, OpClass, OpSet, Query, SealedSegment, SegmentBuilder, ZoneMap,
+    ArchiveMeta, ArchiveReader, OpClass, OpSet, Query, SealedSegment, SegmentBuilder, StoreError,
+    ZoneMap, SEGMENT_ROWS,
 };
 use charisma_trace::record::{AccessKind, EventBody};
 use charisma_trace::OrderedEvent;
@@ -149,12 +151,12 @@ fn arb_varint_piece() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
         (any::<u64>(), 0u32..64).prop_map(|(v, shift)| {
             let mut out = Vec::new();
-            encode_varint_column(&[v >> shift], &mut out);
+            ref_put_varint(&mut out, v >> shift);
             out
         }),
         (0u64..1 << 21, 1usize..10).prop_map(|(v, extra)| {
             let mut out = Vec::new();
-            encode_varint_column(&[v], &mut out);
+            ref_put_varint(&mut out, v);
             if let Some(last) = out.last_mut() {
                 *last |= 0x80;
             }
@@ -200,7 +202,7 @@ fn arb_hostile_dict() -> impl Strategy<Value = Vec<u8>> {
         )
             .prop_map(|(dict_len, dict, short, indices, cut)| {
                 let mut bytes = Vec::new();
-                encode_varint_column(&[dict_len], &mut bytes);
+                ref_put_varint(&mut bytes, dict_len);
                 let fill = usize::try_from(dict_len).unwrap_or(0).min(256);
                 bytes.extend(
                     dict.iter()
@@ -234,6 +236,79 @@ fn ref_varint(buf: &mut &[u8]) -> Option<u64> {
         }
         shift += 7;
     }
+}
+
+/// The reference writer: `v` as one LEB128 varint, a byte at a time —
+/// seven value bits per byte, low bits first, the high bit of every byte
+/// but the last set.
+fn ref_put_varint(out: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let low = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(low);
+            return;
+        }
+        out.push(low | 0x80);
+    }
+}
+
+/// The reference varint column: one reference varint per value.
+fn ref_varint_column(values: &[u64]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for &v in values {
+        ref_put_varint(&mut out, v);
+    }
+    out
+}
+
+/// The reference delta column: each value's wrapping delta from the one
+/// before (the first from 0), zigzagged (0, -1, 1, -2 → 0, 1, 2, 3) and
+/// written by the reference writer.
+fn ref_delta_column(values: &[u64]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut prev = 0u64;
+    for &v in values {
+        let delta = v.wrapping_sub(prev) as i64;
+        ref_put_varint(&mut out, ((delta << 1) ^ (delta >> 63)) as u64);
+        prev = v;
+    }
+    out
+}
+
+/// The reference dictionary column: the distinct bytes in order of first
+/// appearance behind their count, then each row's position in that list
+/// unless the list has one entry.
+fn ref_dict_column(values: &[u8]) -> Vec<u8> {
+    let mut dict: Vec<u8> = Vec::new();
+    for v in values {
+        if !dict.contains(v) {
+            dict.push(*v);
+        }
+    }
+    let mut out = Vec::new();
+    ref_put_varint(&mut out, dict.len() as u64);
+    out.extend_from_slice(&dict);
+    if dict.len() > 1 {
+        for v in values {
+            let idx = dict.iter().position(|d| d == v).expect("in the dictionary");
+            out.push(u8::try_from(idx).expect("at most 256 entries"));
+        }
+    }
+    out
+}
+
+/// Every varint length boundary with its length in bytes: 0, then
+/// 2^(7k) - 1 and 2^(7k) (the largest k-byte and the smallest
+/// (k+1)-byte value) for k = 1..9, then `u64::MAX`.
+fn varint_boundaries() -> Vec<(u64, usize)> {
+    let mut values = vec![(0, 1)];
+    for k in 1..=9 {
+        values.push(((1u64 << (7 * k)) - 1, k));
+        values.push((1u64 << (7 * k), k + 1));
+    }
+    values.push((u64::MAX, 10));
+    values
 }
 
 /// `n` reference varints: the values and the bytes left, or the bytes
@@ -323,9 +398,9 @@ fn columns_of(seg: &SealedSegment) -> Vec<Vec<u8>> {
 /// checksum, and give it `zone`.
 fn reseal(rows: usize, columns: &[Vec<u8>], zone: ZoneMap) -> SealedSegment {
     let mut blob = Vec::new();
-    encode_varint_column(&[rows as u64], &mut blob);
+    ref_put_varint(&mut blob, rows as u64);
     for col in columns {
-        encode_varint_column(&[col.len() as u64], &mut blob);
+        ref_put_varint(&mut blob, col.len() as u64);
         blob.extend_from_slice(col);
     }
     let sum = ref_checksum(&blob);
@@ -370,15 +445,13 @@ fn ref_event(values: &[u64], zone: ZoneMap) -> Option<OrderedEvent> {
         .iter()
         .enumerate()
         .map(|(col, &v)| {
-            let mut out = Vec::new();
-            if DICT_COLUMNS.contains(&col) {
-                encode_dict_column(&[u8::try_from(v).ok()?], &mut out);
+            Some(if DICT_COLUMNS.contains(&col) {
+                ref_dict_column(&[u8::try_from(v).ok()?])
             } else if DELTA_COLUMNS.contains(&col) {
-                encode_delta_column(&[v], &mut out);
+                ref_delta_column(&[v])
             } else {
-                encode_varint_column(&[v], &mut out);
-            }
-            Some(out)
+                ref_varint_column(&[v])
+            })
         })
         .collect::<Option<_>>()?;
     let mut zone = zone;
@@ -435,7 +508,7 @@ proptest! {
     #[test]
     fn varint_column_round_trips(values in proptest::collection::vec(any::<u64>(), 0..200)) {
         let mut out = Vec::new();
-        encode_varint_column(&values, &mut out);
+        encode_varint_column(values.iter().copied(), &mut out);
         let mut buf = out.as_slice();
         let mut got = Vec::new();
         decode_varint_column_into(&mut buf, values.len(), &mut got).unwrap();
@@ -447,7 +520,7 @@ proptest! {
     #[test]
     fn delta_column_round_trips(values in proptest::collection::vec(any::<u64>(), 0..200)) {
         let mut out = Vec::new();
-        encode_delta_column(&values, &mut out);
+        encode_delta_column(values.iter().copied(), &mut out);
         let mut buf = out.as_slice();
         let mut got = Vec::new();
         decode_delta_column_into(&mut buf, values.len(), &mut got).unwrap();
@@ -465,7 +538,7 @@ proptest! {
     #[test]
     fn dict_column_round_trips(values in proptest::collection::vec(any::<u8>(), 0..300)) {
         let mut out = Vec::new();
-        encode_dict_column(&values, &mut out);
+        encode_dict_column(values.iter().copied(), &mut out);
         let mut buf = out.as_slice();
         prop_assert_eq!(decode_dict_column(&mut buf, values.len()).unwrap(), values);
         prop_assert!(buf.is_empty());
@@ -506,7 +579,7 @@ proptest! {
         prefix in proptest::collection::vec(any::<u64>(), 0..5),
     ) {
         let mut enc = Vec::new();
-        encode_varint_column(&values, &mut enc);
+        encode_varint_column(values.iter().copied(), &mut enc);
         let mut out = prefix.clone();
         let mut buf = enc.as_slice();
         decode_varint_column_into(&mut buf, values.len(), &mut out).unwrap();
@@ -514,7 +587,7 @@ proptest! {
         prop_assert_eq!(&out[prefix.len()..], values.as_slice());
 
         let mut enc = Vec::new();
-        encode_delta_column(&values, &mut enc);
+        encode_delta_column(values.iter().copied(), &mut enc);
         let mut out = prefix.clone();
         let mut buf = enc.as_slice();
         decode_delta_column_into(&mut buf, values.len(), &mut out).unwrap();
@@ -610,7 +683,7 @@ proptest! {
         let events = &events[..rows.min(events.len())];
         let mut b = SegmentBuilder::default();
         for e in events {
-            b.push(e);
+            b.push(e).unwrap();
         }
         let base = b.seal();
         let zone = *base.zone();
@@ -651,7 +724,7 @@ proptest! {
             .map(|chunk| {
                 let mut b = SegmentBuilder::default();
                 for e in chunk {
-                    b.push(e);
+                    b.push(e).unwrap();
                 }
                 b.seal()
             })
@@ -667,5 +740,115 @@ proptest! {
         // phase must never run — on every segment geometry.
         let empty = reader.query(q.jobs(&[])).workers(workers).events().unwrap();
         prop_assert!(empty.is_empty());
+    }
+}
+
+/// The varint writer — the shim's `put_varint_u64` and the codec's
+/// varint and delta columns — writes exactly the reference bytes at every
+/// length boundary, alone and appended to bytes already written.
+#[test]
+fn varint_writers_match_the_reference_at_every_length_boundary() {
+    let boundaries = varint_boundaries();
+    for &(v, len) in &boundaries {
+        let want = ref_varint_column(&[v]);
+        assert_eq!(want.len(), len, "reference length of {v:#x}");
+        let mut put = vec![0xa5];
+        put.put_varint_u64(v);
+        assert_eq!(put[1..], want, "put_varint_u64({v:#x})");
+        let mut column = Vec::new();
+        encode_varint_column([v], &mut column);
+        assert_eq!(column, want, "varint column of {v:#x}");
+    }
+    let values: Vec<u64> = boundaries.iter().map(|&(v, _)| v).collect();
+    let mut column = vec![0xa5];
+    encode_varint_column(values.iter().copied(), &mut column);
+    assert_eq!(column[1..], ref_varint_column(&values));
+    let mut column = vec![0xa5];
+    encode_delta_column(values.iter().copied(), &mut column);
+    assert_eq!(column[1..], ref_delta_column(&values));
+    // Descending, so every delta is negative and zigzags to an odd code.
+    let down: Vec<u64> = values.iter().rev().copied().collect();
+    let mut column = Vec::new();
+    encode_delta_column(down.iter().copied(), &mut column);
+    assert_eq!(column, ref_delta_column(&down));
+}
+
+/// The dictionary encoder writes the reference bytes on an empty, a
+/// constant, a two-value and an all-256-distinct column.
+#[test]
+fn dict_writer_matches_the_reference_on_edge_alphabets() {
+    let all: Vec<u8> = (0..=255u8).map(|b| b.wrapping_mul(167)).collect();
+    let twice: Vec<u8> = all.iter().chain(all.iter().rev()).copied().collect();
+    let columns: [&[u8]; 6] = [&[], &[7; 300], &[3, 9, 9, 3, 3, 9], &[255, 0], &all, &twice];
+    for values in columns {
+        let mut out = Vec::new();
+        encode_dict_column(values.iter().copied(), &mut out);
+        assert_eq!(out, ref_dict_column(values), "column {values:?}");
+    }
+}
+
+proptest! {
+    /// On arbitrary values of every width, the varint and delta columns
+    /// and the shim's writer produce exactly the reference bytes.
+    #[test]
+    fn varint_writers_match_the_reference_on_any_values(
+        raw in proptest::collection::vec((any::<u64>(), 0u32..64), 0..200),
+    ) {
+        let values: Vec<u64> = raw.iter().map(|&(v, shift)| v >> shift).collect();
+        let mut column = Vec::new();
+        encode_varint_column(values.iter().copied(), &mut column);
+        prop_assert_eq!(&column, &ref_varint_column(&values));
+        let mut put = Vec::new();
+        for &v in &values {
+            put.put_varint_u64(v);
+        }
+        prop_assert_eq!(&put, &column);
+        let mut column = Vec::new();
+        encode_delta_column(values.iter().copied(), &mut column);
+        prop_assert_eq!(column, ref_delta_column(&values));
+    }
+
+    /// On arbitrary bytes, over small and full alphabets, the dictionary
+    /// encoder produces exactly the reference bytes.
+    #[test]
+    fn dict_writer_matches_the_reference_on_any_bytes(
+        values in prop_oneof![
+            proptest::collection::vec(0u8..3, 0..300),
+            proptest::collection::vec(any::<u8>(), 0..600),
+        ],
+    ) {
+        let mut out = Vec::new();
+        encode_dict_column(values.iter().copied(), &mut out);
+        prop_assert_eq!(out, ref_dict_column(&values));
+    }
+
+    /// A builder takes rows up to `SEGMENT_ROWS` and refuses every row
+    /// past it, and whatever it seals — the full segment included — is
+    /// a container its own reader reopens with exactly the accepted rows.
+    #[test]
+    fn every_sealable_builder_reopens_from_its_container(
+        events in arb_stream(),
+        rows in prop_oneof![Just(SEGMENT_ROWS), 1..=SEGMENT_ROWS],
+        extra in 0usize..3,
+    ) {
+        let fallback = [OrderedEvent {
+            time: SimTime::from_micros(1),
+            node: 0,
+            body: EventBody::JobEnd { job: 1 },
+        }];
+        let events = if events.is_empty() { &fallback[..] } else { &events[..] };
+        let mut b = SegmentBuilder::default();
+        let mut accepted = Vec::new();
+        for e in events.iter().cycle().take(rows + extra) {
+            match b.push(e) {
+                Ok(()) => accepted.push(*e),
+                Err(StoreError::SegmentFull) => prop_assert_eq!(b.len(), SEGMENT_ROWS),
+                Err(other) => panic!("push failed: {other}"),
+            }
+        }
+        prop_assert_eq!(accepted.len(), (rows + extra).min(SEGMENT_ROWS));
+        let reader = ArchiveReader::new(META, vec![b.seal()]);
+        let reopened = Archive::from_bytes(reader.to_bytes()).unwrap();
+        prop_assert_eq!(reopened.events().unwrap(), accepted);
     }
 }

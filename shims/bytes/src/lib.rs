@@ -10,7 +10,9 @@
 //! report truncation instead of panicking, so this shim additionally
 //! carries [`BufMut::put_varint_u64`] and the `try_get_*` family on
 //! [`Buf`]. Per the ROADMAP, shims are extended in place rather than
-//! pulling in registry crates.
+//! pulling in registry crates. Every store column, zone map and footer
+//! goes through the varint writer, so it builds each varint in a word and
+//! appends it in one fixed-size copy rather than a byte at a time.
 //!
 //! The shim also provides [`Bytes`]: an immutable, cheaply-cloneable byte
 //! buffer with shared (`Arc`-backed) ownership and zero-copy
@@ -277,23 +279,66 @@ pub trait BufMut {
     /// Append `v` as an LEB128 varint: seven value bits per byte, low
     /// bits first, high bit of each byte marking continuation. At most 10
     /// bytes; values below 128 take one.
-    fn put_varint_u64(&mut self, mut v: u64) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.put_u8(byte);
-                return;
-            }
-            self.put_u8(byte | 0x80);
-        }
-    }
+    fn put_varint_u64(&mut self, v: u64);
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }
+
+    /// Appends all ten bytes `varint_bytes` builds in one fixed-size
+    /// copy, then cuts the vector back to the varint's length: no
+    /// per-byte appends, and no variable-length copy (which costs a
+    /// `memcpy` call per varint).
+    #[inline]
+    fn put_varint_u64(&mut self, v: u64) {
+        let (bytes, len) = varint_bytes(v);
+        let end = self.len() + len;
+        self.extend_from_slice(&bytes);
+        self.truncate(end);
+    }
+}
+
+/// The LEB128 varint of `v` in the first `len` bytes of a ten-byte
+/// buffer, and `len`.
+///
+/// The varint is built in a word, not a byte at a time: the low 56 bits
+/// are spread into eight 7-bit groups, one per byte, in three
+/// mask-and-shift steps (the inverse of the store's windowed decoder),
+/// and the continuation bits of all but the last byte are set with one
+/// mask. Bits 56 and up, present only in values of 2^56 and more, fill
+/// the ninth and tenth bytes.
+#[inline]
+fn varint_bytes(v: u64) -> ([u8; 10], usize) {
+    // ceil(bits / 7) for 1..=64 significant bits; zero takes one byte.
+    let bits = u64::BITS - (v | 1).leading_zeros();
+    let len = ((bits * 9 + 64) / 64) as usize;
+    // Every byte but the varint's last carries a continuation bit.
+    let continued = (len as u32 - 1).min(8);
+    let more = VARINT_CONTINUATION
+        .checked_shr(64 - 8 * continued)
+        .unwrap_or(0);
+    let high = v >> 56;
+    let mut buf = [0u8; 10];
+    buf[..8].copy_from_slice(&(spread_varint_groups(v) | more).to_le_bytes());
+    buf[8] = (high as u8 & 0x7f) | if len == 10 { 0x80 } else { 0 };
+    buf[9] = (high >> 7) as u8;
+    (buf, len)
+}
+
+/// The continuation bit of each of a word's eight bytes.
+const VARINT_CONTINUATION: u64 = 0x8080_8080_8080_8080;
+
+/// Spread the low 56 bits of `v` into eight 7-bit groups, group `i` in
+/// the low seven bits of byte `i`: halves of 28 bits, then quarters of
+/// 14, then the 7-bit groups. Bits 56 and up are dropped.
+#[inline]
+fn spread_varint_groups(v: u64) -> u64 {
+    let v = (v & 0x0000_0000_0fff_ffff) | ((v & 0x00ff_ffff_f000_0000) << 4);
+    let v = (v & 0x0000_3fff_0000_3fff) | ((v & 0x0fff_c000_0fff_c000) << 2);
+    (v & 0x007f_007f_007f_007f) | ((v & 0x3f80_3f80_3f80_3f80) << 1)
 }
 
 #[cfg(test)]
