@@ -2,9 +2,10 @@
 //!
 //! [`LruCache`] holds 4 KB blocks keyed by `(file, block)` under LRU
 //! replacement: `access` returns whether the block was resident (a hit)
-//! and makes it resident, evicting if full. The CFS simulator gives each
-//! I/O node one, and the §4.8 compute-node and prefetch simulations reuse
-//! it. The Figure 9 I/O-node simulations (LRU, FIFO and the paper's §5
+//! and makes it resident, evicting if full; `touch` does the same and
+//! also names the block it evicted. The CFS simulator gives each I/O node
+//! one, and the §4.8 compute-node and prefetch simulations reuse it. The
+//! Figure 9 I/O-node simulations (LRU, FIFO and the paper's §5
 //! interprocess-locality policy) run on the cache simulator's own banks
 //! over dense block ids instead.
 
@@ -222,6 +223,20 @@ struct LruEntry {
 /// The null slab link. Slab indices stay below it: see [`LruCache::new`].
 const NIL: u32 = u32::MAX;
 
+/// What one [`LruCache::touch`] did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Touch {
+    /// The block was resident.
+    Hit,
+    /// The block was fetched. `evicted` is the block that is no longer
+    /// resident because of it: the least recent one when the cache was
+    /// full, or the fetched block itself in a cache of capacity 0.
+    Miss {
+        /// The block that left the cache, if any.
+        evicted: Option<BlockKey>,
+    },
+}
+
 impl LruCache {
     /// The largest capacity, in blocks: slab indices are `u32`s below
     /// `NIL`, so a cache holds at most `u32::MAX` blocks.
@@ -278,30 +293,38 @@ impl LruCache {
     /// Touch `key`. Returns true on a hit (block was resident). On a miss
     /// the block is fetched (made resident), evicting the least recent
     /// block if full.
+    #[inline]
+    pub fn access(&mut self, key: BlockKey) -> bool {
+        self.touch(key) == Touch::Hit
+    }
+
+    /// [`Self::access`] that also reports which block a miss evicted.
     ///
     /// One probe finds `key`. A miss fills the empty slot that probe ended
     /// on before the victim leaves: removing the victim first could shift
     /// another entry into that slot. The victim's slab entry is reused in
     /// place for the new block.
     #[inline]
-    pub fn access(&mut self, key: BlockKey) -> bool {
+    pub fn touch(&mut self, key: BlockKey) -> Touch {
         if self.capacity == 0 {
-            return false;
+            return Touch::Miss { evicted: Some(key) };
         }
         let vacant = match self.map.find(key) {
             Ok((_, i)) => {
                 self.unlink(i);
                 self.push_front(i);
-                return true;
+                return Touch::Hit;
             }
             Err(vacant) => vacant,
         };
+        let mut evicted = None;
         let i = if self.map.len() >= self.capacity {
             let victim = self.tail;
             let gone = self.slab[victim as usize].key;
             self.map.fill(vacant, key, victim);
             self.map.remove(gone);
             self.unlink(victim);
+            evicted = Some(gone);
             victim
         } else {
             // Below capacity, so below `MAX_CAPACITY`: the new index fits.
@@ -332,7 +355,7 @@ impl LruCache {
             self.slab[self.head as usize].key == key,
             "LRU head is not the just-touched block"
         );
-        false
+        Touch::Miss { evicted }
     }
 
     /// Whether `key` is resident, without touching recency.
@@ -355,12 +378,15 @@ impl LruCache {
         self.capacity
     }
 
-    /// Drop a block if resident (e.g. on file deletion).
-    pub fn invalidate(&mut self, key: BlockKey) {
-        if let Some(i) = self.map.remove(key) {
-            self.unlink(i);
-            self.free.push(i);
-        }
+    /// Drop a block if resident (e.g. on file deletion); returns whether
+    /// it was.
+    pub fn invalidate(&mut self, key: BlockKey) -> bool {
+        let Some(i) = self.map.remove(key) else {
+            return false;
+        };
+        self.unlink(i);
+        self.free.push(i);
+        true
     }
 }
 
@@ -585,16 +611,31 @@ mod tests {
         let mut lru = LruCache::new(0);
         for _ in 0..3 {
             assert!(!lru.access(k(0)));
+            let evicted = Some(k(0));
+            assert_eq!(lru.touch(k(0)), Touch::Miss { evicted }, "leaves at once");
         }
         assert!(lru.is_empty());
+    }
+
+    #[test]
+    fn touch_names_the_evicted_block() {
+        let mut lru = LruCache::new(2);
+        assert_eq!(lru.touch(k(0)), Touch::Miss { evicted: None });
+        assert_eq!(lru.touch(k(1)), Touch::Miss { evicted: None });
+        assert_eq!(lru.touch(k(0)), Touch::Hit);
+        let evicted = Some(k(1));
+        assert_eq!(lru.touch(k(2)), Touch::Miss { evicted }, "k1 is LRU");
+        lru.invalidate(k(0));
+        assert_eq!(lru.touch(k(3)), Touch::Miss { evicted: None }, "room");
     }
 
     #[test]
     fn invalidate_removes() {
         let mut lru = LruCache::new(4);
         lru.access(k(1));
-        lru.invalidate(k(1));
+        assert!(lru.invalidate(k(1)), "was resident");
         assert!(!lru.contains(k(1)));
+        assert!(!lru.invalidate(k(1)), "already gone");
         assert!(!lru.access(k(1)), "miss after invalidation");
     }
 }

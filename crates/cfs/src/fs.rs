@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use charisma_ipsc::{Duration, Machine, SimTime};
 use charisma_obs::{Counter, Histogram, HistogramTally, MetricsRegistry};
 
-use crate::cache::LruCache;
+use crate::cache::{LruCache, Touch};
 use crate::disk::{DiskModel, DiskState};
 use crate::error::CfsError;
 use crate::faults::CfsFaults;
@@ -182,6 +182,11 @@ impl CfsMetrics {
 struct FileMeta {
     size: u64,
     exists: bool,
+    /// Blocks of this file resident in any I/O-node cache, kept from the
+    /// caches' miss, eviction and invalidation outcomes. A `u32` keeps
+    /// the entry at 16 bytes; counting past it would need 2^32 blocks
+    /// resident at once, hundreds of GB of cache state.
+    resident: u32,
 }
 
 #[derive(Debug)]
@@ -235,11 +240,10 @@ struct CfsTally {
     disk_service_us: HistogramTally,
 }
 
-/// Buffers reused by every request instead of allocated per request.
+/// Buffers reused by every explicit-list request instead of allocated
+/// per request.
 #[derive(Default)]
 struct RequestScratch {
-    /// A plain request's `(block, touched_bytes)` list.
-    touches: Vec<(u64, u32)>,
     /// The I/O node of each touch.
     node_of: Vec<u32>,
     /// Touch indices grouped by I/O node, each group in request order.
@@ -251,12 +255,30 @@ struct RequestScratch {
 
 impl RequestScratch {
     /// Group `touches` by I/O node with one stable counting sort.
+    ///
+    /// Lists run mostly upwards, so each block's node is stepped on from
+    /// the previous block's; only a step back or a jump of `n` blocks or
+    /// more divides.
     fn bucket(&mut self, striping: Striping, touches: &[(u64, u32)]) {
+        let n = striping.io_nodes;
         self.ends.clear();
-        self.ends.resize(striping.io_nodes, 0);
+        self.ends.resize(n, 0);
         self.node_of.clear();
+        // Block 0 lives on node 0.
+        let (mut prev, mut io) = (0u64, 0usize);
         for &(b, _) in touches {
-            let io = striping.io_node_of(b);
+            let step = b.wrapping_sub(prev);
+            io = if step < n as u64 {
+                let next = io + step as usize;
+                if next >= n {
+                    next - n
+                } else {
+                    next
+                }
+            } else {
+                striping.io_node_of(b)
+            };
+            prev = b;
             self.node_of.push(io as u32);
             self.ends[io] += 1;
         }
@@ -394,6 +416,7 @@ impl Cfs {
                 self.files.push(FileMeta {
                     size: 0,
                     exists: true,
+                    resident: 0,
                 });
                 let id = (self.files.len() - 1) as u32;
                 self.paths.insert(path.to_owned(), id);
@@ -582,6 +605,9 @@ impl Cfs {
         for cache in &mut self.caches {
             *cache = LruCache::new(self.config.cache_blocks_per_io_node);
         }
+        for meta in &mut self.files {
+            meta.resident = 0;
+        }
     }
 
     // -- internals ---------------------------------------------------------
@@ -680,13 +706,33 @@ impl Cfs {
     }
 
     /// Free the disk space of `file`'s first `size` bytes and drop their
-    /// blocks from the I/O-node caches, in block order.
+    /// blocks from their home I/O nodes' caches.
+    ///
+    /// The walk runs from the last block down and stops once none of the
+    /// file's blocks is resident anywhere, so a file with nothing cached
+    /// costs no probe at all. Stopping early is exact: every block left
+    /// unprobed is absent, and the order of invalidations within one cache
+    /// is not observable. A block that a failover placed on another node's
+    /// cache keeps the count above zero, so such a file is walked whole.
     fn release(&mut self, file: u32, size: u64) {
         let blocks = size.div_ceil(BLOCK_BYTES);
         self.used_bytes -= blocks * BLOCK_BYTES;
-        for b in 0..blocks {
-            let io = self.striping.io_node_of(b);
-            self.caches[io].invalidate((file, b));
+        let Some(meta) = self.files.get_mut(file as usize) else {
+            return;
+        };
+        if meta.resident == 0 || blocks == 0 {
+            return;
+        }
+        let n = self.striping.io_nodes;
+        let mut io = self.striping.io_node_of(blocks - 1);
+        for b in (0..blocks).rev() {
+            if self.caches[io].invalidate((file, b)) {
+                meta.resident -= 1;
+                if meta.resident == 0 {
+                    return;
+                }
+            }
+            io = io.checked_sub(1).unwrap_or(n - 1);
         }
     }
 
@@ -713,6 +759,11 @@ impl Cfs {
 
     /// Perform the block-level work of a contiguous request.
     ///
+    /// No touch list is built: I/O node `io` serves the request's blocks
+    /// from the first one it owns, `first + ((io - first) mod n)`, stepping
+    /// by `n` — the same groups, in the same order, that bucketing the
+    /// request's block list would give.
+    ///
     /// Returns `(completion, messages, blocks, cache_hits)`.
     #[expect(
         clippy::too_many_arguments,
@@ -736,31 +787,21 @@ impl Cfs {
             self.stats.messages += 2;
             return Ok((now + rtt, 2, 0, 0));
         }
-        let mut touches = std::mem::take(&mut self.scratch.touches);
-        touches.clear();
-        touches.extend(range.map(|b| (b, block_overlap(offset, len, b))));
-        let out = self.serve_block_list(machine, node, file, &touches, now, is_write);
-        self.scratch.touches = touches;
-        out
+        let n = self.striping.io_nodes;
+        let lead = self.striping.io_node_of(range.start);
+        let (first, end) = (range.start, range.end);
+        self.serve(machine, node, file, now, is_write, |io| {
+            let skip = if io >= lead { io - lead } else { io + n - lead };
+            (first + skip as u64..end)
+                .step_by(n)
+                .map(move |b| (b, block_overlap(offset, len, b)))
+        })
     }
 
     /// Serve an explicit `(block, touched_bytes)` list for one compute
-    /// node: one request/reply message pair per engaged I/O node, cache
-    /// lookups, and serial disk chains. Shared by plain, strided, and
-    /// collective requests.
-    ///
-    /// The touches are grouped by I/O node once; the nodes are then served
-    /// in index order, each group's blocks in request order. That order is
-    /// observable — a down node's group shares its failover target's cache
-    /// and disk — so it is part of the contract.
-    ///
-    /// With faults attached, this is also where recovery happens: a
-    /// stripe whose I/O node is down fails over wholesale to the next
-    /// live node; a flaky block read retries with capped exponential
-    /// backoff and, past the retry budget, is read around from the next
-    /// live node's replica; every degraded/slow path is still a plain
-    /// completion time. Only when *no* live node remains does the request
-    /// surface [`CfsError::Degraded`].
+    /// node; the strided and collective requests' entry to
+    /// [`Self::serve`]. The touches are grouped by I/O node once, each
+    /// group in request order.
     ///
     /// Returns `(completion, messages, blocks, cache_hits)`.
     pub(crate) fn serve_block_list(
@@ -772,19 +813,60 @@ impl Cfs {
         now: SimTime,
         is_write: bool,
     ) -> Result<(SimTime, u64, u64, u64), CfsError> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.bucket(self.striping, touches);
+        let grouped = &scratch;
+        let out = self.serve(machine, node, file, now, is_write, |io| {
+            grouped.group(io).iter().map(|&i| touches[i as usize])
+        });
+        self.scratch = scratch;
+        out
+    }
+
+    /// Serve one request of `file` for compute node `node`: one
+    /// request/reply message pair per engaged I/O node, cache lookups,
+    /// and serial disk chains. `group(io)` yields the `(block,
+    /// touched_bytes)` pairs I/O node `io` owns, in the order it serves
+    /// them. Every request shape, plain, strided or collective, goes
+    /// through this one loop.
+    ///
+    /// The nodes are served in index order. That order is observable — a
+    /// down node's group shares its failover target's cache and disk — so
+    /// it is part of the contract.
+    ///
+    /// With faults attached, this is also where recovery happens: a
+    /// stripe whose I/O node is down fails over wholesale to the next
+    /// live node; a flaky block read retries with capped exponential
+    /// backoff and, past the retry budget, is read around from the next
+    /// live node's replica; every degraded/slow path is still a plain
+    /// completion time. Only when *no* live node remains does the request
+    /// surface [`CfsError::Degraded`].
+    ///
+    /// Returns `(completion, messages, blocks, cache_hits)`.
+    fn serve<G, I>(
+        &mut self,
+        machine: &Machine,
+        node: u16,
+        file: u32,
+        now: SimTime,
+        is_write: bool,
+        group: G,
+    ) -> Result<(SimTime, u64, u64, u64), CfsError>
+    where
+        G: Fn(usize) -> I,
+        I: Iterator<Item = (u64, u32)>,
+    {
         let Cfs {
             config,
-            striping,
+            files,
             disks,
             caches,
             stats,
             tally,
             faults,
-            scratch,
             ..
         } = self;
         let faults = faults.as_ref();
-        scratch.bucket(*striping, touches);
         let block_service = config.disk.block_service(BLOCK_BYTES);
         let now_us = now.as_micros();
         let degrade_ppm = faults.map_or(0, |f| f.degrade_ppm());
@@ -809,8 +891,8 @@ impl Cfs {
                     }
                 }
             }
-            let group = scratch.group(io);
-            let Some(&first) = group.first() else {
+            let mut blocks_here = group(io).peekable();
+            let Some(&(first, _)) = blocks_here.peek() else {
                 continue;
             };
             fanout += 1;
@@ -821,21 +903,27 @@ impl Cfs {
                 if serve_io != io {
                     f.note_degraded();
                 }
-                let b = touches[first as usize].0;
-                if let Some(stall) = f.stall_us(serve_io as u64, file, b) {
+                if let Some(stall) = f.stall_us(serve_io as u64, file, first) {
                     io_done += Duration::from_micros(stall);
                 }
             }
             let mut io_bytes = 0u64;
-            for &i in group {
-                let (b, touched) = touches[i as usize];
+            for (b, touched) in blocks_here {
                 blocks += 1;
                 io_bytes += u64::from(touched);
-                if caches[serve_io].access((file, b)) {
-                    hits += 1;
-                    stats.cache_hits += 1;
-                    io_done += cache_op;
-                    continue;
+                match caches[serve_io].touch((file, b)) {
+                    Touch::Hit => {
+                        hits += 1;
+                        stats.cache_hits += 1;
+                        io_done += cache_op;
+                        continue;
+                    }
+                    Touch::Miss { evicted } => {
+                        files[file as usize].resident += 1;
+                        if let Some((gone, _)) = evicted {
+                            files[gone as usize].resident -= 1;
+                        }
+                    }
                 }
                 stats.cache_misses += 1;
                 if is_write {
@@ -960,6 +1048,7 @@ pub fn block_overlap(offset: u64, len: u64, block: u64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::BlockKey;
     use charisma_ipsc::MachineConfig;
 
     fn setup() -> (Machine, Cfs) {
@@ -1469,8 +1558,9 @@ mod tests {
     }
 
     /// The request path before grouping: one full rescan of the touch
-    /// list per I/O node. The one-pass [`Cfs::serve_block_list`] must
-    /// match it in every observable effect.
+    /// list per I/O node. The one-pass [`Cfs::serve_block_list`] and the
+    /// stripe-by-stripe [`Cfs::access_blocks`] must match it in every
+    /// observable effect.
     impl Cfs {
         fn serve_block_list_rescan(
             &mut self,
@@ -1618,6 +1708,37 @@ mod tests {
             }
             Ok((completion, messages, blocks, hits))
         }
+
+        /// The release before resident counts: truncate `file` to zero
+        /// and probe every one of its blocks' home caches, in block order.
+        /// A later `delete` or truncating open then releases nothing.
+        fn release_probing_every_block(&mut self, file: u32) {
+            let size = std::mem::take(&mut self.files[file as usize].size);
+            let blocks = size.div_ceil(BLOCK_BYTES);
+            self.used_bytes -= blocks * BLOCK_BYTES;
+            for b in 0..blocks {
+                let io = self.striping.io_node_of(b);
+                self.caches[io].invalidate((file, b));
+            }
+        }
+    }
+
+    /// Open and close `count` files, so file ids `0..count` exist.
+    fn create_files(fs: &mut Cfs, count: u32) {
+        for f in 0..count {
+            let o = fs
+                .open(
+                    0,
+                    &format!("/f{f}"),
+                    Access::Write,
+                    IoMode::Independent,
+                    0,
+                    false,
+                )
+                .unwrap();
+            assert_eq!(o.file, f);
+            fs.close(o.session, 0).unwrap();
+        }
     }
 
     #[derive(Clone, Copy, Debug)]
@@ -1625,10 +1746,15 @@ mod tests {
         None,
         Chaos,
         AllDown,
+        /// I/O node 3 fails at 3 600 s; node 4 serves its stripes after.
+        OneDown,
+        /// Three in ten block reads fail transiently, some past the
+        /// retry budget.
+        Flaky,
     }
 
-    /// A NAS-geometry CFS with small caches (so requests evict) and
-    /// metrics attached, under one fault setting.
+    /// A NAS-geometry CFS with small caches (so requests evict), files
+    /// 0 to 3, and metrics attached, under one fault setting.
     fn nas_under(faults: Faults) -> (Cfs, MetricsRegistry) {
         use charisma_ipsc::faults::{FaultMetrics, FaultPlan, IoNodeDown};
         let registry = MetricsRegistry::new();
@@ -1637,6 +1763,7 @@ mod tests {
             ..CfsConfig::nas()
         });
         fs.attach_metrics(CfsMetrics::register(&registry));
+        create_files(&mut fs, 4);
         let plan = match faults {
             Faults::None => return (fs, registry),
             Faults::Chaos => FaultPlan::chaos_fixture(),
@@ -1645,6 +1772,20 @@ mod tests {
                 for io_node in 0..10 {
                     plan.io_node_down.push(IoNodeDown { io_node, at_us: 0 });
                 }
+                plan
+            }
+            Faults::OneDown => {
+                let mut plan = FaultPlan::none();
+                plan.io_node_down.push(IoNodeDown {
+                    io_node: 3,
+                    at_us: 3_600_000_000,
+                });
+                plan
+            }
+            Faults::Flaky => {
+                let mut plan = FaultPlan::none();
+                plan.seed = 11;
+                plan.disk_transient_ppm = 300_000;
                 plan
             }
         };
@@ -1709,6 +1850,44 @@ mod tests {
         touches
     }
 
+    /// A request time that straddles the 3 600 s node failures of the
+    /// chaos fixture and of [`Faults::OneDown`].
+    fn straddling_now(rng: &mut rand::rngs::StdRng) -> SimTime {
+        use rand::Rng;
+        SimTime::from_micros(rng.gen_range(3_500..3_700u64) * 1_000_000)
+    }
+
+    /// Two file systems driven through the same requests agree on their
+    /// stats, their disks, which of the `seen` blocks each cache holds,
+    /// and, once both are dropped, every metric they publish.
+    fn assert_same_state(
+        (fast, fast_metrics): (Cfs, MetricsRegistry),
+        (slow, slow_metrics): (Cfs, MetricsRegistry),
+        seen: &std::collections::BTreeSet<BlockKey>,
+        ctx: &str,
+    ) {
+        assert_eq!(fast.stats(), slow.stats(), "{ctx}");
+        for io in 0..10 {
+            assert_eq!(
+                format!("{:?}", fast.disk(io)),
+                format!("{:?}", slow.disk(io)),
+                "{ctx} disk {io}"
+            );
+            for &key in seen {
+                assert_eq!(
+                    fast.caches[io].contains(key),
+                    slow.caches[io].contains(key),
+                    "{ctx} cache {io} block {key:?}"
+                );
+            }
+        }
+        // Both publish their tallies when they drop; fault counters
+        // were published as the faults fired.
+        assert_eq!(fast_metrics.snapshot().counters["cfs.cache_misses"], 0);
+        drop((fast, slow));
+        assert_eq!(fast_metrics.snapshot(), slow_metrics.snapshot(), "{ctx}");
+    }
+
     #[test]
     fn one_pass_request_path_matches_the_per_node_rescan() {
         use rand::{Rng, SeedableRng};
@@ -1724,41 +1903,165 @@ mod tests {
                     let file = rng.gen_range(0..4u32);
                     let node = rng.gen_range(0..128u16);
                     let is_write = rng.gen_range(0..3) == 0;
-                    // Straddles the chaos fixture's node-7 failure at 3 600 s.
-                    let now = SimTime::from_micros(rng.gen_range(3_500..3_700u64) * 1_000_000);
+                    let now = straddling_now(&mut rng);
                     seen.extend(touches.iter().map(|&(b, _)| (file, b)));
                     let got = fast.serve_block_list(&machine, node, file, &touches, now, is_write);
                     let want =
                         slow.serve_block_list_rescan(&machine, node, file, &touches, now, is_write);
                     assert_eq!(got, want, "{faults:?} kind {kind} request {request}");
                 }
+                let lookups = fast.stats().cache_hits + fast.stats().cache_misses;
+                let served = !matches!(faults, Faults::AllDown);
                 let ctx = format!("{faults:?} kind {kind}");
-                assert_eq!(fast.stats(), slow.stats(), "{ctx}");
-                for io in 0..10 {
-                    assert_eq!(
-                        format!("{:?}", fast.disk(io)),
-                        format!("{:?}", slow.disk(io)),
-                        "{ctx} disk {io}"
-                    );
-                    for &key in &seen {
+                assert_eq!(lookups > 0, served, "{ctx}");
+                assert_same_state((fast, fast_metrics), (slow, slow_metrics), &seen, &ctx);
+            }
+        }
+        // Contiguous requests are served stripe by stripe, without a
+        // touch list: from offsets 0, 1 and 4095 within a block, over 0
+        // to 3n+1 blocks (plus one byte), each against the rescan of its
+        // block list. A zero-byte request takes the same round trip to
+        // node 0 on both sides.
+        let n = 10;
+        for faults in [Faults::None, Faults::OneDown, Faults::Flaky] {
+            let (mut fast, fast_metrics) = nas_under(faults);
+            let (mut slow, slow_metrics) = nas_under(faults);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+            let mut seen = std::collections::BTreeSet::new();
+            for within in [0, 1, BLOCK_BYTES - 1] {
+                for whole in 0..=3 * n + 1 {
+                    for (extra, is_write) in [(0, true), (0, false), (1, false), (1, true)] {
+                        let offset = rng.gen_range(0..200u64) * BLOCK_BYTES + within;
+                        let len = whole * BLOCK_BYTES + extra;
+                        let file = rng.gen_range(0..4u32);
+                        let node = rng.gen_range(0..128u16);
+                        let now = straddling_now(&mut rng);
+                        let range = Striping::cfs(10).blocks_of_request(offset, len);
+                        let touches: Vec<(u64, u32)> =
+                            range.map(|b| (b, block_overlap(offset, len, b))).collect();
+                        seen.extend(touches.iter().map(|&(b, _)| (file, b)));
+                        let got =
+                            fast.access_blocks(&machine, node, file, offset, len, now, is_write);
+                        let want = if touches.is_empty() {
+                            slow.access_blocks(&machine, node, file, offset, len, now, is_write)
+                        } else {
+                            slow.serve_block_list_rescan(
+                                &machine, node, file, &touches, now, is_write,
+                            )
+                        };
+                        let ctx = format!("{faults:?} {offset}+{len} write {is_write}");
+                        assert_eq!(got, want, "{ctx}");
                         assert_eq!(
-                            fast.caches[io].contains(key),
-                            slow.caches[io].contains(key),
-                            "{ctx} cache {io} block {key:?}"
+                            got.map(|(_, _, blocks, _)| blocks),
+                            Ok(touches.len() as u64)
                         );
+                        assert_eq!(fast.stats(), slow.stats(), "{ctx}");
                     }
                 }
-                // Both publish their tallies when they drop; fault counters
-                // were published as the faults fired.
-                assert_eq!(fast_metrics.snapshot().counters["cfs.cache_misses"], 0);
-                drop((fast, slow));
-                let published = fast_metrics.snapshot();
-                let lookups =
-                    published.counters["cfs.cache_hits"] + published.counters["cfs.cache_misses"];
-                let served = !matches!(faults, Faults::AllDown);
-                assert_eq!(lookups > 0, served, "{ctx}");
-                assert_eq!(published, slow_metrics.snapshot(), "{ctx}");
             }
+            let counters = fast_metrics.snapshot().counters;
+            let degraded = counters.get("faults.degraded").copied().unwrap_or(0);
+            let ctx = format!("{faults:?} contiguous");
+            assert_eq!(degraded > 0, !matches!(faults, Faults::None), "{ctx}");
+            assert_same_state((fast, fast_metrics), (slow, slow_metrics), &seen, &ctx);
+        }
+    }
+
+    /// Under random writes, reads, truncating opens, deletes and cache
+    /// drops, with and without a failover, releases guided by the
+    /// resident counts leave every cache as a release that probes every
+    /// block does, and the counts always sum to the blocks cached.
+    #[test]
+    fn resident_counts_release_what_probing_every_block_releases() {
+        use rand::{Rng, SeedableRng};
+        let machine = Machine::boot_synchronized(MachineConfig::nas_ipsc860());
+        let paths = ["/a", "/b", "/c", "/d", "/e", "/f"];
+        for faults in [Faults::None, Faults::OneDown] {
+            let (mut fast, _) = nas_under(faults);
+            let (mut slow, _) = nas_under(faults);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+            let mut dropped = 0;
+            for step in 0..400 {
+                let path = paths[rng.gen_range(0..paths.len())];
+                let node = rng.gen_range(0..128u16);
+                // Some files stay within two blocks; most outgrow their
+                // share of the 24-block caches, so blocks are evicted.
+                let (last_block, most_blocks) = [(1, 1), (120, 40)][rng.gen_range(0..2usize)];
+                let offset = rng.gen_range(0..last_block * BLOCK_BYTES);
+                let bytes = rng.gen_range(0..most_blocks * BLOCK_BYTES) as u32;
+                let now = straddling_now(&mut rng);
+                let existing = fast.lookup(path);
+                assert_eq!(existing, slow.lookup(path));
+                let op = rng.gen_range(0..24);
+                match (op, existing) {
+                    (0..=11, _) | (12..=17, None) => {
+                        for fs in [&mut fast, &mut slow] {
+                            let o = fs
+                                .open(1, path, Access::Write, IoMode::Independent, node, false)
+                                .unwrap();
+                            fs.seek(o.session, node, offset).unwrap();
+                            fs.write(&machine, o.session, node, bytes, now).unwrap();
+                            fs.close(o.session, node).unwrap();
+                        }
+                    }
+                    (12..=17, Some(_)) => {
+                        let reads: Vec<_> = [&mut fast, &mut slow]
+                            .into_iter()
+                            .map(|fs| {
+                                let o = fs
+                                    .open(1, path, Access::Read, IoMode::Independent, node, false)
+                                    .unwrap();
+                                fs.seek(o.session, node, offset).unwrap();
+                                let read = fs.read(&machine, o.session, node, bytes, now);
+                                fs.close(o.session, node).unwrap();
+                                read
+                            })
+                            .collect();
+                        assert_eq!(reads[0], reads[1], "step {step}");
+                    }
+                    (18 | 19, Some(file)) => {
+                        slow.release_probing_every_block(file);
+                        for fs in [&mut fast, &mut slow] {
+                            let o = fs
+                                .open(1, path, Access::Write, IoMode::Independent, node, true)
+                                .unwrap();
+                            fs.close(o.session, node).unwrap();
+                        }
+                    }
+                    (20, Some(file)) => {
+                        fast.delete(file).unwrap();
+                        slow.release_probing_every_block(file);
+                        slow.delete(file).unwrap();
+                    }
+                    // Dropped half as often as the other ops run.
+                    (21, _) if step % 2 == 0 => {
+                        fast.drop_caches();
+                        slow.drop_caches();
+                        dropped += 1;
+                        assert!(fast.files.iter().all(|f| f.resident == 0));
+                    }
+                    _ => continue,
+                }
+                let ctx = format!("{faults:?} step {step} op {op}");
+                assert_eq!(fast.stats(), slow.stats(), "{ctx}");
+                assert_eq!(fast.used_bytes(), slow.used_bytes(), "{ctx}");
+                let resident: u64 = fast.files.iter().map(|f| u64::from(f.resident)).sum();
+                let cached: usize = fast.caches.iter().map(LruCache::len).sum();
+                assert_eq!(resident, cached as u64, "{ctx}");
+                for file in 0..fast.files.len() as u32 {
+                    for b in 0..120 + 41 {
+                        for io in 0..10 {
+                            let key = (file, b);
+                            assert_eq!(
+                                fast.caches[io].contains(key),
+                                slow.caches[io].contains(key),
+                                "{ctx} cache {io} block {key:?}"
+                            );
+                        }
+                    }
+                }
+            }
+            assert!(dropped > 0, "{faults:?}: the caches were dropped");
         }
     }
 
@@ -1802,6 +2105,7 @@ mod tests {
             .expect("some file has a clean block before its first flaky one");
 
         let (m, mut fs) = setup();
+        create_files(&mut fs, 64);
         let registry = MetricsRegistry::new();
         fs.attach_metrics(CfsMetrics::register(&registry));
         fs.attach_faults(faults.clone());

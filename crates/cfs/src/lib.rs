@@ -43,7 +43,7 @@ pub mod mode;
 pub mod strided;
 pub mod stripe;
 
-pub use cache::{BlockKey, LruCache};
+pub use cache::{BlockKey, LruCache, Touch};
 pub use collective::{CollectiveOutcome, CollectiveShare};
 pub use disk::{BlockService, DiskModel, DiskState};
 pub use error::CfsError;

@@ -2,7 +2,9 @@
 //! striping coverage, and strided/loop equivalence.
 
 use charisma_cfs::fs::block_overlap;
-use charisma_cfs::{Access, Cfs, CfsConfig, IoMode, LruCache, StridedSpec, Striping, BLOCK_BYTES};
+use charisma_cfs::{
+    Access, Cfs, CfsConfig, IoMode, LruCache, StridedSpec, Striping, Touch, BLOCK_BYTES,
+};
 use charisma_ipsc::{Machine, MachineConfig, SimTime};
 use proptest::prelude::*;
 
@@ -14,18 +16,20 @@ struct RefLru {
 
 impl RefLru {
     fn access(&mut self, key: (u32, u64)) -> bool {
-        if self.cap == 0 {
-            return false;
-        }
+        self.touch(key) == Touch::Hit
+    }
+
+    fn touch(&mut self, key: (u32, u64)) -> Touch {
         if let Some(pos) = self.items.iter().position(|&k| k == key) {
             self.items.remove(pos);
             self.items.insert(0, key);
-            true
-        } else {
-            self.items.insert(0, key);
-            self.items.truncate(self.cap);
-            false
+            return Touch::Hit;
         }
+        self.items.insert(0, key);
+        let evicted = (self.items.len() > self.cap)
+            .then(|| self.items.pop())
+            .flatten();
+        Touch::Miss { evicted }
     }
 }
 
@@ -42,8 +46,9 @@ fn cache_ops() -> impl Strategy<Value = Vec<(u32, u64, bool)>> {
 
 proptest! {
     /// The O(1) LRU agrees with the naive reference on every access of
-    /// arbitrary traces, including interleaved invalidations, at every
-    /// capacity from 0 up.
+    /// arbitrary traces (odd blocks through `touch`, which also names the
+    /// evicted block), including interleaved invalidations and whether
+    /// each found its block, at every capacity from 0 up.
     #[test]
     fn lru_matches_reference_model(cap in 0usize..65, ops in cache_ops()) {
         let mut fast = LruCache::new(cap);
@@ -51,12 +56,15 @@ proptest! {
         for (file, block, invalidate) in ops {
             let key = (file, block);
             if invalidate {
-                fast.invalidate(key);
+                let resident = slow.items.contains(&key);
+                prop_assert_eq!(fast.invalidate(key), resident, "invalidate {:?}", key);
                 slow.items.retain(|&k| k != key);
-            } else {
+            } else if block % 2 == 0 {
                 let a = fast.access(key);
                 let b = slow.access(key);
                 prop_assert_eq!(a, b, "divergence on {:?}", key);
+            } else {
+                prop_assert_eq!(fast.touch(key), slow.touch(key), "divergence on {:?}", key);
             }
             prop_assert_eq!(fast.len(), slow.items.len());
             prop_assert!(fast.len() <= cap);

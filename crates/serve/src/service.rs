@@ -311,7 +311,7 @@ impl Service {
     }
 
     fn seal(&self, t: &mut Tenant) {
-        let sealed = std::mem::take(&mut t.builder).seal();
+        let sealed = t.builder.seal();
         t.sealed_rows += u64::from(sealed.rows());
         t.catalog.push(sealed);
         self.metrics.segments_sealed.inc();

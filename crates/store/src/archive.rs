@@ -129,9 +129,8 @@ impl ArchiveWriter {
     }
 
     fn seal_segment(&mut self) {
-        let seg = std::mem::take(&mut self.seg);
-        let rows = seg.len() as u64;
-        let zone = seg.finish(&mut self.buf);
+        let rows = self.seg.len() as u64;
+        let zone = self.seg.finish(&mut self.buf);
         self.zones.push(zone);
         if let Some(m) = &self.metrics {
             m.segments_written.inc();

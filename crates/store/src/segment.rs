@@ -290,9 +290,10 @@ pub(crate) fn event_from_row(row: &Row) -> Result<OrderedEvent, StoreError> {
 ///
 /// Push records in stream order, then [`seal`](SegmentBuilder::seal) the
 /// builder into an immutable [`SealedSegment`](crate::SealedSegment)
-/// handle. Builders are deliberately single-use and cheap — a service
-/// keeps one open builder per tenant and seals whenever it reaches
-/// [`SEGMENT_ROWS`].
+/// handle. Sealing empties the builder but keeps its row buffer, so the
+/// archive writer and a service (one builder per tenant) seal in place
+/// whenever a builder reaches [`SEGMENT_ROWS`] and never regrow a
+/// segment's rows from nothing.
 #[derive(Debug, Default)]
 pub struct SegmentBuilder {
     rows: Vec<Row>,
@@ -344,10 +345,11 @@ impl SegmentBuilder {
     }
 
     /// Encode the accumulated rows and return an immutable
-    /// [`SealedSegment`](crate::SealedSegment) handle. Sealing is a pure
-    /// function of the pushed record sequence, so the same records always
-    /// seal to the same bytes regardless of when or where sealing happens.
-    pub fn seal(self) -> crate::SealedSegment {
+    /// [`SealedSegment`](crate::SealedSegment) handle, leaving the builder
+    /// empty for the next segment. Sealing is a pure function of the
+    /// pushed record sequence, so the same records always seal to the same
+    /// bytes regardless of when or where sealing happens.
+    pub fn seal(&mut self) -> crate::SealedSegment {
         let mut out = Vec::new();
         let zone = self.finish(&mut out);
         crate::SealedSegment::from_parts(bytes::Bytes::from(out), zone)
@@ -355,7 +357,9 @@ impl SegmentBuilder {
 
     /// Encode the accumulated rows as one segment blob appended to `out`,
     /// returning its zone map (`offset`/`len` relative to `out`'s state on
-    /// entry, i.e. as absolute positions within the growing archive).
+    /// entry, i.e. as absolute positions within the growing archive), and
+    /// reset the builder: no rows and no bounds, with the row buffer's
+    /// capacity kept.
     ///
     /// The blob ends with an integrity checksum over the row count and all
     /// ten column frames, so `zone.len` covers the checksum and any byte
@@ -365,7 +369,7 @@ impl SegmentBuilder {
     /// holds all ten back to back; `out` then grows once and takes each
     /// column behind its length prefix, which is what lets a reader skip
     /// the columns it does not need.
-    pub(crate) fn finish(self, out: &mut Vec<u8>) -> ZoneMap {
+    pub(crate) fn finish(&mut self, out: &mut Vec<u8>) -> ZoneMap {
         let rows = &self.rows;
         let n = rows.len();
         let mut cols = Vec::new();
@@ -413,7 +417,7 @@ impl SegmentBuilder {
         }
         let sum = crate::integrity::checksum(&out[start..]);
         out.put_u64_le(sum);
-        ZoneMap {
+        let zone = ZoneMap {
             offset: start as u64,
             len: (out.len() - start) as u64,
             // n <= SEGMENT_ROWS: `push` refuses any row past it.
@@ -423,7 +427,14 @@ impl SegmentBuilder {
             op_bits: self.op_bits,
             jobs: self.jobs,
             files: self.files,
-        }
+        };
+        let mut rows = std::mem::take(&mut self.rows);
+        rows.clear();
+        *self = SegmentBuilder {
+            rows,
+            ..SegmentBuilder::default()
+        };
+        zone
     }
 }
 
@@ -584,6 +595,30 @@ mod tests {
         let sealed = refused.seal();
         assert_eq!(sealed, fill().seal());
         assert_eq!(sealed.rows() as usize, SEGMENT_ROWS);
+    }
+
+    #[test]
+    fn a_sealed_builder_is_empty_and_reseals_like_a_fresh_one() {
+        let seal_fresh = |events: &[OrderedEvent]| {
+            let mut builder = SegmentBuilder::default();
+            for e in events {
+                builder.push(e).unwrap();
+            }
+            builder.seal()
+        };
+        let (wide, sample) = (wide_events(), sample_events());
+        let mut reused = SegmentBuilder::default();
+        for e in &wide {
+            reused.push(e).unwrap();
+        }
+        assert_eq!(reused.seal(), seal_fresh(&wide));
+        assert!(reused.is_empty());
+        assert!(reused.rows.capacity() >= wide.len(), "row buffer kept");
+        // The wide events' bounds must not leak into the next zone map.
+        for e in &sample {
+            reused.push(e).unwrap();
+        }
+        assert_eq!(reused.seal(), seal_fresh(&sample));
     }
 
     #[test]
