@@ -255,30 +255,12 @@ struct RequestScratch {
 
 impl RequestScratch {
     /// Group `touches` by I/O node with one stable counting sort.
-    ///
-    /// Lists run mostly upwards, so each block's node is stepped on from
-    /// the previous block's; only a step back or a jump of `n` blocks or
-    /// more divides.
     fn bucket(&mut self, striping: Striping, touches: &[(u64, u32)]) {
-        let n = striping.io_nodes;
         self.ends.clear();
-        self.ends.resize(n, 0);
+        self.ends.resize(striping.io_nodes, 0);
         self.node_of.clear();
-        // Block 0 lives on node 0.
-        let (mut prev, mut io) = (0u64, 0usize);
         for &(b, _) in touches {
-            let step = b.wrapping_sub(prev);
-            io = if step < n as u64 {
-                let next = io + step as usize;
-                if next >= n {
-                    next - n
-                } else {
-                    next
-                }
-            } else {
-                striping.io_node_of(b)
-            };
-            prev = b;
+            let io = striping.io_node_of(b);
             self.node_of.push(io as u32);
             self.ends[io] += 1;
         }
@@ -717,9 +699,7 @@ impl Cfs {
     fn release(&mut self, file: u32, size: u64) {
         let blocks = size.div_ceil(BLOCK_BYTES);
         self.used_bytes -= blocks * BLOCK_BYTES;
-        let Some(meta) = self.files.get_mut(file as usize) else {
-            return;
-        };
+        let meta = &mut self.files[file as usize];
         if meta.resident == 0 || blocks == 0 {
             return;
         }

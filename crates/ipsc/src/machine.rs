@@ -307,9 +307,12 @@ impl Machine {
     /// Latency of a `bytes`-byte message from compute node `src` to I/O
     /// node `io` (or the reverse — the model is symmetric).
     pub fn io_message_latency(&self, src: NodeId, io: IoNodeId, bytes: u64) -> Duration {
-        let dst = self.io_attachment(io);
-        let msg = Message { src, dst, bytes };
-        let hops = self.cube.distance(src, dst) + 1;
+        let msg = Message {
+            src,
+            dst: self.io_attachment(io),
+            bytes,
+        };
+        let hops = self.hops_to_io(src, io);
         self.note_message(&msg, hops);
         self.config.network.latency(&msg, hops) + self.fault_extra(msg.src, msg.dst, bytes)
     }
