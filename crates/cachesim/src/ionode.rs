@@ -52,11 +52,6 @@ impl IoCacheResult {
     pub fn hit_rate(&self) -> f64 {
         self.hits as f64 / self.accesses.max(1) as f64
     }
-
-    /// Block-level hit rate.
-    pub fn block_hit_rate(&self) -> f64 {
-        self.block_hits as f64 / self.block_accesses.max(1) as f64
-    }
 }
 
 /// Run one full-trace I/O-node cache simulation: `total_buffers` spread

@@ -187,6 +187,15 @@ struct FileMeta {
     /// the entry at 16 bytes; counting past it would need 2^32 blocks
     /// resident at once, hundreds of GB of cache state.
     resident: u32,
+    /// I/O nodes whose caches may hold a block of this file that a stripe
+    /// failover served away from its home node; node `io` is bit
+    /// `io % 16`. It fills the entry's padding, so the entry stays 16 bytes.
+    off_home: u16,
+}
+
+/// The bit of `io` in [`FileMeta::off_home`].
+fn off_home_bit(io: usize) -> u16 {
+    1 << (io % 16)
 }
 
 #[derive(Debug)]
@@ -399,6 +408,7 @@ impl Cfs {
                     size: 0,
                     exists: true,
                     resident: 0,
+                    off_home: 0,
                 });
                 let id = (self.files.len() - 1) as u32;
                 self.paths.insert(path.to_owned(), id);
@@ -589,6 +599,7 @@ impl Cfs {
         }
         for meta in &mut self.files {
             meta.resident = 0;
+            meta.off_home = 0;
         }
     }
 
@@ -688,31 +699,48 @@ impl Cfs {
     }
 
     /// Free the disk space of `file`'s first `size` bytes and drop their
-    /// blocks from their home I/O nodes' caches.
+    /// blocks from every cache that may hold them: the home I/O node's,
+    /// and each node in the file's `off_home` mask.
     ///
     /// The walk runs from the last block down and stops once none of the
     /// file's blocks is resident anywhere, so a file with nothing cached
-    /// costs no probe at all. Stopping early is exact: every block left
-    /// unprobed is absent, and the order of invalidations within one cache
-    /// is not observable. A block that a failover placed on another node's
-    /// cache keeps the count above zero, so such a file is walked whole.
+    /// costs no probe at all. Stopping early is exact: the resident count
+    /// counts every copy, every block left unprobed is absent, and the
+    /// order of invalidations within one cache is not observable.
     fn release(&mut self, file: u32, size: u64) {
         let blocks = size.div_ceil(BLOCK_BYTES);
         self.used_bytes -= blocks * BLOCK_BYTES;
-        let meta = &mut self.files[file as usize];
+        let Cfs {
+            striping,
+            files,
+            caches,
+            ..
+        } = self;
+        let meta = &mut files[file as usize];
         if meta.resident == 0 || blocks == 0 {
             return;
         }
-        let n = self.striping.io_nodes;
-        let mut io = self.striping.io_node_of(blocks - 1);
-        for b in (0..blocks).rev() {
-            if self.caches[io].invalidate((file, b)) {
+        let n = striping.io_nodes;
+        let off_home = meta.off_home;
+        // Drop one copy; true once none of the file's blocks is resident.
+        let mut drop_copy = |io: usize, b: u64| {
+            if caches[io].invalidate((file, b)) {
                 meta.resident -= 1;
-                if meta.resident == 0 {
-                    return;
-                }
             }
-            io = io.checked_sub(1).unwrap_or(n - 1);
+            meta.resident == 0
+        };
+        let mut home = striping.io_node_of(blocks - 1);
+        for b in (0..blocks).rev() {
+            let done = drop_copy(home, b)
+                || (off_home != 0
+                    && (0..n).any(|io| {
+                        io != home && off_home & off_home_bit(io) != 0 && drop_copy(io, b)
+                    }));
+            if done {
+                meta.off_home = 0;
+                return;
+            }
+            home = home.checked_sub(1).unwrap_or(n - 1);
         }
     }
 
@@ -882,6 +910,7 @@ impl Cfs {
             if let Some(f) = faults {
                 if serve_io != io {
                     f.note_degraded();
+                    files[file as usize].off_home |= off_home_bit(serve_io);
                 }
                 if let Some(stall) = f.stall_us(serve_io as u64, file, first) {
                     io_done += Duration::from_micros(stall);
@@ -1689,16 +1718,18 @@ mod tests {
             Ok((completion, messages, blocks, hits))
         }
 
-        /// The release before resident counts: truncate `file` to zero
-        /// and probe every one of its blocks' home caches, in block order.
-        /// A later `delete` or truncating open then releases nothing.
+        /// The release without resident counts or masks: truncate `file`
+        /// to zero and probe every I/O node's cache for every one of its
+        /// blocks, in block order. A later `delete` or truncating open
+        /// then releases nothing.
         fn release_probing_every_block(&mut self, file: u32) {
             let size = std::mem::take(&mut self.files[file as usize].size);
             let blocks = size.div_ceil(BLOCK_BYTES);
             self.used_bytes -= blocks * BLOCK_BYTES;
             for b in 0..blocks {
-                let io = self.striping.io_node_of(b);
-                self.caches[io].invalidate((file, b));
+                for cache in &mut self.caches {
+                    cache.invalidate((file, b));
+                }
             }
         }
     }
@@ -2043,6 +2074,46 @@ mod tests {
             }
             assert!(dropped > 0, "{faults:?}: the caches were dropped");
         }
+    }
+
+    /// A block that a failover cached away from its home node leaves
+    /// that cache on a truncating open, on a delete and on a cache drop.
+    #[test]
+    fn a_release_drops_blocks_cached_off_their_home_node() {
+        assert_eq!(std::mem::size_of::<FileMeta>(), 16);
+        let machine = Machine::boot_synchronized(MachineConfig::nas_ipsc860());
+        let (mut fs, _) = nas_under(Faults::OneDown);
+        // Node 3 is down at 3 650 s, so node 4 caches block 3.
+        let write_ten_blocks = |fs: &mut Cfs| {
+            let o = fs
+                .open(1, "/f0", Access::Write, IoMode::Independent, 0, false)
+                .unwrap();
+            let ten_blocks = 10 * BLOCK_BYTES as u32;
+            let now = SimTime::from_secs(3_650);
+            fs.write(&machine, o.session, 0, ten_blocks, now).unwrap();
+            fs.close(o.session, 0).unwrap();
+            assert!(fs.caches[4].contains((o.file, 3)));
+            o.file
+        };
+        let nothing_cached = |fs: &Cfs, file: u32| {
+            let meta = &fs.files[file as usize];
+            assert_eq!((meta.resident, meta.off_home), (0, 0));
+            for cache in &fs.caches {
+                assert!((0..10).all(|b| !cache.contains((file, b))));
+            }
+        };
+        let file = write_ten_blocks(&mut fs);
+        let o = fs
+            .open(1, "/f0", Access::Write, IoMode::Independent, 0, true)
+            .unwrap();
+        fs.close(o.session, 0).unwrap();
+        nothing_cached(&fs, file);
+        assert_eq!(write_ten_blocks(&mut fs), file);
+        fs.delete(file).unwrap();
+        nothing_cached(&fs, file);
+        let file = write_ten_blocks(&mut fs);
+        fs.drop_caches();
+        nothing_cached(&fs, file);
     }
 
     #[test]

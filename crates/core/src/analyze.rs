@@ -332,15 +332,6 @@ pub struct Characterization {
     pub horizon: SimTime,
 }
 
-impl Characterization {
-    /// Sessions in a stable order (ascending id), for deterministic output.
-    pub fn sessions_sorted(&self) -> Vec<&SessionStat> {
-        let mut ids: Vec<_> = self.sessions.keys().copied().collect();
-        ids.sort_unstable();
-        ids.iter().map(|i| &self.sessions[i]).collect()
-    }
-}
-
 /// Run the one-pass analysis over a rectified event stream.
 pub fn analyze<'a, I>(events: I) -> Characterization
 where

@@ -230,11 +230,6 @@ impl Service {
         &self.config
     }
 
-    /// Number of tenants hosted.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     pub(crate) fn metrics(&self) -> &ServeMetrics {
         &self.metrics
     }

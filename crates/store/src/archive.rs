@@ -98,10 +98,7 @@ impl ArchiveWriter {
     /// A writer for a stream with the given provenance.
     pub fn new(meta: ArchiveMeta) -> Self {
         let mut buf = Vec::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u64_le(meta.seed);
-        buf.put_u64_le(meta.scale.to_bits());
+        put_header(&mut buf, meta);
         ArchiveWriter {
             buf,
             seg: SegmentBuilder::default(),
@@ -144,25 +141,50 @@ impl ArchiveWriter {
         if !self.seg.is_empty() {
             self.seal_segment();
         }
-        let footer_start = self.buf.len();
-        // Zone count, zone maps, row count, checksum, footer length, magic.
-        self.buf
-            .reserve(10 + self.zones.len() * ZoneMap::ENCODED_LEN + 8 + 8 + 8 + MAGIC.len());
-        self.buf.put_varint_u64(self.zones.len() as u64);
-        for zone in &self.zones {
-            zone.encode(&mut self.buf);
-        }
-        self.buf.put_u64_le(self.rows);
-        let sum = checksum(&self.buf);
-        self.buf.put_u64_le(sum);
-        let footer_len = (self.buf.len() - footer_start) as u64;
-        self.buf.put_u64_le(footer_len);
-        self.buf.put_slice(MAGIC);
+        let directory = encode_directory(self.zones.iter().copied(), self.rows);
+        put_footer(&mut self.buf, &directory);
         if let Some(m) = &self.metrics {
             m.bytes_written.add(self.buf.len() as u64);
         }
         self.buf
     }
+}
+
+/// Append the container header: magic, format version and provenance.
+fn put_header(buf: &mut Vec<u8>, meta: ArchiveMeta) {
+    buf.put_slice(MAGIC);
+    buf.put_u32_le(VERSION);
+    buf.put_u64_le(meta.seed);
+    buf.put_u64_le(meta.scale.to_bits());
+}
+
+/// The footer's directory: the zone count, one zone map per segment and
+/// the row count.
+fn encode_directory(zones: impl ExactSizeIterator<Item = ZoneMap>, rows: u64) -> Vec<u8> {
+    let mut directory = Vec::with_capacity(10 + zones.len() * ZoneMap::ENCODED_LEN + 8);
+    directory.put_varint_u64(zones.len() as u64);
+    for zone in zones {
+        zone.encode(&mut directory);
+    }
+    directory.put_u64_le(rows);
+    directory
+}
+
+/// Bytes [`put_footer`] appends for a `directory` of `len` bytes.
+fn footer_and_tail_len(len: usize) -> usize {
+    len + CHECKSUM_LEN + TAIL_LEN
+}
+
+/// Append the footer and tail to a `buf` holding the header and every
+/// segment: the `directory`, the file checksum over every byte before
+/// it, the footer length and the tail magic.
+fn put_footer(buf: &mut Vec<u8>, directory: &[u8]) {
+    buf.reserve(footer_and_tail_len(directory.len()));
+    buf.put_slice(directory);
+    let sum = checksum(buf);
+    buf.put_u64_le(sum);
+    buf.put_u64_le((directory.len() + CHECKSUM_LEN) as u64);
+    buf.put_slice(MAGIC);
 }
 
 /// Archive every record of `events`, returning the canonical bytes.
@@ -472,11 +494,6 @@ impl Archive {
         &self.reader
     }
 
-    /// Unwrap into the underlying [`ArchiveReader`].
-    pub fn into_reader(self) -> ArchiveReader {
-        self.reader
-    }
-
     /// Provenance recorded at write time.
     pub fn meta(&self) -> ArchiveMeta {
         self.reader.meta()
@@ -526,30 +543,19 @@ impl ArchiveReader {
     /// bit-identical bytes. The footer directory is encoded first, so the
     /// output is allocated once at its exact length.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let meta = self.meta();
-        let mut directory = Vec::new();
-        directory.put_varint_u64(self.segment_count() as u64);
         let mut body_end = HEADER_LEN;
-        for seg in self.segments() {
-            seg.zone_at(body_end as u64).encode(&mut directory);
+        let zones = self.segments().iter().map(|seg| {
+            let zone = seg.zone_at(body_end as u64);
             body_end += seg.size_bytes();
-        }
-        directory.put_u64_le(self.rows());
-        // The footer is the directory plus the 8-byte file checksum.
-        let footer_len = directory.len() + 8;
-        let mut buf = Vec::with_capacity(body_end + footer_len + TAIL_LEN);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u64_le(meta.seed);
-        buf.put_u64_le(meta.scale.to_bits());
+            zone
+        });
+        let directory = encode_directory(zones, self.rows());
+        let mut buf = Vec::with_capacity(body_end + footer_and_tail_len(directory.len()));
+        put_header(&mut buf, self.meta());
         for seg in self.segments() {
             buf.put_slice(seg.bytes());
         }
-        buf.put_slice(&directory);
-        let sum = checksum(&buf);
-        buf.put_u64_le(sum);
-        buf.put_u64_le(footer_len as u64);
-        buf.put_slice(MAGIC);
+        put_footer(&mut buf, &directory);
         buf
     }
 }

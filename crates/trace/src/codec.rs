@@ -132,51 +132,34 @@ pub fn decode_event(buf: &mut &[u8]) -> Result<Event, DecodeError> {
     }
     let tag = buf.get_u8();
     let local_time = SimTime::from_micros(buf.get_u64_le());
-    let need = |buf: &&[u8], n: usize| {
-        if buf.remaining() < n {
-            Err(DecodeError::Truncated)
-        } else {
-            Ok(())
-        }
-    };
+    if buf.remaining() < payload_len(tag).ok_or(DecodeError::BadTag(tag))? {
+        return Err(DecodeError::Truncated);
+    }
     let body = match tag {
-        1 => {
-            need(buf, 7)?;
-            EventBody::JobStart {
-                job: buf.get_u32_le(),
-                nodes: buf.get_u16_le(),
-                traced: buf.get_u8() != 0,
-            }
-        }
-        2 => {
-            need(buf, 4)?;
-            EventBody::JobEnd {
-                job: buf.get_u32_le(),
-            }
-        }
-        3 => {
-            need(buf, 15)?;
-            EventBody::Open {
-                job: buf.get_u32_le(),
-                file: buf.get_u32_le(),
-                session: buf.get_u32_le(),
-                mode: buf.get_u8(),
-                access: {
-                    let code = buf.get_u8();
-                    AccessKind::from_code(code).ok_or(DecodeError::BadAccess(code))?
-                },
-                created: buf.get_u8() != 0,
-            }
-        }
-        4 => {
-            need(buf, 12)?;
-            EventBody::Close {
-                session: buf.get_u32_le(),
-                size: buf.get_u64_le(),
-            }
-        }
+        1 => EventBody::JobStart {
+            job: buf.get_u32_le(),
+            nodes: buf.get_u16_le(),
+            traced: buf.get_u8() != 0,
+        },
+        2 => EventBody::JobEnd {
+            job: buf.get_u32_le(),
+        },
+        3 => EventBody::Open {
+            job: buf.get_u32_le(),
+            file: buf.get_u32_le(),
+            session: buf.get_u32_le(),
+            mode: buf.get_u8(),
+            access: {
+                let code = buf.get_u8();
+                AccessKind::from_code(code).ok_or(DecodeError::BadAccess(code))?
+            },
+            created: buf.get_u8() != 0,
+        },
+        4 => EventBody::Close {
+            session: buf.get_u32_le(),
+            size: buf.get_u64_le(),
+        },
         5 | 6 => {
-            need(buf, 16)?;
             let session = buf.get_u32_le();
             let offset = buf.get_u64_le();
             let bytes = buf.get_u32_le();
@@ -194,13 +177,10 @@ pub fn decode_event(buf: &mut &[u8]) -> Result<Event, DecodeError> {
                 }
             }
         }
-        7 => {
-            need(buf, 8)?;
-            EventBody::Delete {
-                job: buf.get_u32_le(),
-                file: buf.get_u32_le(),
-            }
-        }
+        7 => EventBody::Delete {
+            job: buf.get_u32_le(),
+            file: buf.get_u32_le(),
+        },
         t => return Err(DecodeError::BadTag(t)),
     };
     Ok(Event { local_time, body })
@@ -208,16 +188,21 @@ pub fn decode_event(buf: &mut &[u8]) -> Result<Event, DecodeError> {
 
 /// Encoded size of one event, in bytes (used to model the 4 KB node buffer).
 pub fn encoded_len(e: &Event) -> usize {
-    9 + e.body.payload_len()
+    9 + payload_len(e.body.tag()).unwrap_or_default()
 }
 
 /// Bytes of the shortest record on the wire: the 9-byte (tag +
 /// timestamp) prefix plus the smallest [`payload_len`] (`JobEnd`'s 4).
 pub(crate) const MIN_RECORD_BYTES: usize = 9 + 4;
 
+/// Bytes of the longest record on the wire: the 9-byte prefix plus the
+/// largest [`payload_len`] (`Read`'s and `Write`'s 16).
+pub(crate) const MAX_RECORD_BYTES: usize = 9 + 16;
+
 /// Bytes of payload following the 9-byte (tag + timestamp) prefix, per
-/// record tag; `None` for unknown tags. Used by the streaming reader to
-/// size its reads.
+/// record tag; `None` for unknown tags. The one record-length table:
+/// the decoder checks against it, [`encoded_len`] sums it, and the
+/// streaming reader sizes its reads from it.
 pub fn payload_len(tag: u8) -> Option<usize> {
     match tag {
         1 => Some(7),      // JobStart: job u32 + nodes u16 + traced u8
@@ -228,93 +213,6 @@ pub fn payload_len(tag: u8) -> Option<usize> {
         7 => Some(8),      // Delete: job u32 + file u32
         _ => None,
     }
-}
-
-/// Outcome counters of a tolerant decode pass ([`decode_events_tolerant`]
-/// and `file::read_trace_tolerant`): what was recovered, what was lost.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DecodeStats {
-    /// Records successfully decoded.
-    pub records_decoded: u64,
-    /// Corrupt regions skipped (each region may hide one or more records).
-    pub records_skipped: u64,
-    /// Total bytes discarded while resynchronizing.
-    pub bytes_skipped: u64,
-    /// The input ended mid-record (or mid-structure) and the tail was
-    /// unrecoverable.
-    pub truncated: bool,
-}
-
-impl DecodeStats {
-    /// Fold another pass's counters into this one.
-    pub fn merge(&mut self, other: &DecodeStats) {
-        self.records_decoded += other.records_decoded;
-        self.records_skipped += other.records_skipped;
-        self.bytes_skipped += other.bytes_skipped;
-        self.truncated |= other.truncated;
-    }
-}
-
-/// Records a resync candidate must chain-decode before we accept it. One
-/// lucky byte can masquerade as a tag; three consecutive well-formed
-/// records starting from a wrong offset is vanishingly unlikely.
-const RESYNC_CHAIN: usize = 3;
-
-pub(crate) fn chain_validates(mut buf: &[u8]) -> bool {
-    for _ in 0..RESYNC_CHAIN {
-        if buf.is_empty() {
-            return true;
-        }
-        if decode_event(&mut buf).is_err() {
-            return false;
-        }
-    }
-    true
-}
-
-/// Decode a flat record stream, resynchronizing past corrupt bytes
-/// instead of aborting.
-///
-/// On a record error the decoder scans forward one byte at a time until
-/// it finds an offset where `RESYNC_CHAIN` consecutive records (or the
-/// clean end of the buffer) parse, then resumes there. Every uncorrupted
-/// record downstream of a corrupt region is therefore recovered; the
-/// region itself is reported in [`DecodeStats`], never silently dropped.
-pub fn decode_events_tolerant(mut buf: &[u8]) -> (Vec<Event>, DecodeStats) {
-    let mut events = Vec::new();
-    let mut stats = DecodeStats::default();
-    while !buf.is_empty() {
-        let before = buf;
-        match decode_event(&mut buf) {
-            Ok(e) => {
-                events.push(e);
-                stats.records_decoded += 1;
-            }
-            Err(err) => {
-                let mut resumed = false;
-                for skip in 1..before.len() {
-                    if chain_validates(&before[skip..]) {
-                        stats.records_skipped += 1;
-                        stats.bytes_skipped += skip as u64;
-                        buf = &before[skip..];
-                        resumed = true;
-                        break;
-                    }
-                }
-                if !resumed {
-                    // Nothing decodable remains; charge the tail.
-                    stats.bytes_skipped += before.len() as u64;
-                    if matches!(err, DecodeError::Truncated) {
-                        stats.truncated = true;
-                    } else {
-                        stats.records_skipped += 1;
-                    }
-                    buf = &[];
-                }
-            }
-        }
-    }
-    (events, stats)
 }
 
 #[cfg(test)]
@@ -447,76 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn tolerant_decode_of_clean_stream_is_lossless() {
-        let events = sample_events();
-        let mut buf = Vec::new();
-        for e in &events {
-            encode_event(e, &mut buf);
-        }
-        let (decoded, stats) = decode_events_tolerant(&buf);
-        assert_eq!(decoded, events);
-        assert_eq!(
-            stats,
-            DecodeStats {
-                records_decoded: events.len() as u64,
-                ..DecodeStats::default()
-            }
-        );
-    }
-
-    #[test]
-    fn tolerant_decode_resyncs_past_a_clobbered_record() {
-        let events = sample_events();
-        let mut buf = Vec::new();
-        let mut offsets = vec![0usize];
-        for e in &events {
-            encode_event(e, &mut buf);
-            offsets.push(buf.len());
-        }
-        // Clobber the middle record entirely (0xFF is never a valid tag).
-        let victim = events.len() / 2;
-        for b in &mut buf[offsets[victim]..offsets[victim + 1]] {
-            *b = 0xFF;
-        }
-        let (decoded, stats) = decode_events_tolerant(&buf);
-        let survivors: Vec<Event> = events
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != victim)
-            .map(|(_, e)| *e)
-            .collect();
-        assert_eq!(decoded, survivors, "all uncorrupted records recovered");
-        assert_eq!(stats.records_skipped, 1);
-        assert_eq!(
-            stats.bytes_skipped,
-            (offsets[victim + 1] - offsets[victim]) as u64
-        );
-        assert!(!stats.truncated);
-    }
-
-    #[test]
-    fn tolerant_decode_reports_truncation() {
-        let events = sample_events();
-        let mut buf = Vec::new();
-        for e in &events {
-            encode_event(e, &mut buf);
-        }
-        buf.truncate(buf.len() - 3);
-        let (decoded, stats) = decode_events_tolerant(&buf);
-        assert_eq!(decoded.len(), events.len() - 1);
-        assert!(stats.truncated);
-    }
-
-    #[test]
-    fn tolerant_decode_never_panics_on_garbage() {
-        let garbage: Vec<u8> = (0..4096u32)
-            .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
-            .collect();
-        let (_, stats) = decode_events_tolerant(&garbage);
-        assert!(stats.records_decoded + stats.records_skipped > 0 || stats.bytes_skipped > 0);
-    }
-
-    #[test]
     fn payload_len_matches_actual_encoding() {
         for e in sample_events() {
             let mut v = Vec::new();
@@ -532,6 +360,8 @@ mod tests {
         assert_eq!(payload_len(99), None);
         let shortest = (0..=u8::MAX).filter_map(payload_len).min();
         assert_eq!(shortest.map(|p| 9 + p), Some(MIN_RECORD_BYTES));
+        let longest = (0..=u8::MAX).filter_map(payload_len).max();
+        assert_eq!(longest.map(|p| 9 + p), Some(MAX_RECORD_BYTES));
     }
 
     #[test]

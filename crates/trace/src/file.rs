@@ -11,7 +11,8 @@ use bytes::{Buf, BufMut};
 use charisma_ipsc::SimTime;
 
 use crate::builder::{Block, Trace, NODE_BUFFER_BYTES};
-use crate::codec::{self, DecodeError, MIN_RECORD_BYTES};
+use crate::codec::{self, DecodeError, MAX_RECORD_BYTES, MIN_RECORD_BYTES};
+use crate::record::TraceHeader;
 
 /// Bytes of a block header on the wire: node (u16), send and receive
 /// timestamps (u64 each), record count (u32).
@@ -77,136 +78,103 @@ pub fn write_trace<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
     Ok(())
 }
 
-/// Deserialize a trace from a reader.
+/// Deserialize a trace from a reader: read it whole, then run a
+/// [`TraceStream`] over the bytes to the last block.
 pub fn read_trace<R: Read>(mut r: R) -> Result<Trace, TraceFileError> {
     let mut raw = Vec::new();
     r.read_to_end(&mut raw)?;
-    let mut buf = raw.as_slice();
-    let header = codec::decode_header(&mut buf)?;
-    if buf.remaining() < 8 {
-        return Err(DecodeError::Truncated.into());
+    let mut stream = TraceStream::open(raw.as_slice())?;
+    let declared = usize::try_from(stream.blocks_left).unwrap_or(usize::MAX);
+    let mut blocks = Vec::with_capacity(capacity_hint(
+        declared,
+        stream.reader.len(),
+        BLOCK_HEADER_BYTES,
+    ));
+    while let Some(block) = stream.next_block()? {
+        blocks.push(block);
     }
-    let nblocks = buf.get_u64_le() as usize;
-    let mut blocks =
-        Vec::with_capacity(capacity_hint(nblocks, buf.remaining(), BLOCK_HEADER_BYTES));
-    for _ in 0..nblocks {
-        if buf.remaining() < BLOCK_HEADER_BYTES {
-            return Err(DecodeError::Truncated.into());
+    Ok(Trace {
+        header: stream.header,
+        blocks,
+    })
+}
+
+/// Streaming trace reader: yields one block at a time from any `Read`
+/// without materializing the whole trace — the way a real analysis tool
+/// walks a multi-hundred-megabyte trace file. It is the format's one
+/// parser of block headers and record framing; [`read_trace`] runs it
+/// over a whole file's bytes.
+pub struct TraceStream<R: Read> {
+    reader: R,
+    /// The trace's self-descriptive header.
+    pub header: TraceHeader,
+    blocks_left: u64,
+}
+
+impl<R: Read> TraceStream<R> {
+    /// Open a stream, parsing the header eagerly.
+    pub fn open(mut reader: R) -> Result<Self, TraceFileError> {
+        // Header (8-byte magic + 4x u32 + u64 seed = 32 bytes), then the
+        // block count (8 bytes).
+        let mut head = [0u8; 32];
+        read_exact(&mut reader, &mut head)?;
+        let header = codec::decode_header(&mut &head[..])?;
+        let mut count = [0u8; 8];
+        read_exact(&mut reader, &mut count)?;
+        Ok(TraceStream {
+            reader,
+            header,
+            blocks_left: u64::from_le_bytes(count),
+        })
+    }
+
+    /// Number of blocks not yet read.
+    pub fn blocks_remaining(&self) -> u64 {
+        self.blocks_left
+    }
+
+    /// Read the next block, or `None` at end of trace.
+    pub fn next_block(&mut self) -> Result<Option<Block>, TraceFileError> {
+        if self.blocks_left == 0 {
+            return Ok(None);
         }
-        let node = buf.get_u16_le();
-        let send_local = SimTime::from_micros(buf.get_u64_le());
-        let recv_service = SimTime::from_micros(buf.get_u64_le());
-        let count = buf.get_u32_le() as usize;
+        self.blocks_left -= 1;
+        let mut head = [0u8; BLOCK_HEADER_BYTES];
+        read_exact(&mut self.reader, &mut head)?;
+        let mut slice = &head[..];
+        let node = slice.get_u16_le();
+        let send_local = SimTime::from_micros(slice.get_u64_le());
+        let recv_service = SimTime::from_micros(slice.get_u64_le());
+        let count = slice.get_u32_le() as usize;
+        // The stream cannot see how many bytes remain, so the hint is what
+        // one 4 KB node buffer can hold.
         let mut events =
-            Vec::with_capacity(capacity_hint(count, buf.remaining(), MIN_RECORD_BYTES));
+            Vec::with_capacity(capacity_hint(count, NODE_BUFFER_BYTES, MIN_RECORD_BYTES));
+        // Each record is its tag and timestamp, then the payload whose
+        // length the tag fixes.
+        let mut record = [0u8; MAX_RECORD_BYTES];
         for _ in 0..count {
-            events.push(codec::decode_event(&mut buf)?);
+            read_exact(&mut self.reader, &mut record[..9])?;
+            let tag = record[0];
+            let len = 9 + codec::payload_len(tag).ok_or(DecodeError::BadTag(tag))?;
+            read_exact(&mut self.reader, &mut record[9..len])?;
+            events.push(codec::decode_event(&mut &record[..len])?);
         }
-        blocks.push(Block {
+        Ok(Some(Block {
             node,
             send_local,
             recv_service,
             events,
-        });
+        }))
     }
-    Ok(Trace { header, blocks })
 }
 
-/// A trace salvaged by [`read_trace_tolerant`], with the damage report.
-#[derive(Debug)]
-pub struct TolerantTrace {
-    /// Everything that could be recovered.
-    pub trace: Trace,
-    /// What was lost along the way.
-    pub stats: codec::DecodeStats,
-}
-
-/// Deserialize a trace, salvaging past corrupt records instead of
-/// aborting.
-///
-/// The header must be intact (there is nothing to salvage without one);
-/// after that, a corrupt record resynchronizes via the codec's
-/// chain-validated scan, a corrupt region is charged to
-/// [`codec::DecodeStats`], and a file that ends mid-structure returns
-/// every block recovered so far with `stats.truncated` set.
-pub fn read_trace_tolerant<R: Read>(mut r: R) -> Result<TolerantTrace, TraceFileError> {
-    let mut raw = Vec::new();
-    r.read_to_end(&mut raw)?;
-    let mut buf = raw.as_slice();
-    let header = codec::decode_header(&mut buf)?;
-    let mut stats = codec::DecodeStats::default();
-    let mut blocks = Vec::new();
-    if buf.remaining() < 8 {
-        stats.truncated = true;
-        return Ok(TolerantTrace {
-            trace: Trace { header, blocks },
-            stats,
-        });
-    }
-    let nblocks = buf.get_u64_le() as usize;
-    'blocks: for _ in 0..nblocks {
-        if buf.remaining() < BLOCK_HEADER_BYTES {
-            stats.truncated = true;
-            break;
-        }
-        let node = buf.get_u16_le();
-        let send_local = SimTime::from_micros(buf.get_u64_le());
-        let recv_service = SimTime::from_micros(buf.get_u64_le());
-        let count = buf.get_u32_le() as usize;
-        let mut events =
-            Vec::with_capacity(capacity_hint(count, buf.remaining(), MIN_RECORD_BYTES));
-        // A corrupt region inside a block is assumed to hide one record
-        // (in-place corruption); `consumed` tracks decoded + skipped so
-        // the block still ends where its record count says it does.
-        let mut consumed = 0usize;
-        while consumed < count {
-            let before = buf;
-            match codec::decode_event(&mut buf) {
-                Ok(e) => {
-                    events.push(e);
-                    stats.records_decoded += 1;
-                    consumed += 1;
-                }
-                Err(err) => {
-                    let mut resumed = false;
-                    for skip in 1..before.len() {
-                        if codec::chain_validates(&before[skip..]) {
-                            stats.records_skipped += 1;
-                            stats.bytes_skipped += skip as u64;
-                            buf = &before[skip..];
-                            consumed += 1;
-                            resumed = true;
-                            break;
-                        }
-                    }
-                    if !resumed {
-                        stats.bytes_skipped += before.len() as u64;
-                        if matches!(err, DecodeError::Truncated) {
-                            stats.truncated = true;
-                        } else {
-                            stats.records_skipped += 1;
-                        }
-                        blocks.push(Block {
-                            node,
-                            send_local,
-                            recv_service,
-                            events,
-                        });
-                        break 'blocks;
-                    }
-                }
-            }
-        }
-        blocks.push(Block {
-            node,
-            send_local,
-            recv_service,
-            events,
-        });
-    }
-    Ok(TolerantTrace {
-        trace: Trace { header, blocks },
-        stats,
+/// [`Read::read_exact`], reporting input that ends early as a truncated
+/// trace.
+fn read_exact(reader: &mut impl Read, buf: &mut [u8]) -> Result<(), TraceFileError> {
+    reader.read_exact(buf).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => DecodeError::Truncated.into(),
+        _ => e.into(),
     })
 }
 
@@ -214,7 +182,7 @@ pub fn read_trace_tolerant<R: Read>(mut r: R) -> Result<TolerantTrace, TraceFile
 mod tests {
     use super::*;
     use crate::builder::TraceBuilder;
-    use crate::record::{EventBody, TraceHeader};
+    use crate::record::EventBody;
     use charisma_ipsc::{DriftClock, Duration};
 
     fn sample_trace() -> Trace {
@@ -296,93 +264,11 @@ mod tests {
     }
 }
 
-/// Streaming trace reader: yields one block at a time from any `Read`
-/// without materializing the whole trace — the way a real analysis tool
-/// walks a multi-hundred-megabyte trace file.
-pub struct TraceStream<R: Read> {
-    reader: R,
-    /// The trace's self-descriptive header.
-    pub header: crate::record::TraceHeader,
-    blocks_left: u64,
-}
-
-impl<R: Read> TraceStream<R> {
-    /// Open a stream, parsing the header eagerly.
-    pub fn open(mut reader: R) -> Result<Self, TraceFileError> {
-        // Header (8-byte magic + 4x u32 + u64 seed = 32 bytes), then the
-        // block count (8 bytes).
-        let mut head = [0u8; 32];
-        reader.read_exact(&mut head).map_err(TraceFileError::Io)?;
-        let mut slice = &head[..];
-        let header = codec::decode_header(&mut slice)?;
-        let mut count = [0u8; 8];
-        reader.read_exact(&mut count).map_err(TraceFileError::Io)?;
-        let blocks_left = u64::from_le_bytes(count);
-        Ok(TraceStream {
-            reader,
-            header,
-            blocks_left,
-        })
-    }
-
-    /// Number of blocks not yet read.
-    pub fn blocks_remaining(&self) -> u64 {
-        self.blocks_left
-    }
-
-    /// Read the next block, or `None` at end of trace.
-    pub fn next_block(&mut self) -> Result<Option<Block>, TraceFileError> {
-        if self.blocks_left == 0 {
-            return Ok(None);
-        }
-        self.blocks_left -= 1;
-        let mut head = [0u8; BLOCK_HEADER_BYTES];
-        self.reader
-            .read_exact(&mut head)
-            .map_err(TraceFileError::Io)?;
-        let mut slice = &head[..];
-        let node = slice.get_u16_le();
-        let send_local = SimTime::from_micros(slice.get_u64_le());
-        let recv_service = SimTime::from_micros(slice.get_u64_le());
-        let count = slice.get_u32_le() as usize;
-        // Events are variable-length; read them one at a time through a
-        // small buffer (records are <= 32 bytes on the wire). The stream
-        // cannot see how many bytes remain, so the hint is what one 4 KB
-        // node buffer can hold.
-        let mut events =
-            Vec::with_capacity(capacity_hint(count, NODE_BUFFER_BYTES, MIN_RECORD_BYTES));
-        let mut buf = Vec::new();
-        for _ in 0..count {
-            // Tag + timestamp first, then the tag-dependent payload.
-            let mut fixed = [0u8; 9];
-            self.reader
-                .read_exact(&mut fixed)
-                .map_err(TraceFileError::Io)?;
-            let payload_len = codec::payload_len(fixed[0]).ok_or(DecodeError::BadTag(fixed[0]))?;
-            buf.clear();
-            buf.extend_from_slice(&fixed);
-            let start = buf.len();
-            buf.resize(start + payload_len, 0);
-            self.reader
-                .read_exact(&mut buf[start..])
-                .map_err(TraceFileError::Io)?;
-            let mut slice = buf.as_slice();
-            events.push(codec::decode_event(&mut slice)?);
-        }
-        Ok(Some(Block {
-            node,
-            send_local,
-            recv_service,
-            events,
-        }))
-    }
-}
-
 #[cfg(test)]
 mod stream_tests {
     use super::*;
     use crate::builder::TraceBuilder;
-    use crate::record::{EventBody, TraceHeader};
+    use crate::record::EventBody;
     use charisma_ipsc::{DriftClock, Duration};
 
     fn sample() -> Trace {
@@ -443,6 +329,93 @@ mod stream_tests {
             }
         }
         assert!(result.is_err(), "mid-block truncation must surface");
+    }
+
+    /// Reads `bytes` to the end through a stream.
+    fn stream_all(bytes: &[u8]) -> Result<Vec<Block>, TraceFileError> {
+        let mut stream = TraceStream::open(bytes)?;
+        let mut blocks = Vec::new();
+        while let Some(block) = stream.next_block()? {
+            blocks.push(block);
+        }
+        Ok(blocks)
+    }
+
+    /// Every prefix of a written trace reads alike through [`read_trace`]
+    /// and through a stream run to the end: the whole file as the same
+    /// blocks, and each shorter prefix as a truncated trace.
+    #[test]
+    fn every_prefix_reads_the_same_whole_and_streamed() {
+        use crate::record::AccessKind;
+        let mut b = TraceBuilder::new(
+            TraceHeader {
+                version: TraceHeader::VERSION,
+                compute_nodes: 2,
+                io_nodes: 1,
+                block_bytes: 4096,
+                seed: 9,
+            },
+            vec![DriftClock::PERFECT; 2],
+            DriftClock::PERFECT,
+            vec![Duration::from_micros(100); 2],
+        );
+        // One record of every tag, on both nodes and the service node.
+        let (job, session) = (4, 8);
+        let bodies = [
+            EventBody::Open {
+                job,
+                file: 2,
+                session,
+                mode: 1,
+                access: AccessKind::ReadWrite,
+                created: true,
+            },
+            EventBody::Read {
+                session,
+                offset: 0,
+                bytes: 512,
+            },
+            EventBody::Write {
+                session,
+                offset: 512,
+                bytes: 64,
+            },
+            EventBody::Close { session, size: 576 },
+            EventBody::Delete { job, file: 2 },
+        ];
+        b.log_service(
+            SimTime::from_micros(1),
+            EventBody::JobStart {
+                job,
+                nodes: 2,
+                traced: true,
+            },
+        );
+        for (i, body) in bodies.into_iter().enumerate() {
+            b.log(i % 2, SimTime::from_micros(10 * i as u64 + 10), body);
+        }
+        b.log_service(SimTime::from_micros(100), EventBody::JobEnd { job });
+        let t = b.finish(SimTime::from_secs(1));
+        let mut bytes = Vec::new();
+        write_trace(&t, &mut bytes).unwrap();
+        for cut in 0..=bytes.len() {
+            let whole = read_trace(&bytes[..cut]).map(|t| t.blocks);
+            let streamed = stream_all(&bytes[..cut]);
+            match (whole, streamed) {
+                (Ok(whole), Ok(streamed)) => assert_eq!(whole, streamed, "cut {cut}"),
+                (whole, streamed) => assert!(
+                    matches!(
+                        (&whole, &streamed),
+                        (
+                            Err(TraceFileError::Decode(DecodeError::Truncated)),
+                            Err(TraceFileError::Decode(DecodeError::Truncated))
+                        )
+                    ),
+                    "cut {cut}: {whole:?} vs {streamed:?}"
+                ),
+            }
+        }
+        assert_eq!(read_trace(bytes.as_slice()).unwrap(), t);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! * [`builder`] — per-node 4 KB buffering plus the service-node collector;
 //! * [`postprocess`](mod@postprocess) — drift estimation and chronological rectification;
 //! * [`merge`] — deterministic k-way merge of per-shard rectified streams;
-//! * [`file`](mod@file) — writing and reading trace files.
+//! * [`file`](mod@file) — writing trace files, and reading them through
+//!   one parser, [`TraceStream`](file::TraceStream), which [`read_trace`]
+//!   runs over a whole file's bytes.
 
 // Determinism rules; the disallowed types and methods live in clippy.toml.
 #![forbid(unsafe_code)] // CH006
@@ -40,8 +42,7 @@ pub mod postprocess;
 pub mod record;
 
 pub use builder::{Block, Trace, TraceBuilder};
-pub use codec::{decode_events_tolerant, DecodeStats};
-pub use file::{read_trace, read_trace_tolerant, write_trace, TolerantTrace, TraceFileError};
+pub use file::{read_trace, write_trace, TraceFileError};
 pub use merge::{MergeMetrics, MergedEvents};
 pub use postprocess::{postprocess, OrderedEvent};
 pub use record::{

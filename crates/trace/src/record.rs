@@ -202,20 +202,6 @@ impl EventBody {
             job_event @ (EventBody::JobStart { .. } | EventBody::JobEnd { .. }) => job_event,
         }
     }
-
-    /// Bytes of payload following the 9-byte (tag + timestamp) prefix.
-    /// Total by construction, unlike [`crate::codec::payload_len`] which
-    /// must handle arbitrary on-disk tags.
-    pub fn payload_len(&self) -> usize {
-        match self {
-            EventBody::JobStart { .. } => 7,
-            EventBody::JobEnd { .. } => 4,
-            EventBody::Open { .. } => 15,
-            EventBody::Close { .. } => 12,
-            EventBody::Read { .. } | EventBody::Write { .. } => 16,
-            EventBody::Delete { .. } => 8,
-        }
-    }
 }
 
 /// One record: when (on the recording node's own drifting clock) and what.

@@ -206,69 +206,4 @@ proptest! {
         prop_assert_eq!(merged, oracle);
     }
 
-    /// Tolerant decoding recovers *every* uncorrupted record, in order,
-    /// from a buffer whose records are clobbered in-place at arbitrary
-    /// positions — and its accounting is exact: skipped bytes equal the
-    /// clobbered bytes, and skipped-record count equals the number of
-    /// contiguous clobbered runs (a resync can only tell a corrupt
-    /// *region* apart, not the records inside it).
-    ///
-    /// Corrupt runs are kept ≥ 3 intact records apart: resync demands a
-    /// chain of [`codec`]'s `RESYNC_CHAIN` parseable records (or a clean
-    /// end of buffer) before trusting a candidate offset, so runs closer
-    /// than the chain length legitimately swallow the records between
-    /// them. Within that contract, recovery must be *exact*.
-    #[test]
-    fn tolerant_decode_recovers_all_uncorrupted_records(
-        events in proptest::collection::vec(arb_event(), 1..40),
-        mask_seed in any::<u64>(),
-    ) {
-        let mut buf = Vec::new();
-        let mut spans = Vec::with_capacity(events.len());
-        for e in &events {
-            let start = buf.len();
-            codec::encode_event(e, &mut buf);
-            spans.push((start, buf.len()));
-        }
-        // Derive the clobber mask from a seed (splitmix-style) so the
-        // shrinker works on one scalar. A record may extend the current
-        // corrupt run, or start a new one only after 3 intact records.
-        let mut clobbered = vec![false; events.len()];
-        let mut intact_since_run = usize::MAX;
-        for i in 0..events.len() {
-            let mut z = mask_seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            let want = z & 3 == 0; // ~1 in 4 records
-            let extends_run = i > 0 && clobbered[i - 1];
-            if want && (extends_run || intact_since_run >= 3) {
-                clobbered[i] = true;
-                intact_since_run = 0;
-            } else {
-                intact_since_run = intact_since_run.saturating_add(1);
-            }
-        }
-        let mut kept = Vec::new();
-        let mut clobbered_bytes = 0u64;
-        let mut runs = 0u64;
-        for (i, e) in events.iter().enumerate() {
-            if clobbered[i] {
-                let (s, t) = spans[i];
-                for b in &mut buf[s..t] {
-                    *b = 0xFF;
-                }
-                clobbered_bytes += (t - s) as u64;
-                if i == 0 || !clobbered[i - 1] {
-                    runs += 1;
-                }
-            } else {
-                kept.push(*e);
-            }
-        }
-        let (decoded, stats) = codec::decode_events_tolerant(&buf);
-        prop_assert_eq!(&decoded, &kept, "every uncorrupted record survives");
-        prop_assert_eq!(stats.records_decoded, kept.len() as u64);
-        prop_assert_eq!(stats.records_skipped, runs);
-        prop_assert_eq!(stats.bytes_skipped, clobbered_bytes);
-        prop_assert!(!stats.truncated, "in-place corruption is not truncation");
-    }
 }

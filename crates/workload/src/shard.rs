@@ -35,7 +35,6 @@ use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use charisma_ipsc::par::claim_each;
-use charisma_ipsc::SimTime;
 use charisma_obs::MetricsSnapshot;
 use charisma_trace::merge::MergedEvents;
 use charisma_trace::postprocess::postprocess;
@@ -322,16 +321,6 @@ pub fn try_generate_sharded(
         stats,
         metrics,
     })
-}
-
-/// The end time of the merged stream (max across shards) — a convenience
-/// mirroring the monolithic generator's `stats.end_time`.
-pub fn merged_end_time(shards: &[GeneratedWorkload]) -> SimTime {
-    shards
-        .iter()
-        .map(|s| s.stats.end_time)
-        .max()
-        .unwrap_or(SimTime::ZERO)
 }
 
 #[cfg(test)]
