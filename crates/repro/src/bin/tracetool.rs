@@ -16,7 +16,7 @@ use std::process::ExitCode;
 
 use charisma_core::export::{export_csv, summary_csv};
 use charisma_core::report::Report;
-use charisma_trace::file::{read_trace, write_trace, TraceStream};
+use charisma_trace::file::{read_trace, write_trace, TraceFileError, TraceStream};
 use charisma_trace::postprocess;
 use charisma_workload::{generate, GeneratorConfig};
 
@@ -92,8 +92,14 @@ fn cmd_info(args: &[String]) -> ExitCode {
         eprintln!("usage: tracetool info <file>");
         return ExitCode::FAILURE;
     };
-    let file = File::open(path).expect("open trace");
-    let mut stream = TraceStream::open(BufReader::new(file)).expect("parse header");
+    match info(path) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => unreadable(path, &e),
+    }
+}
+
+fn info(path: &str) -> Result<(), TraceFileError> {
+    let mut stream = TraceStream::open(BufReader::new(File::open(path)?))?;
     println!("trace file      : {path}");
     println!("format version  : {}", stream.header.version);
     println!("compute nodes   : {}", stream.header.compute_nodes);
@@ -105,7 +111,7 @@ fn cmd_info(args: &[String]) -> ExitCode {
     let mut records = 0u64;
     let mut first = None;
     let mut last = None;
-    while let Some(block) = stream.next_block().expect("read block") {
+    while let Some(block) = stream.next_block()? {
         records += block.events.len() as u64;
         if first.is_none() {
             first = Some(block.recv_service);
@@ -119,7 +125,13 @@ fn cmd_info(args: &[String]) -> ExitCode {
             (b.as_secs_f64() - a.as_secs_f64()) / 3600.0
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// Report a trace file that cannot be read, and fail.
+fn unreadable(path: &str, e: &TraceFileError) -> ExitCode {
+    eprintln!("{path}: {e}");
+    ExitCode::FAILURE
 }
 
 fn cmd_validate(args: &[String]) -> ExitCode {
@@ -127,8 +139,8 @@ fn cmd_validate(args: &[String]) -> ExitCode {
         eprintln!("usage: tracetool validate <file>");
         return ExitCode::FAILURE;
     };
-    let file = File::open(path).expect("open trace");
-    let mut stream = match TraceStream::open(BufReader::new(file)) {
+    let opened = File::open(path).map_err(TraceFileError::from);
+    let mut stream = match opened.and_then(|file| TraceStream::open(BufReader::new(file))) {
         Ok(s) => s,
         Err(e) => {
             println!("INVALID: {e}");
@@ -168,11 +180,10 @@ fn cmd_validate(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn load_report(path: &str) -> Report {
-    let file = File::open(path).expect("open trace");
-    let trace = read_trace(BufReader::new(file)).expect("parse trace");
+fn load_report(path: &str) -> Result<Report, TraceFileError> {
+    let trace = read_trace(BufReader::new(File::open(path)?))?;
     let events = postprocess(&trace);
-    Report::from_events(&events)
+    Ok(Report::from_events(&events))
 }
 
 fn cmd_analyze(args: &[String]) -> ExitCode {
@@ -180,7 +191,10 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         eprintln!("usage: tracetool analyze <file>");
         return ExitCode::FAILURE;
     };
-    let report = load_report(path);
+    let report = match load_report(path) {
+        Ok(report) => report,
+        Err(e) => return unreadable(path, &e),
+    };
     // Tolerate a closed pipe (`tracetool analyze x | head`).
     use std::io::Write as _;
     let stdout = std::io::stdout();
@@ -194,7 +208,10 @@ fn cmd_csv(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let dir = flag(args, "-o").unwrap_or_else(|| "charisma_csv".into());
-    let report = load_report(path);
+    let report = match load_report(path) {
+        Ok(report) => report,
+        Err(e) => return unreadable(path, &e),
+    };
     std::fs::create_dir_all(&dir).expect("create dir");
     let mut files = export_csv(&report);
     files.push(summary_csv(&report));

@@ -127,7 +127,7 @@ impl ArchiveWriter {
 
     fn seal_segment(&mut self) {
         let rows = self.seg.len() as u64;
-        let zone = self.seg.finish(&mut self.buf);
+        let zone = self.seg.finish(&mut self.buf, None);
         self.zones.push(zone);
         if let Some(m) = &self.metrics {
             m.segments_written.inc();
@@ -402,12 +402,13 @@ impl Archive {
         let layout = parse_layout(&bytes)?;
         // One shared allocation; each segment handle is a zero-copy slice
         // of it, so cloning the archive or its reader never copies bytes.
+        // Each segment's time page index is decoded here, once.
         let size_bytes = bytes.len();
         let shared = Bytes::from(bytes);
         let segments = layout
             .zones
             .into_iter()
-            .map(|(zone, range)| SealedSegment::from_parts(shared.slice(range), zone))
+            .map(|(zone, range)| SealedSegment::opened(shared.slice(range), zone))
             .collect();
         Ok(Archive {
             reader: ArchiveReader::new(layout.meta, segments),

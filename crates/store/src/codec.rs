@@ -188,10 +188,22 @@ pub fn decode_delta_column_into(
     n: usize,
     out: &mut Vec<u64>,
 ) -> Result<(), StoreError> {
+    decode_delta_run_into(buf, n, 0, out)
+}
+
+/// Append `n` values of a delta column whose previous absolute value was
+/// `prev` — a run from the middle of a column, such as one page of a
+/// time page index. From `prev == 0` this is
+/// [`decode_delta_column_into`].
+pub(crate) fn decode_delta_run_into(
+    buf: &mut &[u8],
+    n: usize,
+    mut prev: u64,
+    out: &mut Vec<u64>,
+) -> Result<(), StoreError> {
     let start = out.len();
     decode_varint_column_into(buf, n, out)
         .map_err(|_| StoreError::Corrupt("truncated delta column"))?;
-    let mut prev = 0u64;
     let mut chunks = out[start..].chunks_exact_mut(8);
     for chunk in &mut chunks {
         for z in chunk {

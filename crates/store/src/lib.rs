@@ -79,7 +79,7 @@ pub use parity::ParityGroup;
 pub use query::{OpClass, OpSet, Query, Scan};
 pub use replica::{FailoverReport, InjectReport, ReplicaConfig, ReplicaSet, ScrubReport};
 pub use sealed::{ArchiveReader, SealedSegment};
-pub use segment::{SegmentBuilder, ZoneMap, SEGMENT_ROWS};
+pub use segment::{SegmentBuilder, TimePage, ZoneMap, PAGE_ROWS, SEGMENT_ROWS};
 
 /// Everything that can go wrong building, opening or scanning an archive.
 ///

@@ -424,14 +424,16 @@ impl<'a> Scan<'a> {
     }
 
     /// Every matching record, in merged stream order, in one vector
-    /// reserved up front for every row the admitted segments hold, then
-    /// shrunk to what matched.
+    /// reserved up front for every row of the admitted segments that can
+    /// still match — under a time window, the rows of the time pages it
+    /// meets — then shrunk to what matched.
     pub fn events(&self) -> Result<Vec<OrderedEvent>, StoreError> {
         let admitted = self.admitted();
         let segments = self.reader.segments();
+        let time = self.query.time_pred();
         let rows: usize = admitted
             .iter()
-            .map(|&seg| segments[seg].rows() as usize)
+            .map(|&seg| segments[seg].candidate_rows(time))
             .sum();
         let mut out = Vec::with_capacity(rows);
         self.scan_segments(&admitted, |events| out.append(events))?;
@@ -590,10 +592,11 @@ mod tests {
         assert_eq!(snap.counters["store.segments_scanned"], 1);
         assert_eq!(snap.counters["store.rows_scanned"], 4096);
         assert_eq!(snap.counters["store.rows_matched"], 301);
-        // Predicate phase: the time column in full (4096 cells). Late
-        // phase: nine columns up to the last selected row (local index
-        // 404, so 405 cells each).
-        assert_eq!(snap.counters["store.cols_decoded"], 4096 + 9 * 405);
+        // Predicate phase: the time column on the four 128-row time pages
+        // holding local rows 104..=404 (512 cells). Late phase: nine
+        // columns up to the last selected row (local index 404, so 405
+        // cells each).
+        assert_eq!(snap.counters["store.cols_decoded"], 4 * 128 + 9 * 405);
         assert_eq!(snap.counters["store.rows_skipped_late"], 4096 - 301);
         // Only the one scanned segment paid for checksum verification;
         // pruned segments are never touched, so never verified.

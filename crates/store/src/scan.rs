@@ -12,9 +12,12 @@
 //!    predicates reference (time, node, op, job, file; the op column also
 //!    rides along with job/file predicates because those predicates are
 //!    op-conditional) and evaluate them into a [`RowSelection`] bitmap.
-//!    Varint columns decode whole, with the batched loops in
-//!    [`crate::codec`]; the op column is range-checked once and read
-//!    through its dictionary table.
+//!    The time column decodes only on the time pages the window meets
+//!    (below); the other varint columns decode whole, with the batched
+//!    loops in [`crate::codec`]; the op column is range-checked once and
+//!    read through its dictionary table. The other predicates are
+//!    evaluated only on the rows of the pages decoded; every other row is
+//!    unselected.
 //! 2. **Materialize phase** — one row-wise loop up to the last selected
 //!    row. Every column the predicate phase did not decode is read
 //!    through a cursor, and all the cursors advance in lockstep, one value
@@ -28,6 +31,28 @@
 //! selection and every column on a cursor, so the full decode is the
 //! identity case of the scan, not a separate code path.
 //!
+//! # Time pages
+//!
+//! A segment's time page index (one [`TimePage`] per [`PAGE_ROWS`] rows:
+//! where the page starts in the time column, the time before it, and its
+//! bounds) lets a time window decode each run of consecutive pages it
+//! meets in one batched decode from the run's first page, and skip the
+//! rest. [`SegmentBuilder::seal`](crate::SegmentBuilder::seal) builds the
+//! index while it encodes; [`index_time_column`] builds it from the bytes
+//! for [`Archive::from_bytes`](crate::Archive::from_bytes), and only for
+//! a segment whose checksum verifies and whose whole time column decodes
+//! with nothing after it. [`SealedSegment::from_parts`] builds none: a
+//! failover read wraps every segment through it on every pass, and must
+//! not pay a decode. A segment with no index, or a query with no window,
+//! is the one-page case of the same loop: one page of every row from the
+//! start of the column, whose bounds meet any window — so its results,
+//! its errors and its whole-column time decode are unchanged. The
+//! checksum is verified on every scan either way, which pins the bytes an
+//! index was built from; `values_decoded` charges only the time values
+//! actually decoded.
+//!
+//! [`SealedSegment::from_parts`]: crate::SealedSegment::from_parts
+//!
 //! Partial decode changes *when* corruption is observed, not whether the
 //! structure is validated: every scanned segment still has its row count
 //! and all ten column frames checked ([`SegmentColumns::parse`]), but a
@@ -36,14 +61,16 @@
 //! (the last row selected) also requires every column to end exactly
 //! where its last value does.
 
+use std::ops::Range;
+
 use bytes::Buf;
 use charisma_trace::OrderedEvent;
 
 use crate::codec::{
-    decode_delta_column_into, decode_varint_column_into, next_varint, unzigzag, DictRun,
+    decode_delta_run_into, decode_varint_column_into, next_varint, unzigzag, DictRun,
 };
 use crate::query::Query;
-use crate::segment::{event_from_row, Row, COLUMN_COUNT};
+use crate::segment::{event_from_row, Row, TimePage, COLUMN_COUNT, PAGE_ROWS};
 use crate::StoreError;
 
 /// Fixed column order within a segment blob (see the schema table in
@@ -60,6 +87,69 @@ const COL_OFFSET: usize = 8;
 const COL_SIZE: usize = 9;
 
 const TRAILING: StoreError = StoreError::Corrupt("trailing bytes in column");
+
+/// The pages a scan walks in a segment with no time page index: one page
+/// of every row, from the start of the time column, whose bounds meet any
+/// window.
+const WHOLE_SEGMENT: [TimePage; 1] = [TimePage {
+    offset: 0,
+    base: 0,
+    min: 0,
+    max: u64::MAX,
+}];
+
+/// The rows of page `p` of `pages` in a segment of `rows` rows: from
+/// `p * PAGE_ROWS` up to the next page, or to the end of the segment for
+/// the last page.
+fn page_rows(pages: &[TimePage], p: usize, rows: usize) -> Range<usize> {
+    let start = (p * PAGE_ROWS).min(rows);
+    let end = if p + 1 == pages.len() {
+        rows
+    } else {
+        (start + PAGE_ROWS).min(rows)
+    };
+    start..end
+}
+
+/// The pages a scan under the time window `time` walks, and the window
+/// it tests them against: the segment's index under a window, else the
+/// whole segment as one page under any window.
+fn walked(pages: &[TimePage], time: Option<(u64, u64)>) -> (&[TimePage], (u64, u64)) {
+    match time {
+        Some(window) if !pages.is_empty() => (pages, window),
+        _ => (&WHOLE_SEGMENT, time.unwrap_or((0, u64::MAX))),
+    }
+}
+
+/// Rows of a segment of `rows` rows with the time page index `pages` (or
+/// none, when empty) that a scan under the time window `time` can select:
+/// those on the pages it walks.
+pub(crate) fn candidate_rows(pages: &[TimePage], time: Option<(u64, u64)>, rows: usize) -> usize {
+    let (pages, window) = walked(pages, time);
+    page_runs(pages, window, rows)
+        .map(|(_, run)| run.len())
+        .sum()
+}
+
+/// The maximal runs of consecutive `pages` that meet `window`, in order:
+/// each run's first page (where its decode starts) and its rows.
+fn page_runs(
+    pages: &[TimePage],
+    window: (u64, u64),
+    rows: usize,
+) -> impl Iterator<Item = (&TimePage, Range<usize>)> {
+    let mut p = 0;
+    std::iter::from_fn(move || {
+        p += pages[p..].iter().position(|page| page.meets(window))?;
+        let first = p;
+        p += pages[p..]
+            .iter()
+            .position(|page| !page.meets(window))
+            .unwrap_or(pages.len() - p);
+        let start = page_rows(pages, first, rows).start;
+        Some((&pages[first], start..page_rows(pages, p - 1, rows).end))
+    })
+}
 
 /// A parsed segment frame: the row count plus one borrowed byte slice per
 /// column. Parsing validates the segment's *structure* — row count
@@ -105,20 +195,46 @@ impl<'a> SegmentColumns<'a> {
         self.rows
     }
 
-    /// Decode a whole varint or delta u64 column, which must end exactly
-    /// at its last value.
-    fn all_u64s(&self, idx: usize, delta: bool) -> Result<Vec<u64>, StoreError> {
+    /// Decode a whole varint u64 column, which must end exactly at its
+    /// last value.
+    fn all_u64s(&self, idx: usize) -> Result<Vec<u64>, StoreError> {
         let mut col = self.cols[idx];
         let mut values = Vec::new();
-        if delta {
-            decode_delta_column_into(&mut col, self.rows, &mut values)?;
-        } else {
-            decode_varint_column_into(&mut col, self.rows, &mut values)?;
-        }
+        decode_varint_column_into(&mut col, self.rows, &mut values)?;
         if !col.is_empty() {
             return Err(TRAILING);
         }
         Ok(values)
+    }
+
+    /// Decode the time column on the `pages` that meet `window`, one
+    /// decode per run of consecutive pages, indexed by row: rows of the
+    /// pages skipped read `0`, and the values end with the last page
+    /// decoded. Decoding the column's last page requires the column to end
+    /// exactly at its last value. Also returns the values decoded.
+    fn paged_times(
+        &self,
+        pages: &[TimePage],
+        window: (u64, u64),
+    ) -> Result<(Vec<u64>, usize), StoreError> {
+        let col = self.cols[COL_TIME];
+        let end = page_runs(pages, window, self.rows)
+            .last()
+            .map_or(0, |(_, rows)| rows.end);
+        let mut times = Vec::with_capacity(end);
+        let mut decoded = 0;
+        for (page, rows) in page_runs(pages, window, self.rows) {
+            let mut buf = col
+                .get(page.offset..)
+                .ok_or(StoreError::Corrupt("time page starts past its column"))?;
+            times.resize(rows.start, 0);
+            decode_delta_run_into(&mut buf, rows.len(), page.base, &mut times)?;
+            if rows.end == self.rows && !buf.is_empty() {
+                return Err(TRAILING);
+            }
+            decoded += rows.len();
+        }
+        Ok((times, decoded))
     }
 
     /// The first `upto` rows of a dictionary column, range-checked. When
@@ -248,13 +364,26 @@ pub(crate) struct SegmentScan {
     pub(crate) rows_skipped: u64,
 }
 
-/// Scan one segment blob under `query`, appending the matching events to
-/// `out` in row order: predicate-column decode into a [`RowSelection`],
-/// then row-wise late materialization of the survivors. On an error,
-/// `out` may hold some of the segment's events.
+/// Scan one segment blob that has no time page index: [`scan_pages`] as
+/// the one-page case.
 pub(crate) fn scan_segment(
     buf: &[u8],
     expected_rows: u32,
+    query: &Query,
+    out: &mut Vec<OrderedEvent>,
+) -> Result<SegmentScan, StoreError> {
+    scan_pages(buf, expected_rows, &[], query, out)
+}
+
+/// Scan one segment blob under `query`, appending the matching events to
+/// `out` in row order: predicate-column decode into a [`RowSelection`],
+/// then row-wise late materialization of the survivors. `pages` is the
+/// segment's time page index, or empty when it has none. On an error,
+/// `out` may hold some of the segment's events.
+pub(crate) fn scan_pages(
+    buf: &[u8],
+    expected_rows: u32,
+    pages: &[TimePage],
     query: &Query,
     out: &mut Vec<OrderedEvent>,
 ) -> Result<SegmentScan, StoreError> {
@@ -262,11 +391,14 @@ pub(crate) fn scan_segment(
     let rows = cols.rows();
 
     // Phase 1: decode exactly the predicate columns and evaluate the
-    // selection. Column-wise evaluation is short-circuit in column order:
-    // a row rejected by the time window never has its node or op looked
-    // at, but the *decode* is whole-column (that is what the batched
-    // loops want).
+    // selection on the pages the time window meets — every row when the
+    // query has no window or the segment no index. Column-wise evaluation
+    // is short-circuit in column order: a row rejected by the time window
+    // never has its node or op looked at, but the *decode* of the other
+    // predicate columns is whole-column (that is what the batched loops
+    // want).
     let time_pred = query.time_pred();
+    let (pages, window) = walked(pages, time_pred);
     let nodes_pred = query.nodes_pred();
     let ops_pred = query.ops_pred();
     let jobs_pred = query.jobs_pred();
@@ -275,21 +407,18 @@ pub(crate) fn scan_segment(
     // so they pull the op column into the predicate set.
     let need_op = ops_pred.is_some() || jobs_pred.is_some() || files_pred.is_some();
 
-    let times = time_pred
-        .map(|_| cols.all_u64s(COL_TIME, true))
-        .transpose()?;
-    let nodes = nodes_pred
-        .map(|_| cols.all_u64s(COL_NODE, false))
-        .transpose()?;
-    let jobs = jobs_pred
-        .map(|_| cols.all_u64s(COL_JOB, false))
-        .transpose()?;
-    let files = files_pred
-        .map(|_| cols.all_u64s(COL_FILE, false))
-        .transpose()?;
+    let (times, times_decoded) = match time_pred {
+        Some(_) => {
+            let (times, decoded) = cols.paged_times(pages, window)?;
+            (Some(times), decoded)
+        }
+        None => (None, 0),
+    };
+    let nodes = nodes_pred.map(|_| cols.all_u64s(COL_NODE)).transpose()?;
+    let jobs = jobs_pred.map(|_| cols.all_u64s(COL_JOB)).transpose()?;
+    let files = files_pred.map(|_| cols.all_u64s(COL_FILE)).transpose()?;
     let ops = need_op.then(|| cols.dict(COL_OP, rows)).transpose()?;
-    let decoded = [
-        times.is_some(),
+    let whole = [
         nodes.is_some(),
         jobs.is_some(),
         files.is_some(),
@@ -298,45 +427,48 @@ pub(crate) fn scan_segment(
     .into_iter()
     .filter(|&d| d)
     .count();
-    let mut values_decoded = (decoded * rows) as u64;
+    let decoded = whole + usize::from(times.is_some());
+    let mut values_decoded = (whole * rows + times_decoded) as u64;
 
     let mut selection = RowSelection::empty(rows);
-    for i in 0..rows {
-        if let (Some((from, to)), Some(times)) = (time_pred, &times) {
-            let t = times[i];
-            if t < from || t > to {
-                continue;
+    for (_, run) in page_runs(pages, window, rows) {
+        for i in run {
+            if let (Some((from, to)), Some(times)) = (time_pred, &times) {
+                let t = times[i];
+                if t < from || t > to {
+                    continue;
+                }
             }
-        }
-        if let (Some(want), Some(nodes)) = (nodes_pred, &nodes) {
-            if !want.iter().any(|&n| u64::from(n) == nodes[i]) {
-                continue;
+            if let (Some(want), Some(nodes)) = (nodes_pred, &nodes) {
+                if !want.iter().any(|&n| u64::from(n) == nodes[i]) {
+                    continue;
+                }
             }
-        }
-        let op = ops.as_ref().map(|ops| ops.get(i));
-        if let (Some(set), Some(op)) = (ops_pred, op) {
-            // An out-of-range tag cannot be in any op set; it only
-            // becomes a decode error if the row is otherwise selected
-            // and materialized.
-            if !(1..=7).contains(&op) || !set.intersects_bits(1 << (op - 1)) {
-                continue;
+            let op = ops.as_ref().map(|ops| ops.get(i));
+            if let (Some(set), Some(op)) = (ops_pred, op) {
+                // An out-of-range tag cannot be in any op set; it only
+                // becomes a decode error if the row is otherwise selected
+                // and materialized.
+                if !(1..=7).contains(&op) || !set.intersects_bits(1 << (op - 1)) {
+                    continue;
+                }
             }
-        }
-        if let (Some(want), Some(jobs)) = (jobs_pred, &jobs) {
-            // Rows name a job only for JobStart/JobEnd/Open/Delete.
-            let names_job = matches!(op, Some(1 | 2 | 3 | 7));
-            if !names_job || !want.iter().any(|&j| u64::from(j) == jobs[i]) {
-                continue;
+            if let (Some(want), Some(jobs)) = (jobs_pred, &jobs) {
+                // Rows name a job only for JobStart/JobEnd/Open/Delete.
+                let names_job = matches!(op, Some(1 | 2 | 3 | 7));
+                if !names_job || !want.iter().any(|&j| u64::from(j) == jobs[i]) {
+                    continue;
+                }
             }
-        }
-        if let (Some(want), Some(files)) = (files_pred, &files) {
-            // Rows name a file only for Open/Delete.
-            let names_file = matches!(op, Some(3 | 7));
-            if !names_file || !want.iter().any(|&f| u64::from(f) == files[i]) {
-                continue;
+            if let (Some(want), Some(files)) = (files_pred, &files) {
+                // Rows name a file only for Open/Delete.
+                let names_file = matches!(op, Some(3 | 7));
+                if !names_file || !want.iter().any(|&f| u64::from(f) == files[i]) {
+                    continue;
+                }
             }
+            selection.select(i);
         }
-        selection.select(i);
     }
 
     let matched = selection.count();
@@ -424,6 +556,37 @@ pub(crate) fn decode_segment(
     Ok(events)
 }
 
+/// Build the time page index of a segment blob from its bytes: `None`
+/// unless its checksum verifies, its frame parses and its whole time
+/// column decodes with no trailing bytes.
+pub(crate) fn index_time_column(blob: &[u8], expected_rows: u32) -> Option<Vec<TimePage>> {
+    let cols = SegmentColumns::parse(blob, expected_rows).ok()?;
+    let col = cols.cols[COL_TIME];
+    let mut buf = col;
+    let mut pages = Vec::with_capacity(cols.rows.div_ceil(PAGE_ROWS));
+    let mut values = Vec::with_capacity(PAGE_ROWS);
+    let mut prev = 0;
+    for start in (0..cols.rows).step_by(PAGE_ROWS) {
+        let offset = col.len() - buf.len();
+        values.clear();
+        decode_delta_run_into(
+            &mut buf,
+            PAGE_ROWS.min(cols.rows - start),
+            prev,
+            &mut values,
+        )
+        .ok()?;
+        pages.push(TimePage {
+            offset,
+            base: prev,
+            min: values.iter().copied().min()?,
+            max: values.iter().copied().max()?,
+        });
+        prev = *values.last()?;
+    }
+    buf.is_empty().then_some(pages)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,7 +635,8 @@ mod tests {
     /// The events and the accounting of one scan of `seg` under `q`.
     fn scan(seg: &crate::SealedSegment, q: &Query) -> (Vec<OrderedEvent>, SegmentScan) {
         let mut events = Vec::new();
-        let scan = scan_segment(seg.bytes(), seg.rows(), q, &mut events).expect("scans");
+        let pages = seg.time_pages().unwrap_or_default();
+        let scan = scan_pages(seg.bytes(), seg.rows(), pages, q, &mut events).expect("scans");
         (events, scan)
     }
 
@@ -526,12 +690,12 @@ mod tests {
         assert_eq!(full.values_decoded, 10 * 500);
         assert_eq!(full.rows_skipped, 0);
 
-        // A time window covering the first 31 rows: 1 predicate column at
-        // 500 values + 9 late columns at 31 values each.
+        // A time window covering the first 31 rows: the one time page they
+        // lie on at 128 values + 9 late columns at 31 values each.
         let q = Query::all().time_window(SimTime::from_micros(0), SimTime::from_micros(90));
         let (got, narrow) = scan(&seg, &q);
         assert_eq!(got.len(), 31);
-        assert_eq!(narrow.values_decoded, 500 + 9 * 31);
+        assert_eq!(narrow.values_decoded, 128 + 9 * 31);
         assert_eq!(narrow.rows_skipped, 500 - 31);
         assert!(narrow.values_decoded < full.values_decoded);
     }
@@ -544,10 +708,16 @@ mod tests {
             SimTime::from_micros(1_000_000),
             SimTime::from_micros(u64::MAX),
         );
-        let (got, scan) = scan(&seg, &q);
+        let (got, paged) = scan(&seg, &q);
         assert!(got.is_empty());
-        assert_eq!(scan.values_decoded, 128, "only the time column");
-        assert_eq!(scan.rows_skipped, 128);
+        assert_eq!(paged.values_decoded, 0, "no time page meets the window");
+        assert_eq!(paged.rows_skipped, 128);
+        // Without an index the whole time column is the one page.
+        let mut out = Vec::new();
+        let whole = scan_segment(seg.bytes(), seg.rows(), &q, &mut out).expect("scans");
+        assert!(out.is_empty());
+        assert_eq!(whole.values_decoded, 128, "only the time column");
+        assert_eq!(whole.rows_skipped, 128);
     }
 
     /// `seg` re-framed with `extra` appended to column `col`, and

@@ -27,6 +27,34 @@
 //! `Archive::from_bytes(reader.to_bytes())` is an identity on the
 //! segments, which is what lets a service publish byte-identical catalogs
 //! no matter how its ingest was scheduled.
+//!
+//! # Time page index
+//!
+//! A sealed segment may carry a time page index: one [`TimePage`] per
+//! [`PAGE_ROWS`](crate::PAGE_ROWS) rows, giving where the page starts in
+//! the time column, the time just before it and the page's time bounds.
+//! With it, a time-window scan decodes only the pages the window meets
+//! and evaluates its other predicates only on their rows. The index is
+//! kept in memory, never in the format, and is built in two places:
+//!
+//! * [`SegmentBuilder::seal`](crate::SegmentBuilder::seal) fills it in
+//!   the pass that encodes the time column, with no decode;
+//! * [`Archive::from_bytes`](crate::Archive::from_bytes) (and so
+//!   [`Archive::recover_from_bytes`](crate::Archive::recover_from_bytes))
+//!   builds it for each segment whose checksum verifies and whose whole
+//!   time column decodes with nothing after it; any other segment gets
+//!   none.
+//!
+//! [`SealedSegment::from_parts`] builds no index: a failover read wraps
+//! every segment of a replica set through it on every pass, and must not
+//! pay a decode for it. A segment with no index scans as one page of
+//! every row, the same loop with one page, so its results, its errors and
+//! the whole-column time decode are what they were before the index.
+//! Clones share the index (an `Arc`), and equality ignores it: two
+//! segments are equal when their bytes and zone maps are.
+
+use std::fmt;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use charisma_ipsc::SimTime;
@@ -34,33 +62,76 @@ use charisma_trace::OrderedEvent;
 
 use crate::archive::ArchiveMeta;
 use crate::query::{Query, Scan};
-use crate::scan::{decode_segment, scan_segment, SegmentScan};
-use crate::segment::ZoneMap;
+use crate::scan::{candidate_rows, decode_segment, index_time_column, scan_pages, SegmentScan};
+use crate::segment::{TimePage, ZoneMap};
 use crate::StoreError;
 
 /// One immutable, encoded segment: shared bytes plus the zone map that
-/// summarizes them.
+/// summarizes them, and, when it has one, its time page index.
 ///
 /// Handles are cheap to clone (shared ownership via [`Bytes`]); the
 /// underlying allocation is dropped when the last handle goes away. A
 /// sealed segment is self-contained: its zone map's `offset` is `0` and
 /// its `len` is the blob length, regardless of where the blob later lands
 /// inside a serialized archive.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct SealedSegment {
     bytes: Bytes,
     zone: ZoneMap,
+    /// The time page index, if the segment has one (see the module docs).
+    pages: Option<Arc<[TimePage]>>,
+}
+
+/// Equality is of the bytes and zone map: the index is derived from them.
+impl PartialEq for SealedSegment {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes && self.zone == other.zone
+    }
+}
+
+impl Eq for SealedSegment {}
+
+impl fmt::Debug for SealedSegment {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SealedSegment")
+            .field("bytes", &self.bytes)
+            .field("zone", &self.zone)
+            .field("time_pages", &self.pages.as_ref().map(|p| p.len()))
+            .finish()
+    }
 }
 
 impl SealedSegment {
     /// Wrap an encoded blob and its zone map. `zone.offset`/`zone.len`
     /// are normalized to the standalone form (`0`/blob length). Nothing is
-    /// verified here: a scan checks the blob's checksum and structure,
-    /// and any damage surfaces as a [`StoreError`].
+    /// verified or decoded here, and the segment has no time page index: a
+    /// scan checks the blob's checksum and structure, and any damage
+    /// surfaces as a [`StoreError`].
     pub fn from_parts(bytes: Bytes, mut zone: ZoneMap) -> Self {
         zone.offset = 0;
         zone.len = bytes.len() as u64;
-        SealedSegment { bytes, zone }
+        SealedSegment {
+            bytes,
+            zone,
+            pages: None,
+        }
+    }
+
+    /// [`SealedSegment::from_parts`] with the time page index `pages`
+    /// (none when empty), which must describe these bytes.
+    pub(crate) fn indexed(bytes: Bytes, zone: ZoneMap, pages: Vec<TimePage>) -> Self {
+        SealedSegment {
+            pages: (!pages.is_empty()).then(|| Arc::from(pages)),
+            ..SealedSegment::from_parts(bytes, zone)
+        }
+    }
+
+    /// [`SealedSegment::from_parts`] for a blob read from a container,
+    /// with the time page index decoded from its bytes — or none when its
+    /// checksum, its frame or its time column does not hold up.
+    pub(crate) fn opened(bytes: Bytes, zone: ZoneMap) -> Self {
+        let pages = index_time_column(&bytes, zone.rows).unwrap_or_default();
+        SealedSegment::indexed(bytes, zone, pages)
     }
 
     /// Rows encoded in this segment.
@@ -97,6 +168,19 @@ impl SealedSegment {
         zone
     }
 
+    /// The time page index, if the segment has one: page `p` covers rows
+    /// `p * PAGE_ROWS ..` up to the next page.
+    pub fn time_pages(&self) -> Option<&[TimePage]> {
+        self.pages.as_deref()
+    }
+
+    /// Rows a scan under the time window `time` can select: those on the
+    /// pages the window meets, or every row without a window or an index.
+    pub(crate) fn candidate_rows(&self, time: Option<(u64, u64)>) -> usize {
+        let pages = self.time_pages().unwrap_or_default();
+        candidate_rows(pages, time, self.zone.rows as usize)
+    }
+
     /// Decode every record of the segment, in row order.
     pub fn events(&self) -> Result<Vec<OrderedEvent>, StoreError> {
         decode_segment(&self.bytes, self.zone.rows)
@@ -111,7 +195,8 @@ impl SealedSegment {
         query: &Query,
         out: &mut Vec<OrderedEvent>,
     ) -> Result<SegmentScan, StoreError> {
-        scan_segment(&self.bytes, self.zone.rows, query, out)
+        let pages = self.time_pages().unwrap_or_default();
+        scan_pages(&self.bytes, self.zone.rows, pages, query, out)
     }
 }
 

@@ -21,13 +21,19 @@
 //! Alongside the column bytes each segment carries a [`ZoneMap`] — min/max
 //! time, node, job and file plus an op bitset — kept in the archive footer
 //! so a query can reject the whole segment without touching its bytes.
+//!
+//! A sealed segment may also carry an in-memory time page index (see
+//! [`TimePage`]): where each [`PAGE_ROWS`]-row page of the time column
+//! starts and which times it holds, so a time-window scan decodes only
+//! the pages the window touches. The index is not part of the format;
+//! [`SegmentBuilder::seal`] fills it in while it encodes the time column.
 
 use bytes::{Buf, BufMut};
 use charisma_ipsc::SimTime;
 use charisma_trace::record::{AccessKind, EventBody};
 use charisma_trace::OrderedEvent;
 
-use crate::codec::{encode_delta_column, encode_dict_column, encode_varint_column};
+use crate::codec::{encode_delta_column, encode_dict_column, encode_varint_column, zigzag};
 use crate::integrity::CHECKSUM_LEN;
 use crate::StoreError;
 
@@ -43,6 +49,36 @@ const FLAG_TRACED: u8 = 1 << 3;
 
 /// Columns per segment row (the fixed schema above).
 pub(crate) const COLUMN_COUNT: usize = 10;
+
+/// Rows per page of a segment's time page index: the unit a time-window
+/// scan decodes. The last page of a segment may be shorter.
+pub const PAGE_ROWS: usize = 128;
+
+/// One page of a sealed segment's time page index: rows
+/// `p * PAGE_ROWS ..` of the time column, up to the next page (or the end
+/// of the segment for the last one). Decoding a page needs no other page:
+/// it starts at `offset` in the time column, from the absolute time
+/// `base`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TimePage {
+    /// Byte offset of the page's first delta within the time column.
+    pub offset: usize,
+    /// The absolute time of the row just before the page (`0` for the
+    /// first page: the column's first delta is taken from zero).
+    pub base: u64,
+    /// Smallest time on the page (µs).
+    pub min: u64,
+    /// Largest time on the page (µs).
+    pub max: u64,
+}
+
+impl TimePage {
+    /// Whether any time on the page can fall in `from..=to`.
+    #[inline]
+    pub(crate) fn meets(&self, (from, to): (u64, u64)) -> bool {
+        self.min <= to && self.max >= from
+    }
+}
 
 /// Min/max tracker over the values a column actually carried (absent
 /// values do not pollute the bounds).
@@ -349,10 +385,14 @@ impl SegmentBuilder {
     /// empty for the next segment. Sealing is a pure function of the
     /// pushed record sequence, so the same records always seal to the same
     /// bytes regardless of when or where sealing happens.
+    ///
+    /// The sealed segment carries a time page index, built in the pass
+    /// that encodes the time column.
     pub fn seal(&mut self) -> crate::SealedSegment {
         let mut out = Vec::new();
-        let zone = self.finish(&mut out);
-        crate::SealedSegment::from_parts(bytes::Bytes::from(out), zone)
+        let mut pages = Vec::with_capacity(self.rows.len().div_ceil(PAGE_ROWS));
+        let zone = self.finish(&mut out, Some(&mut pages));
+        crate::SealedSegment::indexed(bytes::Bytes::from(out), zone, pages)
     }
 
     /// Encode the accumulated rows as one segment blob appended to `out`,
@@ -369,13 +409,23 @@ impl SegmentBuilder {
     /// holds all ten back to back; `out` then grows once and takes each
     /// column behind its length prefix, which is what lets a reader skip
     /// the columns it does not need.
-    pub(crate) fn finish(&mut self, out: &mut Vec<u8>) -> ZoneMap {
+    ///
+    /// Given `pages`, the time column is encoded page by page and each
+    /// page's [`TimePage`] is pushed there; the bytes are the same either
+    /// way. The archive writer passes `None`: its segments are only ever
+    /// read back through a reopened container, which builds its own index.
+    pub(crate) fn finish(
+        &mut self,
+        out: &mut Vec<u8>,
+        pages: Option<&mut Vec<TimePage>>,
+    ) -> ZoneMap {
         let rows = &self.rows;
         let n = rows.len();
         let mut cols = Vec::new();
         let ends = [
-            column(&mut cols, n, |c| {
-                encode_delta_column(rows.iter().map(|r| r.time), c)
+            column(&mut cols, n, |c| match pages {
+                Some(pages) => encode_time_pages(rows, c, pages),
+                None => encode_delta_column(rows.iter().map(|r| r.time), c),
             }),
             column(&mut cols, n, |c| {
                 encode_varint_column(rows.iter().map(|r| u64::from(r.node)), c);
@@ -435,6 +485,31 @@ impl SegmentBuilder {
             ..SegmentBuilder::default()
         };
         zone
+    }
+}
+
+/// Append the time column of `rows` to `out` exactly as
+/// [`encode_delta_column`] does, pushing one [`TimePage`] per
+/// [`PAGE_ROWS`] rows: the page's offset and base are taken once per page,
+/// and only its bounds are kept per value.
+fn encode_time_pages(rows: &[Row], out: &mut Vec<u8>, pages: &mut Vec<TimePage>) {
+    let start = out.len();
+    let mut prev = 0u64;
+    for page in rows.chunks(PAGE_ROWS) {
+        let (offset, base) = (out.len() - start, prev);
+        let (mut min, mut max) = (u64::MAX, 0);
+        for row in page {
+            out.put_varint_u64(zigzag(row.time.wrapping_sub(prev) as i64));
+            prev = row.time;
+            min = min.min(prev);
+            max = max.max(prev);
+        }
+        pages.push(TimePage {
+            offset,
+            base,
+            min,
+            max,
+        });
     }
 }
 
@@ -629,7 +704,7 @@ mod tests {
             builder.push(e).unwrap();
         }
         let mut out = Vec::new();
-        let zone = builder.finish(&mut out);
+        let zone = builder.finish(&mut out, None);
         assert_eq!(zone.rows, events.len() as u32);
         assert_eq!(zone.offset, 0);
         assert_eq!(zone.len, out.len() as u64);
@@ -645,7 +720,7 @@ mod tests {
             builder.push(e).unwrap();
         }
         let mut out = Vec::new();
-        let zone = builder.finish(&mut out);
+        let zone = builder.finish(&mut out, None);
         assert_eq!(zone.time, Bounds { min: 10, max: 16 });
         assert_eq!(
             zone.node,
@@ -671,7 +746,7 @@ mod tests {
                 },
             })
             .unwrap();
-        let zone = builder.finish(&mut Vec::new());
+        let zone = builder.finish(&mut Vec::new(), None);
         assert_eq!(zone.jobs, None);
         assert_eq!(zone.files, None);
         assert_eq!(zone.op_bits, 1 << 4);
@@ -684,7 +759,7 @@ mod tests {
         for e in &events {
             builder.push(e).unwrap();
         }
-        let zone = builder.finish(&mut Vec::new());
+        let zone = builder.finish(&mut Vec::new(), None);
         let mut out = Vec::new();
         zone.encode(&mut out);
         assert_eq!(out.len(), ZoneMap::ENCODED_LEN);
@@ -701,7 +776,7 @@ mod tests {
             builder.push(e).unwrap();
         }
         let mut out = Vec::new();
-        let zone = builder.finish(&mut out);
+        let zone = builder.finish(&mut out, None);
         // Row-count disagreement with the index.
         assert!(decode_segment(&out, zone.rows + 1).is_err());
         // Truncation at every prefix length must error, never panic.

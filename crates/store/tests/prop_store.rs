@@ -18,7 +18,7 @@ use charisma_store::{
     decode_delta_column_into, decode_dict_column, decode_varint_column_into, encode_delta_column,
     encode_dict_column, encode_varint_column, unzigzag, write_archive, zigzag, Archive,
     ArchiveMeta, ArchiveReader, OpClass, OpSet, Query, SealedSegment, SegmentBuilder, StoreError,
-    ZoneMap, SEGMENT_ROWS,
+    TimePage, ZoneMap, PAGE_ROWS, SEGMENT_ROWS,
 };
 use charisma_trace::record::{AccessKind, EventBody};
 use charisma_trace::OrderedEvent;
@@ -850,5 +850,160 @@ proptest! {
         let reader = ArchiveReader::new(META, vec![b.seal()]);
         let reopened = Archive::from_bytes(reader.to_bytes()).unwrap();
         prop_assert_eq!(reopened.events().unwrap(), accepted);
+    }
+}
+
+/// Rows for one segment of `rows` rows: bodies and times cycled from the
+/// drawn ones, times sorted (the merged stream's order) or left in drawn
+/// order, with long idle gaps so most time pages hold a burst.
+fn paged_rows(rows: usize, bodies: &[EventBody], times: &[u64], sorted: bool) -> Vec<OrderedEvent> {
+    let mut times: Vec<u64> = (0..rows)
+        .map(|i| times[i % times.len()] + (i / times.len()) as u64 * 100_000)
+        .collect();
+    if sorted {
+        times.sort_unstable();
+    }
+    times
+        .into_iter()
+        .enumerate()
+        .map(|(i, t)| OrderedEvent {
+            time: SimTime::from_micros(t),
+            node: (i % 8) as u16,
+            body: bodies[i % bodies.len()],
+        })
+        .collect()
+}
+
+/// Time windows on and around page edges: the single times of the rows
+/// either side of the first two page boundaries, the last one and the
+/// boundary `pick` chooses, windows ending or starting at them and
+/// spanning them, and those pages' own bounds and the gap just past them.
+fn page_edge_windows(events: &[OrderedEvent], pages: &[TimePage], pick: usize) -> Vec<(u64, u64)> {
+    let time = |i: usize| events[i].time.as_micros();
+    let last = pages.len() - 1;
+    let chosen = [0, 1, 2, last, pick % pages.len()];
+    let mut windows = Vec::new();
+    for p in chosen {
+        let edge = p * PAGE_ROWS;
+        for row in [edge.wrapping_sub(1), edge] {
+            if row < events.len() {
+                let t = time(row);
+                windows.extend([(t, t), (t.saturating_sub(1), t), (t, t + 1)]);
+            }
+        }
+        if edge > 0 && edge < events.len() {
+            windows.push((time(edge - 1), time(edge)));
+        }
+        if let Some(page) = pages.get(p) {
+            windows.extend([(page.min, page.max), (page.max + 1, page.max + 1)]);
+        }
+    }
+    windows
+}
+
+/// A query's events from a one-segment catalog, errors as text.
+fn scan_one(seg: &SealedSegment, q: &Query) -> Result<Vec<OrderedEvent>, String> {
+    ArchiveReader::new(META, vec![seg.clone()])
+        .query(q.clone())
+        .events()
+        .map_err(|e| format!("{e:?}"))
+}
+
+/// `seg` written into a container and reopened: its time page index, if
+/// any, is decoded from the bytes.
+fn reopened(seg: &SealedSegment) -> SealedSegment {
+    let bytes = ArchiveReader::new(META, vec![seg.clone()]).to_bytes();
+    let archive = Archive::from_bytes(bytes).expect("reopens");
+    archive.reader().segments()[0].clone()
+}
+
+proptest! {
+    /// A segment scans the same whichever way it came by its time page
+    /// index — the encoder's at seal, one decoded by `from_bytes`, or none
+    /// from `from_parts` — for arbitrary queries and windows on page
+    /// edges, over sorted and unsorted times and segments of one page,
+    /// one row short of and past a page, and a full segment. Damage to a
+    /// column gives the same result, error included, with and without the
+    /// index; and a time column with one value too many gets no index and
+    /// fails as it does without one.
+    #[test]
+    fn a_time_page_index_scans_like_no_index(
+        rows in prop_oneof![
+            Just(1usize),
+            Just(PAGE_ROWS - 1),
+            Just(PAGE_ROWS),
+            Just(PAGE_ROWS + 1),
+            Just(SEGMENT_ROWS),
+            1usize..600,
+        ],
+        bodies in proptest::collection::vec(arb_body(), 1..40),
+        times in proptest::collection::vec(0u64..100_000, 1..300),
+        sorted in prop_oneof![Just(true), Just(true), Just(false)],
+        queries in proptest::collection::vec(arb_query(), 4),
+        damaged in 0usize..10,
+        keep_percent in 0usize..=100,
+        hostile in arb_hostile_bytes(),
+        hostile_dict in arb_hostile_dict(),
+        pick in any::<usize>(),
+    ) {
+        let events = paged_rows(rows, &bodies, &times, sorted);
+        let mut b = SegmentBuilder::default();
+        for e in &events {
+            b.push(e).unwrap();
+        }
+        let sealed = b.seal();
+        let zone = *sealed.zone();
+        let decoded = reopened(&sealed);
+        let bare = SealedSegment::from_parts(sealed.bytes().clone(), zone);
+        let pages = sealed.time_pages().expect("a sealed segment has an index");
+        prop_assert_eq!(pages.len(), rows.div_ceil(PAGE_ROWS));
+        prop_assert_eq!(decoded.time_pages(), Some(pages), "encoder pages = decoded pages");
+        prop_assert_eq!(bare.time_pages(), None);
+        prop_assert!(sealed == decoded && decoded == bare, "equality ignores the index");
+
+        let mut all = queries.clone();
+        all.push(Query::all());
+        for (from, to) in page_edge_windows(&events, pages, pick) {
+            let window = Query::all().time_window(SimTime::from_micros(from), SimTime::from_micros(to));
+            all.push(window.clone().ops(OpSet::requests()));
+            all.push(window);
+        }
+        for q in &all {
+            let want: Vec<OrderedEvent> = events.iter().filter(|e| q.matches(e)).copied().collect();
+            let got = scan_one(&sealed, q);
+            prop_assert_eq!(&got, &Ok(want), "query {:?}", q);
+            prop_assert_eq!(&scan_one(&decoded, q), &got, "query {:?}", q);
+            prop_assert_eq!(&scan_one(&bare, q), &got, "query {:?}", q);
+        }
+
+        // One column cut short and followed by hostile bytes: reopened, the
+        // segment keeps an index exactly when its time column still
+        // decodes whole, and scans as the index-free copy does.
+        let mut columns = columns_of(&sealed);
+        let col = &mut columns[damaged];
+        col.truncate(col.len() * keep_percent / 100);
+        col.extend(if DICT_COLUMNS.contains(&damaged) { &hostile_dict } else { &hostile });
+        let broken = reseal(rows, &columns, zone);
+        let broken_decoded = reopened(&broken);
+        if damaged != 0 {
+            prop_assert_eq!(broken_decoded.time_pages(), Some(pages));
+        }
+        for q in &all {
+            prop_assert_eq!(scan_one(&broken_decoded, q), scan_one(&broken, q), "query {:?}", q);
+        }
+
+        // One value too many in the time column: no index, and the same
+        // failure as without one.
+        let mut columns = columns_of(&sealed);
+        columns[0].push(0);
+        let extra = reseal(rows, &columns, zone);
+        let extra_decoded = reopened(&extra);
+        prop_assert_eq!(extra_decoded.time_pages(), None);
+        let trailing = Err(format!("{:?}", StoreError::Corrupt("trailing bytes in column")));
+        let window = Query::all().time_window(SimTime::ZERO, SimTime::from_micros(pages[0].max));
+        for q in [Query::all(), window] {
+            prop_assert_eq!(&scan_one(&extra_decoded, &q), &trailing, "query {:?}", q);
+            prop_assert_eq!(&scan_one(&extra, &q), &trailing, "query {:?}", q);
+        }
     }
 }
