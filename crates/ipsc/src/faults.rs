@@ -150,8 +150,9 @@ pub struct IoNodeDown {
     pub at_us: u64,
 }
 
-/// A seeded, serializable description of every fault the chaos layer
-/// will inject. All rates are parts-per-million; a default-constructed
+/// A seeded description of every fault the chaos layer injects into the
+/// simulated machine: its disks, I/O nodes, messages and node clocks.
+/// All rates are parts-per-million; a default-constructed
 /// plan (or [`FaultPlan::none`]) injects nothing, and the pipeline
 /// proves that an empty plan is byte-identical to no plan at all.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -181,12 +182,6 @@ pub struct FaultPlan {
     pub clock_jump_ppm: u32,
     /// Maximum clock jump, µs.
     pub clock_jump_max_us: u64,
-    /// Probability one archived segment replica suffers a byte flip, ppm
-    /// (keyed on `(seed, segment, replica)` — scrub must catch it).
-    pub archive_corrupt_ppm: u32,
-    /// Probability one archived segment replica is lost with its I/O
-    /// node, ppm (reads fail over to a surviving replica).
-    pub replica_loss_ppm: u32,
     /// Retry/backoff/timeout policy for faulted CFS requests.
     pub retry: RetryPolicy,
 }
@@ -207,8 +202,6 @@ impl FaultPlan {
             && self.msg_drop_ppm == 0
             && self.msg_dup_ppm == 0
             && self.clock_jump_ppm == 0
-            && self.archive_corrupt_ppm == 0
-            && self.replica_loss_ppm == 0
             && self.retry.timeout_us == 0
     }
 
@@ -233,11 +226,6 @@ impl FaultPlan {
             msg_dup_ppm: 5_000,
             clock_jump_ppm: 150_000,
             clock_jump_max_us: 2_000_000,
-            // Archive faults stay off in the base fixture: the pinned
-            // chaos metrics predate them. `charisma-verify gates chaos`
-            // layers them on via its dedicated archive-fault plan fixture.
-            archive_corrupt_ppm: 0,
-            replica_loss_ppm: 0,
             retry: RetryPolicy {
                 max_retries: 3,
                 base_backoff_us: 1_000,
@@ -246,150 +234,7 @@ impl FaultPlan {
             },
         }
     }
-
-    /// Serialize to the plan text format (`key = value` lines; see
-    /// [`FaultPlan::parse`]). Round-trips through `parse` exactly.
-    pub fn encode(&self) -> String {
-        let mut out = String::from("# charisma fault plan v1\n");
-        let mut kv = |k: &str, v: u64| {
-            out.push_str(k);
-            out.push_str(" = ");
-            out.push_str(&v.to_string());
-            out.push('\n');
-        };
-        kv("seed", self.seed);
-        kv("disk_transient_ppm", u64::from(self.disk_transient_ppm));
-        kv("disk_degrade_ppm", u64::from(self.disk_degrade_ppm));
-        kv("io_stall_ppm", u64::from(self.io_stall_ppm));
-        kv("io_stall_us", self.io_stall_us);
-        kv("msg_delay_ppm", u64::from(self.msg_delay_ppm));
-        kv("msg_delay_max_us", self.msg_delay_max_us);
-        kv("msg_drop_ppm", u64::from(self.msg_drop_ppm));
-        kv("msg_dup_ppm", u64::from(self.msg_dup_ppm));
-        kv("clock_jump_ppm", u64::from(self.clock_jump_ppm));
-        kv("clock_jump_max_us", self.clock_jump_max_us);
-        kv("archive_corrupt_ppm", u64::from(self.archive_corrupt_ppm));
-        kv("replica_loss_ppm", u64::from(self.replica_loss_ppm));
-        kv("retry_max", u64::from(self.retry.max_retries));
-        kv("retry_base_us", self.retry.base_backoff_us);
-        kv("retry_cap_us", self.retry.backoff_cap_us);
-        kv("timeout_us", self.retry.timeout_us);
-        if !self.io_node_down.is_empty() {
-            let downs: Vec<String> = self
-                .io_node_down
-                .iter()
-                .map(|d| format!("{}@{}", d.io_node, d.at_us))
-                .collect();
-            out.push_str("io_node_down = ");
-            out.push_str(&downs.join(", "));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parse the plan text format: one `key = value` per line, `#`
-    /// comments and blank lines ignored, `io_node_down` a comma-separated
-    /// list of `node@at_us` entries. Unknown keys are errors so a typo in
-    /// a chaos config cannot silently disable a fault.
-    pub fn parse(text: &str) -> Result<FaultPlan, FaultPlanError> {
-        let mut plan = FaultPlan::none();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(FaultPlanError::MissingSeparator {
-                    line: lineno + 1,
-                    text: line.to_string(),
-                });
-            };
-            let (key, value) = (key.trim(), value.trim());
-            let bad = |_| FaultPlanError::BadValue {
-                key: key.to_string(),
-                value: value.to_string(),
-            };
-            match key {
-                "seed" => plan.seed = value.parse().map_err(bad)?,
-                "disk_transient_ppm" => plan.disk_transient_ppm = value.parse().map_err(bad)?,
-                "disk_degrade_ppm" => plan.disk_degrade_ppm = value.parse().map_err(bad)?,
-                "io_stall_ppm" => plan.io_stall_ppm = value.parse().map_err(bad)?,
-                "io_stall_us" => plan.io_stall_us = value.parse().map_err(bad)?,
-                "msg_delay_ppm" => plan.msg_delay_ppm = value.parse().map_err(bad)?,
-                "msg_delay_max_us" => plan.msg_delay_max_us = value.parse().map_err(bad)?,
-                "msg_drop_ppm" => plan.msg_drop_ppm = value.parse().map_err(bad)?,
-                "msg_dup_ppm" => plan.msg_dup_ppm = value.parse().map_err(bad)?,
-                "clock_jump_ppm" => plan.clock_jump_ppm = value.parse().map_err(bad)?,
-                "clock_jump_max_us" => plan.clock_jump_max_us = value.parse().map_err(bad)?,
-                "archive_corrupt_ppm" => plan.archive_corrupt_ppm = value.parse().map_err(bad)?,
-                "replica_loss_ppm" => plan.replica_loss_ppm = value.parse().map_err(bad)?,
-                "retry_max" => plan.retry.max_retries = value.parse().map_err(bad)?,
-                "retry_base_us" => plan.retry.base_backoff_us = value.parse().map_err(bad)?,
-                "retry_cap_us" => plan.retry.backoff_cap_us = value.parse().map_err(bad)?,
-                "timeout_us" => plan.retry.timeout_us = value.parse().map_err(bad)?,
-                "io_node_down" => {
-                    for entry in value.split(',') {
-                        let entry = entry.trim();
-                        if entry.is_empty() {
-                            continue;
-                        }
-                        let Some((node, at)) = entry.split_once('@') else {
-                            return Err(FaultPlanError::BadValue {
-                                key: key.to_string(),
-                                value: entry.to_string(),
-                            });
-                        };
-                        plan.io_node_down.push(IoNodeDown {
-                            io_node: node.trim().parse().map_err(|_| FaultPlanError::BadValue {
-                                key: key.to_string(),
-                                value: entry.to_string(),
-                            })?,
-                            at_us: at.trim().parse().map_err(|_| FaultPlanError::BadValue {
-                                key: key.to_string(),
-                                value: entry.to_string(),
-                            })?,
-                        });
-                    }
-                }
-                _ => {
-                    return Err(FaultPlanError::UnknownKey {
-                        key: key.to_string(),
-                    })
-                }
-            }
-        }
-        Ok(plan)
-    }
 }
-
-/// Error parsing a [`FaultPlan`] text file.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FaultPlanError {
-    /// A non-comment line had no `=`.
-    MissingSeparator { line: usize, text: String },
-    /// A value failed to parse for its key.
-    BadValue { key: String, value: String },
-    /// A key the format does not define (typo protection).
-    UnknownKey { key: String },
-}
-
-impl core::fmt::Display for FaultPlanError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            FaultPlanError::MissingSeparator { line, text } => {
-                write!(f, "fault plan line {line}: no `=` in {text:?}")
-            }
-            FaultPlanError::BadValue { key, value } => {
-                write!(f, "fault plan key {key}: bad value {value:?}")
-            }
-            FaultPlanError::UnknownKey { key } => {
-                write!(f, "fault plan: unknown key {key:?}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FaultPlanError {}
 
 /// Metric handles for the chaos layer, registered under the `faults.`
 /// prefix. Only registered when a non-empty plan is attached, so a
@@ -416,10 +261,6 @@ pub struct FaultMetrics {
     pub io_stalls: Counter,
     /// Clocks that jumped.
     pub clock_jumps: Counter,
-    /// Archived segment replicas corrupted by a byte flip.
-    pub archive_corrupt: Counter,
-    /// Archived segment replicas lost with their I/O node.
-    pub replica_lost: Counter,
     /// Distribution of retry backoffs, µs.
     pub backoff_us: Histogram,
     /// Distribution of injected message delays, µs.
@@ -440,8 +281,6 @@ impl FaultMetrics {
             msg_duplicated: registry.counter("faults.msg_duplicated"),
             io_stalls: registry.counter("faults.io_stalls"),
             clock_jumps: registry.counter("faults.clock_jumps"),
-            archive_corrupt: registry.counter("faults.archive.corrupt"),
-            replica_lost: registry.counter("faults.archive.replica_lost"),
             backoff_us: registry.histogram("faults.backoff_us"),
             msg_delay_us: registry.histogram("faults.msg_delay_us"),
         }
@@ -608,53 +447,6 @@ mod tests {
         let mut timeout_only = FaultPlan::none();
         timeout_only.retry.timeout_us = 1;
         assert!(!timeout_only.is_empty(), "a timeout alone still acts");
-        let mut archive_only = FaultPlan::none();
-        archive_only.archive_corrupt_ppm = 1;
-        assert!(!archive_only.is_empty(), "archive corruption alone acts");
-        let mut loss_only = FaultPlan::none();
-        loss_only.replica_loss_ppm = 1;
-        assert!(!loss_only.is_empty(), "replica loss alone acts");
-    }
-
-    #[test]
-    fn plan_round_trips_through_text() {
-        let plan = FaultPlan::chaos_fixture();
-        let text = plan.encode();
-        assert_eq!(FaultPlan::parse(&text), Ok(plan));
-        assert_eq!(
-            FaultPlan::parse(&FaultPlan::none().encode()),
-            Ok(FaultPlan::none())
-        );
-        // The archive-fault keys round-trip too, and a plan text written
-        // before they existed (no such keys) still parses, defaulting
-        // them to zero.
-        let mut archive = FaultPlan::chaos_fixture();
-        archive.archive_corrupt_ppm = 25_000;
-        archive.replica_loss_ppm = 20_000;
-        assert_eq!(FaultPlan::parse(&archive.encode()), Ok(archive));
-        let old = FaultPlan::parse("seed = 3\ndisk_transient_ppm = 5\n").expect("parses");
-        assert_eq!(old.archive_corrupt_ppm, 0);
-        assert_eq!(old.replica_loss_ppm, 0);
-    }
-
-    #[test]
-    fn parse_rejects_unknown_keys_and_garbage() {
-        assert!(matches!(
-            FaultPlan::parse("disk_transient_pmm = 5"),
-            Err(FaultPlanError::UnknownKey { .. })
-        ));
-        assert!(matches!(
-            FaultPlan::parse("seed = banana"),
-            Err(FaultPlanError::BadValue { .. })
-        ));
-        assert!(matches!(
-            FaultPlan::parse("just some words"),
-            Err(FaultPlanError::MissingSeparator { .. })
-        ));
-        assert!(matches!(
-            FaultPlan::parse("io_node_down = 3"),
-            Err(FaultPlanError::BadValue { .. })
-        ));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! and subcube-allocator safety under arbitrary request sequences.
 
 use charisma_ipsc::alloc::{Subcube, SubcubeAllocator};
-use charisma_ipsc::{EventQueue, FaultPlan, FaultRng, Hypercube, RetryPolicy, SimTime};
+use charisma_ipsc::{EventQueue, FaultRng, Hypercube, RetryPolicy, SimTime};
 use proptest::prelude::*;
 
 proptest! {
@@ -109,44 +109,6 @@ proptest! {
             prop_assert!(first <= cap.max(1),
                 "attempt {} backoff {} exceeds cap {}", attempt, first, cap);
         }
-    }
-
-    /// Fault-plan text encoding round-trips every field exactly, for
-    /// arbitrary plans.
-    #[test]
-    fn fault_plan_text_codec_round_trips(
-        seed in any::<u64>(),
-        ppms in proptest::collection::vec(0u32..2_000_000, 10),
-        amounts in proptest::collection::vec(any::<u64>(), 4),
-        downs in proptest::collection::vec((any::<u32>(), any::<u64>()), 0..4),
-    ) {
-        let plan = FaultPlan {
-            seed,
-            disk_transient_ppm: ppms[0],
-            disk_degrade_ppm: ppms[1],
-            io_node_down: downs
-                .into_iter()
-                .map(|(io_node, at_us)| charisma_ipsc::IoNodeDown { io_node, at_us })
-                .collect(),
-            io_stall_ppm: ppms[2],
-            io_stall_us: amounts[0],
-            msg_delay_ppm: ppms[3],
-            msg_delay_max_us: amounts[1],
-            msg_drop_ppm: ppms[4],
-            msg_dup_ppm: ppms[5],
-            clock_jump_ppm: ppms[6],
-            clock_jump_max_us: amounts[2],
-            archive_corrupt_ppm: ppms[8],
-            replica_loss_ppm: ppms[9],
-            retry: RetryPolicy {
-                max_retries: (ppms[7] % 16),
-                base_backoff_us: amounts[3],
-                backoff_cap_us: amounts[3].wrapping_mul(3),
-                timeout_us: amounts[1] / 2,
-            },
-        };
-        let parsed = FaultPlan::parse(&plan.encode()).expect("encoded plan parses");
-        prop_assert_eq!(parsed, plan);
     }
 
     /// Fault decisions depend only on the identity ids handed in, never

@@ -1,5 +1,5 @@
 //! Federated queries: one predicate fanned out across every tenant's
-//! pinned catalog, k-way merged back into a single deterministic stream.
+//! pinned catalog, sorted back into a single deterministic stream.
 //!
 //! The fan-out reuses the store's sanctioned pattern,
 //! [`charisma_ipsc::par::claim_each`] — worker threads under
@@ -7,20 +7,18 @@
 //! claimed snapshot runs an ordinary pruned one-worker [`Scan`].
 //! One fan-out worker runs the same claiming loop inline on the calling
 //! thread, and so does each one-worker scan, so a one-worker federated
-//! query spawns no thread at all. The per-tenant results go through the
-//! trace layer's [`MergedEvents`], whose `(time, node, shard, seq)` key
-//! becomes `(time, node, tenant, row)`: it stably sorts each tenant's
-//! stream by `(time, node)` and then merges, so the output is exactly a
-//! stable sort of the tenant-ordered concatenation by `(time, node)` —
-//! also for a tenant whose batches were submitted out of order, which
-//! [`Service::submit`] does not forbid. The property suite pins that
-//! equivalence for arbitrary queries and worker counts.
+//! query spawns no thread at all. The per-tenant results are concatenated
+//! in tenant order and stably sorted by `(time, node)`, so ties keep
+//! tenant order and then row order — also for a tenant whose batches were
+//! submitted out of order, which [`Service::submit`] does not forbid. The
+//! property suite pins the output to that concat-and-stable-sort oracle
+//! for arbitrary queries and worker counts.
 //!
 //! [`Scan`]: charisma_store::Scan
 
 use charisma_ipsc::par::claim_each;
 use charisma_store::Query;
-use charisma_trace::{MergedEvents, OrderedEvent};
+use charisma_trace::OrderedEvent;
 
 use crate::service::{Service, Snapshot};
 use crate::ServeError;
@@ -50,8 +48,8 @@ impl Service {
 
 impl Service {
     /// Run `query` over an explicit pinned snapshot set instead of the
-    /// service's live tenants (tenant order = slice order), merged by the
-    /// same `(time, node, tenant)` key as [`Service::federated`].
+    /// service's live tenants (tenant order = slice order), ordered like
+    /// [`Service::federated`].
     ///
     /// This is the degraded-federation entry: swap any tenant's live
     /// snapshot for one rebuilt via [`Snapshot::from_reader`] from a
@@ -77,8 +75,8 @@ impl FederatedQuery<'_> {
         self
     }
 
-    /// Every matching record across all tenants, merged by
-    /// `(time, node, tenant)`.
+    /// Every matching record across all tenants, stably sorted by
+    /// `(time, node)` from tenant order.
     pub fn events(&self) -> Result<Vec<OrderedEvent>, ServeError> {
         let snapshots = self.service.snapshot_all();
         federated_events(&snapshots, &self.query, self.workers, self.service)
@@ -86,7 +84,8 @@ impl FederatedQuery<'_> {
 }
 
 /// Run `query` over an explicit snapshot set (tenant order = slice
-/// order) and merge. The `Service` method above is the common entry;
+/// order), concatenate the results in tenant order and stably sort them
+/// by `(time, node)`. The `Service` method above is the common entry;
 /// this free function also serves pinned snapshot sets directly.
 pub(crate) fn federated_events(
     snapshots: &[Snapshot],
@@ -123,7 +122,8 @@ pub(crate) fn federated_events(
     })
     .into_iter()
     .collect::<Result<Vec<_>, ServeError>>()?;
-    let merged: Vec<OrderedEvent> = MergedEvents::new(per_tenant).collect();
+    let mut merged = per_tenant.concat();
+    merged.sort_by_key(|e| (e.time, e.node));
     m.federated_rows.add(merged.len() as u64);
     Ok(merged)
 }

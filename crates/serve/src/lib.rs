@@ -6,10 +6,9 @@
 //! many simulated *sites* (tenants) ingesting trace batches into one
 //! long-lived service while many readers query the published catalogs:
 //!
-//! * [`Service`] hosts N tenants. Each [`Service::submit`] passes a
-//!   deterministic admission hash (seeded [`FaultRng`]-style, keyed on
-//!   `(seed, tenant, batch_seq)`), enters a bounded per-tenant queue, and
-//!   under backpressure drains into an append-only
+//! * [`Service`] hosts N tenants. Each [`Service::submit`] enters a
+//!   bounded per-tenant queue ([`QUEUE_BATCHES`]), and under
+//!   backpressure drains into an append-only
 //!   [`SegmentBuilder`](charisma_store::SegmentBuilder) that seals
 //!   immutable [`SealedSegment`](charisma_store::SealedSegment)s into the
 //!   tenant's published catalog.
@@ -17,8 +16,8 @@
 //!   handles (shared bytes, no copies) that concurrent ingest can never
 //!   mutate — reads see exactly a prefix of the admitted stream.
 //! * [`FederatedQuery`] fans one [`Query`](charisma_store::Query) out
-//!   across all tenants with scoped worker threads and k-way-merges the
-//!   results by `(time, node, tenant)`.
+//!   across all tenants with scoped worker threads and stably sorts the
+//!   tenant-ordered results by `(time, node)`.
 //!
 //! # Determinism contract
 //!
@@ -28,8 +27,6 @@
 //! pins bit-identical catalogs across all of them, and the property suite
 //! pins federated scans to a concat-and-stable-sort oracle and snapshots
 //! to serial prefix replays.
-//!
-//! [`FaultRng`]: charisma_ipsc::faults::FaultRng
 
 // Determinism rules; the disallowed types and methods live in clippy.toml.
 #![forbid(unsafe_code)] // CH006
@@ -52,7 +49,7 @@ mod service;
 
 pub use federate::FederatedQuery;
 pub use metrics::ServeMetrics;
-pub use service::{domain, Admission, Service, ServiceConfig, Snapshot, TenantFeed};
+pub use service::{domain, Admission, Service, ServiceConfig, Snapshot, TenantFeed, QUEUE_BATCHES};
 
 use charisma_store::StoreError;
 

@@ -1,4 +1,4 @@
-//! `serve.*` observability: ingest admission, backpressure, sealing,
+//! `serve.*` observability: ingest, backpressure, sealing,
 //! snapshots, and federated query work.
 //!
 //! All handles are plain [`Counter`]s. Every count is a pure function of
@@ -16,8 +16,6 @@ pub struct ServeMetrics {
     pub batches_ingested: Counter,
     /// Rows carried by admitted batches.
     pub rows_ingested: Counter,
-    /// Batches the admission hash shed before enqueueing.
-    pub batches_shed: Counter,
     /// Submissions that found the tenant queue full and had to drain it
     /// synchronously (bounded backpressure).
     pub backpressure_stalls: Counter,
@@ -31,7 +29,7 @@ pub struct ServeMetrics {
     pub federated_segments_pruned: Counter,
     /// Segments federated queries decoded and filtered.
     pub federated_segments_scanned: Counter,
-    /// Rows federated queries returned after the k-way merge.
+    /// Rows federated queries returned.
     pub federated_rows: Counter,
 }
 
@@ -41,7 +39,6 @@ impl ServeMetrics {
         ServeMetrics {
             batches_ingested: registry.counter("serve.batches_ingested"),
             rows_ingested: registry.counter("serve.rows_ingested"),
-            batches_shed: registry.counter("serve.batches_shed"),
             backpressure_stalls: registry.counter("serve.backpressure_stalls"),
             segments_sealed: registry.counter("serve.segments_sealed"),
             snapshots_taken: registry.counter("serve.snapshots_taken"),

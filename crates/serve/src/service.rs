@@ -1,12 +1,11 @@
 //! The multi-tenant service: per-tenant ingest queues with bounded
-//! backpressure, deterministic admission, segment sealing, and
-//! snapshot-isolated catalog publication.
+//! backpressure, segment sealing, and snapshot-isolated catalog
+//! publication.
 //!
 //! # Determinism contract
 //!
 //! A tenant's published catalog is a pure function of the sequence of
-//! batches submitted to that tenant: admission is a stateless decision
-//! hash over `(service seed, tenant, batch sequence number)`, queues
+//! batches submitted to that tenant: every batch is admitted, queues
 //! drain FIFO, and sealing happens at fixed row boundaries
 //! ([`SEGMENT_ROWS`]) — exactly where [`charisma_store::ArchiveWriter`]
 //! seals. Nothing about *when* the work happened (worker count, claim
@@ -42,28 +41,23 @@ use crate::ServeError;
 /// seeds its own [`FaultRng`], so these need only be distinct from each
 /// other, not from the fault layer's.
 pub mod domain {
-    /// Admission fate of one `(tenant, batch_seq)` submission.
-    pub const ADMISSION: u64 = 0x21;
     /// Tenant claim-order permutation under an interleave seed.
     pub const INTERLEAVE: u64 = 0x22;
 }
 
+/// Batches a tenant queue holds before a submission stalls and drains it
+/// synchronously (bounded backpressure).
+pub const QUEUE_BATCHES: usize = 8;
+
 /// Static configuration of a [`Service`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
-    /// Seed for admission decisions, and the provenance seed recorded in
-    /// every tenant's published catalog.
+    /// Provenance seed recorded in every tenant's published catalog.
     pub seed: u64,
     /// Provenance scale recorded in published catalogs.
     pub scale: f64,
     /// Number of tenants (simulated sites) the service hosts.
     pub tenants: usize,
-    /// Batches a tenant queue holds before a submission stalls and drains
-    /// it synchronously (bounded backpressure).
-    pub queue_batches: usize,
-    /// Parts-per-million of batches the admission hash sheds; `0`
-    /// disables shedding.
-    pub shed_ppm: u32,
 }
 
 impl Default for ServiceConfig {
@@ -72,23 +66,16 @@ impl Default for ServiceConfig {
             seed: 4994,
             scale: 0.05,
             tenants: 4,
-            queue_batches: 8,
-            shed_ppm: 0,
         }
     }
 }
 
-/// The admission verdict for one submitted batch.
+/// The receipt for one submitted batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Admission {
     /// The batch entered the tenant's queue.
     Admitted {
-        /// The tenant-local sequence number the decision was keyed on.
-        batch_seq: u64,
-    },
-    /// The admission hash shed the batch; nothing was enqueued.
-    Shed {
-        /// The tenant-local sequence number the decision was keyed on.
+        /// The batch's tenant-local sequence number.
         batch_seq: u64,
     },
 }
@@ -104,7 +91,7 @@ struct Tenant {
     sealed_rows: u64,
     /// Rows admitted (queued + building + sealed).
     admitted_rows: u64,
-    /// Submissions seen, admitted or not — the admission-hash key.
+    /// Batches submitted so far.
     batch_seq: u64,
 }
 
@@ -188,7 +175,6 @@ pub struct TenantFeed {
 /// and isolation contracts.
 pub struct Service {
     config: ServiceConfig,
-    rng: FaultRng,
     #[expect(
         clippy::disallowed_types,
         reason = "per-tenant state cell: each tenant's feed is processed serially and in order, \
@@ -213,7 +199,6 @@ impl Service {
         let tenants = (0..config.tenants).map(|_| Default::default()).collect();
         Service {
             config,
-            rng: FaultRng::new(config.seed),
             tenants,
             metrics: ServeMetrics::default(),
         }
@@ -247,29 +232,19 @@ impl Service {
 
     /// Submit one batch to `tenant`'s ingest queue.
     ///
-    /// Admission is a pure decision hash over `(seed, tenant,
-    /// batch_seq)` — the same submission sequence always admits and sheds
-    /// the same batches, on any worker. An admitted batch is enqueued;
-    /// if the queue is over [`ServiceConfig::queue_batches`] the caller
-    /// stalls and drains it synchronously (bounded backpressure), sealing
-    /// any full segments into the published catalog.
+    /// The batch is enqueued; if the queue is then over [`QUEUE_BATCHES`]
+    /// the caller stalls and drains it synchronously (bounded
+    /// backpressure), sealing any full segments into the published
+    /// catalog.
     pub fn submit(&self, tenant: usize, batch: &[OrderedEvent]) -> Result<Admission, ServeError> {
         let mut t = self.tenant(tenant)?;
         let batch_seq = t.batch_seq;
         t.batch_seq += 1;
-        if self.rng.chance(
-            self.config.shed_ppm,
-            domain::ADMISSION,
-            &[tenant as u64, batch_seq],
-        ) {
-            self.metrics.batches_shed.inc();
-            return Ok(Admission::Shed { batch_seq });
-        }
         self.metrics.batches_ingested.inc();
         self.metrics.rows_ingested.add(batch.len() as u64);
         t.admitted_rows += batch.len() as u64;
         t.queue.push_back(batch.to_vec());
-        if t.queue.len() > self.config.queue_batches {
+        if t.queue.len() > QUEUE_BATCHES {
             self.metrics.backpressure_stalls.inc();
             self.drain(&mut t);
         }
@@ -464,26 +439,25 @@ mod tests {
     fn backpressure_drains_and_seals_mid_ingest() {
         let config = ServiceConfig {
             tenants: 1,
-            queue_batches: 2,
             ..ServiceConfig::default()
         };
         let mut service = Service::new(config);
         let registry = charisma_obs::MetricsRegistry::new();
         service.attach_metrics(ServeMetrics::register(&registry));
-        let events = stream(9000, 0);
+        let events = stream(18_000, 0);
         for batch in batches(&events, 1500) {
             service.submit(0, &batch).expect("admits");
         }
-        // 6 batches through a 2-batch queue: stalls happened and sealed
-        // segments were published before any flush.
+        // 12 batches through an 8-batch queue: the ninth stalled, and
+        // sealed segments were published before any flush.
         let snap = registry.snapshot();
-        assert!(snap.counters["serve.backpressure_stalls"] >= 1);
+        assert_eq!(snap.counters["serve.backpressure_stalls"], 1);
         assert!(snap.counters["serve.segments_sealed"] >= 1);
         let pre = service.snapshot(0).expect("snapshots");
-        assert!(pre.rows() > 0 && pre.rows() < 9000);
+        assert!(pre.rows() > 0 && pre.rows() < 18_000);
         service.flush(0).expect("flushes");
         let post = service.snapshot(0).expect("snapshots");
-        assert_eq!(post.rows(), 9000);
+        assert_eq!(post.rows(), 18_000);
         assert_eq!(post.events().expect("reads"), events);
     }
 
@@ -491,11 +465,11 @@ mod tests {
     fn snapshots_pin_a_prefix_equal_to_serial_replay() {
         let config = ServiceConfig {
             tenants: 1,
-            queue_batches: 0, // drain on every submit: catalog grows early
             ..ServiceConfig::default()
         };
         let service = Service::new(config);
-        let events = stream(12_000, 3);
+        // Enough batches for several stalls, so the catalog grows mid-ingest.
+        let events = stream(40_000, 3);
         let mut snapshots = Vec::new();
         for batch in batches(&events, 900) {
             service.submit(0, &batch).expect("admits");
@@ -515,6 +489,7 @@ mod tests {
         for pair in snapshots.windows(2) {
             assert!(pair[1].rows() >= pair[0].rows());
         }
+        assert!(snapshots[snapshots.len() - 1].rows() > SEGMENT_ROWS as u64);
     }
 
     #[test]
@@ -547,42 +522,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn admission_shedding_is_deterministic_and_counted() {
-        let config = ServiceConfig {
-            tenants: 2,
-            shed_ppm: 300_000, // ~30% of batches
-            ..ServiceConfig::default()
-        };
-        let events = stream(8000, 0);
-        let run = || {
-            let mut service = Service::new(config);
-            let registry = charisma_obs::MetricsRegistry::new();
-            service.attach_metrics(ServeMetrics::register(&registry));
-            let mut verdicts = Vec::new();
-            for tenant in 0..2 {
-                for batch in batches(&events, 400) {
-                    verdicts.push(service.submit(tenant, &batch).expect("submits"));
-                }
-                service.flush(tenant).expect("flushes");
-            }
-            let bytes: Vec<Vec<u8>> = service
-                .snapshot_all()
-                .iter()
-                .map(Snapshot::to_bytes)
-                .collect();
-            let shed = registry.snapshot().counters["serve.batches_shed"];
-            (verdicts, bytes, shed)
-        };
-        let (verdicts, bytes, shed) = run();
-        assert!(shed > 0, "a 30% shed rate must shed something");
-        assert!(verdicts
-            .iter()
-            .any(|v| matches!(v, Admission::Admitted { .. })));
-        // Pure decision hash: a rerun reproduces verdicts, bytes, counts.
-        assert_eq!(run(), (verdicts, bytes, shed));
     }
 
     #[test]

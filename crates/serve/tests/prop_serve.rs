@@ -1,7 +1,7 @@
 //! Property tests for the serve layer.
 //!
 //! Three promises, pinned over arbitrary tenant streams, queries, worker
-//! counts, and queue bounds:
+//! counts, and batch sizes:
 //! * a federated scan over K tenants equals concatenating K serial scans
 //!   in tenant order and re-sorting by the canonical `(time, node)` key
 //!   (stable — ties keep tenant order, the federation analog of the trace
@@ -146,17 +146,15 @@ proptest! {
     }
 
     /// A snapshot taken after any submission equals a serial replay of
-    /// the prefix it pinned, under arbitrary batch sizes and queue
-    /// bounds — and the final flush publishes exactly the full stream.
+    /// the prefix it pinned, under arbitrary batch sizes — and the final
+    /// flush publishes exactly the full stream.
     #[test]
     fn snapshots_see_exactly_a_pinned_prefix(
         events in arb_stream(500),
         batch_rows in 1usize..120,
-        queue_batches in 0usize..6,
     ) {
         let service = Service::new(ServiceConfig {
             tenants: 1,
-            queue_batches,
             ..ServiceConfig::default()
         });
         for batch in batches(&events, batch_rows) {

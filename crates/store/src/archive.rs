@@ -2,15 +2,15 @@
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────┐
-//! │ magic "CHSTOR01"  version (2)  seed  scale-bits          │  header
+//! │ magic "CHSTOR01"  version (3)  seed  scale-bits          │  header
 //! ├──────────────────────────────────────────────────────────┤
-//! │ segment 0 (columnar blob + 8-byte word checksum)         │
+//! │ segment 0 (columnar blob + 8-byte four-lane checksum)    │
 //! │ segment 1                                                │
 //! │ ...                                                      │
 //! ├──────────────────────────────────────────────────────────┤
 //! │ zone-map directory (one fixed-width entry per segment)   │  footer
 //! │ total row count                                          │
-//! │ file checksum (word checksum over every byte before it)  │
+//! │ file checksum (four-lane, over every byte before it)     │
 //! ├──────────────────────────────────────────────────────────┤
 //! │ footer length (u64)   magic "CHSTOR01"                   │  tail
 //! └──────────────────────────────────────────────────────────┘
@@ -20,7 +20,7 @@
 //! directory without scanning segments, and repeats the magic so
 //! truncation is detected before any parsing.
 //!
-//! **Integrity.** Every segment blob ends with a word-at-a-time
+//! **Integrity.** Every segment blob ends with a four-lane
 //! checksum over its frames (see [`crate::integrity`]), and the footer
 //! ends with a file checksum over every byte before it — header,
 //! segments, and directory alike. Corruption therefore classifies

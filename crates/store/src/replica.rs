@@ -9,8 +9,8 @@
 //! the three durability verbs:
 //!
 //! * **Inject** ([`ReplicaSet::inject_faults`]): deterministic byte flips
-//!   and replica losses keyed on `(seed, segment, replica)`, the chaos
-//!   plan's `archive_corrupt_ppm` / `replica_loss_ppm` domains.
+//!   and replica losses keyed on `(seed, segment, replica)` at the
+//!   caller's rates, under the fault layer's archive domains.
 //! * **Scrub** ([`ReplicaSet::scrub`]): walk every copy of every segment,
 //!   verify its trailing checksum, and repair corrupt/missing/drifted
 //!   copies byte-identically from the lowest-index verifying replica.
@@ -332,13 +332,13 @@ impl ReplicaSet {
         slot.take().is_some()
     }
 
-    /// Inject the chaos plan's archive faults: for every `(segment,
-    /// replica)` slot, decide loss first (`replica_loss_ppm` under
+    /// Inject archive faults: for every `(segment,
+    /// replica)` slot, decide loss first (`loss_ppm` under
     /// [`domain::REPLICA_LOSS`]), else a single byte flip
-    /// (`archive_corrupt_ppm` under [`domain::ARCHIVE_CORRUPT`], with the
+    /// (`corrupt_ppm` under [`domain::ARCHIVE_CORRUPT`], with the
     /// flipped offset a second draw in the same domain). Decisions are
     /// pure hashes of `(seed, segment, replica)`: re-running the same
-    /// plan against the same catalog damages exactly the same bytes.
+    /// rates against the same catalog damages exactly the same bytes.
     pub fn inject_faults(&mut self, corrupt_ppm: u32, loss_ppm: u32) -> InjectReport {
         let rng = FaultRng::new(self.seed);
         let mut report = InjectReport::default();

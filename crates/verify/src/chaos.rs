@@ -6,12 +6,10 @@
 //! so a chaos run must be exactly as repeatable and worker-count-invariant
 //! as a clean one. The `chaos` gate turns that into checks:
 //!
-//! 1. **Plan fixtures** — the canonical chaos plan
-//!    ([`FaultPlan::chaos_fixture`]) is checked in as
-//!    `crates/verify/fixtures/fault_plan_chaos.txt` and the archive-fault
-//!    plan as `fault_plan_archive.txt`. Each fixture must equal the
-//!    builtin's encoding and parse back to the builtin, so any drift in
-//!    either the plan or its text codec is visible in review.
+//! 1. **Plan fixture** — the canonical chaos plan
+//!    ([`FaultPlan::chaos_fixture`]) is pinned, as its `{:#?}` rendering,
+//!    in `crates/verify/fixtures/fault_plan_chaos.txt`, so any drift in
+//!    the plan is visible in review.
 //! 2. **Repeatability and worker-count invariance** — the chaos pipeline
 //!    is held to `check_runs_agree`: every worker count reproduces the
 //!    serial run, and the widest count reproduces itself.
@@ -21,20 +19,22 @@
 //!    `crates/verify/fixtures/metrics_snapshot_chaos.json`, pinning the
 //!    exact number of injected faults, retries, timeouts, and degraded
 //!    serves at the gate's seed and scale.
-//! 4. **Archive-fault drill** — `check_archive_chaos`: everything
-//!    again under [`archive_fault_plan`], with [`archive_fault_drill`]
-//!    placing, damaging, failing over and scrubbing a replica set over
-//!    each run's archive, plus torn-tail recovery and degraded-tenant
-//!    federation.
+//! 4. **Archive-fault drill** — `check_archive_chaos`: the serial chaos
+//!    run's stream is archived, and [`archive_fault_drill`] places,
+//!    damages (at [`ARCHIVE_CORRUPT_PPM`] and [`REPLICA_LOSS_PPM`]),
+//!    fails over and scrubs a replica set over it; then torn-tail
+//!    recovery and degraded-tenant federation.
 //!
 //! Run the binary with `--features invariants` (CI does) and every
 //! `invariant!` assertion in the simulation crates is live while the
 //! faults fire.
 
-use charisma::ipsc::FaultMetrics;
 use charisma::obs::{MetricsRegistry, MetricsSnapshot};
 use charisma::serve::{Service, ServiceConfig, Snapshot, TenantFeed};
-use charisma::store::{Archive, Query, ReplicaConfig, ReplicaSet, StoreError, StoreMetrics};
+use charisma::store::{
+    write_archive, Archive, ArchiveMeta, InjectReport, Query, ReplicaConfig, ReplicaSet,
+    StoreError, StoreMetrics,
+};
 use charisma_ipsc::FaultPlan;
 
 use crate::determinism::check_runs_agree;
@@ -47,16 +47,21 @@ pub fn chaos_plan() -> FaultPlan {
     FaultPlan::chaos_fixture()
 }
 
-/// The `chaos` gate: plan fixtures, repeatability and worker-count
+/// Replica byte-flip rate of the gate's archive drill, ppm. With
+/// [`REPLICA_LOSS_PPM`] it damages many copies at the gate's seed and
+/// scale while (deterministically) leaving a live copy of every segment,
+/// so the drill exercises failover and scrub rather than data loss.
+pub const ARCHIVE_CORRUPT_PPM: u32 = 25_000;
+
+/// Whole-replica loss rate of the gate's archive drill, ppm.
+pub const REPLICA_LOSS_PPM: u32 = 20_000;
+
+/// The `chaos` gate: the plan fixture, repeatability and worker-count
 /// invariance under the chaos plan, fault activity, the chaos metrics
 /// fixture, and the archive-fault drill.
 pub(crate) fn check(runs: &mut Runs, write: bool) -> Result<Vec<String>, charisma::Error> {
-    let mut complaints = pin_plan("fault_plan_chaos.txt", &chaos_plan(), write);
-    complaints.extend(pin_plan(
-        "fault_plan_archive.txt",
-        &archive_fault_plan(),
-        write,
-    ));
+    let plan = format!("{:#?}\n", chaos_plan());
+    let mut complaints = pin("fault_plan_chaos.txt", &plan, "chaos", write);
     complaints.extend(check_runs_agree(runs, Config::Chaos)?);
     let metrics = &runs.get(Config::Chaos, 1)?.metrics;
     complaints.extend(require_engaged(metrics, &CHAOS_ENGAGED));
@@ -64,25 +69,6 @@ pub(crate) fn check(runs: &mut Runs, write: bool) -> Result<Vec<String>, charism
     complaints.extend(pin("metrics_snapshot_chaos.json", &core, "chaos", write));
     complaints.extend(check_archive_chaos(runs)?);
     Ok(complaints)
-}
-
-/// Pin `plan`'s encoding as the fixture `file`, and require that
-/// encoding to parse back to `plan` — together, the fixture text parses
-/// to the builtin.
-fn pin_plan(file: &str, plan: &FaultPlan, write: bool) -> Vec<String> {
-    let encoded = plan.encode();
-    let mut complaints = pin(file, &encoded, "chaos", write);
-    match FaultPlan::parse(&encoded) {
-        Ok(parsed) if parsed == *plan => {}
-        Ok(parsed) => complaints.push(format!(
-            "{file}: the text codec does not round-trip the builtin plan\n  \
-             parsed:  {parsed:?}\n  builtin: {plan:?}"
-        )),
-        Err(e) => complaints.push(format!(
-            "{file}: the builtin plan's encoding does not parse: {e}"
-        )),
-    }
-    complaints
 }
 
 /// Counters the chaos plan must drive above zero: injection, retry,
@@ -97,12 +83,7 @@ const CHAOS_ENGAGED: [&str; 6] = [
 ];
 
 /// Counters the archive-fault drill must drive above zero.
-const ARCHIVE_ENGAGED: [&str; 4] = [
-    "faults.archive.corrupt",
-    "faults.archive.replica_lost",
-    "store.scrub.segments_checked",
-    "store.scrub.repaired",
-];
+const ARCHIVE_ENGAGED: [&str; 2] = ["store.scrub.segments_checked", "store.scrub.repaired"];
 
 /// A complaint for each of `keys` that `metrics` lacks or counts as
 /// zero: a fault or recovery path the plan must exercise but did not —
@@ -117,38 +98,26 @@ fn require_engaged(metrics: &MetricsSnapshot, keys: &[&str]) -> Vec<String> {
         .collect()
 }
 
-/// The archive-fault plan: the canonical chaos environment with the
-/// self-healing archive layer's faults switched on — replica byte
-/// corruption and whole-replica loss at rates hostile enough to damage
-/// many copies at the gate's seed and scale while (deterministically)
-/// leaving at least one live replica of every segment, so the drill
-/// exercises failover and scrub rather than declared data loss.
-/// Checked in as `crates/verify/fixtures/fault_plan_archive.txt`.
-pub fn archive_fault_plan() -> FaultPlan {
-    let mut plan = FaultPlan::chaos_fixture();
-    plan.archive_corrupt_ppm = 25_000;
-    plan.replica_loss_ppm = 20_000;
-    plan
-}
-
 /// The self-healing drill over one archive: place its segments on
-/// replicated I/O nodes, inject `plan`'s deterministic replica damage
-/// (`archive_corrupt_ppm` / `replica_loss_ppm`), and require the healing
-/// loop to close — degraded reads fail over to the canonical bytes, scrub
-/// repairs every damaged replica, and the healed set reads clean with no
-/// failovers left.
+/// replicated I/O nodes by `seed`, inject deterministic replica damage
+/// (`corrupt_ppm` byte flips, `loss_ppm` lost copies), and require the
+/// healing loop to close — degraded reads fail over to the canonical
+/// bytes, scrub repairs every damaged replica, and the healed set reads
+/// clean with no failovers left.
 ///
-/// Returns the drill's metrics — `faults.archive.*` injections and
-/// `store.scrub.*` activity — for the caller to merge into the run's.
-pub fn archive_fault_drill(bytes: &[u8], plan: &FaultPlan) -> Result<MetricsSnapshot, StoreError> {
+/// Returns the damage done and the drill's `store.scrub.*` metrics, for
+/// the caller to check and merge.
+pub fn archive_fault_drill(
+    bytes: &[u8],
+    seed: u64,
+    corrupt_ppm: u32,
+    loss_ppm: u32,
+) -> Result<(InjectReport, MetricsSnapshot), StoreError> {
     let archive = Archive::from_bytes(bytes.to_vec())?;
     let registry = MetricsRegistry::new();
-    let mut set = ReplicaSet::place(archive.reader(), ReplicaConfig::default(), plan.seed);
+    let mut set = ReplicaSet::place(archive.reader(), ReplicaConfig::default(), seed);
     set.attach_metrics(StoreMetrics::register(&registry));
-    let injected = set.inject_faults(plan.archive_corrupt_ppm, plan.replica_loss_ppm);
-    let fm = FaultMetrics::register(&registry);
-    fm.archive_corrupt.add(injected.corrupted);
-    fm.replica_lost.add(injected.lost);
+    let injected = set.inject_faults(corrupt_ppm, loss_ppm);
     // Degraded reads must already serve the canonical container.
     let (degraded, _failovers) = set.failover_reader()?;
     if degraded.to_bytes() != bytes {
@@ -169,19 +138,20 @@ pub fn archive_fault_drill(bytes: &[u8], plan: &FaultPlan) -> Result<MetricsSnap
     if failovers != 0 || healed.to_bytes() != bytes {
         return Err(StoreError::Corrupt("scrub left a replica diverging"));
     }
-    Ok(registry.snapshot())
+    Ok((injected, registry.snapshot()))
 }
 
-/// The archive-fault half of the chaos gate. Every
-/// [`Config::ArchiveFaults`] run has already passed
-/// [`archive_fault_drill`] (failover and scrub byte-exact) with its
-/// metrics merged in; this holds the self-healing layer to its remaining
-/// contracts:
+/// The archive-fault half of the chaos gate, over the serial chaos run's
+/// stream archived with [`write_archive`]. The chaos runs already agree
+/// on that stream at every worker count and on a repeat, so its archive
+/// bytes do too. This holds the self-healing layer to its contracts:
 ///
-/// 1. **Repeatability and worker-count invariance** —
-///    [`check_runs_agree`]: archive bytes and metric cores included.
-/// 2. **Fault activity** — the archive fault counters and scrub counters
-///    are live, and scrub repaired exactly the copies that were damaged.
+/// 1. **The drill heals, repeatably** — [`archive_fault_drill`] fails
+///    over and scrubs byte-exactly, and a second drill over the same
+///    bytes damages and repairs exactly what the first did.
+/// 2. **Fault activity** — the drill corrupted and lost copies, the scrub
+///    counters are live, and scrub repaired exactly the copies that were
+///    damaged.
 /// 3. **Torn-tail recovery** — truncating the archive mid-final-segment
 ///    is classified `TornTail`, and recovery yields exactly the sealed
 ///    prefix of the merged stream.
@@ -191,18 +161,39 @@ pub fn archive_fault_drill(bytes: &[u8], plan: &FaultPlan) -> Result<MetricsSnap
 ///
 /// Returns human-readable complaints; empty means the checks passed.
 fn check_archive_chaos(runs: &mut Runs) -> Result<Vec<String>, charisma::Error> {
-    let mut complaints = check_runs_agree(runs, Config::ArchiveFaults)?;
-    let plan = archive_fault_plan();
-    let (seed, scale) = (runs.seed, runs.scale);
-    let out = runs.get(Config::ArchiveFaults, 1)?;
-    let bytes = out.archive.clone().unwrap_or_default();
+    let mut complaints = Vec::new();
+    let drill_seed = chaos_plan().seed;
+    let meta = ArchiveMeta {
+        seed: runs.seed,
+        scale: runs.scale,
+    };
+    let out = runs.get(Config::Chaos, 1)?;
+    let bytes = write_archive(&out.events, meta);
+
+    // 1. The drill heals (or errs), and heals the same way twice.
+    let drill = || archive_fault_drill(&bytes, drill_seed, ARCHIVE_CORRUPT_PPM, REPLICA_LOSS_PPM);
+    let (injected, metrics) = drill()?;
+    let (again, metrics_again) = drill()?;
+    if again != injected || metrics_again.to_core_json() != metrics.to_core_json() {
+        complaints.push(format!(
+            "the archive drill is not repeatable: {injected:?} then {again:?}"
+        ));
+    }
 
     // 2. The archive fault machinery demonstrably engaged, and scrub
     // repaired exactly the copies that were damaged.
-    complaints.extend(require_engaged(&out.metrics, &ARCHIVE_ENGAGED));
-    let count = |key: &str| out.metrics.counters.get(key).copied().unwrap_or(0);
-    let damaged = count("faults.archive.corrupt") + count("faults.archive.replica_lost");
-    let repaired = count("store.scrub.repaired");
+    if injected.corrupted == 0 || injected.lost == 0 {
+        complaints.push(format!(
+            "the archive drill must both corrupt and lose copies: {injected:?}"
+        ));
+    }
+    complaints.extend(require_engaged(&metrics, &ARCHIVE_ENGAGED));
+    let damaged = injected.corrupted + injected.lost;
+    let repaired = metrics
+        .counters
+        .get("store.scrub.repaired")
+        .copied()
+        .unwrap_or(0);
     if repaired != damaged {
         complaints.push(format!(
             "scrub repaired {repaired} copies but {damaged} were damaged"
@@ -246,10 +237,9 @@ fn check_archive_chaos(runs: &mut Runs) -> Result<Vec<String>, charisma::Error> 
 
     // 4. Degraded federation ≡ healthy federation.
     let service = Service::new(ServiceConfig {
-        seed,
-        scale,
+        seed: meta.seed,
+        scale: meta.scale,
         tenants: 2,
-        ..ServiceConfig::default()
     });
     let half = out.events.len() / 2;
     let feeds: Vec<TenantFeed> = [&out.events[..half], &out.events[half..]]
@@ -265,8 +255,8 @@ fn check_archive_chaos(runs: &mut Runs) -> Result<Vec<String>, charisma::Error> 
     let want = service.federated(query.clone()).workers(2).events()?;
     let mut snapshots = service.snapshot_all();
     let mut degraded =
-        ReplicaSet::place(snapshots[1].reader(), ReplicaConfig::default(), plan.seed);
-    degraded.inject_faults(plan.archive_corrupt_ppm, plan.replica_loss_ppm);
+        ReplicaSet::place(snapshots[1].reader(), ReplicaConfig::default(), drill_seed);
+    degraded.inject_faults(ARCHIVE_CORRUPT_PPM, REPLICA_LOSS_PPM);
     match degraded.failover_reader() {
         Ok((reader, _)) => {
             snapshots[1] = Snapshot::from_reader(1, reader);
@@ -289,25 +279,6 @@ fn check_archive_chaos(runs: &mut Runs) -> Result<Vec<String>, charisma::Error> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn plans_round_trip_through_the_text_codec() {
-        for plan in [chaos_plan(), archive_fault_plan()] {
-            let parsed = FaultPlan::parse(&plan.encode()).expect("canonical plan parses");
-            assert_eq!(parsed, plan);
-        }
-    }
-
-    #[test]
-    fn archive_plan_differs_from_the_chaos_plan_only_in_archive_rates() {
-        let archive = archive_fault_plan();
-        let mut base = chaos_plan();
-        assert_eq!((base.archive_corrupt_ppm, base.replica_loss_ppm), (0, 0));
-        base.archive_corrupt_ppm = archive.archive_corrupt_ppm;
-        base.replica_loss_ppm = archive.replica_loss_ppm;
-        assert_eq!(base, archive);
-        assert!(archive.archive_corrupt_ppm > 0 && archive.replica_loss_ppm > 0);
-    }
 
     #[test]
     fn idle_or_missing_counters_are_named() {

@@ -18,7 +18,7 @@ use std::rc::Rc;
 
 use charisma::{ArchiveSink, Pipeline, PipelineOutput};
 
-use crate::chaos::{archive_fault_drill, archive_fault_plan, chaos_plan};
+use crate::chaos::chaos_plan;
 use crate::metrics::diff_json;
 
 /// The seed every gate runs at.
@@ -37,9 +37,6 @@ pub(crate) enum Config {
     Clean,
     /// The canonical chaos plan ([`chaos_plan`]), no sink.
     Chaos,
-    /// The archive-fault plan ([`archive_fault_plan`]), in-memory sink,
-    /// with [`archive_fault_drill`]'s metrics merged into the output.
-    ArchiveFaults,
 }
 
 /// Pipeline runs shared by every gate of one invocation.
@@ -98,17 +95,6 @@ impl Runs {
         match config {
             Config::Clean => pipeline.sink(ArchiveSink::Memory).run(),
             Config::Chaos => pipeline.faults(chaos_plan()).run(),
-            Config::ArchiveFaults => {
-                let plan = archive_fault_plan();
-                let mut out = pipeline
-                    .faults(plan.clone())
-                    .sink(ArchiveSink::Memory)
-                    .run()?;
-                let bytes = out.archive.as_deref().unwrap_or_default();
-                let drill = archive_fault_drill(bytes, &plan)?;
-                out.metrics.merge(&drill);
-                Ok(out)
-            }
         }
     }
 }

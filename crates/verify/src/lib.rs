@@ -18,7 +18,8 @@
 //!     fixture, and every worker count must merge to the serial core.
 //!   - [`chaos`] — the same contracts *under the canonical fault-injection
 //!     plan*, plus a fault-metrics fixture, and the self-healing archive
-//!     drill ([`chaos::archive_fault_drill`]) under the archive-fault plan.
+//!     drill ([`chaos::archive_fault_drill`]) over the archive of the
+//!     chaos run's stream.
 //!   - [`archive`] — the columnar archive's bytes are canonical (worker
 //!     invariant and pinned by a hash fixture), it round-trips the merged
 //!     stream exactly, zone-map pruning never changes a result, a

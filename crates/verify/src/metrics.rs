@@ -92,7 +92,6 @@ fn serve_exercise(
         seed,
         scale,
         tenants: 2,
-        ..ServiceConfig::default()
     });
     service.attach_metrics(ServeMetrics::register(&registry));
     let mut streams = vec![Vec::new(); 2];

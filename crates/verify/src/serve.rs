@@ -100,7 +100,6 @@ pub(crate) fn check(runs: &mut Runs, _write: bool) -> Result<Vec<String>, charis
         seed,
         scale,
         tenants,
-        ..ServiceConfig::default()
     };
 
     // 1. Schedule invariance: the (workers × interleave) matrix must agree

@@ -257,7 +257,6 @@ pub(crate) fn check(runs: &mut Runs, _write: bool) -> Result<Vec<String>, charis
         seed: runs.seed,
         scale: runs.scale,
         tenants,
-        ..ServiceConfig::default()
     });
     service.run_ingest(&feeds, 2, 0)?;
 

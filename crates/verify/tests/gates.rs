@@ -7,6 +7,7 @@
 //! commit it alongside the code.
 
 use charisma::ipsc::FaultPlan;
+use charisma::store::{write_archive, ArchiveMeta};
 use charisma::tier::TierPlan;
 use charisma::{ArchiveSink, Pipeline, PipelineOutput};
 use charisma_verify::chaos::archive_fault_drill;
@@ -164,30 +165,35 @@ fn empty_plan_is_byte_identical_to_no_plan() {
 }
 
 #[test]
-fn archive_fault_plan_drills_the_healing_loop() {
-    let mut plan = FaultPlan::chaos_fixture();
-    plan.archive_corrupt_ppm = 120_000;
-    plan.replica_loss_ppm = 80_000;
+fn chaos_archive_drill_heals_exactly_what_it_damaged() {
+    let plan = FaultPlan::chaos_fixture();
     let out = run(plan.clone(), 2, 0.01, 4994);
-    let bytes = out.archive.as_deref().expect("memory sink");
-    let drill = archive_fault_drill(bytes, &plan).expect("drill heals");
-    // The drill injected deterministic damage and scrub repaired it.
-    let injected =
-        drill.counters["faults.archive.corrupt"] + drill.counters["faults.archive.replica_lost"];
-    assert!(injected > 0, "ppms this high must damage something");
-    assert_eq!(drill.counters["store.scrub.repaired"], injected);
-    assert!(drill.counters["store.scrub.segments_checked"] > 0);
-    // Archive faults live in the drill, not the run: the archive is the
-    // same as under the plan without them, and the run repaired nothing.
-    let mut quiet = plan.clone();
-    quiet.archive_corrupt_ppm = 0;
-    quiet.replica_loss_ppm = 0;
-    let clean = run(quiet, 2, 0.01, 4994);
-    assert_eq!(out.archive, clean.archive);
+    // The chaos gate archives the chaos run's stream itself: that is the
+    // memory sink's archive, byte for byte.
+    let bytes = write_archive(
+        &out.events,
+        ArchiveMeta {
+            seed: 4994,
+            scale: 0.01,
+        },
+    );
+    assert_eq!(out.archive.as_deref(), Some(bytes.as_slice()));
+    // Rates this high damage copies even at this scale.
+    let drill = || archive_fault_drill(&bytes, plan.seed, 120_000, 80_000).expect("drill heals");
+    let (injected, metrics) = drill();
+    assert!(injected.corrupted > 0 && injected.lost > 0, "{injected:?}");
+    // Scrub repaired exactly the damaged copies.
+    assert_eq!(
+        metrics.counters["store.scrub.repaired"],
+        injected.corrupted + injected.lost
+    );
+    assert!(metrics.counters["store.scrub.segments_checked"] > 0);
+    // The drill is a pure function of the bytes, the seed and the rates.
+    let (again, metrics_again) = drill();
+    assert_eq!(again, injected);
+    assert_eq!(metrics_again.to_core_json(), metrics.to_core_json());
+    // Archive damage lives in the drill, not the run.
     assert_eq!(out.metrics.counters["store.scrub.repaired"], 0);
-    // And the drill is a pure function of the bytes and the plan.
-    let again = archive_fault_drill(bytes, &plan).expect("drill heals");
-    assert_eq!(again.to_core_json(), drill.to_core_json());
 }
 
 #[test]

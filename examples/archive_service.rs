@@ -13,7 +13,7 @@
 //!   mid-ingest and keeps seeing exactly that prefix while ingest
 //!   continues underneath it;
 //! * finally one federated query fans out across all three catalogs and
-//!   k-way merges the results back into a single `(time, node)`-ordered
+//!   stably sorts the results back into a single `(time, node)`-ordered
 //!   stream.
 //!
 //! ```text
@@ -31,7 +31,6 @@ fn main() -> Result<(), charisma::Error> {
         seed: 4994,
         scale: 0.02,
         tenants: 3,
-        ..ServiceConfig::default()
     });
     service.attach_metrics(ServeMetrics::register(&registry));
 
@@ -102,7 +101,7 @@ fn main() -> Result<(), charisma::Error> {
     }
 
     // One federated query across every site: fan out with worker
-    // threads, k-way merge back by (time, node, site).
+    // threads, then stably sort by (time, node), ties in site order.
     let everything = service.federated(Query::all()).workers(4).events()?;
     let total: u64 = (0..3)
         .map(|t| service.snapshot(t).map(|s| s.rows()))

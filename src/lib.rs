@@ -57,9 +57,9 @@
 //!   [`store::SealedSegment`]) and a read-only serve side
 //!   ([`store::ArchiveReader`]);
 //! * [`serve`] — the multi-tenant archive service over that split:
-//!   bounded-queue ingest with deterministic admission, snapshot-isolated
-//!   catalogs, and federated cross-tenant queries (a pipeline run joins
-//!   as one tenant by submitting its [`PipelineOutput::events`]);
+//!   bounded-queue ingest, snapshot-isolated catalogs, and federated
+//!   cross-tenant queries (a pipeline run joins as one tenant by
+//!   submitting its [`PipelineOutput::events`]);
 //! * [`tier`] — hot/warm/cold segment tiering over the store's replica
 //!   substrate: scan-fed access ledgers, deterministic weighted
 //!   classification, dynamic replication for hot segments, XOR
